@@ -40,6 +40,8 @@ int main(int argc, char** argv) {
       // the coverage/cluster knob below.
       WorkloadConfig workload = base;
       workload.ops_per_sec = config.unthrottled ? 0 : config.ops_per_sec;
+      obs::ObsContext ctx;  // per-run counts
+      obs::ObsScope scope(&ctx);
       CowRig rig(stack, workload);
       ScrubberConfig sc;
       sc.use_duet = true;
@@ -53,9 +55,9 @@ int main(int argc, char** argv) {
                          ? static_cast<double>(stats.saved_read_pages) /
                                static_cast<double>(stats.work_total)
                          : 0;
+      uint64_t ops = ctx.metrics.CounterValue("workload.ops.completed");
       table.AddRow({Pct(util), clustered ? "clustered" : "interleaved", Pct(saved),
-                    stats.finished ? "yes" : "no",
-                    Num(static_cast<double>(rig.workload().stats().ops_completed), 0)});
+                    stats.finished ? "yes" : "no", Num(static_cast<double>(ops), 0)});
       scrub.Stop();
       fflush(stdout);
     }

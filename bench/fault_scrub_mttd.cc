@@ -16,7 +16,7 @@ using namespace duet;
 namespace {
 
 struct MttdRun {
-  FaultStats faults;
+  obs::MetricsSnapshot metrics;  // the run's own registry (fault.* counts)
   uint32_t fingerprint = 0;
   uint64_t passes = 0;       // completed scrub passes
   uint64_t scrub_io = 0;     // scrub device I/O (pages, reads + repairs)
@@ -42,6 +42,8 @@ MttdRun RunMttd(StackConfig stack, bool use_duet, double ops_per_sec,
       MakeWorkloadConfig(stack, Personality::kWebserver, /*coverage=*/0.5,
                          /*skewed=*/false, /*ops_per_sec=*/0, seed);
   workload.ops_per_sec = unthrottled ? 0 : ops_per_sec;
+  obs::ObsContext ctx;  // per-run counts
+  obs::ObsScope scope(&ctx);
   CowRig rig(stack, workload);
 
   FaultPlanConfig fc;
@@ -76,7 +78,7 @@ MttdRun RunMttd(StackConfig stack, bool use_duet, double ops_per_sec,
   uint64_t partial_io = scrub.stats().TotalIoPages();
   scrub.Stop();
 
-  out.faults = injector.stats();
+  out.metrics = ctx.metrics.Snapshot();
   out.fingerprint = injector.plan().Fingerprint();
   out.scrub_io = completed_io + partial_io;
   out.repaired = scrub.blocks_repaired();  // cumulative across passes
@@ -116,12 +118,12 @@ int main(int argc, char** argv) {
       char plan[16];
       snprintf(plan, sizeof(plan), "%08x", r.fingerprint);
       char mttd[16];
-      snprintf(mttd, sizeof(mttd), "%.2f", r.faults.MeanTimeToDetectSeconds());
+      snprintf(mttd, sizeof(mttd), "%.2f", MeanTimeToDetectSeconds(r.metrics));
       table.AddRow({Pct(util), use_duet ? "duet" : "baseline", plan,
-                    std::to_string(r.faults.injected),
-                    std::to_string(r.faults.detected),
-                    std::to_string(r.faults.repaired),
-                    std::to_string(r.faults.unrecoverable), mttd,
+                    std::to_string(r.metrics.Value("fault.injected")),
+                    std::to_string(r.metrics.Value("fault.detected")),
+                    std::to_string(r.metrics.Value("fault.repaired")),
+                    std::to_string(r.metrics.Value("fault.unrecoverable")), mttd,
                     std::to_string(r.passes), std::to_string(r.scrub_io)});
       fflush(stdout);
     }

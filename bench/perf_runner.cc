@@ -1,8 +1,8 @@
 // Perf-regression harness for the stack's hot paths.
 //
 // Runs a fixed set of seconds-scale measurements — hand-timed hook-dispatch
-// loops (the micro_duet_hooks scenarios), a fig02-style scrub run, and a
-// table6-style GC run — and writes the results as JSON:
+// and fetch loops (the stack's hot-path microbenchmarks), a fig02-style scrub
+// run, and a table6-style GC run — and writes the results as JSON:
 //
 //   perf_runner [--smoke] [--out PATH]
 //
@@ -48,7 +48,9 @@ double MsSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
-// The micro_duet_hooks HookRig, sized identically so numbers are comparable.
+// A cowfs + Duet stack with one 64 MiB file and a 256 MiB cache: every
+// dispatch and fetch scenario runs against the same shape, so their numbers
+// are comparable.
 struct HookRig {
   HookRig() : rig(1'000'000, Micros(1)), fs(&rig.loop, &rig.device, 1 << 16), duet(&fs) {
     ino = *fs.PopulateFile("/f", (1 << 14) * kPageSize);

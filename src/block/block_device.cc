@@ -213,8 +213,6 @@ void BlockDevice::Complete(IoRequest request, SimDuration service_time) {
     --in_flight_;
     flush_in_service_ = false;
     uint64_t committed = CommitVolatile();
-    ++stats_.flushes;
-    stats_.blocks_committed += committed;
     ctr_complete_->Add();
     ctr_flushes_->Add();
     ctr_blocks_committed_->Add(committed);
@@ -244,8 +242,6 @@ void BlockDevice::Complete(IoRequest request, SimDuration service_time) {
     result.status = injector_->OnRead(request.block, request.count, loop_->now(),
                                       &result.failed_blocks);
     if (!result.status.ok()) {
-      ++stats_.failed_requests;
-      stats_.failed_block_reads += result.failed_blocks.size();
       ctr_failed_requests_->Add();
       ctr_failed_blocks_->Add(result.failed_blocks.size());
     }

@@ -33,19 +33,15 @@ struct DurableContent {
   bool in_use = false;
 };
 
+// Per-I/O-class accounting, which the metrics registry does not split by
+// class. Failures, flushes and durable commits are registry counters only
+// (block.failed.*, block.flushes, block.durable.committed).
 struct DeviceStats {
   // Indexed by [IoClass][IoDir].
   uint64_t ops[2][2] = {{0, 0}, {0, 0}};
   uint64_t blocks[2][2] = {{0, 0}, {0, 0}};
   // Device busy time attributable to each class.
   SimDuration busy[2] = {0, 0};
-  // Requests that completed with an error (injected faults).
-  uint64_t failed_requests = 0;
-  // Individual block reads that failed (latent sector errors).
-  uint64_t failed_block_reads = 0;
-  // Flush/barrier ops completed, and blocks they committed durably.
-  uint64_t flushes = 0;
-  uint64_t blocks_committed = 0;
 
   uint64_t TotalOps(IoClass c) const {
     return ops[static_cast<int>(c)][0] + ops[static_cast<int>(c)][1];

@@ -53,7 +53,6 @@ PageCache::PageCache(uint64_t capacity_pages, std::function<SimTime()> clock)
 
 void PageCache::Emit(PageEventType type, InodeNo ino, PageIdx idx,
                      bool exists, bool dirty) {
-  ++stats_.events_emitted;
   ctr_events_[static_cast<int>(type)]->Add();
   obs_->trace.Emit(clock_(), obs::TraceLayer::kCache,
                    kPageTraceKind[static_cast<int>(type)], ino, idx);
@@ -161,12 +160,10 @@ void PageCache::MoveToLruFront(uint32_t slot) {
 std::optional<uint64_t> PageCache::Lookup(InodeNo ino, PageIdx idx) {
   uint32_t slot = FindSlot(ino, idx);
   if (slot != kNoSlot) {
-    ++stats_.hits;
     ctr_hits_->Add();
     MoveToLruFront(slot);
     return arena_[slot].page.data;
   }
-  ++stats_.misses;
   ctr_misses_->Add();
   return std::nullopt;
 }
@@ -204,7 +201,6 @@ void PageCache::Insert(InodeNo ino, PageIdx idx, uint64_t data, bool dirty) {
   if (dirty) {
     ++dirty_count_;
   }
-  ++stats_.insertions;
   Emit(PageEventType::kAdded, ino, idx, /*exists=*/true, dirty);
   if (dirty) {
     Emit(PageEventType::kDirtied, ino, idx, /*exists=*/true, /*dirty=*/true);
@@ -249,7 +245,6 @@ bool PageCache::Remove(InodeNo ino, PageIdx idx) {
   }
   if (arena_[slot].page.dirty) {
     --dirty_count_;
-    ++stats_.removed_dirty;
     ctr_removed_dirty_->Add();
   }
   DestroyEntry(slot);
@@ -408,7 +403,6 @@ void PageCache::EvictIfNeeded() {
     }
   }
   for (const Victim& v : victims) {
-    ++stats_.evictions;
     ctr_evictions_->Add();
     obs_->trace.Emit(clock_(), obs::TraceLayer::kCache,
                      obs::TraceKind::kPageEvicted, v.ino, v.idx);

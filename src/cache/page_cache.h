@@ -36,18 +36,6 @@ struct CachedPage {
   SimTime dirtied_at = 0;
 };
 
-struct PageCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t insertions = 0;
-  uint64_t evictions = 0;
-  uint64_t events_emitted = 0;
-  // Pages removed while still dirty (truncate/delete): these never emit
-  // kFlushed, so the dirtied == flushed + removed_dirty + resident-dirty
-  // conservation law needs them accounted separately.
-  uint64_t removed_dirty = 0;
-};
-
 class PageCache {
  public:
   // `clock` provides the current virtual time for dirty timestamps.
@@ -130,8 +118,6 @@ class PageCache {
   void SetEvictionAdvisor(EvictionAdvisor advisor, size_t window = 64);
   void ClearEvictionAdvisor();
 
-  const PageCacheStats& stats() const { return stats_; }
-
   // sizeof-accurate heap footprint of the cache index (entry arena, freelist,
   // flat page table, per-inode chain directory).
   uint64_t IndexMemoryBytes() const;
@@ -192,13 +178,15 @@ class PageCache {
   std::vector<PageEventListener*> listeners_;
   EvictionAdvisor advisor_;
   size_t advisor_window_ = 64;
-  PageCacheStats stats_;
   obs::ObsContext* obs_;
   // One counter per hook event type, indexed by PageEventType.
   obs::Counter* ctr_events_[4];
   obs::Counter* ctr_hits_;
   obs::Counter* ctr_misses_;
   obs::Counter* ctr_evictions_;
+  // Pages removed while still dirty (truncate/delete): these never emit
+  // kFlushed, so the dirtied == flushed + removed_dirty + resident-dirty
+  // conservation law needs them counted separately.
   obs::Counter* ctr_removed_dirty_;
 };
 

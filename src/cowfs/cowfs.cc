@@ -635,9 +635,9 @@ void CowFs::CommitSuperblock(std::function<void(uint64_t)> done) {
       CommitCheckpointSlot(image_, "cowfs.sb", generation, payload);
       superblock_generation_ = generation;
       committed_ = allocated_;  // pin the committed tree until the next commit
-      obs::CurrentObs()->trace.Emit(loop_->now(), obs::TraceLayer::kFs,
-                                    obs::TraceKind::kCheckpointCommit, generation,
-                                    payload.size(), image_->commit_seq());
+      obs_->trace.Emit(loop_->now(), obs::TraceLayer::kFs,
+                       obs::TraceKind::kCheckpointCommit, generation,
+                       payload.size(), image_->commit_seq());
       done(generation);
     });
   });
@@ -743,10 +743,10 @@ void CowFs::Mount(std::function<void(const MountReport&)> cb) {
   loop_->ScheduleAfter(MetaIoLatency(loaded->payload.size()),
                        [this, report, cb = std::move(cb), started] {
     report->duration = loop_->now() - started;
-    obs::CurrentObs()->trace.Emit(loop_->now(), obs::TraceLayer::kFs,
-                                  obs::TraceKind::kMountRecovered,
-                                  report->generation, report->blocks_restored,
-                                  report->blocks_discarded);
+    obs_->trace.Emit(loop_->now(), obs::TraceLayer::kFs,
+                     obs::TraceKind::kMountRecovered,
+                     report->generation, report->blocks_restored,
+                     report->blocks_discarded);
     cb(*report);
   });
 }
@@ -798,10 +798,10 @@ FsckReport CowFs::CheckConsistency() const {
   if (allocated_count != allocated_blocks_) {
     ++report.structural_errors;
   }
-  obs::CurrentObs()->trace.Emit(loop_->now(), obs::TraceLayer::kFs,
-                                obs::TraceKind::kFsckRan,
-                                report.structural_errors, report.checksum_errors,
-                                report.blocks_checked);
+  obs_->trace.Emit(loop_->now(), obs::TraceLayer::kFs,
+                   obs::TraceKind::kFsckRan,
+                   report.structural_errors, report.checksum_errors,
+                   report.blocks_checked);
   return report;
 }
 

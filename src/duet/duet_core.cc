@@ -47,7 +47,8 @@ DuetCore::DuetCore(FileSystem* fs, DuetConfig config)
       ctr_fetched_(obs_->metrics.GetCounter("duet.items.fetched")),
       ctr_fetch_calls_(obs_->metrics.GetCounter("duet.fetch.calls")),
       ctr_done_set_(obs_->metrics.GetCounter("duet.done.set")),
-      ctr_done_unset_(obs_->metrics.GetCounter("duet.done.unset")) {
+      ctr_done_unset_(obs_->metrics.GetCounter("duet.done.unset")),
+      ctr_relevance_checks_(obs_->metrics.GetCounter("duet.relevance_checks")) {
   assert(fs_ != nullptr);
   assert(config_.max_sessions <= kMaxSessionsHard);
   fs_->cache().AddListener(this);
@@ -319,7 +320,6 @@ bool DuetCore::EnsureQueued(SessionId sid, Session& s, uint32_t slot,
   }
   if (!SubscribesState(s) && s.pending >= config_.max_pending_per_session) {
     // Event-only session at its descriptor limit: drop (§4.2).
-    ++stats_.events_dropped;
     ++s.dropped;
     ctr_dropped_->Add();
     obs_->trace.Emit(Now(), obs::TraceLayer::kDuet, obs::TraceKind::kEventDropped,
@@ -337,7 +337,7 @@ bool DuetCore::IsRelevant(Session& s, InodeNo ino) {
   if (s.relevant.Test(ino)) {
     return true;
   }
-  ++stats_.relevance_checks;
+  ctr_relevance_checks_->Add();
   if (fs_->ns().IsUnder(ino, s.registered_dir)) {
     s.relevant.Set(ino);
     return true;
@@ -348,7 +348,6 @@ bool DuetCore::IsRelevant(Session& s, InodeNo ino) {
 }
 
 void DuetCore::OnPageEvent(const PageEvent& event) {
-  ++stats_.hook_invocations;
   ctr_hooks_->Add();
   PageKey key{event.ino, event.idx};
   uint32_t slot = FindSlot(key);
@@ -393,7 +392,6 @@ void DuetCore::ApplyEvent(SessionId sid, Session& s, const PageKey& key,
     // re-probing. (Nothing between that probe and here mutates the table.)
     slot = CreateSlot(key, exists, modified);
   }
-  ++stats_.descriptor_updates;
   ctr_delivered_->Add();
   obs_->trace.Emit(Now(), obs::TraceLayer::kDuet, obs::TraceKind::kEventDelivered,
                    sid, key.ino, key.idx);
@@ -425,7 +423,6 @@ void DuetCore::InitialScan(SessionId sid) {
     }
     PageKey key{ino, idx};
     uint32_t slot = GetOrCreateSlot(key, /*exists=*/true, page.dirty);
-    ++stats_.descriptor_updates;
     ctr_delivered_->Add();
     // The scan marks the page present (and possibly dirty), §4.1.
     uint8_t byte = s.flags.Get(slot);
@@ -449,7 +446,6 @@ Result<std::vector<DuetItem>> DuetCore::Fetch(SessionId sid, size_t max_items) {
     return Status(StatusCode::kNotFound, "no such session");
   }
   Session& s = sessions_[sid];
-  ++stats_.fetch_calls;
   ctr_fetch_calls_->Add();
   std::vector<DuetItem> items;
   items.reserve(std::min<uint64_t>(max_items, s.queue.size() - s.queue_head));
@@ -508,7 +504,6 @@ Result<std::vector<DuetItem>> DuetCore::Fetch(SessionId sid, size_t max_items) {
       item.offset = key.idx * kPageSize;
     }
     items.push_back(item);
-    ++stats_.items_fetched;
     ctr_fetched_->Add();
     obs_->trace.Emit(Now(), obs::TraceLayer::kDuet, obs::TraceKind::kItemFetched,
                      sid, item.id, item.flags);
@@ -651,7 +646,6 @@ void DuetCore::FileMovedIn(SessionId sid, Session& s, InodeNo ino) {
   fs_->cache().ForEachPageOfInode(ino, [&](PageIdx idx, const CachedPage& page) {
     PageKey key{ino, idx};
     uint32_t slot = GetOrCreateSlot(key, /*exists=*/true, page.dirty);
-    ++stats_.descriptor_updates;
     ctr_delivered_->Add();
     uint8_t byte = s.flags.Get(slot);
     if ((s.mask & kDuetPageAdded) != 0) {
@@ -675,7 +669,6 @@ void DuetCore::FileMovedOut(SessionId sid, Session& s, InodeNo ino) {
   fs_->cache().ForEachPageOfInode(ino, [&](PageIdx idx, const CachedPage& page) {
     PageKey key{ino, idx};
     uint32_t slot = GetOrCreateSlot(key, /*exists=*/true, page.dirty);
-    ++stats_.descriptor_updates;
     ctr_delivered_->Add();
     if ((s.mask & (kDuetPageRemoved | kDuetPageExists)) != 0) {
       uint8_t byte = s.flags.Get(slot);

@@ -111,7 +111,6 @@ class DuetCore : public PageEventListener, public VfsObserver {
   void OnCreate(InodeNo ino) override;
 
   // ---- Introspection / accounting (§6.4 experiments) ----
-  const DuetStats& stats() const { return stats_; }
   uint64_t descriptor_count() const { return live_descriptors_; }
   // sizeof-accurate footprint of the descriptor store: the packed arena
   // (capacity, since freelist slots stay resident), its freelist, and the
@@ -245,6 +244,7 @@ class DuetCore : public PageEventListener, public VfsObserver {
   obs::Counter* ctr_fetch_calls_;
   obs::Counter* ctr_done_set_;
   obs::Counter* ctr_done_unset_;
+  obs::Counter* ctr_relevance_checks_;  // backward path traversals
   std::array<Session, kMaxSessionsHard> sessions_;
   uint32_t active_sessions_ = 0;
   // Bit s set: session s is active / is active and interested in event type
@@ -262,7 +262,6 @@ class DuetCore : public PageEventListener, public VfsObserver {
   // Head (slot) of each inode's intrusive descriptor chain: done-marking and
   // rename handling need per-file access.
   std::unordered_map<InodeNo, uint32_t> inode_heads_;
-  DuetStats stats_;
 };
 
 }  // namespace duet

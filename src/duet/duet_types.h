@@ -40,15 +40,6 @@ struct DuetItem {
   bool has(uint8_t bit) const { return (flags & bit) != 0; }
 };
 
-struct DuetStats {
-  uint64_t hook_invocations = 0;   // page events seen by the framework
-  uint64_t descriptor_updates = 0; // per-session flag mutations
-  uint64_t items_fetched = 0;      // items copied out by fetch calls
-  uint64_t fetch_calls = 0;
-  uint64_t events_dropped = 0;     // descriptor-limit drops (event-only)
-  uint64_t relevance_checks = 0;   // backward path traversals performed
-};
-
 }  // namespace duet
 
 #endif  // SRC_DUET_DUET_TYPES_H_

@@ -6,6 +6,19 @@
 
 namespace duet {
 
+uint64_t UndetectedFaults(const obs::MetricsSnapshot& m) {
+  uint64_t injected = m.Value("fault.injected");
+  uint64_t resolved = m.Value("fault.detected") + m.Value("fault.masked");
+  return injected > resolved ? injected - resolved : 0;
+}
+
+double MeanTimeToDetectSeconds(const obs::MetricsSnapshot& m) {
+  uint64_t detected = m.Value("fault.detected");
+  return detected == 0 ? 0
+                       : ToSeconds(m.Value("fault.detect_latency_ns")) /
+                             static_cast<double>(detected);
+}
+
 FaultInjector::FaultInjector(EventLoop* loop, FaultPlan plan)
     : loop_(loop),
       plan_(std::move(plan)),
@@ -17,7 +30,11 @@ FaultInjector::FaultInjector(EventLoop* loop, FaultPlan plan)
       ctr_unrecoverable_(obs_->metrics.GetCounter("fault.unrecoverable")),
       ctr_read_errors_(obs_->metrics.GetCounter("fault.read_errors")),
       ctr_transient_failures_(obs_->metrics.GetCounter("fault.transient_failures")),
-      ctr_crashes_(obs_->metrics.GetCounter("fault.crashes")) {
+      ctr_crashes_(obs_->metrics.GetCounter("fault.crashes")),
+      ctr_skipped_(obs_->metrics.GetCounter("fault.skipped")),
+      ctr_torn_armed_(obs_->metrics.GetCounter("fault.torn_armed")),
+      ctr_transient_windows_(obs_->metrics.GetCounter("fault.transient_windows")),
+      ctr_detect_latency_ns_(obs_->metrics.GetCounter("fault.detect_latency_ns")) {
   assert(loop_ != nullptr);
 }
 
@@ -48,7 +65,6 @@ void FaultInjector::TriggerCrash(uint64_t source_tag) {
     return;  // a machine loses power once
   }
   crashed_ = true;
-  ++stats_.crashes;
   ctr_crashes_->Add();
   obs_->trace.Emit(loop_->now(), obs::TraceLayer::kFault,
                    obs::TraceKind::kCrashTriggered, source_tag, kFaultCrash);
@@ -70,11 +86,10 @@ void FaultInjector::Activate(const FaultEvent& event) {
     case kFaultLatent:
     case kFaultBitRot: {
       if ((filter_ && !filter_(event.block)) || active_.count(event.block) != 0) {
-        ++stats_.skipped;
+        ctr_skipped_->Add();
         return;
       }
       active_[event.block] = ActiveFault{event.kind, loop_->now(), false, false};
-      ++stats_.injected;
       ctr_injected_->Add();
       obs_->trace.Emit(loop_->now(), obs::TraceLayer::kFault,
                        obs::TraceKind::kFaultInjected, event.block, event.kind);
@@ -86,7 +101,7 @@ void FaultInjector::Activate(const FaultEvent& event) {
     case kFaultTornWrite:
       // Materializes when (and if) a write covers the block.
       if (armed_torn_.emplace(event.block, loop_->now()).second) {
-        ++stats_.torn_armed;
+        ctr_torn_armed_->Add();
         obs_->trace.Emit(loop_->now(), obs::TraceLayer::kFault,
                          obs::TraceKind::kFaultArmed, event.block, event.kind);
       }
@@ -95,7 +110,7 @@ void FaultInjector::Activate(const FaultEvent& event) {
       transients_.push_back(TransientWindow{
           event.block, event.span, loop_->now() + plan_.config().transient_duration,
           plan_.config().transient_latency});
-      ++stats_.transient_windows;
+      ctr_transient_windows_->Add();
       break;
     case kFaultCrash:
       TriggerCrash(/*source_tag=*/0);
@@ -127,7 +142,6 @@ Status FaultInjector::OnRead(BlockNo block, uint32_t count, SimTime now,
     std::erase_if(transients_, [now](const TransientWindow& w) { return now >= w.until; });
     for (const TransientWindow& w : transients_) {
       if (block < w.start + w.span && w.start < block + count) {
-        ++stats_.transient_failures;
         ctr_transient_failures_->Add();
         return Status(StatusCode::kBusy, "transient read timeout");
       }
@@ -142,15 +156,13 @@ Status FaultInjector::OnRead(BlockNo block, uint32_t count, SimTime now,
     if (failed != nullptr) {
       failed->push_back(b);
     }
-    ++stats_.read_errors;
     ctr_read_errors_->Add();
     if (!it->second.detected) {
       it->second.detected = true;
-      ++stats_.detected;
       ctr_detected_->Add();
       obs_->trace.Emit(now, obs::TraceLayer::kFault,
                        obs::TraceKind::kFaultDetected, b);
-      stats_.total_detect_latency += now - it->second.injected_at;
+      ctr_detect_latency_ns_->Add(now - it->second.injected_at);
     }
     status = Status(StatusCode::kIoError, "latent sector error");
   }
@@ -163,12 +175,10 @@ void FaultInjector::ResolveFault(BlockNo block, bool via_rewrite) {
     return;
   }
   if (it->second.detected) {
-    ++stats_.repaired;
     ctr_repaired_->Add();
     obs_->trace.Emit(loop_->now(), obs::TraceLayer::kFault,
                      obs::TraceKind::kFaultRepaired, block);
   } else {
-    ++stats_.masked;
     ctr_masked_->Add();
     obs_->trace.Emit(loop_->now(), obs::TraceLayer::kFault,
                      obs::TraceKind::kFaultMasked, block);
@@ -186,7 +196,6 @@ void FaultInjector::OnWriteApplied(BlockNo block, uint32_t count, SimTime now) {
     if (torn != armed_torn_.end()) {
       armed_torn_.erase(torn);
       active_[b] = ActiveFault{kFaultTornWrite, now, false, false};
-      ++stats_.injected;
       ctr_injected_->Add();
       obs_->trace.Emit(now, obs::TraceLayer::kFault,
                        obs::TraceKind::kFaultInjected, b, kFaultTornWrite);
@@ -203,11 +212,10 @@ void FaultInjector::NoteCorruptionDetected(BlockNo block) {
     return;  // not one of ours (manual test hook) or already counted
   }
   it->second.detected = true;
-  ++stats_.detected;
   ctr_detected_->Add();
   obs_->trace.Emit(loop_->now(), obs::TraceLayer::kFault,
                    obs::TraceKind::kFaultDetected, block);
-  stats_.total_detect_latency += loop_->now() - it->second.injected_at;
+  ctr_detect_latency_ns_->Add(loop_->now() - it->second.injected_at);
 }
 
 void FaultInjector::NoteUnrecoverable(BlockNo block) {
@@ -216,7 +224,6 @@ void FaultInjector::NoteUnrecoverable(BlockNo block) {
     return;
   }
   it->second.unrecoverable = true;
-  ++stats_.unrecoverable;
   ctr_unrecoverable_->Add();
   obs_->trace.Emit(loop_->now(), obs::TraceLayer::kFault,
                    obs::TraceKind::kFaultUnrecoverable, block);

@@ -32,29 +32,15 @@
 
 namespace duet {
 
-struct FaultStats {
-  uint64_t injected = 0;       // latent/rot activated + torn actually applied
-  uint64_t skipped = 0;        // activation hit a block not in use
-  uint64_t torn_armed = 0;     // torn events waiting for a write
-  uint64_t transient_windows = 0;
-  uint64_t detected = 0;       // surfaced via read failure or checksum
-  uint64_t repaired = 0;       // detected, then cleared by a rewrite/free
-  uint64_t masked = 0;         // cleared by a rewrite/free before detection
-  uint64_t unrecoverable = 0;  // detected, no good copy to repair from
-  uint64_t read_errors = 0;        // block reads failed with kIoError
-  uint64_t transient_failures = 0; // requests failed with kBusy
-  uint64_t crashes = 0;            // power-loss events triggered
-  SimDuration total_detect_latency = 0;
+// Fault accounting lives in the registry of the context the injector was
+// built under (fault.injected, .detected, .repaired, .masked, ...). These
+// derive the two composite figures the reports print from a run's snapshot.
 
-  uint64_t Undetected() const {
-    uint64_t resolved = detected + masked;
-    return injected > resolved ? injected - resolved : 0;
-  }
-  double MeanTimeToDetectSeconds() const {
-    return detected == 0 ? 0 : ToSeconds(total_detect_latency) /
-                                   static_cast<double>(detected);
-  }
-};
+// Faults injected but neither detected nor masked (still silent).
+uint64_t UndetectedFaults(const obs::MetricsSnapshot& m);
+// Mean time to detect: summed injection-to-detection latency over the
+// number of detections; 0 when nothing was detected.
+double MeanTimeToDetectSeconds(const obs::MetricsSnapshot& m);
 
 class FaultInjector {
  public:
@@ -78,7 +64,8 @@ class FaultInjector {
   // The handler runs exactly once, at the crash instant; it is expected to
   // freeze the durable image (BlockDevice::CrashFreeze) and halt the event
   // loop so the harness can tear the stack down. A kCrash plan event with no
-  // handler registered only counts in stats (benign in crash-unaware rigs).
+  // handler registered only counts in fault.crashes (benign in crash-unaware
+  // rigs).
   void SetCrashHandler(std::function<void()> handler);
   // Explicit crash points, usable with or without a plan: at an absolute
   // sim-time, or when the device dispatches its Nth op (1-based).
@@ -114,7 +101,6 @@ class FaultInjector {
 
   bool HasActiveFault(BlockNo block) const;
   uint64_t active_fault_count() const { return active_.size(); }
-  const FaultStats& stats() const { return stats_; }
   const FaultPlan& plan() const { return plan_; }
 
  private:
@@ -138,14 +124,18 @@ class FaultInjector {
   EventLoop* loop_;
   FaultPlan plan_;
   obs::ObsContext* obs_;
-  obs::Counter* ctr_injected_;
-  obs::Counter* ctr_detected_;
-  obs::Counter* ctr_repaired_;
-  obs::Counter* ctr_masked_;
-  obs::Counter* ctr_unrecoverable_;
-  obs::Counter* ctr_read_errors_;
-  obs::Counter* ctr_transient_failures_;
-  obs::Counter* ctr_crashes_;
+  obs::Counter* ctr_injected_;       // latent/rot activated + torn applied
+  obs::Counter* ctr_detected_;       // surfaced via read failure or checksum
+  obs::Counter* ctr_repaired_;       // detected, then cleared by rewrite/free
+  obs::Counter* ctr_masked_;         // cleared by rewrite/free before detection
+  obs::Counter* ctr_unrecoverable_;  // detected, no good copy to repair from
+  obs::Counter* ctr_read_errors_;         // block reads failed with kIoError
+  obs::Counter* ctr_transient_failures_;  // requests failed with kBusy
+  obs::Counter* ctr_crashes_;             // power-loss events triggered
+  obs::Counter* ctr_skipped_;             // activation hit a block not in use
+  obs::Counter* ctr_torn_armed_;          // torn events waiting for a write
+  obs::Counter* ctr_transient_windows_;
+  obs::Counter* ctr_detect_latency_ns_;   // summed injection-to-detection time
   std::function<void(BlockNo, bool)> sink_;
   std::function<bool(BlockNo)> filter_;
   std::function<void()> crash_handler_;
@@ -155,7 +145,6 @@ class FaultInjector {
   std::unordered_map<BlockNo, ActiveFault> active_;
   std::unordered_map<BlockNo, SimTime> armed_torn_;  // block -> armed at
   std::vector<TransientWindow> transients_;
-  FaultStats stats_;
 };
 
 }  // namespace duet

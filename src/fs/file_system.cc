@@ -14,6 +14,7 @@ FileSystem::FileSystem(EventLoop* loop, BlockDevice* device, uint64_t cache_page
                        WritebackParams wb_params)
     : loop_(loop),
       device_(device),
+      obs_(obs::CurrentObs()),
       cache_(cache_pages, [loop] { return loop->now(); }),
       writeback_(loop, &cache_, this, wb_params) {
   assert(loop_ != nullptr && device_ != nullptr);

@@ -17,6 +17,7 @@
 #include "src/cache/page_cache.h"
 #include "src/cache/writeback.h"
 #include "src/fs/namespace.h"
+#include "src/obs/obs.h"
 #include "src/sim/event_loop.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
@@ -286,6 +287,10 @@ class FileSystem : public WritebackTarget {
 
   EventLoop* loop_;
   BlockDevice* device_;
+  // Captured at construction, like every other layer, so deferred emits
+  // (checkpoint commits, mount recovery, fsck) report into the context the
+  // file system was built under, not whichever scope is current later.
+  obs::ObsContext* obs_;
   PageCache cache_;
   Namespace ns_;
   Writeback writeback_;

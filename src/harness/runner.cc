@@ -137,11 +137,12 @@ MaintenanceRunResult RunMaintenance(const MaintenanceRunConfig& config) {
 
   MaintenanceRunResult result;
   result.measured_util = rig.UtilizationSince(0, 0);
-  result.duet_stats = rig.duet().stats();
-  result.workload_ops = rig.workload().stats().ops_completed;
-  result.workload_latency_ms = rig.workload().stats().latency_ms.mean();
+  result.workload_ops = obs->metrics.CounterValue("workload.ops.completed");
+  if (const obs::LogHistogram* latency =
+          obs->metrics.FindHistogram("workload.op.latency_ns")) {
+    result.workload_latency_ms = latency->Mean() / kMillisecond;
+  }
   if (injector != nullptr) {
-    result.fault_stats = injector->stats();
     result.fault_fingerprint = injector->plan().Fingerprint();
   }
   if (scrub != nullptr) {

@@ -58,11 +58,12 @@ struct MaintenanceRunResult {
   std::vector<TaskStats> task_stats;
   bool all_finished = false;
   double measured_util = 0;       // best-effort utilization during the run
-  DuetStats duet_stats;
+  // Read back from the run's registry (workload.ops.completed and the mean
+  // of workload.op.latency_ns), so, like every registry-derived figure here,
+  // they accumulate across runs that share a caller-provided context.
   uint64_t workload_ops = 0;
   double workload_latency_ms = 0;
-  // Fault accounting (zero when no injector was configured).
-  FaultStats fault_stats;
+  // Zero when no injector was configured; fault counts are fault.* metrics.
   uint32_t fault_fingerprint = 0;  // FaultPlan::Fingerprint() for replay
   uint64_t scrub_repaired = 0;
   uint64_t scrub_unrecoverable = 0;

@@ -390,9 +390,9 @@ void LogFs::WriteCheckpoint(std::function<void(uint64_t)> done) {
       // Drop the pins down to the blocks this checkpoint references; prefree
       // segments become reusable (F2fs's checkpoint unpins prefree segments).
       pinned_ = valid_;
-      obs::CurrentObs()->trace.Emit(loop_->now(), obs::TraceLayer::kFs,
-                                    obs::TraceKind::kCheckpointCommit, generation,
-                                    payload.size(), image_->commit_seq());
+      obs_->trace.Emit(loop_->now(), obs::TraceLayer::kFs,
+                       obs::TraceKind::kCheckpointCommit, generation,
+                       payload.size(), image_->commit_seq());
       done(generation);
     });
   });
@@ -536,10 +536,10 @@ void LogFs::Mount(std::function<void(const MountReport&)> cb) {
 
   auto finish = [this, report, cb = std::move(cb), started] {
     report->duration = loop_->now() - started;
-    obs::CurrentObs()->trace.Emit(loop_->now(), obs::TraceLayer::kFs,
-                                  obs::TraceKind::kMountRecovered,
-                                  report->generation, report->blocks_restored,
-                                  report->blocks_discarded);
+    obs_->trace.Emit(loop_->now(), obs::TraceLayer::kFs,
+                     obs::TraceKind::kMountRecovered,
+                     report->generation, report->blocks_restored,
+                     report->blocks_discarded);
     cb(*report);
   };
   // Model the recovery I/O: read the checkpoint area, then read the replayed
@@ -617,10 +617,10 @@ FsckReport LogFs::CheckConsistency() const {
   if (valid_count != allocated_blocks_) {
     ++report.structural_errors;
   }
-  obs::CurrentObs()->trace.Emit(loop_->now(), obs::TraceLayer::kFs,
-                                obs::TraceKind::kFsckRan,
-                                report.structural_errors, report.checksum_errors,
-                                report.blocks_checked);
+  obs_->trace.Emit(loop_->now(), obs::TraceLayer::kFs,
+                   obs::TraceKind::kFsckRan,
+                   report.structural_errors, report.checksum_errors,
+                   report.blocks_checked);
   return report;
 }
 

@@ -39,7 +39,7 @@ class Gauge {
 };
 
 // Log2-bucketed histogram over non-negative integer samples (latencies in
-// microseconds, sizes in blocks). Bucket i holds samples whose bit width is
+// us or ns, sizes in blocks). Bucket i holds samples whose bit width is
 // i, i.e. [2^(i-1), 2^i); constant memory, O(1) record, percentile error
 // bounded by the bucket ratio (2x) with linear interpolation inside buckets.
 class LogHistogram {

@@ -1,7 +1,6 @@
 #include "src/util/stats.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace duet {
@@ -33,37 +32,6 @@ double RunningStats::ConfidenceInterval95() const {
     return 0;
   }
   return 1.96 * stddev() / std::sqrt(static_cast<double>(count_));
-}
-
-Histogram::Histogram(double lo, double hi, uint64_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  assert(hi > lo && buckets > 0);
-}
-
-void Histogram::Add(double x) {
-  double frac = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<int64_t>(frac * static_cast<double>(counts_.size()));
-  idx = std::clamp<int64_t>(idx, 0, static_cast<int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<uint64_t>(idx)];
-  ++total_;
-}
-
-double Histogram::Percentile(double p) const {
-  assert(p >= 0 && p <= 100);
-  if (total_ == 0) {
-    return lo_;
-  }
-  auto target = static_cast<uint64_t>(std::ceil(p / 100.0 * static_cast<double>(total_)));
-  target = std::max<uint64_t>(target, 1);
-  uint64_t seen = 0;
-  double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  for (uint64_t i = 0; i < counts_.size(); ++i) {
-    seen += counts_[i];
-    if (seen >= target) {
-      return lo_ + width * static_cast<double>(i + 1);
-    }
-  }
-  return hi_;
 }
 
 }  // namespace duet

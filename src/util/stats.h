@@ -1,11 +1,10 @@
-// Small statistics helpers for experiment reporting: running mean/variance,
-// 95% confidence intervals (paper reports these for latency and cleaning
-// time), and a simple fixed-bucket histogram.
+// Small statistics helper for experiment reporting: running mean/variance and
+// 95% confidence intervals (the paper reports these for cleaning time).
+// Distributions use obs::LogHistogram.
 #ifndef SRC_UTIL_STATS_H_
 #define SRC_UTIL_STATS_H_
 
 #include <cstdint>
-#include <vector>
 
 namespace duet {
 
@@ -31,25 +30,6 @@ class RunningStats {
   double m2_ = 0;
   double min_ = 0;
   double max_ = 0;
-};
-
-// Histogram over [lo, hi) with uniform bucket width; out-of-range samples
-// clamp into the first/last bucket.
-class Histogram {
- public:
-  Histogram(double lo, double hi, uint64_t buckets);
-
-  void Add(double x);
-
-  uint64_t TotalCount() const { return total_; }
-  double Percentile(double p) const;  // p in [0, 100]
-  const std::vector<uint64_t>& buckets() const { return counts_; }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<uint64_t> counts_;
-  uint64_t total_ = 0;
 };
 
 }  // namespace duet

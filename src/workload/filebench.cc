@@ -27,9 +27,11 @@ FilebenchWorkload::FilebenchWorkload(FileSystem* fs, WorkloadConfig config)
       ctr_completed_(obs_->metrics.GetCounter("workload.ops.completed")),
       ctr_reads_(obs_->metrics.GetCounter("workload.ops.read")),
       ctr_writes_(obs_->metrics.GetCounter("workload.ops.write")),
+      ctr_creates_(obs_->metrics.GetCounter("workload.ops.create")),
+      ctr_deletes_(obs_->metrics.GetCounter("workload.ops.delete")),
       ctr_pages_read_(obs_->metrics.GetCounter("workload.pages.read")),
       ctr_pages_written_(obs_->metrics.GetCounter("workload.pages.written")),
-      hist_latency_us_(obs_->metrics.GetHistogram("workload.op.latency_us")),
+      hist_latency_ns_(obs_->metrics.GetHistogram("workload.op.latency_ns")),
       rng_(config.seed) {
   assert(fs_ != nullptr);
 }
@@ -161,40 +163,31 @@ size_t FilebenchWorkload::PickFileIndex() {
 
 void FilebenchWorkload::OnOpComplete(OpType op, SimTime issued_at,
                                      const FsIoResult& result) {
-  ++stats_.ops_completed;
   ctr_completed_->Add();
   SimDuration latency = fs_->loop().now() - issued_at;
-  stats_.latency_ms.Add(ToMillis(latency));
-  hist_latency_us_->Record(latency / kMicrosecond);
+  hist_latency_ns_->Record(latency);
   obs_->trace.Emit(fs_->loop().now(), obs::TraceLayer::kWorkload,
                    obs::TraceKind::kOpCompleted, static_cast<uint64_t>(op),
                    latency / kMicrosecond);
   switch (op) {
     case OpType::kReadFile:
-      ++stats_.read_ops;
       ctr_reads_->Add();
-      stats_.pages_read += result.pages_requested;
       ctr_pages_read_->Add(result.pages_requested);
       break;
     case OpType::kOverwrite:
     case OpType::kAppendFile:
     case OpType::kAppendLog:
-      ++stats_.write_ops;
       ctr_writes_->Add();
-      stats_.pages_written += result.pages_requested;
       ctr_pages_written_->Add(result.pages_requested);
       break;
     case OpType::kCreate:
-      ++stats_.write_ops;
       ctr_writes_->Add();
-      ++stats_.creates;
-      stats_.pages_written += result.pages_requested;
+      ctr_creates_->Add();
       ctr_pages_written_->Add(result.pages_requested);
       break;
     case OpType::kDelete:
-      ++stats_.write_ops;
       ctr_writes_->Add();
-      ++stats_.deletes;
+      ctr_deletes_->Add();
       break;
   }
   if (!running_) {
@@ -222,7 +215,6 @@ void FilebenchWorkload::IssueNext() {
   }
   OpType op = PickOp();
   SimTime issued_at = fs_->loop().now();
-  ++stats_.ops_issued;
   ctr_issued_->Add();
   obs_->trace.Emit(issued_at, obs::TraceLayer::kWorkload,
                    obs::TraceKind::kOpIssued, static_cast<uint64_t>(op));

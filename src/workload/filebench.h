@@ -24,7 +24,6 @@
 #include "src/fs/file_system.h"
 #include "src/obs/obs.h"
 #include "src/util/rng.h"
-#include "src/util/stats.h"
 #include "src/util/zipf.h"
 
 namespace duet {
@@ -64,18 +63,6 @@ struct WorkloadConfig {
   std::string log_path = "/weblog";
 };
 
-struct WorkloadStats {
-  uint64_t ops_issued = 0;
-  uint64_t ops_completed = 0;
-  uint64_t read_ops = 0;
-  uint64_t write_ops = 0;  // overwrite + append + create + delete
-  uint64_t creates = 0;
-  uint64_t deletes = 0;
-  uint64_t pages_read = 0;
-  uint64_t pages_written = 0;
-  RunningStats latency_ms;  // per-operation completion latency
-};
-
 class FilebenchWorkload {
  public:
   FilebenchWorkload(FileSystem* fs, WorkloadConfig config);
@@ -89,9 +76,6 @@ class FilebenchWorkload {
   // inter-arrival gaps when a rate limit is set.
   void Start();
   void Stop();
-
-  const WorkloadStats& stats() const { return stats_; }
-  WorkloadStats& mutable_stats() { return stats_; }
 
   // Files the workload may touch (the covered subset).
   uint64_t covered_files() const { return covered_.size(); }
@@ -116,10 +100,12 @@ class FilebenchWorkload {
   obs::Counter* ctr_issued_;
   obs::Counter* ctr_completed_;
   obs::Counter* ctr_reads_;
-  obs::Counter* ctr_writes_;
+  obs::Counter* ctr_writes_;  // overwrite + append + create + delete
+  obs::Counter* ctr_creates_;
+  obs::Counter* ctr_deletes_;
   obs::Counter* ctr_pages_read_;
   obs::Counter* ctr_pages_written_;
-  obs::LogHistogram* hist_latency_us_;
+  obs::LogHistogram* hist_latency_ns_;  // per-op completion latency
   Rng rng_;
   std::unique_ptr<ZipfSampler> zipf_;
   std::vector<InodeNo> covered_;  // files the workload may touch
@@ -129,7 +115,6 @@ class FilebenchWorkload {
   bool running_ = false;
   bool setup_done_ = false;
   SimTime next_issue_at_ = 0;
-  WorkloadStats stats_;
 };
 
 }  // namespace duet

@@ -21,6 +21,12 @@ class PageCacheTest : public ::testing::Test {
     g_now = 0;
     cache_.AddListener(&recorder_);
   }
+  uint64_t Count(const char* name) const { return ctx_.metrics.CounterValue(name); }
+
+  // The cache reports into this test's own context (declared first, so it
+  // is installed before the cache captures it).
+  obs::ObsContext ctx_;
+  obs::ObsScope scope_{&ctx_};
   PageCache cache_;
   EventRecorder recorder_;
 };
@@ -30,8 +36,8 @@ TEST_F(PageCacheTest, InsertAndLookup) {
   EXPECT_EQ(cache_.Lookup(10, 0), 111u);
   EXPECT_EQ(cache_.Lookup(10, 1), std::nullopt);
   EXPECT_EQ(cache_.PageCount(), 1u);
-  EXPECT_EQ(cache_.stats().hits, 1u);
-  EXPECT_EQ(cache_.stats().misses, 1u);
+  EXPECT_EQ(Count("cache.hits"), 1u);
+  EXPECT_EQ(Count("cache.misses"), 1u);
 }
 
 TEST_F(PageCacheTest, InsertEmitsAdded) {
@@ -85,7 +91,7 @@ TEST_F(PageCacheTest, LruEvictionOnOverflow) {
   EXPECT_EQ(cache_.PageCount(), 4u);
   EXPECT_FALSE(cache_.Contains(1, 0));
   EXPECT_TRUE(cache_.Contains(5, 0));
-  EXPECT_EQ(cache_.stats().evictions, 1u);
+  EXPECT_EQ(Count("cache.evictions"), 1u);
 }
 
 TEST_F(PageCacheTest, LookupRefreshesLru) {
@@ -140,9 +146,9 @@ TEST_F(PageCacheTest, RemoveInodeDropsAllItsPages) {
 TEST_F(PageCacheTest, PeekDoesNotTouchLruOrStats) {
   cache_.Insert(1, 0, 1, false);
   cache_.Insert(2, 0, 2, false);
-  uint64_t hits = cache_.stats().hits;
+  uint64_t hits = Count("cache.hits");
   EXPECT_NE(cache_.Peek(1, 0), nullptr);
-  EXPECT_EQ(cache_.stats().hits, hits);
+  EXPECT_EQ(Count("cache.hits"), hits);
   cache_.Insert(3, 0, 3, false);
   cache_.Insert(4, 0, 4, false);
   cache_.Insert(5, 0, 5, false);  // evicts LRU = 1 despite the Peek

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "src/obs/obs.h"
 #include "src/util/rng.h"
 #include "tests/sim_fixture.h"
 
@@ -309,6 +312,34 @@ TEST_F(CowFsTest, RepairBlocksUsesMirrorThenReportsUnrecoverable) {
   EXPECT_EQ(result.unrecoverable, 1u);
   EXPECT_TRUE(fs_.BlockChecksumOk(fixable));
   EXPECT_FALSE(fs_.BlockChecksumOk(doomed));
+}
+
+// Late FS emits (fsck here; checkpoint commits and mount recovery likewise)
+// report into the context the file system was built under, like every other
+// layer, not into whichever scope happens to be current at emit time.
+TEST(CowFsObsTest, FsckReportsIntoConstructionContext) {
+  obs::ObsContext built_under;
+  obs::TraceRing ring(16);
+  built_under.trace.AddSink(&ring);
+  std::unique_ptr<SimRig> rig;
+  std::unique_ptr<CowFs> fs;
+  {
+    obs::ObsScope scope(&built_under);
+    rig = std::make_unique<SimRig>(10'000);
+    fs = std::make_unique<CowFs>(&rig->loop, &rig->device, /*cache_pages=*/16);
+    ASSERT_TRUE(fs->PopulateFile("/f", 4 * kPageSize).ok());
+  }
+  obs::ObsContext later;
+  obs::ObsScope later_scope(&later);
+  ring.Clear();
+  FsckReport report = fs->CheckConsistency();
+  EXPECT_TRUE(report.clean());
+  int fsck_events = 0;
+  ring.ForEach([&](const obs::TraceEvent& e) {
+    fsck_events += e.kind == obs::TraceKind::kFsckRan ? 1 : 0;
+  });
+  EXPECT_EQ(fsck_events, 1);
+  EXPECT_EQ(later.trace.events_emitted(), 0u);
 }
 
 }  // namespace

@@ -41,6 +41,9 @@ class DuetCoreTest : public ::testing::Test {
     }
   }
 
+  // Declared first: the whole stack reports into this test's own context.
+  obs::ObsContext ctx_;
+  obs::ObsScope scope_{&ctx_};
   SimRig rig_;
   CowFs fs_;
   DuetCore duet_;
@@ -118,9 +121,10 @@ TEST_F(DuetCoreTest, FileTaskIgnoresFilesOutsideRegisteredDir) {
     EXPECT_EQ(item.id, inside);
   }
   // Irrelevant files are marked done so the path walk happens only once.
-  uint64_t checks = duet_.stats().relevance_checks;
+  uint64_t checks = ctx_.metrics.CounterValue("duet.relevance_checks");
+  EXPECT_GT(checks, 0u);
   ReadSync(outside, 0, 2 * kPageSize);
-  EXPECT_EQ(duet_.stats().relevance_checks, checks);
+  EXPECT_EQ(ctx_.metrics.CounterValue("duet.relevance_checks"), checks);
 }
 
 TEST_F(DuetCoreTest, InitialScanReportsPreexistingPages) {
@@ -368,12 +372,14 @@ TEST_F(DuetCoreTest, DirectoryRenameResetsUnprocessedFiles) {
 TEST_F(DuetCoreTest, DescriptorLimitDropsEventOnlySessions) {
   DuetConfig config;
   config.max_pending_per_session = 4;
+  obs::ObsContext limited_obs;
+  obs::ObsScope limited_scope(&limited_obs);
   DuetCore limited(&fs_, config);
   InodeNo ino = MakeFile("/big", 16);
   SessionId sid = *limited.RegisterBlockTask(kDuetPageAdded);
   ReadSync(ino, 0, 16 * kPageSize);
   EXPECT_LE(limited.PendingCount(sid), 4u);
-  EXPECT_GT(limited.stats().events_dropped, 0u);
+  EXPECT_GT(limited_obs.metrics.CounterValue("duet.events.dropped"), 0u);
   std::vector<DuetItem> items;
   while (true) {
     auto batch = limited.Fetch(sid, 64);
@@ -389,6 +395,8 @@ TEST_F(DuetCoreTest, DescriptorLimitDropsEventOnlySessions) {
 TEST_F(DuetCoreTest, StateSessionsAreNotSubjectToDropLimit) {
   DuetConfig config;
   config.max_pending_per_session = 4;
+  obs::ObsContext limited_obs;
+  obs::ObsScope limited_scope(&limited_obs);
   DuetCore limited(&fs_, config);
   InodeNo ino = MakeFile("/big", 16);
   SessionId sid = *limited.RegisterBlockTask(kDuetPageExists);
@@ -403,7 +411,7 @@ TEST_F(DuetCoreTest, StateSessionsAreNotSubjectToDropLimit) {
     fetched += batch->size();
   }
   EXPECT_EQ(fetched, 16u);
-  EXPECT_EQ(limited.stats().events_dropped, 0u);
+  EXPECT_EQ(limited_obs.metrics.CounterValue("duet.events.dropped"), 0u);
 }
 
 TEST_F(DuetCoreTest, DescriptorsFreeOnceUpToDateAndEvicted) {

@@ -47,6 +47,11 @@ class FaultInjectionTest : public ::testing::Test {
     scrub_checksum_errors_ = scrub.checksum_errors();
   }
 
+  uint64_t Count(const char* name) const { return ctx_.metrics.CounterValue(name); }
+
+  // Declared first: the stack and injector report into this test's context.
+  obs::ObsContext ctx_;
+  obs::ObsScope scope_{&ctx_};
   SimRig rig_;
   CowFs fs_;
   std::unique_ptr<FaultInjector> injector_;
@@ -62,17 +67,16 @@ TEST_F(FaultInjectionTest, LatentErrorDetectedAndRepairedByScrub) {
   BlockNo victim = *fs_.Bmap(ino, 3);
   Arm({{.at = Millis(1), .kind = kFaultLatent, .block = victim}});
   rig_.loop.RunUntil(Millis(2));
-  EXPECT_EQ(injector_->stats().injected, 1u);
+  EXPECT_EQ(Count("fault.injected"), 1u);
   EXPECT_TRUE(injector_->HasActiveFault(victim));
 
   Scrub();
-  const FaultStats& stats = injector_->stats();
-  EXPECT_EQ(stats.detected, 1u);
-  EXPECT_EQ(stats.repaired, 1u);  // the injected fault became "repaired"
-  EXPECT_EQ(stats.unrecoverable, 0u);
-  EXPECT_EQ(stats.Undetected(), 0u);
-  EXPECT_GT(stats.read_errors, 0u);
-  EXPECT_GT(stats.MeanTimeToDetectSeconds(), 0.0);
+  EXPECT_EQ(Count("fault.detected"), 1u);
+  EXPECT_EQ(Count("fault.repaired"), 1u);  // the injected fault became "repaired"
+  EXPECT_EQ(Count("fault.unrecoverable"), 0u);
+  EXPECT_EQ(UndetectedFaults(ctx_.metrics.Snapshot()), 0u);
+  EXPECT_GT(Count("fault.read_errors"), 0u);
+  EXPECT_GT(MeanTimeToDetectSeconds(ctx_.metrics.Snapshot()), 0.0);
   EXPECT_EQ(scrub_repaired_, 1u);
   EXPECT_EQ(scrub_read_errors_, 1u);
   EXPECT_FALSE(injector_->HasActiveFault(victim));
@@ -85,11 +89,10 @@ TEST_F(FaultInjectionTest, BitRotCaughtByChecksumAndRepairedFromMirror) {
   BlockNo victim = *fs_.Bmap(ino, 5);
   Arm({{.at = Millis(1), .kind = kFaultBitRot, .block = victim}});
   Scrub();
-  const FaultStats& stats = injector_->stats();
-  EXPECT_EQ(stats.injected, 1u);
-  EXPECT_EQ(stats.detected, 1u);
-  EXPECT_EQ(stats.repaired, 1u);
-  EXPECT_EQ(stats.read_errors, 0u);  // silent corruption: the device read "succeeded"
+  EXPECT_EQ(Count("fault.injected"), 1u);
+  EXPECT_EQ(Count("fault.detected"), 1u);
+  EXPECT_EQ(Count("fault.repaired"), 1u);
+  EXPECT_EQ(Count("fault.read_errors"), 0u);  // silent corruption: the device read "succeeded"
   EXPECT_EQ(scrub_checksum_errors_, 1u);
   EXPECT_EQ(scrub_repaired_, 1u);
   EXPECT_TRUE(fs_.BlockChecksumOk(victim));
@@ -101,10 +104,9 @@ TEST_F(FaultInjectionTest, RotOfBothCopiesIsUnrecoverable) {
   Arm({{.at = Millis(1), .kind = kFaultBitRot, .block = victim,
         .both_copies = true}});
   Scrub();
-  const FaultStats& stats = injector_->stats();
-  EXPECT_EQ(stats.detected, 1u);
-  EXPECT_EQ(stats.repaired, 0u);
-  EXPECT_EQ(stats.unrecoverable, 1u);
+  EXPECT_EQ(Count("fault.detected"), 1u);
+  EXPECT_EQ(Count("fault.repaired"), 0u);
+  EXPECT_EQ(Count("fault.unrecoverable"), 1u);
   EXPECT_EQ(scrub_unrecoverable_, 1u);
   EXPECT_TRUE(injector_->HasActiveFault(victim));
 }
@@ -114,8 +116,8 @@ TEST_F(FaultInjectionTest, TornWriteAppliedOnRewriteAndRepairedByScrub) {
   BlockNo victim = *fs_.Bmap(ino, 0);
   Arm({{.at = Millis(1), .kind = kFaultTornWrite, .block = victim}});
   rig_.loop.RunUntil(Millis(2));
-  EXPECT_EQ(injector_->stats().torn_armed, 1u);
-  EXPECT_EQ(injector_->stats().injected, 0u);  // armed, nothing applied yet
+  EXPECT_EQ(Count("fault.torn_armed"), 1u);
+  EXPECT_EQ(Count("fault.injected"), 0u);  // armed, nothing applied yet
 
   // The tear fires on the next device write that covers the armed sector.
   // (A COW overwrite relocates the page, so drive the rewrite at the device
@@ -127,14 +129,13 @@ TEST_F(FaultInjectionTest, TornWriteAppliedOnRewriteAndRepairedByScrub) {
   rewrite.io_class = IoClass::kBestEffort;
   rig_.device.Submit(std::move(rewrite));
   rig_.loop.Run();
-  ASSERT_EQ(injector_->stats().injected, 1u);
+  ASSERT_EQ(Count("fault.injected"), 1u);
   // Checksum of the intended data, garbage on the platter.
   EXPECT_FALSE(fs_.BlockChecksumOk(victim));
 
   Scrub();
-  const FaultStats& stats = injector_->stats();
-  EXPECT_EQ(stats.detected, 1u);
-  EXPECT_EQ(stats.repaired, 1u);
+  EXPECT_EQ(Count("fault.detected"), 1u);
+  EXPECT_EQ(Count("fault.repaired"), 1u);
   EXPECT_EQ(scrub_repaired_, 1u);  // healed from the DUP mirror
   EXPECT_TRUE(fs_.BlockChecksumOk(victim));
 }
@@ -143,8 +144,8 @@ TEST_F(FaultInjectionTest, FaultOnUnallocatedBlockIsSkipped) {
   MakeFile("/f", 4);
   Arm({{.at = Millis(1), .kind = kFaultLatent, .block = 90'000}});
   rig_.loop.RunUntil(Millis(2));
-  EXPECT_EQ(injector_->stats().injected, 0u);
-  EXPECT_EQ(injector_->stats().skipped, 1u);
+  EXPECT_EQ(Count("fault.injected"), 0u);
+  EXPECT_EQ(Count("fault.skipped"), 1u);
 }
 
 TEST_F(FaultInjectionTest, FailedReadDoesNotPopulateCache) {
@@ -176,15 +177,14 @@ TEST_F(FaultInjectionTest, RewriteBeforeDetectionMasksFault) {
   InodeNo ino = MakeFile("/f", 4);
   Arm({{.at = Millis(1), .kind = kFaultBitRot, .block = *fs_.Bmap(ino, 0)}});
   rig_.loop.RunUntil(Millis(2));
-  ASSERT_EQ(injector_->stats().injected, 1u);
+  ASSERT_EQ(Count("fault.injected"), 1u);
   // Overwrite the whole page: the COW flush lands on a fresh block and frees
   // the corrupt one before anything read it.
   fs_.Write(ino, 0, kPageSize, IoClass::kBestEffort, nullptr);
   fs_.writeback().Sync(nullptr);
   rig_.loop.Run();
-  const FaultStats& stats = injector_->stats();
-  EXPECT_EQ(stats.masked, 1u);
-  EXPECT_EQ(stats.detected, 0u);
+  EXPECT_EQ(Count("fault.masked"), 1u);
+  EXPECT_EQ(Count("fault.detected"), 0u);
   EXPECT_EQ(injector_->active_fault_count(), 0u);
 }
 
@@ -199,9 +199,8 @@ TEST_F(FaultInjectionTest, TransientWindowRetriedByScrubber) {
   ScrubberConfig sc;
   sc.max_retries = 8;  // enough backoff budget to outlive the window
   Scrub(sc);
-  const FaultStats& stats = injector_->stats();
-  EXPECT_EQ(stats.transient_windows, 1u);
-  EXPECT_GT(stats.transient_failures, 0u);
+  EXPECT_EQ(Count("fault.transient_windows"), 1u);
+  EXPECT_GT(Count("fault.transient_failures"), 0u);
   EXPECT_GT(scrub_retries_, 0u);
   // Once the window passed, every block was read and verified clean.
   EXPECT_EQ(scrub_read_errors_, 0u);
@@ -229,22 +228,19 @@ TEST(FaultReplayProperty, IdenticalRunsProduceIdenticalCounters) {
   MaintenanceRunResult a = RunMaintenance(config);
   MaintenanceRunResult b = RunMaintenance(config);
 
-  EXPECT_GT(a.fault_stats.injected, 0u);
-  EXPECT_GT(a.fault_stats.detected, 0u);
+  const obs::MetricsSnapshot& m = a.metrics;
+  EXPECT_GT(m.Value("fault.injected"), 0u);
+  EXPECT_GT(m.Value("fault.detected"), 0u);
+  // Lifecycle accounting: only a detected fault can be repaired, and only an
+  // injected one detected.
+  EXPECT_LE(m.Value("fault.repaired"), m.Value("fault.detected"));
+  EXPECT_LE(m.Value("fault.detected"), m.Value("fault.injected"));
   EXPECT_NE(a.fault_fingerprint, 0u);
   EXPECT_EQ(a.fault_fingerprint, b.fault_fingerprint);
 
-  EXPECT_EQ(a.fault_stats.injected, b.fault_stats.injected);
-  EXPECT_EQ(a.fault_stats.skipped, b.fault_stats.skipped);
-  EXPECT_EQ(a.fault_stats.torn_armed, b.fault_stats.torn_armed);
-  EXPECT_EQ(a.fault_stats.transient_windows, b.fault_stats.transient_windows);
-  EXPECT_EQ(a.fault_stats.detected, b.fault_stats.detected);
-  EXPECT_EQ(a.fault_stats.repaired, b.fault_stats.repaired);
-  EXPECT_EQ(a.fault_stats.masked, b.fault_stats.masked);
-  EXPECT_EQ(a.fault_stats.unrecoverable, b.fault_stats.unrecoverable);
-  EXPECT_EQ(a.fault_stats.read_errors, b.fault_stats.read_errors);
-  EXPECT_EQ(a.fault_stats.transient_failures, b.fault_stats.transient_failures);
-  EXPECT_EQ(a.fault_stats.total_detect_latency, b.fault_stats.total_detect_latency);
+  // Every counter (fault.* included: skipped, torn_armed, detect latency...)
+  // replays identically.
+  EXPECT_EQ(a.metrics.counters, b.metrics.counters);
   EXPECT_EQ(a.scrub_repaired, b.scrub_repaired);
   EXPECT_EQ(a.scrub_unrecoverable, b.scrub_unrecoverable);
   EXPECT_EQ(a.workload_ops, b.workload_ops);

@@ -15,6 +15,7 @@
 #include "src/tasks/scrubber.h"
 #include "src/util/format.h"
 #include "src/util/rng.h"
+#include "src/workload/filebench.h"
 #include "tests/sim_fixture.h"
 
 namespace duet {
@@ -248,10 +249,11 @@ TEST(IntegrationStackTest, LogFsSurvivesChurnAndCleaning) {
   CheckLogFsInvariants(fs);
 }
 
-// Registry conservation laws: after churn + a completed scrub + a full sync,
-// the metric counters must balance exactly — every page added was removed or
-// is still resident, every dirtying was flushed or left with its page, and
-// Duet's delivery pipeline accounts for every event.
+// Registry conservation laws: after churn + a workload burst + a completed
+// scrub + a full sync, the metric counters must balance exactly — every page
+// added was removed or is still resident, every dirtying was flushed or left
+// with its page, Duet saw every cache event, and every workload op is
+// accounted for.
 TEST(IntegrationStackTest, MetricsConservationLawsAtQuiescence) {
   obs::ObsContext ctx;
   obs::ObsScope scope(&ctx);
@@ -287,6 +289,19 @@ TEST(IntegrationStackTest, MetricsConservationLawsAtQuiescence) {
     rig.loop.RunUntil(rig.loop.now() + Millis(rng.Uniform(10)));
   }
 
+  // A fileserver burst on the same stack (overwrites, appends, creates and
+  // deletes) feeds the workload laws. Its last op drains during the scrub.
+  WorkloadConfig wc;
+  wc.personality = Personality::kFileserver;
+  wc.file_count = 40;
+  wc.mean_file_size = 16 * 1024;
+  wc.seed = 303;
+  FilebenchWorkload workload(&fs, wc);
+  ASSERT_TRUE(workload.Setup().ok());
+  workload.Start();
+  rig.loop.RunUntil(rig.loop.now() + Seconds(2));
+  workload.Stop();
+
   // A full Duet scrub pass, run to completion with nothing else going on.
   ScrubberConfig sc;
   sc.use_duet = true;
@@ -313,13 +328,25 @@ TEST(IntegrationStackTest, MetricsConservationLawsAtQuiescence) {
   EXPECT_LE(snap.Value("cache.evictions"), snap.Value("cache.removed"));
   EXPECT_GT(snap.Value("cache.evictions"), 0u);  // the small cache did evict
 
-  // Duet pipeline accounting: the registry mirrors DuetStats exactly, drops
-  // are explicit, and fetch merging can only shrink the delivered stream.
-  EXPECT_EQ(snap.Value("duet.hooks"), duet.stats().hook_invocations);
-  EXPECT_EQ(snap.Value("duet.events.delivered"), duet.stats().descriptor_updates);
-  EXPECT_EQ(snap.Value("duet.events.dropped"), duet.stats().events_dropped);
-  EXPECT_EQ(snap.Value("duet.items.fetched"), duet.stats().items_fetched);
+  // Duet pipeline accounting: the framework hooked every cache event (it
+  // listened from the cache's first event on), and fetch merging can only
+  // shrink the delivered stream.
+  EXPECT_EQ(snap.Value("duet.hooks"),
+            snap.Value("cache.added") + snap.Value("cache.removed") +
+                snap.Value("cache.dirtied") + snap.Value("cache.flushed"));
   EXPECT_LE(snap.Value("duet.items.fetched"), snap.Value("duet.events.delivered"));
+
+  // Workload accounting: every completed op is a read or a write, creates
+  // and deletes are writes, and no op completes without being issued.
+  uint64_t completed = snap.Value("workload.ops.completed");
+  uint64_t writes = snap.Value("workload.ops.write");
+  uint64_t creates = snap.Value("workload.ops.create");
+  uint64_t deletes = snap.Value("workload.ops.delete");
+  EXPECT_GT(completed, 0u);
+  EXPECT_GT(creates + deletes, 0u);  // the namespace legs ran
+  EXPECT_EQ(completed, snap.Value("workload.ops.read") + writes);
+  EXPECT_GE(writes, creates + deletes);
+  EXPECT_GE(snap.Value("workload.ops.issued"), completed);
 
   // Scrub coverage: the finished pass verified (read or free-rode) every
   // allocated block it set out to cover.
@@ -506,6 +533,8 @@ TEST(IntegrationStackTest, LogFsInvariantsHoldAfterCrashRecovery) {
 TEST(IntegrationStackTest, DeterministicEndToEnd) {
   // The same seed must produce bit-identical stack state.
   auto run = [](uint64_t seed) {
+    obs::ObsContext ctx;
+    obs::ObsScope scope(&ctx);
     Rng rng(seed);
     SimRig rig(200'000, Micros(50));
     CowFs fs(&rig.loop, &rig.device, 128);
@@ -527,7 +556,7 @@ TEST(IntegrationStackTest, DeterministicEndToEnd) {
     auto items = duet.Fetch(sid, 1 << 20);
     uint64_t signature = rig.loop.now() ^ (items.ok() ? items->size() : 0) ^
                          fs.allocated_blocks() ^ fs.cache().PageCount() ^
-                         duet.stats().hook_invocations;
+                         ctx.metrics.CounterValue("duet.hooks");
     return signature;
   };
   EXPECT_EQ(run(7), run(7));

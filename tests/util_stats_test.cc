@@ -50,25 +50,5 @@ TEST(RunningStatsTest, ConfidenceIntervalShrinksWithSamples) {
   EXPECT_NEAR(large.mean(), 0.5, 0.02);
 }
 
-TEST(HistogramTest, PercentilesOfUniformData) {
-  Histogram h(0, 100, 100);
-  for (int i = 0; i < 100; ++i) {
-    h.Add(i + 0.5);
-  }
-  EXPECT_EQ(h.TotalCount(), 100u);
-  EXPECT_NEAR(h.Percentile(50), 50, 2);
-  EXPECT_NEAR(h.Percentile(90), 90, 2);
-  EXPECT_NEAR(h.Percentile(100), 100, 1);
-}
-
-TEST(HistogramTest, OutOfRangeClamps) {
-  Histogram h(0, 10, 10);
-  h.Add(-5);
-  h.Add(100);
-  EXPECT_EQ(h.TotalCount(), 2u);
-  EXPECT_EQ(h.buckets().front(), 1u);
-  EXPECT_EQ(h.buckets().back(), 1u);
-}
-
 }  // namespace
 }  // namespace duet

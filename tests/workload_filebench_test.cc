@@ -21,6 +21,11 @@ class FilebenchTest : public ::testing::Test {
     return config;
   }
 
+  uint64_t Count(const char* name) const { return ctx_.metrics.CounterValue(name); }
+
+  // Declared first: each test's workload reports into its own context.
+  obs::ObsContext ctx_;
+  obs::ObsScope scope_{&ctx_};
   SimRig rig_;
 };
 
@@ -53,7 +58,7 @@ TEST_F(FilebenchTest, CoverageLimitsTouchedFiles) {
     return true;
   });
   EXPECT_LE(files_touched, 51u);
-  EXPECT_GT(wl.stats().ops_completed, 0u);
+  EXPECT_GT(Count("workload.ops.completed"), 0u);
 }
 
 TEST_F(FilebenchTest, WebserverReadWriteRatio) {
@@ -63,12 +68,12 @@ TEST_F(FilebenchTest, WebserverReadWriteRatio) {
   wl.Start();
   rig_.loop.RunUntil(Seconds(60));
   wl.Stop();
-  const WorkloadStats& s = wl.stats();
-  ASSERT_GT(s.write_ops, 0u);
-  double ratio = static_cast<double>(s.read_ops) / static_cast<double>(s.write_ops);
-  EXPECT_NEAR(ratio, 10.0, 2.5);
-  EXPECT_EQ(s.creates, 0u);  // webserver never creates/deletes
-  EXPECT_EQ(s.deletes, 0u);
+  uint64_t reads = Count("workload.ops.read");
+  uint64_t writes = Count("workload.ops.write");
+  ASSERT_GT(writes, 0u);
+  EXPECT_NEAR(static_cast<double>(reads) / static_cast<double>(writes), 10.0, 2.5);
+  EXPECT_EQ(Count("workload.ops.create"), 0u);  // webserver never creates/deletes
+  EXPECT_EQ(Count("workload.ops.delete"), 0u);
 }
 
 TEST_F(FilebenchTest, WebproxyReadWriteRatio) {
@@ -78,10 +83,10 @@ TEST_F(FilebenchTest, WebproxyReadWriteRatio) {
   wl.Start();
   rig_.loop.RunUntil(Seconds(60));
   wl.Stop();
-  const WorkloadStats& s = wl.stats();
-  ASSERT_GT(s.write_ops, 0u);
-  double ratio = static_cast<double>(s.read_ops) / static_cast<double>(s.write_ops);
-  EXPECT_NEAR(ratio, 4.0, 1.2);
+  uint64_t reads = Count("workload.ops.read");
+  uint64_t writes = Count("workload.ops.write");
+  ASSERT_GT(writes, 0u);
+  EXPECT_NEAR(static_cast<double>(reads) / static_cast<double>(writes), 4.0, 1.2);
 }
 
 TEST_F(FilebenchTest, FileserverIsWriteHeavy) {
@@ -91,12 +96,12 @@ TEST_F(FilebenchTest, FileserverIsWriteHeavy) {
   wl.Start();
   rig_.loop.RunUntil(Seconds(60));
   wl.Stop();
-  const WorkloadStats& s = wl.stats();
-  ASSERT_GT(s.read_ops, 0u);
-  double ratio = static_cast<double>(s.write_ops) / static_cast<double>(s.read_ops);
-  EXPECT_NEAR(ratio, 2.0, 0.6);
-  EXPECT_GT(s.creates, 0u);
-  EXPECT_GT(s.deletes, 0u);
+  uint64_t reads = Count("workload.ops.read");
+  uint64_t writes = Count("workload.ops.write");
+  ASSERT_GT(reads, 0u);
+  EXPECT_NEAR(static_cast<double>(writes) / static_cast<double>(reads), 2.0, 0.6);
+  EXPECT_GT(Count("workload.ops.create"), 0u);
+  EXPECT_GT(Count("workload.ops.delete"), 0u);
 }
 
 TEST_F(FilebenchTest, ThrottleControlsOpRate) {
@@ -108,7 +113,7 @@ TEST_F(FilebenchTest, ThrottleControlsOpRate) {
   wl.Start();
   rig_.loop.RunUntil(Seconds(100));
   wl.Stop();
-  double rate = static_cast<double>(wl.stats().ops_completed) / 100.0;
+  double rate = static_cast<double>(Count("workload.ops.completed")) / 100.0;
   EXPECT_NEAR(rate, 20.0, 4.0);
 }
 
@@ -129,6 +134,8 @@ TEST_F(FilebenchTest, ThrottledRunsUseLessDevice) {
 TEST_F(FilebenchTest, DeterministicForSameSeed) {
   uint64_t completed[2];
   for (int trial = 0; trial < 2; ++trial) {
+    obs::ObsContext ctx;
+    obs::ObsScope scope(&ctx);
     SimRig rig(2'000'000, Micros(200));
     CowFs fs(&rig.loop, &rig.device, 1024);
     FilebenchWorkload wl(&fs, BaseConfig(Personality::kFileserver));
@@ -136,7 +143,7 @@ TEST_F(FilebenchTest, DeterministicForSameSeed) {
     wl.Start();
     rig.loop.RunUntil(Seconds(30));
     wl.Stop();
-    completed[trial] = wl.stats().ops_completed;
+    completed[trial] = ctx.metrics.CounterValue("workload.ops.completed");
   }
   EXPECT_EQ(completed[0], completed[1]);
 }
@@ -146,6 +153,8 @@ TEST_F(FilebenchTest, SkewedPickerConcentratesAccesses) {
   // budget and compare how many distinct files each touches.
   uint64_t touched[2] = {0, 0};
   for (int trial = 0; trial < 2; ++trial) {
+    obs::ObsContext ctx;
+    obs::ObsScope scope(&ctx);
     SimRig rig(2'000'000, Micros(200));
     CowFs fs(&rig.loop, &rig.device, 8192);
     WorkloadConfig config = BaseConfig(Personality::kWebserver);
@@ -162,7 +171,7 @@ TEST_F(FilebenchTest, SkewedPickerConcentratesAccesses) {
       }
       return true;
     });
-    EXPECT_GT(wl.stats().ops_completed, 200u);
+    EXPECT_GT(ctx.metrics.CounterValue("workload.ops.completed"), 200u);
   }
   // The skewed (MS-trace-like, Fig. 1) picker concentrates accesses on far
   // fewer files than the uniform default.

@@ -371,27 +371,27 @@ int main(int argc, char** argv) {
   }
   printf("\ncombined: %.0f%% of maintenance I/O saved, %.0f%% of work completed\n",
          100 * result.IoSavedFraction(), 100 * result.WorkCompletedFraction());
+  const obs::MetricsSnapshot& m = result.metrics;
   printf("duet: %llu hook invocations, %llu items fetched, %llu descriptors "
          "dropped\n",
-         static_cast<unsigned long long>(result.duet_stats.hook_invocations),
-         static_cast<unsigned long long>(result.duet_stats.items_fetched),
-         static_cast<unsigned long long>(result.duet_stats.events_dropped));
+         static_cast<unsigned long long>(m.Value("duet.hooks")),
+         static_cast<unsigned long long>(m.Value("duet.items.fetched")),
+         static_cast<unsigned long long>(m.Value("duet.events.dropped")));
   if (config.fault.faults_per_second > 0) {
-    const FaultStats& f = result.fault_stats;
     printf("\nfaults (plan %08x): %llu injected, %llu detected, %llu repaired, "
            "%llu masked, %llu unrecoverable, %llu undetected\n",
            result.fault_fingerprint,
-           static_cast<unsigned long long>(f.injected),
-           static_cast<unsigned long long>(f.detected),
-           static_cast<unsigned long long>(f.repaired),
-           static_cast<unsigned long long>(f.masked),
-           static_cast<unsigned long long>(f.unrecoverable),
-           static_cast<unsigned long long>(f.Undetected()));
+           static_cast<unsigned long long>(m.Value("fault.injected")),
+           static_cast<unsigned long long>(m.Value("fault.detected")),
+           static_cast<unsigned long long>(m.Value("fault.repaired")),
+           static_cast<unsigned long long>(m.Value("fault.masked")),
+           static_cast<unsigned long long>(m.Value("fault.unrecoverable")),
+           static_cast<unsigned long long>(UndetectedFaults(m)));
     printf("       read errors %llu, transient failures %llu, MTTD %.2f s; "
            "scrub repaired %llu, unrecoverable %llu\n",
-           static_cast<unsigned long long>(f.read_errors),
-           static_cast<unsigned long long>(f.transient_failures),
-           f.MeanTimeToDetectSeconds(),
+           static_cast<unsigned long long>(m.Value("fault.read_errors")),
+           static_cast<unsigned long long>(m.Value("fault.transient_failures")),
+           MeanTimeToDetectSeconds(m),
            static_cast<unsigned long long>(result.scrub_repaired),
            static_cast<unsigned long long>(result.scrub_unrecoverable));
   }
