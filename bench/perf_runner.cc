@@ -1,17 +1,22 @@
 // Perf-regression harness for the stack's hot paths.
 //
 // Runs a fixed set of seconds-scale measurements — hand-timed hook-dispatch
-// and fetch loops (the stack's hot-path microbenchmarks), a fig02-style scrub
-// run, and a table6-style GC run — and writes the results as JSON:
+// and fetch loops (the stack's hot-path microbenchmarks), page-cache eviction
+// under dirty pressure, a fig02-style scrub run, and a table6-style GC run —
+// and writes the results as JSON:
 //
 //   perf_runner [--smoke] [--out PATH]
 //
 // Each measurement records operations executed, wall-clock milliseconds,
 // derived ops/sec, and (where meaningful) the peak descriptor-arena bytes
-// observed. tools/perf_compare.py diffs two such files and fails on
+// observed. The JSON also records a fixed memory-bound calibration kernel
+// (a dependent-load walk over a page-cache-arena-sized buffer), so two files
+// from hosts of different speed compare by each row's wall time relative to
+// the kernel's. tools/perf_compare.py diffs two such files and fails on
 // regression; CI runs it against the checked-in bench/BENCH_hotpath.json
 // baseline (refresh the baseline with --out bench/BENCH_hotpath.json after
-// intentional perf changes).
+// intentional perf changes). The run exits non-zero if the GC scenario
+// cleans no segment, since its wall time would then gate nothing.
 //
 // The simulated work is deterministic (fixed seeds); only the wall-clock
 // numbers vary run to run, which is exactly what the harness is gating.
@@ -23,10 +28,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/cache/page_cache.h"
 #include "src/cowfs/cowfs.h"
 #include "src/duet/duet_core.h"
 #include "src/util/crc32c.h"
@@ -152,6 +159,60 @@ Measurement MeasureCrc32c(uint64_t iters) {
   return m;
 }
 
+// Clean inserts over capacity into a bare cache whose LRU tail is a run of
+// aged dirty pages (writeback has not caught up): every insert evicts the
+// coldest clean page, which sits beyond the whole dirty run.
+Measurement MeasurePageCacheEvictDirtyTail(uint64_t inserts) {
+  constexpr uint64_t kCapacity = 4096;
+  constexpr uint64_t kDirtyTail = 512;
+  PageCache cache(kCapacity, [] { return SimTime{0}; });
+  for (PageIdx i = 0; i < kDirtyTail; ++i) {
+    cache.Insert(/*ino=*/1, i, i, /*dirty=*/true);
+  }
+  for (PageIdx i = 0; i < kCapacity - kDirtyTail; ++i) {
+    cache.Insert(/*ino=*/2, i, i, /*dirty=*/false);
+  }
+  auto start = Clock::now();
+  for (uint64_t i = 0; i < inserts; ++i) {
+    cache.Insert(/*ino=*/3, i, i, /*dirty=*/false);
+  }
+  return Measurement{"page_cache_evict_dirty_tail", inserts, MsSince(start)};
+}
+
+// Host-speed calibration: a dependent-load walk over a buffer the size of
+// the HookRig cache's entry arena (65536 entries of 64 bytes), one load per
+// cache line in a fixed pseudo-random single cycle. Every load waits on the
+// previous one, so the time tracks the host's memory latency. It does not
+// track a CPU share lost to other tenants, which moves the CPU-bound rows.
+Measurement MeasureCalibration(uint64_t steps) {
+  constexpr uint32_t kLines = 1 << 16;
+  struct alignas(64) Line {
+    uint32_t next;
+  };
+  std::vector<Line> lines(kLines);
+  // Sattolo's shuffle with a fixed LCG: one cycle through every line.
+  std::vector<uint32_t> order(kLines);
+  std::iota(order.begin(), order.end(), 0u);
+  uint64_t lcg = 42;
+  for (uint32_t i = kLines - 1; i > 0; --i) {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    std::swap(order[i], order[(lcg >> 33) % i]);
+  }
+  for (uint32_t i = 0; i < kLines; ++i) {
+    lines[order[i]].next = order[(i + 1) % kLines];
+  }
+  uint32_t at = order[0];
+  auto start = Clock::now();
+  for (uint64_t i = 0; i < steps; ++i) {
+    at = lines[at].next;
+  }
+  Measurement m{"calibration_dependent_load", steps, MsSince(start)};
+  if (at == kLines) {  // keep the walk observable
+    printf("(unlikely)\n");
+  }
+  return m;
+}
+
 Measurement MeasureScrubRun(const StackConfig& stack) {
   RateTable rates((std::string()));  // in-memory rate cache
   auto start = Clock::now();
@@ -163,23 +224,34 @@ Measurement MeasureScrubRun(const StackConfig& stack) {
   return m;
 }
 
-Measurement MeasureGcRun(const StackConfig& stack) {
+// Fileserver on logfs with Duet-informed GC. The rate leaves the device
+// idle often enough for the background cleaner to run (at 800 ops/s the
+// smoke device saturates and no segment is ever cleaned), and the window is
+// long enough to clean a dozen-odd segments.
+Measurement MeasureGcRun(StackConfig stack) {
+  stack.window = Seconds(6);
   auto start = Clock::now();
   GcRunResult result = RunGc(stack, /*target_util=*/0.6, /*use_duet=*/true,
-                             /*seed=*/42, /*ops_per_sec=*/800,
+                             /*seed=*/42, /*ops_per_sec=*/100,
                              /*unthrottled=*/false, /*skewed=*/false);
   Measurement m{"table6_gc_duet_smoke", result.segments_cleaned, MsSince(start)};
   return m;
 }
 
-void WriteJson(const std::vector<Measurement>& ms, const std::string& path) {
+void WriteJson(const std::vector<Measurement>& ms, const Measurement& calibration,
+               const std::string& path) {
   FILE* out = path.empty() ? stdout : fopen(path.c_str(), "w");
   if (out == nullptr) {
     fprintf(stderr, "cannot open %s\n", path.c_str());
     exit(1);
   }
-  fprintf(out, "{\n  \"schema\": 1,\n  \"crc32c_impl\": \"%s\",\n",
+  fprintf(out, "{\n  \"schema\": 2,\n  \"crc32c_impl\": \"%s\",\n",
           Crc32cImplName());
+  fprintf(out,
+          "  \"calibration\": {\"name\": \"%s\", \"ops\": %llu, "
+          "\"wall_ms\": %.3f},\n",
+          calibration.name.c_str(),
+          static_cast<unsigned long long>(calibration.ops), calibration.wall_ms);
   fprintf(out, "  \"measurements\": [\n");
   for (size_t i = 0; i < ms.size(); ++i) {
     const Measurement& m = ms[i];
@@ -244,8 +316,12 @@ int main(int argc, char** argv) {
   // measurements can't be gated at 25% on a shared host.
   ms.push_back(best([] { return MeasureFetchBatch(20'000, 256); }));
   ms.push_back(best([] { return MeasureCrc32c(2'000); }));
+  ms.push_back(best([] { return MeasurePageCacheEvictDirtyTail(400'000); }));
   ms.push_back(best([&stack] { return MeasureScrubRun(stack); }));
-  ms.push_back(best([&stack] { return MeasureGcRun(stack); }));
+  const Measurement gc = best([&stack] { return MeasureGcRun(stack); });
+  ms.push_back(gc);
+  // Tens of ms, the same order as the gated rows.
+  const Measurement calibration = best([] { return MeasureCalibration(1'000'000); });
 
   for (const Measurement& m : ms) {
     double ops_per_sec = m.wall_ms > 0 ? m.ops / (m.wall_ms / 1000.0) : 0;
@@ -253,9 +329,15 @@ int main(int argc, char** argv) {
            m.name.c_str(), static_cast<unsigned long long>(m.ops), m.wall_ms,
            ops_per_sec, static_cast<unsigned long long>(m.peak_descriptor_bytes));
   }
+  printf("%-36s %10llu ops  %9.2f ms\n", calibration.name.c_str(),
+         static_cast<unsigned long long>(calibration.ops), calibration.wall_ms);
   if (!out_path.empty()) {
-    WriteJson(ms, out_path);
+    WriteJson(ms, calibration, out_path);
     printf("wrote %s\n", out_path.c_str());
+  }
+  if (gc.ops == 0) {
+    fprintf(stderr, "%s cleaned no segment\n", gc.name.c_str());
+    return 1;
   }
   return 0;
 }

@@ -62,7 +62,27 @@ void PageCache::Emit(PageEventType type, InodeNo ino, PageIdx idx,
   }
 }
 
-void PageCache::CommitEntry(uint32_t slot, InodeNo ino, PageIdx idx) {
+template <PageCache::Links PageCache::Entry::*L>
+void PageCache::LinkBetween(List& list, uint32_t slot, uint32_t older,
+                            uint32_t newer) {
+  Links& links = arena_[slot].*L;
+  links.older = older;
+  links.newer = newer;
+  (older != kNoSlot ? (arena_[older].*L).newer : list.tail) = slot;
+  (newer != kNoSlot ? (arena_[newer].*L).older : list.head) = slot;
+}
+
+template <PageCache::Links PageCache::Entry::*L>
+void PageCache::Unlink(List& list, uint32_t slot) {
+  const Links& links = arena_[slot].*L;
+  (links.older != kNoSlot ? (arena_[links.older].*L).newer : list.tail) =
+      links.newer;
+  (links.newer != kNoSlot ? (arena_[links.newer].*L).older : list.head) =
+      links.older;
+}
+
+void PageCache::CommitEntry(uint32_t slot, InodeNo ino, PageIdx idx,
+                            uint64_t data, bool dirty) {
   // `slot` was peeked (freelist back / arena end) before the page-table
   // probe; commit the allocation it named.
   if (!free_slots_.empty()) {
@@ -75,27 +95,18 @@ void PageCache::CommitEntry(uint32_t slot, InodeNo ino, PageIdx idx) {
   Entry& e = arena_[slot];
   e.ino = ino;
   e.idx = idx;
-  e.live = true;
-  // LRU front (MRU end).
-  e.lru_newer = kNoSlot;
-  e.lru_older = lru_head_;
-  if (lru_head_ != kNoSlot) {
-    arena_[lru_head_].lru_newer = slot;
+  e.page.data = data;
+  e.page.dirty = dirty;
+  e.page.dirtied_at = dirty ? clock_() : 0;
+  if (dirty) {
+    ++dirty_count_;
   }
-  lru_head_ = slot;
-  if (lru_tail_ == kNoSlot) {
-    lru_tail_ = slot;
-  }
-  // Inode chain tail (insertion order, the canonical iteration order).
+  LinkFront<&Entry::lru>(lru_, slot);
+  LinkFront<&Entry::sub>(SubListOf(e), slot);
+  // Inode chain head (the chain runs tail->head in insertion order, the
+  // canonical iteration order).
   InodeChain& chain = inode_chains_[ino];
-  e.ino_next = kNoSlot;
-  e.ino_prev = chain.tail;
-  if (chain.tail != kNoSlot) {
-    arena_[chain.tail].ino_next = slot;
-  } else {
-    chain.head = slot;
-  }
-  chain.tail = slot;
+  LinkFront<&Entry::ino_links>(chain.pages, slot);
   ++chain.count;
   ++page_count_;
 }
@@ -104,32 +115,12 @@ void PageCache::CommitEntry(uint32_t slot, InodeNo ino, PageIdx idx) {
 // its lookup probe); this only unlinks and recycles the arena entry.
 void PageCache::DestroyEntry(uint32_t slot) {
   Entry& e = arena_[slot];
-  assert(e.live);
-  // LRU unlink.
-  if (e.lru_newer != kNoSlot) {
-    arena_[e.lru_newer].lru_older = e.lru_older;
-  } else {
-    lru_head_ = e.lru_older;
-  }
-  if (e.lru_older != kNoSlot) {
-    arena_[e.lru_older].lru_newer = e.lru_newer;
-  } else {
-    lru_tail_ = e.lru_newer;
-  }
-  // Inode chain unlink.
+  Unlink<&Entry::lru>(lru_, slot);
+  Unlink<&Entry::sub>(SubListOf(e), slot);
   auto it = inode_chains_.find(e.ino);
   assert(it != inode_chains_.end());
   InodeChain& chain = it->second;
-  if (e.ino_prev != kNoSlot) {
-    arena_[e.ino_prev].ino_next = e.ino_next;
-  } else {
-    chain.head = e.ino_next;
-  }
-  if (e.ino_next != kNoSlot) {
-    arena_[e.ino_next].ino_prev = e.ino_prev;
-  } else {
-    chain.tail = e.ino_prev;
-  }
+  Unlink<&Entry::ino_links>(chain.pages, slot);
   // Deliberately keep the chain record when it empties: insert/remove churn
   // on the same inode would otherwise rebuild the directory entry on every
   // cycle. Empty records are 24 bytes, bounded by the number of distinct
@@ -141,20 +132,56 @@ void PageCache::DestroyEntry(uint32_t slot) {
 }
 
 void PageCache::MoveToLruFront(uint32_t slot) {
-  if (slot == lru_head_) {
-    return;
+  if (slot == lru_.head) {
+    return;  // the global head is also the head of its sub-list
   }
+  Unlink<&Entry::lru>(lru_, slot);
+  LinkFront<&Entry::lru>(lru_, slot);
+  List& sub = SubListOf(arena_[slot]);
+  if (slot != sub.head) {
+    Unlink<&Entry::sub>(sub, slot);
+    LinkFront<&Entry::sub>(sub, slot);
+  }
+}
+
+void PageCache::SetDirty(uint32_t slot) {
+  // The page is at the LRU front, so it is the newest dirty page too.
   Entry& e = arena_[slot];
-  arena_[e.lru_newer].lru_older = e.lru_older;  // slot != head => newer exists
-  if (e.lru_older != kNoSlot) {
-    arena_[e.lru_older].lru_newer = e.lru_newer;
-  } else {
-    lru_tail_ = e.lru_newer;
+  Unlink<&Entry::sub>(clean_, slot);
+  LinkFront<&Entry::sub>(dirty_, slot);
+  e.page.dirty = true;
+  e.page.dirtied_at = clock_();
+  ++dirty_count_;
+}
+
+void PageCache::LinkCleanInLruOrder(uint32_t slot) {
+  // The nearest clean page on the global list fixes the position: link just
+  // newer than an older one, or just older than a newer one. Reaching an
+  // end of the global list first means no clean page lies beyond it, so the
+  // page goes at that end of the clean sub-list. Searching both directions
+  // in turn costs the shorter distance.
+  uint32_t older = arena_[slot].lru.older;
+  uint32_t newer = arena_[slot].lru.newer;
+  while (true) {
+    if (older == kNoSlot) {
+      LinkBetween<&Entry::sub>(clean_, slot, kNoSlot, clean_.tail);
+      return;
+    }
+    if (!arena_[older].page.dirty) {
+      LinkBetween<&Entry::sub>(clean_, slot, older, arena_[older].sub.newer);
+      return;
+    }
+    if (newer == kNoSlot) {
+      LinkBetween<&Entry::sub>(clean_, slot, clean_.head, kNoSlot);
+      return;
+    }
+    if (!arena_[newer].page.dirty) {
+      LinkBetween<&Entry::sub>(clean_, slot, arena_[newer].sub.older, newer);
+      return;
+    }
+    older = arena_[older].lru.older;
+    newer = arena_[newer].lru.newer;
   }
-  e.lru_newer = kNoSlot;
-  e.lru_older = lru_head_;
-  arena_[lru_head_].lru_newer = slot;
-  lru_head_ = slot;
 }
 
 std::optional<uint64_t> PageCache::Lookup(InodeNo ino, PageIdx idx) {
@@ -186,21 +213,12 @@ void PageCache::Insert(InodeNo ino, PageIdx idx, uint64_t data, bool dirty) {
     entry.page.data = data;
     MoveToLruFront(slot);
     if (dirty && !entry.page.dirty) {
-      entry.page.dirty = true;
-      entry.page.dirtied_at = clock_();
-      ++dirty_count_;
+      SetDirty(slot);
       Emit(PageEventType::kDirtied, ino, idx, /*exists=*/true, /*dirty=*/true);
     }
     return;
   }
-  CommitEntry(slot, ino, idx);
-  Entry& entry = arena_[slot];
-  entry.page.data = data;
-  entry.page.dirty = dirty;
-  entry.page.dirtied_at = dirty ? clock_() : 0;
-  if (dirty) {
-    ++dirty_count_;
-  }
+  CommitEntry(slot, ino, idx, data, dirty);
   Emit(PageEventType::kAdded, ino, idx, /*exists=*/true, dirty);
   if (dirty) {
     Emit(PageEventType::kDirtied, ino, idx, /*exists=*/true, /*dirty=*/true);
@@ -217,9 +235,7 @@ bool PageCache::MarkDirty(InodeNo ino, PageIdx idx, uint64_t data) {
   entry.page.data = data;
   MoveToLruFront(slot);
   if (!entry.page.dirty) {
-    entry.page.dirty = true;
-    entry.page.dirtied_at = clock_();
-    ++dirty_count_;
+    SetDirty(slot);
     Emit(PageEventType::kDirtied, ino, idx, /*exists=*/true, /*dirty=*/true);
   }
   return true;
@@ -230,8 +246,10 @@ bool PageCache::MarkClean(InodeNo ino, PageIdx idx) {
   if (slot == kNoSlot || !arena_[slot].page.dirty) {
     return false;
   }
+  Unlink<&Entry::sub>(dirty_, slot);
   arena_[slot].page.dirty = false;
   --dirty_count_;
+  LinkCleanInLruOrder(slot);
   Emit(PageEventType::kFlushed, ino, idx, /*exists=*/true, /*dirty=*/false);
   EvictIfNeeded();  // newly clean pages may satisfy a pending overshoot
   return true;
@@ -260,8 +278,8 @@ void PageCache::RemoveInode(InodeNo ino) {
   // Collect indices first: Emit may re-enter observers that inspect us.
   std::vector<PageIdx> indices;
   indices.reserve(it->second.count);
-  for (uint32_t slot = it->second.head; slot != kNoSlot;
-       slot = arena_[slot].ino_next) {
+  for (uint32_t slot = it->second.pages.tail; slot != kNoSlot;
+       slot = arena_[slot].ino_links.newer) {
     indices.push_back(arena_[slot].idx);
   }
   for (PageIdx idx : indices) {
@@ -306,8 +324,8 @@ void PageCache::ForEachPageOfInode(
   if (it == inode_chains_.end()) {
     return;
   }
-  for (uint32_t slot = it->second.head; slot != kNoSlot;
-       slot = arena_[slot].ino_next) {
+  for (uint32_t slot = it->second.pages.tail; slot != kNoSlot;
+       slot = arena_[slot].ino_links.newer) {
     fn(arena_[slot].idx, arena_[slot].page);
   }
 }
@@ -315,11 +333,12 @@ void PageCache::ForEachPageOfInode(
 std::vector<PageCache::DirtyPageRef> PageCache::CollectDirty(SimTime not_after,
                                                              uint64_t max) const {
   std::vector<DirtyPageRef> out;
-  // Walk from the LRU tail (coldest first), as the kernel flusher does.
-  for (uint32_t slot = lru_tail_; slot != kNoSlot && out.size() < max;
-       slot = arena_[slot].lru_newer) {
+  // Walk the dirty sub-list from its tail (coldest first), as the kernel
+  // flusher does.
+  for (uint32_t slot = dirty_.tail; slot != kNoSlot && out.size() < max;
+       slot = arena_[slot].sub.newer) {
     const Entry& e = arena_[slot];
-    if (e.page.dirty && e.page.dirtied_at <= not_after) {
+    if (e.page.dirtied_at <= not_after) {
       out.push_back(DirtyPageRef{e.ino, e.idx, e.page.data});
     }
   }
@@ -353,9 +372,9 @@ void PageCache::EvictIfNeeded() {
   if (page_count_ <= capacity_) {
     return;
   }
-  // Evict clean pages from the LRU tail. Dirty pages are skipped; writeback
-  // cleans them and calls back here. Victims are collected first so the walk
-  // never iterates a list it is mutating.
+  // Evict the coldest clean pages. Dirty pages stay; writeback cleans them
+  // and calls back here. Victims are collected first so the walk never
+  // iterates a list it is mutating.
   struct Victim {
     InodeNo ino;
     PageIdx idx;
@@ -367,11 +386,11 @@ void PageCache::EvictIfNeeded() {
     // ones the advisor marks (already-processed data) before plain LRU.
     std::vector<Victim> fallback;
     size_t scanned = 0;
-    for (uint32_t slot = lru_tail_;
+    for (uint32_t slot = lru_.tail;
          slot != kNoSlot && victims.size() < need &&
          scanned < std::max<size_t>(advisor_window_, need);
-         slot = arena_[slot].lru_newer, ++scanned) {
-      if (slot == lru_head_) {
+         slot = arena_[slot].lru.newer, ++scanned) {
+      if (slot == lru_.head) {
         break;
       }
       const Entry& e = arena_[slot];
@@ -391,15 +410,15 @@ void PageCache::EvictIfNeeded() {
       victims.push_back(v);
     }
   } else {
-    for (uint32_t slot = lru_tail_; slot != kNoSlot && victims.size() < need;
-         slot = arena_[slot].lru_newer) {
-      if (slot == lru_head_) {
+    // The clean sub-list holds exactly the clean pages in LRU order, so this
+    // takes the same victims as a tail walk of the global list that skips
+    // dirty pages.
+    for (uint32_t slot = clean_.tail; slot != kNoSlot && victims.size() < need;
+         slot = arena_[slot].sub.newer) {
+      if (slot == lru_.head) {
         break;  // never evict the page that was just inserted/touched
       }
-      const Entry& e = arena_[slot];
-      if (!e.page.dirty) {
-        victims.push_back(Victim{e.ino, e.idx});
-      }
+      victims.push_back(Victim{arena_[slot].ino, arena_[slot].idx});
     }
   }
   for (const Victim& v : victims) {

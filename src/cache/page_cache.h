@@ -13,6 +13,16 @@
 // Eviction is LRU over *clean* pages. Writes may transiently push the cache
 // over capacity; the writeback component cleans pages so later evictions can
 // reclaim them (mirroring dirty-ratio behaviour without blocking writers).
+//
+// Every page is on one global LRU list and on exactly one of two sub-lists,
+// clean or dirty, which keep the global list's relative order (as the kernel
+// keeps dirty data apart from the reclaimable LRU). Eviction walks the clean
+// sub-list from its cold end and writeback walks the dirty one, so neither
+// steps over pages of the other kind. A page that is touched moves to the
+// front of both lists; a page that is cleaned (MarkClean) keeps its global
+// position and is linked into the clean sub-list next to its nearest clean
+// neighbour on the global list, which costs the length of the dirty run
+// around it — O(1) amortised when writeback cleans oldest-first.
 #ifndef SRC_CACHE_PAGE_CACHE_H_
 #define SRC_CACHE_PAGE_CACHE_H_
 
@@ -125,25 +135,39 @@ class PageCache {
  private:
   static constexpr uint32_t kNoSlot = FlatPageMap::kNoSlot;
 
+  // Links of one intrusive slot-linked list threaded through the arena.
+  struct Links {
+    uint32_t newer = kNoSlot;  // toward the list head
+    uint32_t older = kNoSlot;  // toward the list tail
+  };
+  // Ends of such a list: `head` is the newest entry, `tail` the oldest.
+  struct List {
+    uint32_t head = kNoSlot;
+    uint32_t tail = kNoSlot;
+  };
+
   // One cached page. Entries live in a packed arena; the flat page table
-  // maps (inode, index) -> arena slot. LRU and per-inode membership are
-  // intrusive slot-linked lists, so every cache operation is O(1) with no
-  // allocation on the steady path.
+  // maps (inode, index) -> arena slot. Every entry is on three intrusive
+  // lists, so every cache operation is O(1) (MarkClean: O(1) amortised) with
+  // no allocation on the steady path:
+  //  * `lru`: the global LRU list (head = most recently used);
+  //  * `sub`: the clean sub-list if `page.dirty` is false, else the dirty
+  //    one. Each sub-list holds exactly the pages of its kind in global LRU
+  //    order, so its tail is the coldest page of that kind;
+  //  * `ino_links`: the page's inode chain, in insertion order (tail =
+  //    oldest).
   struct Entry {
     InodeNo ino = kInvalidInode;
     PageIdx idx = 0;
     CachedPage page;
-    uint32_t lru_newer = kNoSlot;  // toward MRU
-    uint32_t lru_older = kNoSlot;  // toward LRU tail
-    uint32_t ino_next = kNoSlot;   // per-inode chain, insertion order
-    uint32_t ino_prev = kNoSlot;
-    bool live = false;
+    Links lru;
+    Links sub;
+    Links ino_links;
   };
-  // Per-inode chain bookkeeping: head/tail of the intrusive chain plus a
-  // count so CachedPagesOfInode is O(1).
+  static_assert(sizeof(Entry) == 64, "an entry fills one cache line");
+  // Per-inode chain plus a count so CachedPagesOfInode is O(1).
   struct InodeChain {
-    uint32_t head = kNoSlot;
-    uint32_t tail = kNoSlot;
+    List pages;
     uint64_t count = 0;
   };
 
@@ -157,13 +181,32 @@ class PageCache {
     return page_table_.Find(ino, idx);
   }
   // Commits the arena allocation named by `slot` (peeked before the fused
-  // table probe) and links it (LRU front, inode chain tail). The caller has
-  // already inserted the key into the page table and fills in the payload.
-  void CommitEntry(uint32_t slot, InodeNo ino, PageIdx idx);
+  // table probe), fills in the page and links it (LRU and sub-list fronts,
+  // inode chain head). The caller has already inserted the key into the
+  // page table.
+  void CommitEntry(uint32_t slot, InodeNo ino, PageIdx idx, uint64_t data,
+                   bool dirty);
   // Unlinks and recycles an entry. The caller has already erased the key
   // from the page table. Does not emit.
   void DestroyEntry(uint32_t slot);
   void MoveToLruFront(uint32_t slot);
+  // Clean->dirty transition of a page already at the LRU front.
+  void SetDirty(uint32_t slot);
+  // Links a just-cleaned page into the clean sub-list at its LRU position.
+  void LinkCleanInLruOrder(uint32_t slot);
+  List& SubListOf(const Entry& e) { return e.page.dirty ? dirty_ : clean_; }
+
+  // Intrusive-list primitives over the links selected by `L`. LinkBetween
+  // places `slot` between the adjacent entries `older` and `newer`, either
+  // of which is kNoSlot at that end of the list.
+  template <Links Entry::*L>
+  void LinkBetween(List& list, uint32_t slot, uint32_t older, uint32_t newer);
+  template <Links Entry::*L>
+  void LinkFront(List& list, uint32_t slot) {
+    LinkBetween<L>(list, slot, list.head, kNoSlot);
+  }
+  template <Links Entry::*L>
+  void Unlink(List& list, uint32_t slot);
 
   uint64_t capacity_;
   std::function<SimTime()> clock_;
@@ -171,8 +214,9 @@ class PageCache {
   std::vector<Entry> arena_;
   std::vector<uint32_t> free_slots_;
   std::unordered_map<InodeNo, InodeChain> inode_chains_;
-  uint32_t lru_head_ = kNoSlot;  // most recently used
-  uint32_t lru_tail_ = kNoSlot;  // coldest
+  List lru_;
+  List clean_;
+  List dirty_;
   uint64_t page_count_ = 0;
   uint64_t dirty_count_ = 0;
   std::vector<PageEventListener*> listeners_;

@@ -26,6 +26,9 @@ TEST(MetricsRegistryTest, AbsentCounterReadsZero) {
   EXPECT_EQ(registry.FindCounter("never.registered"), nullptr);
 }
 
+// Registering a name under a second kind is a programming error: debug
+// builds assert on it, release builds return nullptr.
+#ifdef NDEBUG
 TEST(MetricsRegistryTest, KindClashReturnsNull) {
   MetricsRegistry registry;
   ASSERT_NE(registry.GetCounter("block.submits"), nullptr);
@@ -35,6 +38,17 @@ TEST(MetricsRegistryTest, KindClashReturnsNull) {
   // The original registration is untouched.
   EXPECT_NE(registry.FindCounter("block.submits"), nullptr);
 }
+#else
+TEST(MetricsRegistryDeathTest, KindClashAssertsInDebugBuilds) {
+  MetricsRegistry registry;
+  ASSERT_NE(registry.GetCounter("block.submits"), nullptr);
+  EXPECT_DEATH(registry.GetGauge("block.submits"), "kind");
+  EXPECT_DEATH(registry.GetHistogram("block.submits"), "kind");
+  // FindGauge only looks up, so a clash is a plain miss.
+  EXPECT_EQ(registry.FindGauge("block.submits"), nullptr);
+  EXPECT_NE(registry.FindCounter("block.submits"), nullptr);
+}
+#endif
 
 TEST(MetricsRegistryTest, GaugeSetAndAdd) {
   MetricsRegistry registry;
