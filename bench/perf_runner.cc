@@ -2,8 +2,8 @@
 //
 // Runs a fixed set of seconds-scale measurements — hand-timed hook-dispatch
 // and fetch loops (the stack's hot-path microbenchmarks), page-cache eviction
-// under dirty pressure, a fig02-style scrub run, and a table6-style GC run —
-// and writes the results as JSON:
+// under dirty pressure, rate calibration alone, a fig02-style scrub run, and
+// a table6-style GC run — and writes the results as JSON:
 //
 //   perf_runner [--smoke] [--out PATH]
 //
@@ -213,6 +213,18 @@ Measurement MeasureCalibration(uint64_t steps) {
   return m;
 }
 
+// Rate calibration alone, as a figure binary runs it on a cold rate cache:
+// the webserver at 60% on the smoke stack, the calibration the
+// fig02_scrub_duet_smoke row starts with. One op is one profile run.
+Measurement MeasureCalibrateRate(const StackConfig& stack) {
+  WorkloadConfig base = MakeWorkloadConfig(stack, Personality::kWebserver, /*coverage=*/1.0,
+                                           /*skewed=*/false, /*ops_per_sec=*/0, /*seed=*/42);
+  auto start = Clock::now();
+  CalibratedRate rate = CalibrateRate(stack, base, /*target_util=*/0.6);
+  return Measurement{"calibrate_rate_smoke", static_cast<uint64_t>(rate.probes),
+                     MsSince(start)};
+}
+
 Measurement MeasureScrubRun(const StackConfig& stack) {
   RateTable rates((std::string()));  // in-memory rate cache
   auto start = Clock::now();
@@ -317,6 +329,7 @@ int main(int argc, char** argv) {
   ms.push_back(best([] { return MeasureFetchBatch(20'000, 256); }));
   ms.push_back(best([] { return MeasureCrc32c(2'000); }));
   ms.push_back(best([] { return MeasurePageCacheEvictDirtyTail(400'000); }));
+  ms.push_back(best([&stack] { return MeasureCalibrateRate(stack); }));
   ms.push_back(best([&stack] { return MeasureScrubRun(stack); }));
   const Measurement gc = best([&stack] { return MeasureGcRun(stack); });
   ms.push_back(gc);

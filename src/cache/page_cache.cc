@@ -375,12 +375,22 @@ void PageCache::EvictIfNeeded() {
   // Evict the coldest clean pages. Dirty pages stay; writeback cleans them
   // and calls back here. Victims are collected first so the walk never
   // iterates a list it is mutating.
+  uint64_t need = page_count_ - capacity_;
+  if (advisor_ == nullptr && need == 1) {
+    // The common case, one page over capacity after an insert: with a single
+    // victim, evicting it at once is the same as collecting it first, and
+    // needs no victim vector.
+    uint32_t slot = clean_.tail;
+    if (slot != kNoSlot && slot != lru_.head) {
+      Evict(arena_[slot].ino, arena_[slot].idx);
+    }
+    return;
+  }
   struct Victim {
     InodeNo ino;
     PageIdx idx;
   };
   std::vector<Victim> victims;
-  uint64_t need = page_count_ - capacity_;
   if (advisor_ != nullptr) {
     // Informed replacement: within a window of the coldest pages, evict the
     // ones the advisor marks (already-processed data) before plain LRU.
@@ -422,11 +432,15 @@ void PageCache::EvictIfNeeded() {
     }
   }
   for (const Victim& v : victims) {
-    ctr_evictions_->Add();
-    obs_->trace.Emit(clock_(), obs::TraceLayer::kCache,
-                     obs::TraceKind::kPageEvicted, v.ino, v.idx);
-    Remove(v.ino, v.idx);
+    Evict(v.ino, v.idx);
   }
+}
+
+void PageCache::Evict(InodeNo ino, PageIdx idx) {
+  ctr_evictions_->Add();
+  obs_->trace.Emit(clock_(), obs::TraceLayer::kCache, obs::TraceKind::kPageEvicted,
+                   ino, idx);
+  Remove(ino, idx);
 }
 
 }  // namespace duet

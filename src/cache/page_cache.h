@@ -176,6 +176,8 @@ class PageCache {
   void Emit(PageEventType type, InodeNo ino, PageIdx idx, bool exists,
             bool dirty);
   void EvictIfNeeded();
+  // Counts, traces and removes one eviction victim.
+  void Evict(InodeNo ino, PageIdx idx);
 
   uint32_t FindSlot(InodeNo ino, PageIdx idx) const {
     return page_table_.Find(ino, idx);

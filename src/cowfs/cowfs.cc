@@ -561,33 +561,37 @@ void CowFs::DefragFile(InodeNo ino, IoClass io_class,
   });
 }
 
-Result<InodeNo> CowFs::PopulateFragmentedFile(std::string_view path, uint64_t bytes,
-                                              double break_prob, Rng& rng) {
-  Result<InodeNo> created = ns_.Create(path, FileType::kRegular);
-  if (!created.ok()) {
-    return created;
+Status CowFs::PopulatePages(InodeNo ino, uint64_t npages, double break_prob, Rng* rng) {
+  if (npages == 0) {
+    return Status::Ok();
   }
-  InodeNo ino = *created;
-  uint64_t npages = PagesForBytes(bytes);
-  // The random jumps below must not leak into subsequent allocations, or
+  std::vector<BlockNo>& blocks = fmap_[ino].blocks;
+  assert(blocks.empty());
+  blocks.reserve(npages);
+  // The aged random jumps must not leak into subsequent allocations, or
   // every file populated afterwards would inherit the fragmentation.
   BlockNo saved_cursor = alloc_cursor_;
+  Status status;
   for (PageIdx p = 0; p < npages; ++p) {
-    if (rng.Chance(break_prob)) {
-      alloc_cursor_ = rng.Uniform(capacity_blocks());
+    if (rng != nullptr && rng->Chance(break_prob)) {
+      alloc_cursor_ = rng->Uniform(capacity_blocks());
     }
+    // The cursor sits just past the previous page's block, which is the
+    // placement hint AllocateForWrite gives a fresh page.
     Result<BlockNo> block = AllocBlock(alloc_cursor_);
     if (!block.ok()) {
-      alloc_cursor_ = saved_cursor;
-      return block.status();
+      status = block.status();
+      break;
     }
     refcount_[*block] = 1;
-    SetMapping(ino, p, *block);
+    blocks.push_back(*block);
+    rmap_[*block] = BlockOwner{ino, p};
     OnBlockFlushed(*block, NextToken());
   }
-  ns_.GetMutable(ino)->size = bytes;
-  alloc_cursor_ = saved_cursor;
-  return ino;
+  if (rng != nullptr) {
+    alloc_cursor_ = saved_cursor;
+  }
+  return status;
 }
 
 std::vector<uint8_t> CowFs::SerializeSuperblock() const {

@@ -124,18 +124,9 @@ class CowFs : public FileSystem {
   void DefragFile(InodeNo ino, IoClass io_class,
                   std::function<void(const DefragResult&)> cb);
 
-  // Populates a file whose extents are deliberately broken: after each page,
-  // the allocation cursor jumps with probability `break_prob`.
-  Result<InodeNo> PopulateFragmentedFile(std::string_view path, uint64_t bytes,
-                                         double break_prob, Rng& rng);
-
-  // FileSystem aging hook: fragments according to break_prob.
-  Result<InodeNo> PopulateFileAged(std::string_view path, uint64_t bytes,
-                                   double break_prob, Rng& rng) override {
-    return PopulateFragmentedFile(path, bytes, break_prob, rng);
-  }
-
   uint64_t free_blocks() const { return capacity_blocks() - allocated_.Count(); }
+  // Where the next-fit allocator starts its next search (tests).
+  BlockNo alloc_cursor() const { return alloc_cursor_; }
   uint32_t BlockRefcount(BlockNo block) const { return refcount_[block]; }
 
   // ---- Crash consistency (superblock generations) ----
@@ -161,6 +152,10 @@ class CowFs : public FileSystem {
  protected:
   Result<BlockNo> AllocateForWrite(InodeNo ino, PageIdx idx, BlockNo old_block) override;
   void FreeFileBlocks(InodeNo ino) override;
+  // One pass per file: the file map is looked up and sized once. Aged
+  // population breaks extents: before each page the allocation cursor jumps
+  // with probability `break_prob`, and the cursor is restored afterwards.
+  Status PopulatePages(InodeNo ino, uint64_t npages, double break_prob, Rng* rng) override;
   Status OnDiskBlockRead(BlockNo block, uint64_t token) override;
   void OnBlockFlushed(BlockNo block, uint64_t token) override;
   void InjectCorruption(BlockNo block, bool both_copies) override;

@@ -568,28 +568,38 @@ void FileSystem::WritebackPages(std::vector<PageCache::DirtyPageRef> pages,
   }
 }
 
-Result<InodeNo> FileSystem::PopulateFileAged(std::string_view path, uint64_t bytes,
-                                             double /*break_prob*/, Rng& /*rng*/) {
-  return PopulateFile(path, bytes);
+Result<InodeNo> FileSystem::PopulateFile(std::string_view path, uint64_t bytes) {
+  return Populate(path, bytes, 0, nullptr);
 }
 
-Result<InodeNo> FileSystem::PopulateFile(std::string_view path, uint64_t bytes) {
+Result<InodeNo> FileSystem::PopulateFileAged(std::string_view path, uint64_t bytes,
+                                             double break_prob, Rng& rng) {
+  return Populate(path, bytes, break_prob, &rng);
+}
+
+Result<InodeNo> FileSystem::Populate(std::string_view path, uint64_t bytes,
+                                     double break_prob, Rng* rng) {
   Result<InodeNo> created = ns_.Create(path, FileType::kRegular);
   if (!created.ok()) {
     return created;
   }
-  InodeNo ino = *created;
-  uint64_t npages = PagesForBytes(bytes);
+  if (Status s = PopulatePages(*created, PagesForBytes(bytes), break_prob, rng); !s.ok()) {
+    return s;
+  }
+  ns_.GetMutable(*created)->size = bytes;
+  return created;
+}
+
+Status FileSystem::PopulatePages(InodeNo ino, uint64_t npages, double /*break_prob*/,
+                                 Rng* /*rng*/) {
   for (PageIdx p = 0; p < npages; ++p) {
     Result<BlockNo> block = AllocateForWrite(ino, p, kInvalidBlock);
     if (!block.ok()) {
       return block.status();
     }
-    uint64_t token = NextToken();
-    OnBlockFlushed(*block, token);  // content goes straight to "disk"
+    OnBlockFlushed(*block, NextToken());  // content goes straight to "disk"
   }
-  ns_.GetMutable(ino)->size = bytes;
-  return ino;
+  return Status::Ok();
 }
 
 }  // namespace duet

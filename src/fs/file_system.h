@@ -165,9 +165,10 @@ class FileSystem : public WritebackTarget {
   Result<InodeNo> PopulateFile(std::string_view path, uint64_t bytes);
 
   // Population with deliberate fragmentation, where the file system supports
-  // it (cowfs); the default ignores `break_prob` and places contiguously.
-  virtual Result<InodeNo> PopulateFileAged(std::string_view path, uint64_t bytes,
-                                           double break_prob, Rng& rng);
+  // it (cowfs: after each page the allocation cursor jumps with probability
+  // `break_prob`); otherwise it places like PopulateFile.
+  Result<InodeNo> PopulateFileAged(std::string_view path, uint64_t bytes,
+                                   double break_prob, Rng& rng);
 
   // ---- Crash consistency (durability boundary & recovery) ----
 
@@ -237,6 +238,13 @@ class FileSystem : public WritebackTarget {
   // Frees every block of the file (unlink path).
   virtual void FreeFileBlocks(InodeNo ino) = 0;
 
+  // Setup-time population of the `npages` pages of `ino`, a file just
+  // created with no pages: allocates, maps and writes each page in index
+  // order. A null `rng` means plain population. The base places every page
+  // through AllocateForWrite and ignores aging.
+  virtual Status PopulatePages(InodeNo ino, uint64_t npages, double break_prob,
+                               Rng* rng);
+
   // Called when a block's content has been read from the device; cowfs
   // verifies the stored checksum here.
   virtual Status OnDiskBlockRead(BlockNo block, uint64_t token);
@@ -298,6 +306,9 @@ class FileSystem : public WritebackTarget {
   DurableImage* image_ = nullptr;
 
  private:
+  // Creates `path` and populates its pages (PopulatePages), then its size.
+  Result<InodeNo> Populate(std::string_view path, uint64_t bytes, double break_prob,
+                           Rng* rng);
   struct ReadJob;
   void FinishViaLoop(FsIoCallback cb, FsIoResult result);
 

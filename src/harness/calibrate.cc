@@ -1,24 +1,74 @@
 #include "src/harness/calibrate.h"
 
-#include <algorithm>
+#include <cmath>
+#include <vector>
 
+#include "src/obs/obs.h"
 #include "src/util/format.h"
 
 namespace duet {
 
-double MeasureUtilization(const StackConfig& stack, const WorkloadConfig& workload,
-                          SimDuration profile_window) {
+namespace {
+
+// Bisection bracket and step count. The bracket is a generous fixed ceiling
+// rather than the unthrottled probe's ops/sec: 11 halvings narrow it to
+// ~2 ops/s, which converges just as fast.
+constexpr double kMinRate = 0.1;
+constexpr double kMaxRate = 4000.0;
+constexpr int kBisectionSteps = 11;
+// A probe checks after each slice of its window whether it can stop.
+constexpr uint64_t kProbeSlices = 64;
+
+// One profiling run's result. A stopped run ended early: `util` is then a
+// lower bound on what the full window would have measured.
+struct Probe {
+  double util = 0;
+  bool stopped = false;
+};
+
+// Runs the workload alone, with a warmup of a fifth of the window so the
+// cache reaches a steady mix, then measures best-effort utilization over
+// `profile_window`: the busy time over the window, as
+// BlockDevice::BestEffortUtilizationSince computes it. The window runs in
+// kProbeSlices slices (RunUntil in steps fires exactly the events one
+// RunUntil would), and after each the same expression on the busy time so
+// far goes to `settled`. The busy counter only grows, so that bound never
+// falls and never exceeds the final value. Once `settled` holds for the
+// bound it holds for the final value too, and the probe stops. Each probe
+// reports into its own throwaway observability context, so where it stops
+// never shows in the caller's metrics or trace.
+template <typename Settled>
+Probe RunProbe(const StackConfig& stack, const WorkloadConfig& workload,
+               SimDuration profile_window, Settled settled) {
+  obs::ObsContext probe_obs;
+  obs::ObsScope scope(&probe_obs);
   CowRig rig(stack, workload);
-  // Short warmup so the cache reaches a steady mix before measuring.
+  auto busy = [&rig] {
+    return rig.device().stats().busy[static_cast<int>(IoClass::kBestEffort)];
+  };
   SimDuration warmup = profile_window / 5;
   rig.workload().Start();
   rig.loop().RunUntil(warmup);
-  SimTime measure_start = rig.loop().now();
-  SimDuration busy_at_start =
-      rig.device().stats().busy[static_cast<int>(IoClass::kBestEffort)];
-  rig.loop().RunUntil(warmup + profile_window);
+  SimDuration busy_at_start = busy();
+  Probe probe;
+  for (uint64_t k = 1; k <= kProbeSlices; ++k) {
+    rig.loop().RunUntil(warmup + profile_window * k / kProbeSlices);
+    probe.util = static_cast<double>(busy() - busy_at_start) /
+                 static_cast<double>(profile_window);
+    if (k < kProbeSlices && settled(probe.util)) {
+      probe.stopped = true;
+      break;
+    }
+  }
   rig.workload().Stop();
-  return rig.UtilizationSince(measure_start, busy_at_start);
+  return probe;
+}
+
+}  // namespace
+
+double MeasureUtilization(const StackConfig& stack, const WorkloadConfig& workload,
+                          SimDuration profile_window) {
+  return RunProbe(stack, workload, profile_window, [](double) { return false; }).util;
 }
 
 CalibratedRate CalibrateRate(const StackConfig& stack, const WorkloadConfig& base,
@@ -27,42 +77,78 @@ CalibratedRate CalibrateRate(const StackConfig& stack, const WorkloadConfig& bas
   if (target_util <= 0) {
     return out;
   }
-  // Natural maximum with the unthrottled closed loop.
-  WorkloadConfig probe = base;
-  probe.ops_per_sec = 0;
-  double max_util = MeasureUtilization(stack, probe, profile_window);
-  if (target_util >= max_util - 0.01) {
+  // Natural maximum with the unthrottled closed loop. It is only used when
+  // the target is at or above it, so the probe stops once it provably is not.
+  WorkloadConfig config = base;
+  config.ops_per_sec = 0;
+  Probe max = RunProbe(stack, config, profile_window,
+                       [target_util](double bound) { return target_util < bound - 0.01; });
+  ++out.probes;
+  if (!max.stopped && target_util >= max.util - 0.01) {
     out.unthrottled = true;
-    out.achieved_util = max_util;
+    out.achieved_util = max.util;
     return out;
   }
-  // Bisect the rate. An upper bound: unthrottled ops/sec estimate from the
-  // profile run would do, but a generous fixed ceiling converges just as
-  // fast in ~12 iterations.
-  double lo = 0.1;
-  double hi = 4000.0;
-  double best_rate = hi;
-  double best_err = 1.0;
-  for (int iter = 0; iter < 11; ++iter) {
+  // Bisect the rate. A probe stops once its error provably reaches 0.015:
+  // the step then neither converges nor raises `lo`, whatever the rest of
+  // the window would have measured.
+  struct Step {
+    double rate;
+    double err;    // utilization minus target; a lower bound when stopped
+    bool stopped;
+  };
+  std::vector<Step> steps;
+  double lo = kMinRate;
+  double hi = kMaxRate;
+  bool converged = false;
+  for (int iter = 0; iter < kBisectionSteps && !converged; ++iter) {
     double mid = (lo + hi) / 2;
-    probe.ops_per_sec = mid;
-    double util = MeasureUtilization(stack, probe, profile_window);
-    double err = util - target_util;
-    if (std::abs(err) < std::abs(best_err)) {
-      best_err = err;
-      best_rate = mid;
-    }
+    config.ops_per_sec = mid;
+    Probe p = RunProbe(stack, config, profile_window,
+                       [target_util](double bound) { return bound - target_util >= 0.015; });
+    ++out.probes;
+    double err = p.util - target_util;
+    steps.push_back(Step{mid, err, p.stopped});
     if (std::abs(err) < 0.015) {
-      break;
-    }
-    if (err < 0) {
+      converged = true;
+    } else if (err < 0) {
       lo = mid;
     } else {
       hi = mid;
     }
   }
-  out.ops_per_sec = best_rate;
-  out.achieved_util = target_util + best_err;
+  // The step with the least |error|, earliest first; the bracket ceiling at
+  // error 1 wins if none is below that.
+  auto best = [&steps] {
+    Step winner{kMaxRate, 1.0, false};
+    for (const Step& s : steps) {
+      if (std::abs(s.err) < std::abs(winner.err)) {
+        winner = s;
+      }
+    }
+    return winner;
+  };
+  // A converged step's error is below 0.015 and a stopped step's is not, so
+  // then no stopped step can win. Otherwise re-measure in full, least bound
+  // first, every stopped step whose true error could still be the least.
+  while (!converged) {
+    Step* next = nullptr;
+    for (Step& s : steps) {
+      if (s.stopped && (next == nullptr || s.err < next->err)) {
+        next = &s;
+      }
+    }
+    if (next == nullptr || next->err > std::abs(best().err)) {
+      break;
+    }
+    config.ops_per_sec = next->rate;
+    next->err = MeasureUtilization(stack, config, profile_window) - target_util;
+    next->stopped = false;
+    ++out.probes;
+  }
+  Step winner = best();
+  out.ops_per_sec = winner.rate;
+  out.achieved_util = target_util + winner.err;
   return out;
 }
 

@@ -14,18 +14,28 @@
 namespace duet {
 
 // Runs the workload alone for a profiling window and returns the measured
-// best-effort device utilization (the iostat %util analogue).
+// best-effort device utilization (the iostat %util analogue). The profile
+// builds its stack under a throwaway obs::ObsContext, so it leaves no
+// counters or trace events in the caller's context.
 double MeasureUtilization(const StackConfig& stack, const WorkloadConfig& workload,
                           SimDuration profile_window = Seconds(12));
 
 // Finds the ops/sec rate at which the workload alone drives the device at
-// `target_util` (0 < target_util < 1), via bisection on the rate. Returns 0
-// for target 0 (workload off). A target at or above the workload's maximum
-// achievable utilization returns 0 rate with `unthrottled` set.
+// `target_util` (0 < target_util < 1), via an 11-step bisection on the rate.
+// Returns 0 for target 0 (workload off). A target at or above the
+// workload's maximum achievable utilization returns 0 rate with
+// `unthrottled` set.
+//
+// Exactness contract: the result is bit-for-bit the one a bisection over
+// full-window MeasureUtilization probes returns. A probe stops early only
+// once its busy time so far proves the step's outcome (the device's busy
+// counter only grows); if the bisection ends unconverged, every stopped
+// probe that could still hold the least error is re-measured in full.
 struct CalibratedRate {
   double ops_per_sec = 0;   // 0 with unthrottled=false means "no workload"
   bool unthrottled = false; // target at/above the natural maximum
   double achieved_util = 0;
+  int probes = 0;           // profile runs made; 0 when read from a cache
 };
 CalibratedRate CalibrateRate(const StackConfig& stack, const WorkloadConfig& base,
                              double target_util,

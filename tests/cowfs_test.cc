@@ -163,14 +163,108 @@ TEST_F(CowFsTest, ExtentCountOnContiguousAndFragmentedFiles) {
   InodeNo contiguous = MakeFile("/c", 32);
   EXPECT_EQ(fs_.ExtentCount(contiguous), 1u);
   Rng rng(5);
-  Result<InodeNo> frag = fs_.PopulateFragmentedFile("/frag", 32 * kPageSize, 0.5, rng);
+  Result<InodeNo> frag = fs_.PopulateFileAged("/frag", 32 * kPageSize, 0.5, rng);
   ASSERT_TRUE(frag.ok());
   EXPECT_GT(fs_.ExtentCount(*frag), 8u);
 }
 
+// Exposes the forward map, to check population sizes each one exactly.
+class MapPeekCowFs : public CowFs {
+ public:
+  using CowFs::CowFs;
+  const std::vector<BlockNo>& MapOf(InodeNo ino) const { return fmap_.at(ino).blocks; }
+};
+
+// The placement population must reproduce page by page: each page takes the
+// first free block at or after the allocation cursor (wrapping to 0), and
+// the cursor moves just past it. Aged population first jumps the cursor to
+// a random block with probability `break_prob`, and restores it after the
+// file. Every page gets the next content token.
+struct PlacementModel {
+  explicit PlacementModel(uint64_t capacity) : used(capacity, false) {}
+
+  std::vector<BlockNo> Place(uint64_t pages, double break_prob, Rng* rng) {
+    std::vector<BlockNo> blocks;
+    BlockNo saved = cursor;
+    for (uint64_t p = 0; p < pages; ++p) {
+      if (rng != nullptr && rng->Chance(break_prob)) {
+        cursor = rng->Uniform(used.size());
+      }
+      BlockNo b = cursor < used.size() ? cursor : 0;
+      while (used[b]) {
+        b = (b + 1) % used.size();
+      }
+      used[b] = true;
+      cursor = b + 1;
+      blocks.push_back(b);
+      tokens.push_back(token += 0x9e3779b97f4a7c15ULL);
+    }
+    if (rng != nullptr) {
+      cursor = saved;
+    }
+    return blocks;
+  }
+
+  std::vector<bool> used;
+  BlockNo cursor = 0;
+  uint64_t token = 1;
+  std::vector<uint64_t> tokens;  // in population order
+};
+
+TEST(CowFsPopulateTest, LayoutMatchesPerPagePlacement) {
+  SimRig rig(20'000);
+  MapPeekCowFs fs(&rig.loop, &rig.device, /*cache_pages=*/128);
+  PlacementModel model(fs.capacity_blocks());
+  Rng fs_rng(11);
+  Rng model_rng(11);
+  std::vector<std::pair<InodeNo, std::vector<BlockNo>>> files;
+  // Plain and aged files interleaved, with a hole left by a deleted file.
+  struct Spec {
+    uint64_t pages;
+    bool aged;
+  };
+  for (Spec spec : {Spec{40, false}, Spec{64, true}, Spec{33, false}, Spec{50, true},
+                    Spec{7, false}}) {
+    std::string path = "/f" + std::to_string(files.size());
+    Result<InodeNo> ino =
+        spec.aged ? fs.PopulateFileAged(path, spec.pages * kPageSize, 0.3, fs_rng)
+                  : fs.PopulateFile(path, spec.pages * kPageSize);
+    ASSERT_TRUE(ino.ok());
+    files.emplace_back(*ino, model.Place(spec.pages, 0.3, spec.aged ? &model_rng : nullptr));
+    EXPECT_EQ(fs.alloc_cursor(), model.cursor) << path;
+  }
+  ASSERT_TRUE(fs.DeleteFile(files[0].first).ok());
+  for (BlockNo b : files[0].second) {
+    model.used[b] = false;
+  }
+  files.erase(files.begin());
+  BlockNo cursor_before_aged = fs.alloc_cursor();
+  Result<InodeNo> aged = fs.PopulateFileAged("/late", 90 * kPageSize, 0.3, fs_rng);
+  ASSERT_TRUE(aged.ok());
+  files.emplace_back(*aged, model.Place(90, 0.3, &model_rng));
+  EXPECT_EQ(fs.alloc_cursor(), cursor_before_aged);  // the aged file restored it
+  EXPECT_EQ(fs_rng.Next(), model_rng.Next());        // same number of draws
+
+  size_t token_at = 40;  // the deleted first file took the first 40 tokens
+  for (const auto& [ino, blocks] : files) {
+    const std::vector<BlockNo>& map = fs.MapOf(ino);
+    EXPECT_EQ(map, blocks);
+    EXPECT_EQ(map.capacity(), blocks.size());  // sized once, exactly
+    for (PageIdx p = 0; p < blocks.size(); ++p) {
+      Result<CowFs::BlockOwner> owner = fs.Rmap(blocks[p]);
+      ASSERT_TRUE(owner.ok());
+      EXPECT_EQ(owner->ino, ino);
+      EXPECT_EQ(owner->idx, p);
+      EXPECT_EQ(fs.BlockRefcount(blocks[p]), 1u);
+      EXPECT_EQ(fs.DiskToken(blocks[p]), model.tokens[token_at++]);
+      EXPECT_TRUE(fs.BlockChecksumOk(blocks[p]));
+    }
+  }
+}
+
 TEST_F(CowFsTest, DefragProducesContiguousFile) {
   Rng rng(7);
-  InodeNo ino = *fs_.PopulateFragmentedFile("/frag", 64 * kPageSize, 0.5, rng);
+  InodeNo ino = *fs_.PopulateFileAged("/frag", 64 * kPageSize, 0.5, rng);
   uint64_t before = fs_.ExtentCount(ino);
   ASSERT_GT(before, 4u);
   std::vector<uint64_t> tokens;
@@ -203,7 +297,7 @@ TEST_F(CowFsTest, DefragProducesContiguousFile) {
 
 TEST_F(CowFsTest, DefragSavesCachedReads) {
   Rng rng(9);
-  InodeNo ino = *fs_.PopulateFragmentedFile("/frag", 32 * kPageSize, 0.4, rng);
+  InodeNo ino = *fs_.PopulateFileAged("/frag", 32 * kPageSize, 0.4, rng);
   // Warm half the file into the cache.
   fs_.Read(ino, 0, 16 * kPageSize, IoClass::kBestEffort, nullptr);
   rig_.loop.Run();

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <tuple>
+
 #include "src/harness/calibrate.h"
 #include "src/harness/runner.h"
+#include "src/obs/obs.h"
 
 namespace duet {
 namespace {
@@ -58,6 +65,142 @@ TEST(CalibrateTest, UnreachableTargetReportsUnthrottled) {
   CalibratedRate rate = CalibrateRate(stack, base, 0.9999, Seconds(6));
   EXPECT_TRUE(rate.unthrottled);
   EXPECT_GT(rate.achieved_util, 0.5);
+}
+
+TEST(CalibrateTest, ProbesLeaveTheCallersContextUntouched) {
+  StackConfig stack = TinyStack();
+  WorkloadConfig base = MakeWorkloadConfig(stack, Personality::kWebserver, 1.0,
+                                           false, 0, 1);
+  obs::ObsContext ctx;
+  obs::ObsScope scope(&ctx);
+  CalibratedRate rate = CalibrateRate(stack, base, 0.4, Seconds(3));
+  EXPECT_GT(rate.probes, 1);
+  EXPECT_EQ(ctx.trace.events_emitted(), 0u);
+  EXPECT_EQ(ctx.metrics.metric_count(), 0u);
+}
+
+// MeasureUtilization and CalibrateRate as they were before probes could stop
+// early: every probe runs its full window in one RunUntil. The early-stopping
+// version must match them bit for bit.
+double ReferenceMeasureUtilization(const StackConfig& stack, const WorkloadConfig& workload,
+                                   SimDuration profile_window) {
+  CowRig rig(stack, workload);
+  SimDuration warmup = profile_window / 5;
+  rig.workload().Start();
+  rig.loop().RunUntil(warmup);
+  SimTime measure_start = rig.loop().now();
+  SimDuration busy_at_start =
+      rig.device().stats().busy[static_cast<int>(IoClass::kBestEffort)];
+  rig.loop().RunUntil(warmup + profile_window);
+  rig.workload().Stop();
+  return rig.UtilizationSince(measure_start, busy_at_start);
+}
+
+CalibratedRate ReferenceCalibrateRate(const StackConfig& stack, const WorkloadConfig& base,
+                                      double target_util, SimDuration profile_window) {
+  CalibratedRate out;
+  if (target_util <= 0) {
+    return out;
+  }
+  WorkloadConfig probe = base;
+  probe.ops_per_sec = 0;
+  double max_util = ReferenceMeasureUtilization(stack, probe, profile_window);
+  if (target_util >= max_util - 0.01) {
+    out.unthrottled = true;
+    out.achieved_util = max_util;
+    return out;
+  }
+  double lo = 0.1;
+  double hi = 4000.0;
+  double best_rate = hi;
+  double best_err = 1.0;
+  for (int iter = 0; iter < 11; ++iter) {
+    double mid = (lo + hi) / 2;
+    probe.ops_per_sec = mid;
+    double util = ReferenceMeasureUtilization(stack, probe, profile_window);
+    double err = util - target_util;
+    if (std::abs(err) < std::abs(best_err)) {
+      best_err = err;
+      best_rate = mid;
+    }
+    if (std::abs(err) < 0.015) {
+      break;
+    }
+    if (err < 0) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  out.ops_per_sec = best_rate;
+  out.achieved_util = target_util + best_err;
+  return out;
+}
+
+void ExpectBitIdentical(const CalibratedRate& got, const CalibratedRate& want) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.ops_per_sec), std::bit_cast<uint64_t>(want.ops_per_sec))
+      << got.ops_per_sec << " vs " << want.ops_per_sec;
+  EXPECT_EQ(got.unthrottled, want.unthrottled);
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.achieved_util),
+            std::bit_cast<uint64_t>(want.achieved_util))
+      << got.achieved_util << " vs " << want.achieved_util;
+}
+
+constexpr SimDuration kGridWindow = Seconds(3);
+
+TEST(CalibrateTest, SlicedProbeMatchesOneRunUntil) {
+  StackConfig stack = TinyStack();
+  for (Personality personality :
+       {Personality::kFileserver, Personality::kWebproxy, Personality::kWebserver}) {
+    for (double rate : {0.0, 60.0}) {
+      WorkloadConfig config = MakeWorkloadConfig(stack, personality, 1.0, false, rate, 1);
+      EXPECT_EQ(std::bit_cast<uint64_t>(MeasureUtilization(stack, config, kGridWindow)),
+                std::bit_cast<uint64_t>(
+                    ReferenceMeasureUtilization(stack, config, kGridWindow)));
+    }
+  }
+}
+
+class CalibrateDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<Personality, double>> {};
+
+// Targets span low (often unconverged), mid, near the natural maximum (about
+// 0.97-0.99 on this stack) and above it.
+TEST_P(CalibrateDifferentialTest, MatchesFullWindowBisection) {
+  StackConfig stack = TinyStack();
+  auto [personality, fragmented] = GetParam();
+  for (uint64_t seed : {1, 2}) {
+    WorkloadConfig base = MakeWorkloadConfig(stack, personality, 1.0, false, 0, seed);
+    base.fragmented_fraction = fragmented;
+    for (double target : {0.02, 0.3, 0.6, 0.9, 0.965, 0.98, 0.995}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " target " << target);
+      ExpectBitIdentical(CalibrateRate(stack, base, target, kGridWindow),
+                         ReferenceCalibrateRate(stack, base, target, kGridWindow));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, CalibrateDifferentialTest,
+    ::testing::Combine(::testing::Values(Personality::kFileserver, Personality::kWebproxy,
+                                         Personality::kWebserver),
+                       ::testing::Values(0.0, 0.1)),
+    [](const ::testing::TestParamInfo<CalibrateDifferentialTest::ParamType>& param_info) {
+      return std::string(PersonalityName(std::get<0>(param_info.param))) +
+             (std::get<1>(param_info.param) > 0 ? "_fragmented" : "_contiguous");
+    });
+
+// A bisection that ends unconverged with a stopped probe that may hold the
+// least error: the re-measure path must run and keep the result exact.
+TEST(CalibrateTest, UnconvergedBisectionReMeasuresStoppedProbes) {
+  StackConfig stack = TinyStack();
+  WorkloadConfig base = MakeWorkloadConfig(stack, Personality::kWebserver, 1.0,
+                                           false, 0, 1);
+  base.fragmented_fraction = 0.1;
+  CalibratedRate rate = CalibrateRate(stack, base, 0.3, kGridWindow);
+  // One unthrottled probe plus 11 bisection probes, then re-measures.
+  EXPECT_GT(rate.probes, 12);
+  ExpectBitIdentical(rate, ReferenceCalibrateRate(stack, base, 0.3, kGridWindow));
 }
 
 TEST(RunnerTest, IdleBaselineScrubCompletes) {

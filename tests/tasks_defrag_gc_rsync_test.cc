@@ -23,9 +23,9 @@ class DefragTaskTest : public ::testing::Test {
 
   void PopulateFragmented(int files, uint64_t pages_each, double break_prob) {
     for (int i = 0; i < files; ++i) {
-      ASSERT_TRUE(fs_.PopulateFragmentedFile(StrFormat("/f%d", i),
-                                             pages_each * kPageSize, break_prob, rng_)
-                      .ok());
+      ASSERT_TRUE(
+          fs_.PopulateFileAged(StrFormat("/f%d", i), pages_each * kPageSize, break_prob, rng_)
+              .ok());
     }
   }
 
