@@ -28,7 +28,7 @@ int main() {
     }
 
     RsyncConfig config;
-    config.use_duet = use_duet;
+    config.hints = use_duet ? RsyncHints::kDuet : RsyncHints::kNone;
     config.source_dir = "/data";
     config.dest_dir = "/backup";
     RsyncTask task(&rig.fs(), &dst_fs, &rig.duet(), config);

@@ -2,60 +2,40 @@
 
 #include <cassert>
 
-#include "src/duet/duet_library.h"
-#include "src/fs/meta_codec.h"
-
 namespace duet {
 
 Backup::Backup(CowFs* fs, DuetCore* duet, BackupConfig config)
-    : fs_(fs), duet_(duet), config_(config) {
+    : fs_(fs),
+      duet_(duet),
+      config_(config),
+      run_("backup", TaskTag::kBackup, &fs->loop(), duet) {
   assert(fs_ != nullptr);
   assert(!config_.use_duet || duet_ != nullptr);
 }
 
 Backup::~Backup() { Stop(); }
 
-void Backup::EnableCursorPersistence(DurableImage* image, std::string key) {
-  cursor_image_ = image;
-  cursor_key_ = std::move(key);
-}
-
-void Backup::SaveCursor(InodeNo done_up_to) {
-  if (cursor_image_ != nullptr) {
-    PutCursorMeta(cursor_image_, cursor_key_, {snapshot_, done_up_to});
-  }
-}
-
 void Backup::Start(std::function<void()> on_finish) {
-  assert(!running_);
-  on_finish_ = std::move(on_finish);
-  running_ = true;
-  stats_ = TaskStats{};
-  stats_.started_at = fs_->loop().now();
-  tobs_.Started(stats_.started_at);
-  resumed_ = false;
-  resumed_pages_ = 0;
-  if (cursor_image_ != nullptr) {
-    std::optional<std::vector<uint64_t>> saved =
-        GetCursorMeta(*cursor_image_, cursor_key_);
-    if (saved.has_value() && saved->size() == 2 &&
-        fs_->GetSnapshot((*saved)[0]) != nullptr) {
-      // The snapshot an interrupted run streamed from survived the crash
-      // (it was part of the committed superblock): pick up where it left
-      // off instead of snapshotting and streaming everything again.
-      snapshot_ = (*saved)[0];
-      resumed_ = true;
-      BeginStreaming((*saved)[1]);
-      return;
-    }
+  run_.Begin(std::move(on_finish));
+  DeleteSnapshot();  // the previous run's
+  pass_ = Pass{};
+  std::optional<std::vector<uint64_t>> saved = run_.SavedCursor();
+  if (saved.has_value() && fs_->GetSnapshot((*saved)[0]) != nullptr) {
+    // The snapshot an interrupted run streamed from survived the crash
+    // (it was part of the committed superblock): pick up where it left
+    // off instead of snapshotting and streaming everything again.
+    snapshot_ = (*saved)[0];
+    pass_.resumed = true;
+    BeginStreaming((*saved)[1]);
+    return;
   }
   fs_->CreateSnapshotAsync([this](Result<SnapshotId> snap) {
-    if (!snap.ok() || !running_) {
-      running_ = false;
+    if (!snap.ok() || !run_.running()) {
+      run_.Stop();
       return;
     }
     snapshot_ = *snap;
-    SaveCursor(0);
+    run_.SaveCursor({snapshot_, 0});
     BeginStreaming(0);
   });
 }
@@ -64,48 +44,34 @@ void Backup::BeginStreaming(InodeNo resume_after) {
   const CowFs::Snapshot* s = fs_->GetSnapshot(snapshot_);
   for (const auto& [ino, file] : s->files) {
     bool already_sent = ino <= resume_after;
-    sent_.emplace(ino, std::vector<bool>(file.blocks.size(), already_sent));
+    pass_.sent.emplace(ino, std::vector<bool>(file.blocks.size(), already_sent));
     if (already_sent) {
-      resumed_pages_ += file.blocks.size();
+      pass_.resumed_pages += file.blocks.size();
     } else {
-      stats_.work_total += file.blocks.size();
+      run_.stats().work_total += file.blocks.size();
     }
   }
-  file_it_ = s->files.upper_bound(resume_after);
+  pass_.file_it = s->files.upper_bound(resume_after);
   if (config_.use_duet) {
-    Result<SessionId> sid = duet_->RegisterBlockTask(kDuetPageExists);
-    assert(sid.ok());
-    sid_ = *sid;
-    poll_event_ =
-        fs_->loop().ScheduleAfter(config_.fetch_interval, [this] { PollTick(); });
+    run_.Register(duet_->RegisterBlockTask(kDuetPageExists));
+    run_.Poll(config_.fetch_interval, [this] {
+      DrainDuetEvents();
+      if (pass_.pages_sent < run_.stats().work_total) {
+        return true;
+      }
+      run_.Finish();  // everything was copied opportunistically
+      return false;
+    });
   }
   ProcessNextFile();
 }
 
-void Backup::PollTick() {
-  poll_event_ = kInvalidEvent;
-  if (!running_) {
-    return;
-  }
-  DrainDuetEvents();
-  if (pages_sent_ >= stats_.work_total) {
-    FinishRun();  // everything was copied opportunistically
-    return;
-  }
-  poll_event_ =
-      fs_->loop().ScheduleAfter(config_.fetch_interval, [this] { PollTick(); });
+void Backup::Stop() {
+  run_.Stop();
+  DeleteSnapshot();
 }
 
-void Backup::Stop() {
-  running_ = false;
-  if (poll_event_ != kInvalidEvent) {
-    fs_->loop().Cancel(poll_event_);
-    poll_event_ = kInvalidEvent;
-  }
-  if (sid_ != kInvalidSession) {
-    (void)duet_->Deregister(sid_);
-    sid_ = kInvalidSession;
-  }
+void Backup::DeleteSnapshot() {
   if (snapshot_ != 0) {
     (void)fs_->DeleteSnapshot(snapshot_);
     snapshot_ = 0;
@@ -113,19 +79,18 @@ void Backup::Stop() {
 }
 
 bool Backup::MarkSent(InodeNo ino, PageIdx idx) {
-  auto it = sent_.find(ino);
-  if (it == sent_.end() || idx >= it->second.size() || it->second[idx]) {
+  auto it = pass_.sent.find(ino);
+  if (it == pass_.sent.end() || idx >= it->second.size() || it->second[idx]) {
     return false;
   }
   it->second[idx] = true;
-  ++pages_sent_;
+  ++pass_.pages_sent;
   return true;
 }
 
 void Backup::DrainDuetEvents() {
-  tobs_.FetchCall();
   const CowFs::Snapshot* snap = fs_->GetSnapshot(snapshot_);
-  DrainEvents(*duet_, sid_, [this, snap](const DuetItem& item) {
+  run_.Drain([this, snap](const DuetItem& item) {
     if (!item.has(kDuetPageExists)) {
       return;  // ¬exists notifications are uninteresting here
     }
@@ -146,53 +111,32 @@ void Backup::DrainDuetEvents() {
       return;  // hint went stale or content is in flux — back out
     }
     if (MarkSent(owner->ino, owner->idx)) {
-      ++stats_.work_done;
-      ++stats_.saved_read_pages;
-      ++stats_.opportunistic_units;
-      (void)duet_->SetDone(sid_, block);
+      TaskStats& stats = run_.stats();
+      ++stats.work_done;
+      ++stats.saved_read_pages;
+      ++stats.opportunistic_units;
+      (void)duet_->SetDone(run_.sid(), block);
     }
   }, config_.fetch_batch);
 }
 
-void Backup::FinishRun() {
-  stats_.finished = true;
-  stats_.finished_at = fs_->loop().now();
-  tobs_.Finished(stats_.finished_at, stats_.work_done);
-  running_ = false;
-  if (cursor_image_ != nullptr) {
-    // Run complete: the next backup snapshots afresh.
-    PutCursorMeta(cursor_image_, cursor_key_, {0, 0});
-  }
-  if (poll_event_ != kInvalidEvent) {
-    fs_->loop().Cancel(poll_event_);
-    poll_event_ = kInvalidEvent;
-  }
-  if (sid_ != kInvalidSession) {
-    (void)duet_->Deregister(sid_);
-    sid_ = kInvalidSession;
-  }
-  if (on_finish_) {
-    on_finish_();
-  }
-}
-
 void Backup::ProcessNextFile() {
-  if (!running_) {
+  if (!run_.running()) {
     return;
   }
   if (config_.use_duet) {
     DrainDuetEvents();
   }
   const CowFs::Snapshot* snap = fs_->GetSnapshot(snapshot_);
-  if (file_it_ == snap->files.end()) {
-    FinishRun();
+  if (pass_.file_it == snap->files.end()) {
+    run_.Finish();
     return;
   }
-  ProcessFileChunk(file_it_->first, 0);
+  ProcessFileChunk(pass_.file_it->first, 0);
 }
 
 void Backup::ProcessFileChunk(InodeNo ino, PageIdx next_page) {
-  if (!running_) {
+  if (!run_.running()) {
     return;
   }
   if (config_.use_duet) {
@@ -202,7 +146,7 @@ void Backup::ProcessFileChunk(InodeNo ino, PageIdx next_page) {
   auto file_entry = snap->files.find(ino);
   assert(file_entry != snap->files.end());
   const CowFs::SnapshotFile& file = file_entry->second;
-  const std::vector<bool>& sent = sent_.at(ino);
+  const std::vector<bool>& sent = pass_.sent.at(ino);
 
   // Find the next unsent page of this file.
   PageIdx p = next_page;
@@ -212,8 +156,8 @@ void Backup::ProcessFileChunk(InodeNo ino, PageIdx next_page) {
   if (p >= file.blocks.size()) {
     // The in-order stream is past every file up to and including this one;
     // an interrupted run can resume from here.
-    SaveCursor(ino);
-    ++file_it_;
+    run_.SaveCursor({snapshot_, ino});
+    ++pass_.file_it;
     // Hop through the event loop: long runs of fully-sent files must not
     // recurse on the stack.
     fs_->loop().ScheduleAfter(0, [this] { ProcessNextFile(); });
@@ -229,19 +173,20 @@ void Backup::ProcessFileChunk(InodeNo ino, PageIdx next_page) {
   }
   uint64_t count = end - p;
 
-  tobs_.ChunkStarted(fs_->loop().now(), ino, count);
+  run_.ChunkStarted(ino, count);
   auto complete = [this, ino, p, end](uint64_t read_pages, uint64_t cached_pages) {
-    if (!running_) {
+    if (!run_.running()) {
       return;  // the run finished (opportunistically) or was stopped
     }
+    TaskStats& stats = run_.stats();
     for (PageIdx q = p; q < end; ++q) {
       if (MarkSent(ino, q)) {
-        ++stats_.work_done;
+        ++stats.work_done;
       }
     }
-    stats_.io_read_pages += read_pages;
-    stats_.saved_read_pages += cached_pages;
-    tobs_.ChunkFinished(fs_->loop().now(), ino, end - p);
+    stats.io_read_pages += read_pages;
+    stats.saved_read_pages += cached_pages;
+    run_.ChunkFinished(ino, end - p);
     ProcessFileChunk(ino, end);
   };
 
@@ -264,7 +209,7 @@ void Backup::ProcessFileChunk(InodeNo ino, PageIdx next_page) {
 }
 
 bool Backup::AllPagesSentOnce() const {
-  for (const auto& [ino, pages] : sent_) {
+  for (const auto& [ino, pages] : pass_.sent) {
     for (bool sent : pages) {
       if (!sent) {
         return false;

@@ -16,8 +16,7 @@
 
 #include "src/cowfs/cowfs.h"
 #include "src/duet/duet_core.h"
-#include "src/tasks/task_obs.h"
-#include "src/tasks/task_stats.h"
+#include "src/tasks/task_run.h"
 
 namespace duet {
 
@@ -48,14 +47,16 @@ class Backup {
   // page. Falls back to a fresh snapshot when the persisted one did not
   // survive (no superblock commit covered it).
   void EnableCursorPersistence(DurableImage* image,
-                               std::string key = "cursor.backup");
-  bool resumed() const { return resumed_; }
+                               std::string key = "cursor.backup") {
+    run_.PersistCursor(image, std::move(key), 2);
+  }
+  bool resumed() const { return pass_.resumed; }
   // Pages skipped on resume because a previous run already streamed them.
-  uint64_t resumed_pages() const { return resumed_pages_; }
+  uint64_t resumed_pages() const { return pass_.resumed_pages; }
 
-  const TaskStats& stats() const { return stats_; }
+  const TaskStats& stats() const { return run_.stats(); }
   // Bytes "sent" to backup storage (both in-order and opportunistic).
-  uint64_t bytes_sent() const { return pages_sent_ * kPageSize; }
+  uint64_t bytes_sent() const { return pass_.pages_sent * kPageSize; }
 
   // Verifies that every page of the snapshot was sent exactly once, with
   // snapshot-consistent content (test hook).
@@ -65,34 +66,28 @@ class Backup {
   // Builds the sent-page maps (pre-marking files streamed before a crash)
   // and starts the in-order stream after `resume_after`.
   void BeginStreaming(InodeNo resume_after);
-  void SaveCursor(InodeNo done_up_to);
   void ProcessNextFile();
   void ProcessFileChunk(InodeNo ino, PageIdx next_page);
   void DrainDuetEvents();
-  void PollTick();
-  void FinishRun();
+  void DeleteSnapshot();
   // Records a page as sent; returns false if it was sent before.
   bool MarkSent(InodeNo ino, PageIdx idx);
 
   CowFs* fs_;
   DuetCore* duet_;
   BackupConfig config_;
-  SessionId sid_ = kInvalidSession;
+  TaskRun run_;
   SnapshotId snapshot_ = 0;
-  DurableImage* cursor_image_ = nullptr;
-  std::string cursor_key_;
-  bool resumed_ = false;
-  uint64_t resumed_pages_ = 0;
-  bool running_ = false;
-  EventId poll_event_ = kInvalidEvent;
-  uint64_t pages_sent_ = 0;
-  std::map<InodeNo, CowFs::SnapshotFile>::const_iterator file_it_;
-  // Per file: bitmap of sent pages (tracked outside Duet so completion can
-  // be verified independently of the hint layer).
-  std::map<InodeNo, std::vector<bool>> sent_;
-  TaskObs tobs_{"backup", TaskTag::kBackup};
-  TaskStats stats_;
-  std::function<void()> on_finish_;
+  // Per-run state; Start() resets it so every run starts from scratch.
+  struct Pass {
+    bool resumed = false;
+    uint64_t resumed_pages = 0;
+    uint64_t pages_sent = 0;
+    std::map<InodeNo, CowFs::SnapshotFile>::const_iterator file_it;
+    // Per file: bitmap of sent pages (tracked outside Duet so completion
+    // can be verified independently of the hint layer).
+    std::map<InodeNo, std::vector<bool>> sent;
+  } pass_;
 };
 
 }  // namespace duet

@@ -6,7 +6,10 @@
 namespace duet {
 
 DefragTask::DefragTask(CowFs* fs, DuetCore* duet, DefragConfig config)
-    : fs_(fs), duet_(duet), config_(config) {
+    : fs_(fs),
+      duet_(duet),
+      config_(config),
+      run_("defrag", TaskTag::kDefrag, &fs->loop(), duet) {
   assert(fs_ != nullptr);
   assert(!config_.use_duet || duet_ != nullptr);
 }
@@ -14,12 +17,8 @@ DefragTask::DefragTask(CowFs* fs, DuetCore* duet, DefragConfig config)
 DefragTask::~DefragTask() { Stop(); }
 
 void DefragTask::Start(std::function<void()> on_finish) {
-  assert(!running_);
-  on_finish_ = std::move(on_finish);
-  running_ = true;
-  stats_ = TaskStats{};
-  stats_.started_at = fs_->loop().now();
-  tobs_.Started(stats_.started_at);
+  run_.Begin(std::move(on_finish));
+  pass_ = Pass{};
 
   // Collect fragmented files in inode order (the baseline processing order,
   // Table 3). Work units are pages: each fragmented file costs read+write of
@@ -36,15 +35,14 @@ void DefragTask::Start(std::function<void()> on_finish) {
   std::sort(files.begin(), files.end(),
             [](const Inode* a, const Inode* b) { return a->ino < b->ino; });
   for (const Inode* f : files) {
-    targets_.push_back(f->ino);
-    stats_.work_total += 2 * f->PageCount();  // read + write
+    pass_.targets.push_back(f->ino);
+    run_.stats().work_total += 2 * f->PageCount();  // read + write
   }
-  cursor_ = 0;
 
   if (config_.use_duet) {
     // Priority: fraction of the file's pages in memory relative to its size
     // (§5.3).
-    queue_ = std::make_unique<InodePriorityQueue>(
+    pass_.queue = std::make_unique<InodePriorityQueue>(
         [this](InodeNo ino, uint64_t pages) {
           const Inode* inode = fs_->ns().Get(ino);
           if (inode == nullptr || inode->PageCount() == 0) {
@@ -53,28 +51,13 @@ void DefragTask::Start(std::function<void()> on_finish) {
           return static_cast<double>(pages) /
                  static_cast<double>(inode->PageCount());
         });
-    Result<SessionId> sid = duet_->RegisterFileTask(config_.root, kDuetPageExists);
-    assert(sid.ok());
-    sid_ = *sid;
+    run_.Register(duet_->RegisterFileTask(config_.root, kDuetPageExists));
   }
   ProcessNext();
 }
 
-void DefragTask::Stop() {
-  running_ = false;
-  if (sid_ != kInvalidSession) {
-    (void)duet_->Deregister(sid_);
-    sid_ = kInvalidSession;
-  }
-}
-
-void DefragTask::DrainDuetEvents() {
-  tobs_.FetchCall();
-  DrainEvents(*duet_, sid_, *queue_, config_.fetch_batch);
-}
-
 bool DefragTask::ShouldProcess(InodeNo ino) const {
-  if (config_.use_duet && duet_->CheckDone(sid_, ino)) {
+  if (config_.use_duet && duet_->CheckDone(run_.sid(), ino)) {
     return false;
   }
   const Inode* inode = fs_->ns().Get(ino);
@@ -83,28 +66,14 @@ bool DefragTask::ShouldProcess(InodeNo ino) const {
   return inode != nullptr && fs_->ExtentCount(ino) > config_.extent_threshold;
 }
 
-void DefragTask::FinishRun() {
-  stats_.finished = true;
-  stats_.finished_at = fs_->loop().now();
-  tobs_.Finished(stats_.finished_at, stats_.work_done);
-  running_ = false;
-  if (sid_ != kInvalidSession) {
-    (void)duet_->Deregister(sid_);
-    sid_ = kInvalidSession;
-  }
-  if (on_finish_) {
-    on_finish_();
-  }
-}
-
 void DefragTask::ProcessNext() {
-  if (!running_) {
+  if (!run_.running()) {
     return;
   }
   // Opportunistic phase: drain events and process the hottest queued file.
   if (config_.use_duet) {
-    DrainDuetEvents();
-    while (std::optional<InodeNo> hot = queue_->Dequeue()) {
+    run_.Drain(*pass_.queue, config_.fetch_batch);
+    while (std::optional<InodeNo> hot = pass_.queue->Dequeue()) {
       if (ShouldProcess(*hot)) {
         DefragOne(*hot, /*opportunistic=*/true);
         return;
@@ -112,46 +81,47 @@ void DefragTask::ProcessNext() {
     }
   }
   // Normal order: next fragmented file by inode number.
-  while (cursor_ < targets_.size()) {
-    InodeNo ino = targets_[cursor_++];
+  while (pass_.cursor < pass_.targets.size()) {
+    InodeNo ino = pass_.targets[pass_.cursor++];
     if (ShouldProcess(ino)) {
       DefragOne(ino, /*opportunistic=*/false);
       return;
     }
-    if (config_.use_duet && duet_->CheckDone(sid_, ino)) {
+    if (config_.use_duet && duet_->CheckDone(run_.sid(), ino)) {
       continue;  // processed opportunistically; already credited there
     }
     // Defragmented by a COW overwrite or deleted by the workload: the
     // obligation is discharged without I/O.
     const Inode* inode = fs_->ns().Get(ino);
-    stats_.work_done += 2 * (inode != nullptr ? inode->PageCount() : 0);
+    run_.stats().work_done += 2 * (inode != nullptr ? inode->PageCount() : 0);
   }
-  FinishRun();
+  run_.Finish();
 }
 
 void DefragTask::DefragOne(InodeNo ino, bool opportunistic) {
-  tobs_.ChunkStarted(fs_->loop().now(), ino, 0);
+  run_.ChunkStarted(ino, 0);
   fs_->DefragFile(ino, config_.io_class, [this, ino,
                                           opportunistic](const DefragResult& result) {
-    tobs_.ChunkFinished(fs_->loop().now(), ino, result.pages);
+    run_.ChunkFinished(ino, result.pages);
     if (result.status.ok()) {
-      ++files_defragmented_;
-      stats_.work_done += 2 * result.pages;
-      stats_.io_read_pages += result.pages_read_disk;
-      stats_.io_write_pages += result.pages_written;
-      stats_.saved_read_pages += result.pages_from_cache;
+      TaskStats& stats = run_.stats();
+      ++pass_.files_defragmented;
+      stats.work_done += 2 * result.pages;
+      stats.io_read_pages += result.pages_read_disk;
+      stats.io_write_pages += result.pages_written;
+      stats.saved_read_pages += result.pages_from_cache;
       // Pages the workload had already dirtied would have been written back
       // anyway — their writeback is work the system saves (§6.2).
-      stats_.saved_write_pages += result.dirty_pages;
+      stats.saved_write_pages += result.dirty_pages;
       if (opportunistic) {
-        stats_.opportunistic_units += 2 * result.pages;
+        stats.opportunistic_units += 2 * result.pages;
       }
     }
     if (config_.use_duet) {
-      (void)duet_->SetDone(sid_, ino);
-      queue_->Erase(ino);
+      (void)duet_->SetDone(run_.sid(), ino);
+      pass_.queue->Erase(ino);
     }
-    if (running_) {
+    if (run_.running()) {
       fs_->loop().ScheduleAfter(0, [this] { ProcessNext(); });
     }
   });

@@ -17,8 +17,7 @@
 #include "src/cowfs/cowfs.h"
 #include "src/duet/duet_core.h"
 #include "src/duet/duet_library.h"
-#include "src/tasks/task_obs.h"
-#include "src/tasks/task_stats.h"
+#include "src/tasks/task_run.h"
 
 namespace duet {
 
@@ -37,31 +36,28 @@ class DefragTask {
   ~DefragTask();
 
   void Start(std::function<void()> on_finish = nullptr);
-  void Stop();
+  void Stop() { run_.Stop(); }
 
-  const TaskStats& stats() const { return stats_; }
-  uint64_t files_defragmented() const { return files_defragmented_; }
+  const TaskStats& stats() const { return run_.stats(); }
+  uint64_t files_defragmented() const { return pass_.files_defragmented; }
 
  private:
   void ProcessNext();
   // Defragments `ino` then continues with ProcessNext.
   void DefragOne(InodeNo ino, bool opportunistic);
-  void DrainDuetEvents();
   bool ShouldProcess(InodeNo ino) const;
-  void FinishRun();
 
   CowFs* fs_;
   DuetCore* duet_;
   DefragConfig config_;
-  SessionId sid_ = kInvalidSession;
-  bool running_ = false;
-  std::vector<InodeNo> targets_;  // inode order (the baseline order)
-  size_t cursor_ = 0;
-  std::unique_ptr<InodePriorityQueue> queue_;
-  uint64_t files_defragmented_ = 0;
-  TaskObs tobs_{"defrag", TaskTag::kDefrag};
-  TaskStats stats_;
-  std::function<void()> on_finish_;
+  TaskRun run_;
+  // Per-run state; Start() resets it so every run starts from scratch.
+  struct Pass {
+    std::vector<InodeNo> targets;  // inode order (the baseline order)
+    size_t cursor = 0;
+    std::unique_ptr<InodePriorityQueue> queue;
+    uint64_t files_defragmented = 0;
+  } pass_;
 };
 
 }  // namespace duet

@@ -2,12 +2,13 @@
 
 #include <cassert>
 
-#include "src/duet/duet_library.h"
-
 namespace duet {
 
 GcTask::GcTask(LogFs* fs, DuetCore* duet, GcConfig config)
-    : fs_(fs), duet_(duet), config_(config) {
+    : fs_(fs),
+      duet_(duet),
+      config_(config),
+      run_("gc", TaskTag::kGc, &fs->loop(), duet) {
   assert(fs_ != nullptr);
   assert(!config_.use_duet || duet_ != nullptr);
   cached_.assign(fs_->segment_count(), 0);
@@ -16,38 +17,21 @@ GcTask::GcTask(LogFs* fs, DuetCore* duet, GcConfig config)
 GcTask::~GcTask() { Stop(); }
 
 void GcTask::Start() {
-  assert(!running_);
-  running_ = true;
-  stats_ = TaskStats{};
-  stats_.started_at = fs_->loop().now();
-  tobs_.Started(stats_.started_at);
+  run_.Begin();
   if (config_.use_duet) {
-    Result<SessionId> sid =
-        duet_->RegisterBlockTask(kDuetPageExists | kDuetPageFlushed);
-    assert(sid.ok());
-    sid_ = *sid;
+    run_.Register(duet_->RegisterBlockTask(kDuetPageExists | kDuetPageFlushed));
   }
-  tick_event_ = fs_->loop().ScheduleAfter(config_.wake_interval, [this] { Tick(); });
+  run_.Arm(config_.wake_interval, [this] { Tick(); });
 }
 
 void GcTask::Stop() {
-  if (running_) {
-    tobs_.Finished(fs_->loop().now(), stats_.work_done);
-  }
-  running_ = false;
-  if (tick_event_ != kInvalidEvent) {
-    fs_->loop().Cancel(tick_event_);
-    tick_event_ = kInvalidEvent;
-  }
-  if (sid_ != kInvalidSession) {
-    (void)duet_->Deregister(sid_);
-    sid_ = kInvalidSession;
+  if (run_.running()) {
+    run_.Finish();
   }
 }
 
 void GcTask::DrainDuetEvents() {
-  tobs_.FetchCall();
-  DrainEvents(*duet_, sid_, [this](const DuetItem& item) {
+  run_.Drain([this](const DuetItem& item) {
     SegmentNo seg = fs_->SegmentOf(item.id);
     if (seg >= cached_.size()) {
       return;
@@ -103,15 +87,8 @@ double GcTask::VictimCost(SegmentNo seg, const SegmentInfo& info) const {
 }
 
 void GcTask::Tick() {
-  tick_event_ = kInvalidEvent;
-  if (!running_) {
-    return;
-  }
   auto reschedule = [this] {
-    if (running_) {
-      tick_event_ =
-          fs_->loop().ScheduleAfter(config_.wake_interval, [this] { Tick(); });
-    }
+    run_.Arm(config_.wake_interval, [this] { Tick(); });
   };
   if (config_.use_duet) {
     DrainDuetEvents();
@@ -136,16 +113,17 @@ void GcTask::Tick() {
     return;
   }
   cleaning_ = true;
-  tobs_.ChunkStarted(now, *victim, 0);
+  run_.ChunkStarted(*victim, 0);
   fs_->CleanSegment(*victim, config_.io_class, [this, reschedule](const CleanResult& r) {
     cleaning_ = false;
-    tobs_.ChunkFinished(fs_->loop().now(), r.segment, r.blocks_moved);
+    run_.ChunkFinished(r.segment, r.blocks_moved);
     if (r.status.ok() && r.blocks_moved > 0) {
       ++segments_cleaned_;
       cleaning_time_ms_.Add(ToMillis(r.duration));
-      stats_.work_done += r.blocks_moved;
-      stats_.io_read_pages += r.blocks_read_disk;
-      stats_.saved_read_pages += r.blocks_from_cache;
+      TaskStats& stats = run_.stats();
+      stats.work_done += r.blocks_moved;
+      stats.io_read_pages += r.blocks_read_disk;
+      stats.saved_read_pages += r.blocks_from_cache;
       // Counters for the cleaned segment are stale now; reset them.
       if (r.segment < cached_.size()) {
         cached_[r.segment] = 0;

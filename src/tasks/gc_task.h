@@ -17,8 +17,7 @@
 
 #include "src/duet/duet_core.h"
 #include "src/logfs/logfs.h"
-#include "src/tasks/task_obs.h"
-#include "src/tasks/task_stats.h"
+#include "src/tasks/task_run.h"
 #include "src/util/stats.h"
 
 namespace duet {
@@ -42,9 +41,10 @@ class GcTask {
   ~GcTask();
 
   void Start();
+  // The cleaner runs until stopped, so stopping finishes the run.
   void Stop();
 
-  const TaskStats& stats() const { return stats_; }
+  const TaskStats& stats() const { return run_.stats(); }
   // Per-segment cleaning time distribution (paper Table 6).
   const RunningStats& cleaning_time_ms() const { return cleaning_time_ms_; }
   uint64_t segments_cleaned() const { return segments_cleaned_; }
@@ -59,10 +59,8 @@ class GcTask {
   LogFs* fs_;
   DuetCore* duet_;
   GcConfig config_;
-  SessionId sid_ = kInvalidSession;
-  bool running_ = false;
+  TaskRun run_;
   bool cleaning_ = false;
-  EventId tick_event_ = kInvalidEvent;
   SegmentNo window_cursor_ = 0;
   std::vector<int64_t> cached_;  // per-segment cached-valid-block counters
   // Which segment each cached page was last counted against, so moves adjust
@@ -75,8 +73,6 @@ class GcTask {
   std::unordered_map<std::pair<InodeNo, PageIdx>, SegmentNo, PageKeyHash> counted_;
   uint64_t segments_cleaned_ = 0;
   RunningStats cleaning_time_ms_;
-  TaskObs tobs_{"gc", TaskTag::kGc};
-  TaskStats stats_;
 };
 
 }  // namespace duet

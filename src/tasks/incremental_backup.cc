@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/duet/duet_library.h"
-
 namespace duet {
 
 IncrementalBackup::IncrementalBackup(CowFs* fs, DuetCore* duet,
                                      IncrementalBackupConfig config)
-    : fs_(fs), duet_(duet), config_(config) {
+    : fs_(fs),
+      duet_(duet),
+      config_(config),
+      run_("inc_backup", TaskTag::kIncBackup, &fs->loop(), duet) {
   assert(fs_ != nullptr);
   assert(!config_.use_duet || duet_ != nullptr);
 }
@@ -17,12 +18,7 @@ IncrementalBackup::IncrementalBackup(CowFs* fs, DuetCore* duet,
 IncrementalBackup::~IncrementalBackup() { Stop(); }
 
 void IncrementalBackup::BeginEpoch() {
-  assert(!epoch_open_);
-  epoch_open_ = true;
-  running_ = true;
-  stats_ = TaskStats{};
-  stats_.started_at = fs_->loop().now();
-  tobs_.Started(stats_.started_at);
+  run_.Begin();
   captured_.clear();
   fs_->CreateSnapshotAsync([this](Result<SnapshotId> snap) {
     assert(snap.ok());
@@ -31,18 +27,17 @@ void IncrementalBackup::BeginEpoch() {
       // Modified-state notifications: an item arrives when a page's dirty
       // status changes; ¬Modified (Flushed polarity) means the cached page
       // now matches the on-disk block — safe to capture.
-      Result<SessionId> sid = duet_->RegisterBlockTask(kDuetPageModified);
-      assert(sid.ok());
-      sid_ = *sid;
-      poll_event_ =
-          fs_->loop().ScheduleAfter(config_.fetch_interval, [this] { PollTick(); });
+      run_.Register(duet_->RegisterBlockTask(kDuetPageModified));
+      run_.Poll(config_.fetch_interval, [this] {
+        DrainDuetEvents();
+        return true;
+      });
     }
   });
 }
 
 void IncrementalBackup::DrainDuetEvents() {
-  tobs_.FetchCall();
-  DrainEvents(*duet_, sid_, [this](const DuetItem& item) {
+  run_.Drain([this](const DuetItem& item) {
     if (!item.has(kDuetPageFlushed)) {
       return;  // page became dirty: content still in flux
     }
@@ -57,42 +52,29 @@ void IncrementalBackup::DrainDuetEvents() {
     // Copy the just-flushed content from memory — the read the paper's §1
     // example saves.
     captured_[PageKey{owner->ino, owner->idx}] = page->data;
-    ++stats_.opportunistic_units;
+    ++run_.stats().opportunistic_units;
   }, config_.fetch_batch);
 }
 
-void IncrementalBackup::PollTick() {
-  poll_event_ = kInvalidEvent;
-  if (!running_ || sid_ == kInvalidSession) {
-    return;
-  }
-  DrainDuetEvents();
-  poll_event_ =
-      fs_->loop().ScheduleAfter(config_.fetch_interval, [this] { PollTick(); });
-}
-
 void IncrementalBackup::EndEpoch(std::function<void()> on_finish) {
-  assert(epoch_open_);
-  on_finish_ = std::move(on_finish);
+  assert(run_.running());
+  run_.set_on_finish(std::move(on_finish));
   // Flush everything so the end snapshot and the captured pages agree with
   // the on-disk state, then cut the snapshot and catch up on the diff.
   fs_->CreateSnapshotAsync([this](Result<SnapshotId> snap) {
     assert(snap.ok());
     end_snapshot_ = *snap;
-    if (config_.use_duet && sid_ != kInvalidSession) {
+    if (run_.sid() != kInvalidSession) {
       DrainDuetEvents();  // final flush events from the sync above
-      if (poll_event_ != kInvalidEvent) {
-        fs_->loop().Cancel(poll_event_);
-        poll_event_ = kInvalidEvent;
-      }
-      (void)duet_->Deregister(sid_);
-      sid_ = kInvalidSession;
+      run_.CancelTimer();
+      run_.Deregister();
     }
     // Build the diff worklist.
     const CowFs::Snapshot* base = fs_->GetSnapshot(base_snapshot_);
     const CowFs::Snapshot* end = fs_->GetSnapshot(end_snapshot_);
     pending_reads_.clear();
     pending_cursor_ = 0;
+    TaskStats& stats = run_.stats();
     for (const auto& [ino, end_file] : end->files) {
       const CowFs::SnapshotFile* base_file = nullptr;
       auto base_it = base->files.find(ino);
@@ -109,14 +91,14 @@ void IncrementalBackup::EndEpoch(std::function<void()> on_finish) {
         if (!changed) {
           continue;
         }
-        ++stats_.work_total;
+        ++stats.work_total;
         PageKey key{ino, p};
         auto captured = captured_.find(key);
         if (captured != captured_.end() &&
             captured->second == fs_->DiskToken(end_block)) {
           // Already captured from memory: read saved.
-          ++stats_.saved_read_pages;
-          ++stats_.work_done;
+          ++stats.saved_read_pages;
+          ++stats.work_done;
           continue;
         }
         pending_reads_.emplace_back(key, end_block);
@@ -127,17 +109,11 @@ void IncrementalBackup::EndEpoch(std::function<void()> on_finish) {
 }
 
 void IncrementalBackup::ProcessDiff() {
-  if (!running_) {
+  if (!run_.running()) {
     return;
   }
   if (pending_cursor_ >= pending_reads_.size()) {
-    stats_.finished = true;
-    stats_.finished_at = fs_->loop().now();
-    tobs_.Finished(stats_.finished_at, stats_.work_done);
-    epoch_open_ = false;
-    if (on_finish_) {
-      on_finish_();
-    }
+    run_.Finish();
     return;
   }
   size_t end = std::min(pending_reads_.size(),
@@ -149,18 +125,18 @@ void IncrementalBackup::ProcessDiff() {
   }
   size_t first = pending_cursor_;
   pending_cursor_ = end;
-  tobs_.ChunkStarted(fs_->loop().now(), first, end - first);
+  run_.ChunkStarted(first, end - first);
   fs_->ReadBlocks(std::move(blocks), config_.io_class,
                   [this, first, end](const RawReadResult& result) {
-                    if (!running_) {
+                    if (!run_.running()) {
                       return;
                     }
-                    stats_.io_read_pages += result.blocks_read;
+                    run_.stats().io_read_pages += result.blocks_read;
                     if (IsTransient(result.status) &&
                         batch_retry_ < config_.max_retries) {
                       // Device busy window: retry the batch with backoff.
                       ++batch_retry_;
-                      tobs_.Retry(fs_->loop().now(), first, batch_retry_);
+                      run_.Retry(first, batch_retry_);
                       pending_cursor_ = first;
                       fs_->loop().ScheduleAfter(
                           config_.retry_backoff * (SimDuration{1} << (batch_retry_ - 1)),
@@ -168,7 +144,7 @@ void IncrementalBackup::ProcessDiff() {
                       return;
                     }
                     batch_retry_ = 0;
-                    tobs_.ChunkFinished(fs_->loop().now(), first, end - first);
+                    run_.ChunkFinished(first, end - first);
                     for (size_t i = first; i < end; ++i) {
                       // Blocks that failed to read or verify are not
                       // captured; the next increment retries them.
@@ -179,23 +155,14 @@ void IncrementalBackup::ProcessDiff() {
                       }
                       captured_[pending_reads_[i].first] =
                           fs_->DiskToken(pending_reads_[i].second);
-                      ++stats_.work_done;
+                      ++run_.stats().work_done;
                     }
                     ProcessDiff();
                   });
 }
 
 void IncrementalBackup::Stop() {
-  running_ = false;
-  epoch_open_ = false;
-  if (poll_event_ != kInvalidEvent) {
-    fs_->loop().Cancel(poll_event_);
-    poll_event_ = kInvalidEvent;
-  }
-  if (sid_ != kInvalidSession) {
-    (void)duet_->Deregister(sid_);
-    sid_ = kInvalidSession;
-  }
+  run_.Stop();
   if (base_snapshot_ != 0) {
     (void)fs_->DeleteSnapshot(base_snapshot_);
     base_snapshot_ = 0;

@@ -19,8 +19,7 @@
 
 #include "src/cowfs/cowfs.h"
 #include "src/duet/duet_core.h"
-#include "src/tasks/task_obs.h"
-#include "src/tasks/task_stats.h"
+#include "src/tasks/task_run.h"
 
 namespace duet {
 
@@ -53,7 +52,7 @@ class IncrementalBackup {
 
   void Stop();
 
-  const TaskStats& stats() const { return stats_; }
+  const TaskStats& stats() const { return run_.stats(); }
   uint64_t pages_captured() const { return captured_.size(); }
 
   // Test hook: true if every page that differs between the base and end
@@ -72,28 +71,21 @@ class IncrementalBackup {
     }
   };
 
-  void PollTick();
   void DrainDuetEvents();
   void ProcessDiff();  // end-of-epoch catch-up pass
 
   CowFs* fs_;
   DuetCore* duet_;
   IncrementalBackupConfig config_;
-  SessionId sid_ = kInvalidSession;
+  TaskRun run_;  // one run per epoch
   SnapshotId base_snapshot_ = 0;
   SnapshotId end_snapshot_ = 0;
-  bool epoch_open_ = false;
-  bool running_ = false;
-  EventId poll_event_ = kInvalidEvent;
   // Captured increment: page -> content token at capture time.
   std::unordered_map<PageKey, uint64_t, PageKeyHash> captured_;
   // Diff worklist for the catch-up pass.
   std::vector<std::pair<PageKey, BlockNo>> pending_reads_;
   size_t pending_cursor_ = 0;
   uint32_t batch_retry_ = 0;  // consecutive transient retries of this batch
-  TaskObs tobs_{"inc_backup", TaskTag::kIncBackup};
-  TaskStats stats_;
-  std::function<void()> on_finish_;
 };
 
 }  // namespace duet

@@ -23,97 +23,66 @@ std::string JoinPath(const std::string& base, const std::string& rel) {
 
 RsyncTask::RsyncTask(FileSystem* src, FileSystem* dst, DuetCore* duet,
                      RsyncConfig config)
-    : src_(src), dst_(dst), duet_(duet), config_(config) {
+    : src_(src),
+      dst_(dst),
+      duet_(duet),
+      config_(config),
+      run_("rsync", TaskTag::kRsync, &src->loop(), duet) {
   assert(src_ != nullptr && dst_ != nullptr);
-  if (config_.use_duet) {
-    config_.hints = RsyncHints::kDuet;
-  }
   assert(config_.hints != RsyncHints::kDuet || duet_ != nullptr);
-  config_.use_duet = config_.hints == RsyncHints::kDuet;
 }
 
 RsyncTask::~RsyncTask() { Stop(); }
 
 void RsyncTask::Start(std::function<void()> on_finish) {
-  assert(!running_);
-  on_finish_ = std::move(on_finish);
-  running_ = true;
-  stats_ = TaskStats{};
-  stats_.started_at = src_->loop().now();
-  tobs_.Started(stats_.started_at);
+  run_.Begin(std::move(on_finish));
+  pass_ = Pass{};
 
   Result<InodeNo> root = src_->ns().Resolve(config_.source_dir);
   assert(root.ok());
   src_->ns().WalkDepthFirst(*root, [&](const Inode& inode) {
     if (!inode.is_dir()) {
-      worklist_.push_back(inode.ino);
-      stats_.work_total += 2 * inode.PageCount();  // read + write
+      pass_.worklist.push_back(inode.ino);
+      run_.stats().work_total += 2 * inode.PageCount();  // read + write
     }
     return true;
   });
-  cursor_ = 0;
 
   if (config_.hints == RsyncHints::kDuet) {
     // Priority: absolute number of pages in memory (§5.5).
-    queue_ = std::make_unique<InodePriorityQueue>(
+    pass_.queue = std::make_unique<InodePriorityQueue>(
         [](InodeNo, uint64_t pages) { return static_cast<double>(pages); });
-    Result<SessionId> sid =
-        duet_->RegisterFileTask(config_.source_dir, kDuetPageExists);
-    assert(sid.ok());
-    sid_ = *sid;
+    run_.Register(duet_->RegisterFileTask(config_.source_dir, kDuetPageExists));
   } else if (config_.hints == RsyncHints::kInotify) {
     // One watch per directory, recursively — the setup cost Duet avoids
     // with a single registration (§3.3).
-    inotify_ = std::make_unique<Inotify>(src_);
+    pass_.inotify = std::make_unique<Inotify>(src_);
     Result<InodeNo> watch_root = src_->ns().Resolve(config_.source_dir);
     assert(watch_root.ok());
     Result<uint64_t> created =
-        inotify_->AddWatchRecursive(*watch_root, kInAccess | kInModify);
-    watches_created_ = created.ok() ? *created : 0;
+        pass_.inotify->AddWatchRecursive(*watch_root, kInAccess | kInModify);
+    pass_.watches_created = created.ok() ? *created : 0;
   }
   ProcessNext();
 }
 
-void RsyncTask::Stop() {
-  running_ = false;
-  if (sid_ != kInvalidSession) {
-    (void)duet_->Deregister(sid_);
-    sid_ = kInvalidSession;
-  }
-}
-
 void RsyncTask::DrainDuetEvents() {
-  tobs_.FetchCall();
-  DrainEvents(*duet_, sid_, *queue_, config_.fetch_batch);
-}
-
-void RsyncTask::FinishRun() {
-  stats_.finished = true;
-  stats_.finished_at = src_->loop().now();
-  tobs_.Finished(stats_.finished_at, stats_.work_done);
-  running_ = false;
-  if (sid_ != kInvalidSession) {
-    (void)duet_->Deregister(sid_);
-    sid_ = kInvalidSession;
-  }
-  if (on_finish_) {
-    on_finish_();
-  }
+  run_.Drain(*pass_.queue, config_.fetch_batch);
 }
 
 void RsyncTask::ProcessNext() {
-  if (!running_) {
+  if (!run_.running()) {
     return;
   }
   if (config_.hints == RsyncHints::kDuet) {
     DrainDuetEvents();
-    while (std::optional<InodeNo> hot = queue_->Dequeue()) {
-      if (synced_.count(*hot) > 0) {
+    while (std::optional<InodeNo> hot = pass_.queue->Dequeue()) {
+      if (pass_.synced.count(*hot) > 0) {
         continue;
       }
       // The path lookup is the truth for the hint (§3.2): back out if the
       // file's pages are gone or it left the registered directory.
-      if (!duet_->GetPath(sid_, *hot).ok()) {
+      if (!duet_->GetPath(run_.sid(), *hot).ok()) {
         continue;
       }
       SyncFile(*hot, /*opportunistic=*/true);
@@ -122,22 +91,22 @@ void RsyncTask::ProcessNext() {
   } else if (config_.hints == RsyncHints::kInotify) {
     // File-level hints only: most-recently-touched first, with no idea how
     // much of the file is still cached (or whether it was evicted).
-    for (const InotifyEvent& event : inotify_->ReadEvents(config_.fetch_batch)) {
-      recent_.push_back(event.ino);
+    for (const InotifyEvent& event : pass_.inotify->ReadEvents(config_.fetch_batch)) {
+      pass_.recent.push_back(event.ino);
     }
-    while (!recent_.empty()) {
-      InodeNo hot = recent_.back();
-      recent_.pop_back();
-      if (synced_.count(hot) > 0 || !src_->ns().Exists(hot)) {
+    while (!pass_.recent.empty()) {
+      InodeNo hot = pass_.recent.back();
+      pass_.recent.pop_back();
+      if (pass_.synced.count(hot) > 0 || !src_->ns().Exists(hot)) {
         continue;
       }
       SyncFile(hot, /*opportunistic=*/true);
       return;
     }
   }
-  while (cursor_ < worklist_.size()) {
-    InodeNo ino = worklist_[cursor_++];
-    if (synced_.count(ino) > 0) {
+  while (pass_.cursor < pass_.worklist.size()) {
+    InodeNo ino = pass_.worklist[pass_.cursor++];
+    if (pass_.synced.count(ino) > 0) {
       continue;  // sent opportunistically; metadata goes out exactly once
     }
     if (!src_->ns().Exists(ino)) {
@@ -146,11 +115,11 @@ void RsyncTask::ProcessNext() {
     SyncFile(ino, /*opportunistic=*/false);
     return;
   }
-  FinishRun();
+  run_.Finish();
 }
 
 void RsyncTask::SyncFile(InodeNo src_ino, bool opportunistic) {
-  synced_.insert(src_ino);
+  pass_.synced.insert(src_ino);
   const Inode* inode = src_->ns().Get(src_ino);
   if (inode == nullptr) {
     src_->loop().ScheduleAfter(0, [this] { ProcessNext(); });
@@ -185,14 +154,14 @@ void RsyncTask::SyncFile(InodeNo src_ino, bool opportunistic) {
     return;
   }
   if (opportunistic) {
-    stats_.opportunistic_units += 2 * inode->PageCount();
+    run_.stats().opportunistic_units += 2 * inode->PageCount();
   }
   CopyChunk(src_ino, *dst_ino, 0, inode->size, opportunistic);
 }
 
 void RsyncTask::CopyChunk(InodeNo src_ino, InodeNo dst_ino, PageIdx next_page,
                           uint64_t src_size, bool opportunistic) {
-  if (!running_) {
+  if (!run_.running()) {
     return;
   }
   if (config_.hints == RsyncHints::kDuet) {
@@ -200,20 +169,20 @@ void RsyncTask::CopyChunk(InodeNo src_ino, InodeNo dst_ino, PageIdx next_page,
   }
   uint64_t total_pages = PagesForBytes(src_size);
   if (next_page >= total_pages) {
-    ++files_synced_;
+    ++pass_.files_synced;
     src_->loop().ScheduleAfter(0, [this] { ProcessNext(); });
     return;
   }
   uint64_t count = std::min<uint64_t>(config_.chunk_pages, total_pages - next_page);
   ByteOff off = next_page * kPageSize;
   uint64_t len = std::min<uint64_t>(count * kPageSize, src_size - off);
-  tobs_.ChunkStarted(src_->loop().now(), src_ino, count);
+  run_.ChunkStarted(src_ino, count);
   src_->Read(src_ino, off, len, config_.io_class,
              [this, src_ino, dst_ino, next_page, count, src_size, off, len,
               opportunistic](const FsIoResult& read) {
-               stats_.io_read_pages += read.pages_from_disk;
-               stats_.saved_read_pages += read.pages_from_cache;
-               stats_.work_done += read.pages_requested;
+               run_.stats().io_read_pages += read.pages_from_disk;
+               run_.stats().saved_read_pages += read.pages_from_cache;
+               run_.stats().work_done += read.pages_requested;
                // Receiver writes the chunk contents to the destination.
                std::vector<uint64_t> tokens;
                tokens.reserve(count);
@@ -224,9 +193,9 @@ void RsyncTask::CopyChunk(InodeNo src_ino, InodeNo dst_ino, PageIdx next_page,
                dst_->CopyIn(dst_ino, off, len, std::move(tokens), config_.io_class,
                             [this, src_ino, dst_ino, next_page, count, src_size,
                              opportunistic](const FsIoResult& write) {
-                              stats_.io_write_pages += write.pages_requested;
-                              stats_.work_done += write.pages_requested;
-                              tobs_.ChunkFinished(src_->loop().now(), src_ino, count);
+                              run_.stats().io_write_pages += write.pages_requested;
+                              run_.stats().work_done += write.pages_requested;
+                              run_.ChunkFinished(src_ino, count);
                               CopyChunk(src_ino, dst_ino, next_page + count,
                                         src_size, opportunistic);
                             });

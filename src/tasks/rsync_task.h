@@ -24,8 +24,7 @@
 #include "src/duet/duet_library.h"
 #include "src/duet/inotify.h"
 #include "src/fs/file_system.h"
-#include "src/tasks/task_obs.h"
-#include "src/tasks/task_stats.h"
+#include "src/tasks/task_run.h"
 
 namespace duet {
 
@@ -34,7 +33,6 @@ namespace duet {
 enum class RsyncHints { kNone, kDuet, kInotify };
 
 struct RsyncConfig {
-  bool use_duet = false;            // shorthand for hints = kDuet
   RsyncHints hints = RsyncHints::kNone;
   std::string source_dir = "/";
   std::string dest_dir = "/";
@@ -50,12 +48,12 @@ class RsyncTask {
   ~RsyncTask();
 
   void Start(std::function<void()> on_finish = nullptr);
-  void Stop();
+  void Stop() { run_.Stop(); }
 
-  const TaskStats& stats() const { return stats_; }
-  uint64_t files_synced() const { return files_synced_; }
+  const TaskStats& stats() const { return run_.stats(); }
+  uint64_t files_synced() const { return pass_.files_synced; }
   // Inotify mode: number of per-directory watches that had to be created.
-  uint64_t watches_created() const { return watches_created_; }
+  uint64_t watches_created() const { return pass_.watches_created; }
 
   // Verifies every source file exists at the destination with identical
   // content (test hook; call after the destination has been synced).
@@ -67,27 +65,25 @@ class RsyncTask {
   void CopyChunk(InodeNo src_ino, InodeNo dst_ino, PageIdx next_page,
                  uint64_t src_size, bool opportunistic);
   void DrainDuetEvents();
-  void FinishRun();
 
   FileSystem* src_;
   FileSystem* dst_;
   DuetCore* duet_;
   RsyncConfig config_;
-  SessionId sid_ = kInvalidSession;
-  bool running_ = false;
-  std::vector<InodeNo> worklist_;  // DFS order (metadata pass)
-  size_t cursor_ = 0;
-  std::unordered_set<InodeNo> synced_;  // metadata sent exactly once
-  std::unique_ptr<InodePriorityQueue> queue_;
-  // Inotify mode: recency list of files with recent activity (no page
-  // counts, no eviction knowledge — the information gap vs Duet).
-  std::unique_ptr<Inotify> inotify_;
-  std::deque<InodeNo> recent_;
-  uint64_t watches_created_ = 0;
-  uint64_t files_synced_ = 0;
-  TaskObs tobs_{"rsync", TaskTag::kRsync};
-  TaskStats stats_;
-  std::function<void()> on_finish_;
+  TaskRun run_;
+  // Per-run state; Start() resets it so every run starts from scratch.
+  struct Pass {
+    std::vector<InodeNo> worklist;  // DFS order (metadata pass)
+    size_t cursor = 0;
+    std::unordered_set<InodeNo> synced;  // metadata sent exactly once
+    std::unique_ptr<InodePriorityQueue> queue;
+    // Inotify mode: recency list of files with recent activity (no page
+    // counts, no eviction knowledge — the information gap vs Duet).
+    std::unique_ptr<Inotify> inotify;
+    std::deque<InodeNo> recent;
+    uint64_t watches_created = 0;
+    uint64_t files_synced = 0;
+  } pass_;
 };
 
 }  // namespace duet

@@ -3,156 +3,97 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/duet/duet_library.h"
-#include "src/fs/meta_codec.h"
-
 namespace duet {
 
 Scrubber::Scrubber(CowFs* fs, DuetCore* duet, ScrubberConfig config)
-    : fs_(fs), duet_(duet), config_(config) {
+    : fs_(fs),
+      duet_(duet),
+      config_(config),
+      run_("scrub", TaskTag::kScrub, &fs->loop(), duet) {
   assert(fs_ != nullptr);
   assert(!config_.use_duet || duet_ != nullptr);
 }
 
 Scrubber::~Scrubber() { Stop(); }
 
-void Scrubber::EnableCursorPersistence(DurableImage* image, std::string key) {
-  cursor_image_ = image;
-  cursor_key_ = std::move(key);
-}
-
-void Scrubber::SaveCursor() {
-  if (cursor_image_ != nullptr) {
-    PutCursorMeta(cursor_image_, cursor_key_, {cursor_});
-  }
-}
-
 void Scrubber::Start(std::function<void()> on_finish) {
-  assert(!running_);
-  on_finish_ = std::move(on_finish);
-  running_ = true;
-  ++epoch_;
-  stats_ = TaskStats{};
-  stats_.started_at = fs_->loop().now();
-  stats_.work_total = fs_->allocated_blocks();
-  tobs_.Started(stats_.started_at);
+  run_.Begin(std::move(on_finish));
+  run_.stats().work_total = fs_->allocated_blocks();
   cursor_ = 0;
   resume_start_ = 0;
-  if (cursor_image_ != nullptr) {
-    // Resume an interrupted pass where it left off (btrfs scrub's progress
-    // checkpoint). A pass that finished cleanly cleared the cursor.
-    std::optional<std::vector<uint64_t>> saved =
-        GetCursorMeta(*cursor_image_, cursor_key_);
-    if (saved.has_value() && saved->size() == 1 &&
-        (*saved)[0] < fs_->capacity_blocks()) {
-      cursor_ = (*saved)[0];
-      resume_start_ = cursor_;
-    }
+  // Resume an interrupted pass where it left off (btrfs scrub's progress
+  // checkpoint). A pass that finished cleanly cleared the cursor.
+  std::optional<std::vector<uint64_t>> saved = run_.SavedCursor();
+  if (saved.has_value() && (*saved)[0] < fs_->capacity_blocks()) {
+    cursor_ = (*saved)[0];
+    resume_start_ = cursor_;
   }
   accounting_final_ = false;
   if (config_.use_duet) {
-    Result<SessionId> sid =
-        duet_->RegisterBlockTask(kDuetPageAdded | kDuetPageDirtied);
-    assert(sid.ok());
-    sid_ = *sid;
-    poll_event_ =
-        fs_->loop().ScheduleAfter(config_.fetch_interval, [this] { PollTick(); });
+    run_.Register(duet_->RegisterBlockTask(kDuetPageAdded | kDuetPageDirtied));
+    run_.Poll(config_.fetch_interval, [this] {
+      DrainDuetEvents();
+      // The whole device may have been verified by other parties' reads
+      // even if the scan's own idle-priority I/O is starved.
+      if (duet_->DoneCount(run_.sid()) < run_.stats().work_total) {
+        return true;
+      }
+      Finish();
+      return false;
+    });
   }
   ProcessNextChunk();
 }
 
 void Scrubber::Stop() {
-  running_ = false;
-  if (poll_event_ != kInvalidEvent) {
-    fs_->loop().Cancel(poll_event_);
-    poll_event_ = kInvalidEvent;
-  }
+  run_.CancelTimer();
   FinalizeAccounting();
-  if (sid_ != kInvalidSession) {
-    (void)duet_->Deregister(sid_);
-    sid_ = kInvalidSession;
-  }
+  run_.Stop();
 }
 
 void Scrubber::FinalizeAccounting() {
-  if (sid_ == kInvalidSession || accounting_final_) {
+  if (run_.sid() == kInvalidSession || accounting_final_) {
     return;
   }
   accounting_final_ = true;
   // Blocks marked done that the scan did not read were verified for free by
   // other parties' reads — the I/O Duet saved. Done bits also measure how
   // much scrubbing work is complete, whether or not the scan pass finished.
-  uint64_t done = duet_->DoneCount(sid_);
-  uint64_t by_io = stats_.io_read_pages;
-  stats_.saved_read_pages = done > by_io ? done - by_io : 0;
-  stats_.work_done = std::min(std::max(done, by_io), stats_.work_total);
+  TaskStats& stats = run_.stats();
+  uint64_t done = duet_->DoneCount(run_.sid());
+  uint64_t by_io = stats.io_read_pages;
+  stats.saved_read_pages = done > by_io ? done - by_io : 0;
+  stats.work_done = std::min(std::max(done, by_io), stats.work_total);
 }
 
 void Scrubber::Finish() {
-  if (!running_) {
-    return;
-  }
-  stats_.finished = true;
-  stats_.finished_at = fs_->loop().now();
-  running_ = false;
-  if (cursor_image_ != nullptr) {
-    // Pass complete: the next pass scans from the start again.
-    PutCursorMeta(cursor_image_, cursor_key_, {0});
-  }
-  if (poll_event_ != kInvalidEvent) {
-    fs_->loop().Cancel(poll_event_);
-    poll_event_ = kInvalidEvent;
-  }
+  run_.CancelTimer();
   if (config_.use_duet) {
     FinalizeAccounting();
   } else {
-    stats_.work_done = stats_.io_read_pages;
+    run_.stats().work_done = run_.stats().io_read_pages;
   }
-  tobs_.Finished(stats_.finished_at, stats_.work_done);
-  if (sid_ != kInvalidSession) {
-    (void)duet_->Deregister(sid_);
-    sid_ = kInvalidSession;
-  }
-  if (on_finish_) {
-    on_finish_();
-  }
+  run_.Finish();
 }
 
 void Scrubber::DrainDuetEvents() {
-  tobs_.FetchCall();
-  DrainEvents(*duet_, sid_, [this](const DuetItem& item) {
+  run_.Drain([this](const DuetItem& item) {
     if (item.has(kDuetPageDirtied)) {
       // Content changed: the (possibly relocated) block needs re-verifying.
-      (void)duet_->UnsetDone(sid_, item.id);
+      (void)duet_->UnsetDone(run_.sid(), item.id);
       return;
     }
     if (item.has(kDuetPageAdded)) {
       // The read path verified this block's checksum; mark it scrubbed.
-      if (!duet_->CheckDone(sid_, item.id)) {
-        (void)duet_->SetDone(sid_, item.id);
+      if (!duet_->CheckDone(run_.sid(), item.id)) {
+        (void)duet_->SetDone(run_.sid(), item.id);
       }
     }
   }, config_.fetch_batch);
 }
 
-void Scrubber::PollTick() {
-  poll_event_ = kInvalidEvent;
-  if (!running_) {
-    return;
-  }
-  DrainDuetEvents();
-  // The whole device may have been verified by other parties' reads even if
-  // the scan's own idle-priority I/O is starved.
-  if (duet_->DoneCount(sid_) >= stats_.work_total) {
-    Finish();
-    return;
-  }
-  poll_event_ =
-      fs_->loop().ScheduleAfter(config_.fetch_interval, [this] { PollTick(); });
-}
-
 void Scrubber::ProcessNextChunk() {
-  if (!running_) {
+  if (!run_.running()) {
     return;
   }
   if (config_.use_duet) {
@@ -162,7 +103,7 @@ void Scrubber::ProcessNextChunk() {
   // done were verified by someone else's read; the scan skips them without
   // I/O (accounted in FinalizeAccounting).
   std::optional<BlockNo> next = fs_->NextAllocated(cursor_);
-  while (next.has_value() && config_.use_duet && duet_->CheckDone(sid_, *next)) {
+  while (next.has_value() && config_.use_duet && duet_->CheckDone(run_.sid(), *next)) {
     next = fs_->NextAllocated(*next + 1);
   }
   if (!next.has_value()) {
@@ -177,11 +118,11 @@ void Scrubber::ProcessNextChunk() {
   uint32_t count = 0;
   BlockNo b = start;
   while (count < config_.chunk_blocks && b < fs_->capacity_blocks()) {
-    if (config_.use_duet && duet_->CheckDone(sid_, b)) {
+    if (config_.use_duet && duet_->CheckDone(run_.sid(), b)) {
       BlockNo run_end = b;
       while (run_end < fs_->capacity_blocks() &&
              run_end - b < config_.skip_run_blocks &&
-             duet_->CheckDone(sid_, run_end)) {
+             duet_->CheckDone(run_.sid(), run_end)) {
         ++run_end;
       }
       if (run_end - b >= config_.skip_run_blocks) {
@@ -194,14 +135,14 @@ void Scrubber::ProcessNextChunk() {
     ++count;
     ++b;
   }
-  const uint64_t epoch = epoch_;
-  tobs_.ChunkStarted(fs_->loop().now(), start, count);
+  const uint64_t epoch = run_.epoch();
+  run_.ChunkStarted(start, count);
   fs_->ReadRawBlocks(start, count, config_.io_class, config_.populate_cache,
                      [this, start, count, epoch](const RawReadResult& result) {
-                       if (!running_ || epoch != epoch_) {
+                       if (!run_.live(epoch)) {
                          return;
                        }
-                       stats_.io_read_pages += result.blocks_read;
+                       run_.stats().io_read_pages += result.blocks_read;
                        if (IsTransient(result.status)) {
                          if (chunk_retry_ < config_.max_retries) {
                            // Transient (busy window): retry the same chunk
@@ -210,9 +151,9 @@ void Scrubber::ProcessNextChunk() {
                                config_.retry_backoff * (SimDuration{1} << chunk_retry_);
                            ++chunk_retry_;
                            ++transient_retries_;
-                           tobs_.Retry(fs_->loop().now(), start, chunk_retry_);
+                           run_.Retry(start, chunk_retry_);
                            fs_->loop().ScheduleAfter(backoff, [this, epoch] {
-                             if (epoch == epoch_) {
+                             if (run_.live(epoch)) {
                                ProcessNextChunk();
                              }
                            });
@@ -221,26 +162,26 @@ void Scrubber::ProcessNextChunk() {
                          // Retry budget exhausted: skip the chunk this pass.
                          chunk_retry_ = 0;
                          cursor_ = start + count;
-                         SaveCursor();
+                         run_.SaveCursor({cursor_});
                          ProcessNextChunk();
                          return;
                        }
                        chunk_retry_ = 0;
                        checksum_errors_ += result.checksum_errors;
                        read_errors_ += result.read_errors;
-                       stats_.work_done += result.blocks_read;
+                       run_.stats().work_done += result.blocks_read;
                        cursor_ = start + count;
-                       SaveCursor();
-                       tobs_.ChunkFinished(fs_->loop().now(), start, count);
+                       run_.SaveCursor({cursor_});
+                       run_.ChunkFinished(start, count);
                        auto resume = [this, start, count, epoch] {
-                         if (!running_ || epoch != epoch_) {
+                         if (!run_.live(epoch)) {
                            return;
                          }
                          if (config_.use_duet) {
                            // Mark verified blocks so events for them are muted.
                            for (BlockNo v = start; v < start + count; ++v) {
                              if (fs_->IsAllocated(v)) {
-                               (void)duet_->SetDone(sid_, v);
+                               (void)duet_->SetDone(run_.sid(), v);
                              }
                            }
                          }
@@ -254,10 +195,9 @@ void Scrubber::ProcessNextChunk() {
                              [this, resume](const CowFs::RepairResult& r) {
                                blocks_repaired_ += r.repaired();
                                blocks_unrecoverable_ += r.unrecoverable;
-                               tobs_.Repairs(fs_->loop().now(), r.repaired(),
-                                             r.unrecoverable);
-                               stats_.io_read_pages += r.device_reads;
-                               stats_.io_write_pages += r.device_writes;
+                               run_.Repairs(r.repaired(), r.unrecoverable);
+                               run_.stats().io_read_pages += r.device_reads;
+                               run_.stats().io_write_pages += r.device_writes;
                                resume();
                              });
                          return;

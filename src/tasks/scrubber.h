@@ -16,8 +16,7 @@
 
 #include "src/cowfs/cowfs.h"
 #include "src/duet/duet_core.h"
-#include "src/tasks/task_obs.h"
-#include "src/tasks/task_stats.h"
+#include "src/tasks/task_run.h"
 
 namespace duet {
 
@@ -64,11 +63,13 @@ class Scrubber {
   // pass there instead of re-reading prior coverage from block 0. Finishing
   // a pass clears the cursor so the next pass scans from the start again.
   void EnableCursorPersistence(DurableImage* image,
-                               std::string key = "cursor.scrub");
+                               std::string key = "cursor.scrub") {
+    run_.PersistCursor(image, std::move(key), 1);
+  }
   // Cursor the current pass started from (nonzero only when resumed).
   BlockNo resume_start() const { return resume_start_; }
 
-  const TaskStats& stats() const { return stats_; }
+  const TaskStats& stats() const { return run_.stats(); }
   uint64_t checksum_errors() const { return checksum_errors_; }
   uint64_t read_errors() const { return read_errors_; }
   uint64_t blocks_repaired() const { return blocks_repaired_; }
@@ -78,39 +79,23 @@ class Scrubber {
  private:
   void ProcessNextChunk();
   void DrainDuetEvents();
-  void PollTick();
   void Finish();
   // Derives saved/completed work from the done bitmap (Duet mode).
   void FinalizeAccounting();
 
-  void SaveCursor();
-
   CowFs* fs_;
   DuetCore* duet_;
   ScrubberConfig config_;
-  SessionId sid_ = kInvalidSession;
+  TaskRun run_;
   BlockNo cursor_ = 0;
-  DurableImage* cursor_image_ = nullptr;
-  std::string cursor_key_;
   BlockNo resume_start_ = 0;
-  bool running_ = false;
-  // Pass generation. A pass can finish (via the done bitmap) while a chunk
-  // read is still queued at idle priority; if the next pass has started by
-  // the time that completion arrives, `running_` alone would let the stale
-  // callback resume the old cursor and fork a second scan chain. Callbacks
-  // capture the epoch they were issued in and are dropped on mismatch.
-  uint64_t epoch_ = 0;
   bool accounting_final_ = false;
-  EventId poll_event_ = kInvalidEvent;
   uint64_t checksum_errors_ = 0;
   uint64_t read_errors_ = 0;
   uint64_t blocks_repaired_ = 0;
   uint64_t blocks_unrecoverable_ = 0;
   uint64_t transient_retries_ = 0;
   uint32_t chunk_retry_ = 0;  // consecutive transient retries of this chunk
-  TaskObs tobs_{"scrub", TaskTag::kScrub};
-  TaskStats stats_;
-  std::function<void()> on_finish_;
 };
 
 }  // namespace duet

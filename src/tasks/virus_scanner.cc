@@ -6,7 +6,10 @@
 namespace duet {
 
 VirusScanner::VirusScanner(FileSystem* fs, DuetCore* duet, VirusScannerConfig config)
-    : fs_(fs), duet_(duet), config_(config) {
+    : fs_(fs),
+      duet_(duet),
+      config_(config),
+      run_("virus_scan", TaskTag::kVirusScan, &fs->loop(), duet) {
   assert(fs_ != nullptr);
   assert(!config_.use_duet || duet_ != nullptr);
 }
@@ -14,103 +17,55 @@ VirusScanner::VirusScanner(FileSystem* fs, DuetCore* duet, VirusScannerConfig co
 VirusScanner::~VirusScanner() { Stop(); }
 
 void VirusScanner::Start(std::function<void()> on_finish) {
-  assert(!running_);
-  on_finish_ = std::move(on_finish);
-  running_ = true;
-  stats_ = TaskStats{};
-  stats_.started_at = fs_->loop().now();
-  tobs_.Started(stats_.started_at);
-  files_scanned_ = 0;
-  infected_.clear();
+  run_.Begin(std::move(on_finish));
+  pass_ = Pass{};
 
   Result<InodeNo> root = fs_->ns().Resolve(config_.root);
   assert(root.ok());
   fs_->ns().WalkDepthFirst(*root, [&](const Inode& inode) {
     if (!inode.is_dir()) {
-      worklist_.push_back(inode.ino);
-      stats_.work_total += inode.PageCount();  // scans are read-only
+      pass_.worklist.push_back(inode.ino);
+      run_.stats().work_total += inode.PageCount();  // scans are read-only
     }
     return true;
   });
-  cursor_ = 0;
 
   if (config_.use_duet) {
-    queue_ = std::make_unique<InodePriorityQueue>(
+    pass_.queue = std::make_unique<InodePriorityQueue>(
         [](InodeNo, uint64_t pages) { return static_cast<double>(pages); });
-    Result<SessionId> sid = duet_->RegisterFileTask(config_.root, kDuetPageExists);
-    assert(sid.ok());
-    sid_ = *sid;
-    poll_event_ =
-        fs_->loop().ScheduleAfter(config_.fetch_interval, [this] { PollTick(); });
+    run_.Register(duet_->RegisterFileTask(config_.root, kDuetPageExists));
+    run_.Poll(config_.fetch_interval, [this] {
+      DrainDuetEvents();
+      return true;
+    });
   }
   ProcessNext();
 }
 
-void VirusScanner::Stop() {
-  running_ = false;
-  if (poll_event_ != kInvalidEvent) {
-    fs_->loop().Cancel(poll_event_);
-    poll_event_ = kInvalidEvent;
-  }
-  if (sid_ != kInvalidSession) {
-    (void)duet_->Deregister(sid_);
-    sid_ = kInvalidSession;
-  }
-}
-
 void VirusScanner::DrainDuetEvents() {
-  tobs_.FetchCall();
-  DrainEvents(*duet_, sid_, *queue_, config_.fetch_batch);
-}
-
-void VirusScanner::PollTick() {
-  poll_event_ = kInvalidEvent;
-  if (!running_) {
-    return;
-  }
-  DrainDuetEvents();
-  poll_event_ =
-      fs_->loop().ScheduleAfter(config_.fetch_interval, [this] { PollTick(); });
-}
-
-void VirusScanner::FinishRun() {
-  stats_.finished = true;
-  stats_.finished_at = fs_->loop().now();
-  tobs_.Finished(stats_.finished_at, stats_.work_done);
-  running_ = false;
-  if (poll_event_ != kInvalidEvent) {
-    fs_->loop().Cancel(poll_event_);
-    poll_event_ = kInvalidEvent;
-  }
-  if (sid_ != kInvalidSession) {
-    (void)duet_->Deregister(sid_);
-    sid_ = kInvalidSession;
-  }
-  if (on_finish_) {
-    on_finish_();
-  }
+  run_.Drain(*pass_.queue, config_.fetch_batch);
 }
 
 void VirusScanner::ProcessNext() {
-  if (!running_) {
+  if (!run_.running()) {
     return;
   }
   if (config_.use_duet) {
     DrainDuetEvents();
-    while (std::optional<InodeNo> hot = queue_->Dequeue()) {
-      if (duet_->CheckDone(sid_, *hot)) {
+    while (std::optional<InodeNo> hot = pass_.queue->Dequeue()) {
+      if (duet_->CheckDone(run_.sid(), *hot)) {
         continue;  // already scanned
       }
-      if (!duet_->GetPath(sid_, *hot).ok()) {
+      if (!duet_->GetPath(run_.sid(), *hot).ok()) {
         continue;  // hint went stale
       }
       ScanFile(*hot, /*opportunistic=*/true);
       return;
     }
   }
-  while (cursor_ < worklist_.size()) {
-    InodeNo ino = worklist_[cursor_++];
-    if (config_.use_duet && duet_->CheckDone(sid_, ino)) {
+  while (pass_.cursor < pass_.worklist.size()) {
+    InodeNo ino = pass_.worklist[pass_.cursor++];
+    if (config_.use_duet && duet_->CheckDone(run_.sid(), ino)) {
       continue;
     }
     if (!fs_->ns().Exists(ino)) {
@@ -119,13 +74,13 @@ void VirusScanner::ProcessNext() {
     ScanFile(ino, /*opportunistic=*/false);
     return;
   }
-  FinishRun();
+  run_.Finish();
 }
 
 void VirusScanner::ScanFile(InodeNo ino, bool opportunistic) {
   if (config_.use_duet) {
-    (void)duet_->SetDone(sid_, ino);
-    queue_->Erase(ino);
+    (void)duet_->SetDone(run_.sid(), ino);
+    pass_.queue->Erase(ino);
   }
   const Inode* inode = fs_->ns().Get(ino);
   if (inode == nullptr) {
@@ -133,41 +88,41 @@ void VirusScanner::ScanFile(InodeNo ino, bool opportunistic) {
     return;
   }
   if (opportunistic) {
-    stats_.opportunistic_units += inode->PageCount();
+    run_.stats().opportunistic_units += inode->PageCount();
   }
   ScanChunk(ino, 0, inode->size, opportunistic);
 }
 
 void VirusScanner::ScanChunk(InodeNo ino, PageIdx next_page, uint64_t size,
                              bool opportunistic) {
-  if (!running_) {
+  if (!run_.running()) {
     return;
   }
   uint64_t total_pages = PagesForBytes(size);
   if (next_page >= total_pages) {
-    ++files_scanned_;
+    ++pass_.files_scanned;
     fs_->loop().ScheduleAfter(0, [this] { ProcessNext(); });
     return;
   }
   uint64_t count = std::min<uint64_t>(config_.chunk_pages, total_pages - next_page);
   ByteOff off = next_page * kPageSize;
   uint64_t len = std::min<uint64_t>(count * kPageSize, size - off);
-  tobs_.ChunkStarted(fs_->loop().now(), ino, count);
+  run_.ChunkStarted(ino, count);
   fs_->Read(ino, off, len, config_.io_class,
             [this, ino, next_page, count, size, opportunistic](const FsIoResult& read) {
-              if (!running_) {
+              if (!run_.running()) {
                 return;
               }
-              stats_.io_read_pages += read.pages_from_disk;
-              stats_.saved_read_pages += read.pages_from_cache;
-              stats_.work_done += read.pages_requested;
-              tobs_.ChunkFinished(fs_->loop().now(), ino, count);
+              run_.stats().io_read_pages += read.pages_from_disk;
+              run_.stats().saved_read_pages += read.pages_from_cache;
+              run_.stats().work_done += read.pages_requested;
+              run_.ChunkFinished(ino, count);
               // Match each page's content against the signature set.
               for (PageIdx q = next_page; q < next_page + count; ++q) {
                 Result<uint64_t> content = fs_->PageContent(ino, q);
                 if (content.ok() && signatures_.count(*content) > 0) {
-                  if (infected_.empty() || infected_.back() != ino) {
-                    infected_.push_back(ino);
+                  if (pass_.infected.empty() || pass_.infected.back() != ino) {
+                    pass_.infected.push_back(ino);
                   }
                 }
               }

@@ -19,8 +19,7 @@
 #include "src/duet/duet_core.h"
 #include "src/duet/duet_library.h"
 #include "src/fs/file_system.h"
-#include "src/tasks/task_obs.h"
-#include "src/tasks/task_stats.h"
+#include "src/tasks/task_run.h"
 
 namespace duet {
 
@@ -43,35 +42,31 @@ class VirusScanner {
   void AddSignature(uint64_t token) { signatures_.insert(token); }
 
   void Start(std::function<void()> on_finish = nullptr);
-  void Stop();
+  void Stop() { run_.Stop(); }
 
-  const TaskStats& stats() const { return stats_; }
-  uint64_t files_scanned() const { return files_scanned_; }
-  const std::vector<InodeNo>& infected() const { return infected_; }
+  const TaskStats& stats() const { return run_.stats(); }
+  uint64_t files_scanned() const { return pass_.files_scanned; }
+  const std::vector<InodeNo>& infected() const { return pass_.infected; }
 
  private:
   void ProcessNext();
   void ScanFile(InodeNo ino, bool opportunistic);
   void ScanChunk(InodeNo ino, PageIdx next_page, uint64_t size, bool opportunistic);
   void DrainDuetEvents();
-  void PollTick();
-  void FinishRun();
 
   FileSystem* fs_;
   DuetCore* duet_;
   VirusScannerConfig config_;
-  SessionId sid_ = kInvalidSession;
-  bool running_ = false;
-  EventId poll_event_ = kInvalidEvent;
-  std::vector<InodeNo> worklist_;  // DFS order
-  size_t cursor_ = 0;
-  std::unique_ptr<InodePriorityQueue> queue_;
+  TaskRun run_;
   std::unordered_set<uint64_t> signatures_;
-  std::vector<InodeNo> infected_;
-  uint64_t files_scanned_ = 0;
-  TaskObs tobs_{"virus_scan", TaskTag::kVirusScan};
-  TaskStats stats_;
-  std::function<void()> on_finish_;
+  // Per-run state; Start() resets it so every run starts from scratch.
+  struct Pass {
+    std::vector<InodeNo> worklist;  // DFS order
+    size_t cursor = 0;
+    std::unique_ptr<InodePriorityQueue> queue;
+    std::vector<InodeNo> infected;
+    uint64_t files_scanned = 0;
+  } pass_;
 };
 
 }  // namespace duet

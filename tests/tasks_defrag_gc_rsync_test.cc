@@ -207,7 +207,7 @@ class RsyncTest : public ::testing::Test {
 
   RsyncConfig Config(bool use_duet) {
     RsyncConfig config;
-    config.use_duet = use_duet;
+    config.hints = use_duet ? RsyncHints::kDuet : RsyncHints::kNone;
     config.source_dir = "/src";
     config.dest_dir = "/dst";
     return config;
