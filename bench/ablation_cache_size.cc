@@ -27,8 +27,8 @@ int main(int argc, char** argv) {
         std::max<uint64_t>(64, static_cast<uint64_t>(ratio * static_cast<double>(data_pages)));
     static RateTable rates(BenchRateCachePath());
     MaintenanceRunResult result =
-        RunAtUtil(rates, stack, Personality::kWebserver, 1.0, false, 0.5,
-                  {MaintKind::kScrub}, /*use_duet=*/true);
+        RunAtUtil(rates, {.stack = stack, .target_util = 0.5,
+                          .tasks = {MaintKind::kScrub}, .use_duet = true});
     table.AddRow({Pct(ratio), Num(static_cast<double>(stack.cache_pages), 0),
                   Pct(result.IoSavedFraction()),
                   result.all_finished ? "yes" : "no"});

@@ -23,23 +23,11 @@ int main(int argc, char** argv) {
   }
   for (double util : utils) {
     for (bool clustered : {false, true}) {
-      WorkloadConfig base =
+      // RunMaintenance has no clustering knob, so the stack is built here.
+      WorkloadConfig workload =
           MakeWorkloadConfig(stack, Personality::kWebserver, 0.5, false, 0, 42);
-      base.cluster_covered = clustered;
-      const CalibratedRate& rate = rates.Get(stack, base, util);
-      MaintenanceRunConfig config;
-      config.stack = stack;
-      config.personality = Personality::kWebserver;
-      config.coverage = 0.5;
-      config.target_util = util;
-      config.ops_per_sec = rate.unthrottled ? 0 : rate.ops_per_sec;
-      config.unthrottled = rate.unthrottled;
-      config.tasks = {MaintKind::kScrub};
-      config.use_duet = true;
-      // RunMaintenance builds its own workload config; clustering is set via
-      // the coverage/cluster knob below.
-      WorkloadConfig workload = base;
-      workload.ops_per_sec = config.unthrottled ? 0 : config.ops_per_sec;
+      workload.cluster_covered = clustered;
+      workload.ops_per_sec = rates.Get(stack, workload, util).ops_per_sec;
       obs::ObsContext ctx;  // per-run counts
       obs::ObsScope scope(&ctx);
       CowRig rig(stack, workload);

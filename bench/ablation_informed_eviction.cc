@@ -25,22 +25,12 @@ int main(int argc, char** argv) {
     utils = {0.4};
   }
   for (double util : utils) {
-    WorkloadConfig base =
-        MakeWorkloadConfig(stack, Personality::kWebserver, 1.0, false, 0, 42);
-    const CalibratedRate& rate = rates.Get(stack, base, util);
-    MaintenanceRunConfig config;
-    config.stack = stack;
-    config.personality = Personality::kWebserver;
-    config.target_util = util;
-    config.ops_per_sec = rate.unthrottled ? 0 : rate.ops_per_sec;
-    config.unthrottled = rate.unthrottled;
-    config.tasks = {MaintKind::kScrub, MaintKind::kBackup};
-    config.use_duet = true;
-
-    config.informed_eviction = false;
-    MaintenanceRunResult plain = RunMaintenance(config);
+    MaintenanceRunConfig config{.stack = stack, .target_util = util,
+                                .tasks = {MaintKind::kScrub, MaintKind::kBackup},
+                                .use_duet = true};
+    MaintenanceRunResult plain = RunAtUtil(rates, config);
     config.informed_eviction = true;
-    MaintenanceRunResult informed = RunMaintenance(config);
+    MaintenanceRunResult informed = RunAtUtil(rates, config);
 
     table.AddRow({Pct(util), Pct(plain.IoSavedFraction()),
                   Pct(informed.IoSavedFraction()),

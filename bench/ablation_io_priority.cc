@@ -32,15 +32,10 @@ int main(int argc, char** argv) {
       WorkloadConfig base = MakeWorkloadConfig(stack, Personality::kWebserver, 1.0,
                                                false, 0, 42);
       const CalibratedRate& rate = rates.Get(stack, base, util);
-      MaintenanceRunConfig config;
-      config.stack = *s;
-      config.personality = Personality::kWebserver;
-      config.target_util = util;
-      config.ops_per_sec = rate.unthrottled ? 0 : rate.ops_per_sec;
-      config.unthrottled = rate.unthrottled;
-      config.tasks = {MaintKind::kScrub};
-      config.use_duet = true;
-      MaintenanceRunResult result = RunMaintenance(config);
+      MaintenanceRunResult result = RunMaintenance(
+          {.stack = *s, .target_util = util, .tasks = {MaintKind::kScrub},
+           .use_duet = true, .ops_per_sec = rate.ops_per_sec,
+           .unthrottled = rate.unthrottled});
       const TaskStats& scrub = result.task_stats[0];
       table.AddRow({Pct(util), name, Pct(result.IoSavedFraction()),
                     Num(static_cast<double>(result.workload_ops), 0),

@@ -107,37 +107,6 @@ inline void PrintBenchHeader(const char* title, const char* paper_expectation,
          stack.device == DeviceKind::kSsd ? "ssd" : "hdd");
 }
 
-// Runs one maintenance configuration at a target utilization, reusing rates
-// from `rates`.
-inline MaintenanceRunResult RunAtUtil(RateTable& rates, const StackConfig& stack,
-                                      Personality personality, double coverage,
-                                      bool skewed, double util,
-                                      std::vector<MaintKind> tasks, bool use_duet,
-                                      double fragmented_fraction = 0,
-                                      uint64_t seed = 42) {
-  MaintenanceRunConfig config;
-  config.stack = stack;
-  config.personality = personality;
-  config.coverage = coverage;
-  config.skewed = skewed;
-  config.target_util = util;
-  config.tasks = std::move(tasks);
-  config.use_duet = use_duet;
-  config.fragmented_fraction = fragmented_fraction;
-  config.seed = seed;
-  if (util > 0) {
-    WorkloadConfig base = MakeWorkloadConfig(stack, personality, coverage, skewed,
-                                             /*ops_per_sec=*/0, seed);
-    base.fragmented_fraction = fragmented_fraction;
-    const CalibratedRate& rate = rates.Get(stack, base, util);
-    config.ops_per_sec = rate.ops_per_sec;
-    config.unthrottled = rate.unthrottled;
-  } else {
-    config.ops_per_sec = 0;
-  }
-  return RunMaintenance(config);
-}
-
 }  // namespace duet
 
 #endif  // BENCH_BENCH_COMMON_H_

@@ -25,9 +25,8 @@ struct MttdRun {
   double measured_util = 0;
 };
 
-MttdRun RunMttd(StackConfig stack, bool use_duet, double ops_per_sec,
-                bool unthrottled, uint64_t seed, uint64_t fault_seed,
-                double fault_rate) {
+MttdRun RunMttd(StackConfig stack, bool use_duet, double ops_per_sec, uint64_t seed,
+                uint64_t fault_seed, double fault_rate) {
   // Detection latency is governed by how often scrubbing re-covers the
   // device, so the run spans several scrub passes: faults arrive during the
   // first (calibrated) window, and the clock keeps going for three more so
@@ -38,10 +37,9 @@ MttdRun RunMttd(StackConfig stack, bool use_duet, double ops_per_sec,
   // landing there are detected only by the scan — their detection latency is
   // set by the pass period, which is exactly what Duet shortens. (Faults are
   // still injected uniformly over the whole device in both modes.)
-  WorkloadConfig workload =
-      MakeWorkloadConfig(stack, Personality::kWebserver, /*coverage=*/0.5,
-                         /*skewed=*/false, /*ops_per_sec=*/0, seed);
-  workload.ops_per_sec = unthrottled ? 0 : ops_per_sec;
+  WorkloadConfig workload = MakeWorkloadConfig(stack, Personality::kWebserver,
+                                               /*coverage=*/0.5, /*skewed=*/false,
+                                               ops_per_sec, seed);
   obs::ObsContext ctx;  // per-run counts
   obs::ObsScope scope(&ctx);
   CowRig rig(stack, workload);
@@ -83,7 +81,7 @@ MttdRun RunMttd(StackConfig stack, bool use_duet, double ops_per_sec,
   out.scrub_io = completed_io + partial_io;
   out.repaired = scrub.blocks_repaired();  // cumulative across passes
   out.unrecoverable = scrub.blocks_unrecoverable();
-  out.measured_util = rig.UtilizationSince(0, 0);
+  out.measured_util = rig.device().BestEffortUtilizationSince(0, 0);
   return out;
 }
 
@@ -113,8 +111,8 @@ int main(int argc, char** argv) {
         MakeWorkloadConfig(stack, Personality::kWebserver, 0.5, false, 0, kSeed);
     const CalibratedRate& rate = rates.Get(stack, base, util);
     for (bool use_duet : {false, true}) {
-      MttdRun r = RunMttd(stack, use_duet, rate.ops_per_sec, rate.unthrottled,
-                          kSeed, kFaultSeed, kFaultRate);
+      MttdRun r =
+          RunMttd(stack, use_duet, rate.ops_per_sec, kSeed, kFaultSeed, kFaultRate);
       char plan[16];
       snprintf(plan, sizeof(plan), "%08x", r.fingerprint);
       char mttd[16];

@@ -27,13 +27,13 @@ int main(int argc, char** argv) {
     std::vector<std::string> row{Pct(util)};
     for (double overlap : OverlapSweep()) {
       MaintenanceRunResult result =
-          RunAtUtil(rates, stack, Personality::kWebserver, overlap,
-                    /*skewed=*/false, util, {MaintKind::kScrub}, /*use_duet=*/true);
+          RunAtUtil(rates, {.stack = stack, .coverage = overlap, .target_util = util,
+                            .tasks = {MaintKind::kScrub}, .use_duet = true});
       row.push_back(Pct(result.IoSavedFraction()));
     }
     MaintenanceRunResult skewed =
-        RunAtUtil(rates, stack, Personality::kWebserver, 1.0,
-                  /*skewed=*/true, util, {MaintKind::kScrub}, /*use_duet=*/true);
+        RunAtUtil(rates, {.stack = stack, .skewed = true, .target_util = util,
+                          .tasks = {MaintKind::kScrub}, .use_duet = true});
     row.push_back(Pct(skewed.IoSavedFraction()));
     table.AddRow(std::move(row));
     fflush(stdout);
@@ -47,18 +47,15 @@ int main(int argc, char** argv) {
   }
   printf("\npersonality effect at 70%% utilization, 100%% overlap:\n");
   TextTable ptable({"personality", "R:W", "I/O saved"});
-  ptable.AddRow({"webserver", "10:1",
-                 Pct(RunAtUtil(rates, stack, Personality::kWebserver, 1.0, false, 0.7,
-                               {MaintKind::kScrub}, true)
-                         .IoSavedFraction())});
-  ptable.AddRow({"webproxy", "4:1",
-                 Pct(RunAtUtil(rates, stack, Personality::kWebproxy, 1.0, false, 0.7,
-                               {MaintKind::kScrub}, true)
-                         .IoSavedFraction())});
-  ptable.AddRow({"fileserver", "1:2",
-                 Pct(RunAtUtil(rates, stack, Personality::kFileserver, 1.0, false, 0.7,
-                               {MaintKind::kScrub}, true)
-                         .IoSavedFraction())});
+  for (auto [p, name, ratio] :
+       {std::tuple{Personality::kWebserver, "webserver", "10:1"},
+        std::tuple{Personality::kWebproxy, "webproxy", "4:1"},
+        std::tuple{Personality::kFileserver, "fileserver", "1:2"}}) {
+    MaintenanceRunResult result =
+        RunAtUtil(rates, {.stack = stack, .personality = p, .target_util = 0.7,
+                          .tasks = {MaintKind::kScrub}, .use_duet = true});
+    ptable.AddRow({name, ratio, Pct(result.IoSavedFraction())});
+  }
   ptable.Print();
   return 0;
 }

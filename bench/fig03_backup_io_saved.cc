@@ -28,13 +28,13 @@ int main(int argc, char** argv) {
     std::vector<std::string> row{Pct(util)};
     for (double overlap : OverlapSweep()) {
       MaintenanceRunResult result =
-          RunAtUtil(rates, stack, Personality::kWebserver, overlap,
-                    /*skewed=*/false, util, {MaintKind::kBackup}, /*use_duet=*/true);
+          RunAtUtil(rates, {.stack = stack, .coverage = overlap, .target_util = util,
+                            .tasks = {MaintKind::kBackup}, .use_duet = true});
       row.push_back(Pct(result.IoSavedFraction()));
     }
     MaintenanceRunResult skewed =
-        RunAtUtil(rates, stack, Personality::kWebserver, 1.0,
-                  /*skewed=*/true, util, {MaintKind::kBackup}, /*use_duet=*/true);
+        RunAtUtil(rates, {.stack = stack, .skewed = true, .target_util = util,
+                          .tasks = {MaintKind::kBackup}, .use_duet = true});
     row.push_back(Pct(skewed.IoSavedFraction()));
     table.AddRow(std::move(row));
     fflush(stdout);
@@ -50,8 +50,9 @@ int main(int argc, char** argv) {
        {std::tuple{Personality::kWebserver, "webserver", "10:1"},
         std::tuple{Personality::kWebproxy, "webproxy", "4:1"},
         std::tuple{Personality::kFileserver, "fileserver", "1:2"}}) {
-    MaintenanceRunResult result = RunAtUtil(rates, stack, p, 1.0, false, 0.5,
-                                            {MaintKind::kBackup}, /*use_duet=*/true);
+    MaintenanceRunResult result =
+        RunAtUtil(rates, {.stack = stack, .personality = p, .target_util = 0.5,
+                          .tasks = {MaintKind::kBackup}, .use_duet = true});
     ptable.AddRow({name, ratio, Pct(result.IoSavedFraction())});
   }
   ptable.Print();

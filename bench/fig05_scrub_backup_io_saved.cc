@@ -27,8 +27,8 @@ int main(int argc, char** argv) {
     std::vector<std::string> row{Pct(util)};
     for (double overlap : OverlapSweep()) {
       MaintenanceRunResult result = RunAtUtil(
-          rates, stack, Personality::kWebserver, overlap, /*skewed=*/false, util,
-          {MaintKind::kScrub, MaintKind::kBackup}, /*use_duet=*/true);
+          rates, {.stack = stack, .coverage = overlap, .target_util = util,
+                  .tasks = {MaintKind::kScrub, MaintKind::kBackup}, .use_duet = true});
       row.push_back(Pct(result.IoSavedFraction()));
     }
     table.AddRow(std::move(row));

@@ -20,15 +20,14 @@ int main(int argc, char** argv) {
                    "duet done (100% ovl)"});
   for (int util_pct : UtilSweepPct()) {
     double util = util_pct / 100.0;
-    MaintenanceRunResult baseline = RunAtUtil(
-        rates, stack, Personality::kWebserver, 1.0, false, util,
-        {MaintKind::kScrub, MaintKind::kBackup}, /*use_duet=*/false);
-    MaintenanceRunResult duet_half = RunAtUtil(
-        rates, stack, Personality::kWebserver, 0.5, false, util,
-        {MaintKind::kScrub, MaintKind::kBackup}, /*use_duet=*/true);
-    MaintenanceRunResult duet_full = RunAtUtil(
-        rates, stack, Personality::kWebserver, 1.0, false, util,
-        {MaintKind::kScrub, MaintKind::kBackup}, /*use_duet=*/true);
+    MaintenanceRunConfig config{.stack = stack, .target_util = util,
+                                .tasks = {MaintKind::kScrub, MaintKind::kBackup}};
+    MaintenanceRunResult baseline = RunAtUtil(rates, config);
+    config.use_duet = true;
+    config.coverage = 0.5;
+    MaintenanceRunResult duet_half = RunAtUtil(rates, config);
+    config.coverage = 1.0;
+    MaintenanceRunResult duet_full = RunAtUtil(rates, config);
     table.AddRow({Pct(util), Pct(baseline.WorkCompletedFraction()),
                   Pct(duet_half.WorkCompletedFraction()),
                   Pct(duet_full.WorkCompletedFraction())});

@@ -36,9 +36,10 @@ int main(int argc, char** argv) {
     std::vector<std::string> row{Pct(util)};
     for (auto [p, overlap] : series) {
       MaintenanceRunResult result = RunAtUtil(
-          rates, stack, p, overlap, /*skewed=*/false, util,
-          {MaintKind::kScrub, MaintKind::kBackup, MaintKind::kDefrag},
-          /*use_duet=*/true, kFrag);
+          rates, {.stack = stack, .personality = p, .coverage = overlap,
+                  .target_util = util,
+                  .tasks = {MaintKind::kScrub, MaintKind::kBackup, MaintKind::kDefrag},
+                  .use_duet = true, .fragmented_fraction = kFrag});
       row.push_back(Pct(result.IoSavedFraction()));
     }
     table.AddRow(std::move(row));

@@ -20,14 +20,13 @@ int main(int argc, char** argv) {
   TextTable table({"util", "baseline done", "duet done"});
   for (int util_pct : UtilSweepPct()) {
     double util = util_pct / 100.0;
-    MaintenanceRunResult baseline = RunAtUtil(
-        rates, stack, Personality::kWebserver, 1.0, false, util,
-        {MaintKind::kScrub, MaintKind::kBackup, MaintKind::kDefrag},
-        /*use_duet=*/false, kFrag);
-    MaintenanceRunResult with_duet = RunAtUtil(
-        rates, stack, Personality::kWebserver, 1.0, false, util,
-        {MaintKind::kScrub, MaintKind::kBackup, MaintKind::kDefrag},
-        /*use_duet=*/true, kFrag);
+    MaintenanceRunConfig config{
+        .stack = stack, .target_util = util,
+        .tasks = {MaintKind::kScrub, MaintKind::kBackup, MaintKind::kDefrag},
+        .fragmented_fraction = kFrag};
+    MaintenanceRunResult baseline = RunAtUtil(rates, config);
+    config.use_duet = true;
+    MaintenanceRunResult with_duet = RunAtUtil(rates, config);
     table.AddRow({Pct(util), Pct(baseline.WorkCompletedFraction()),
                   Pct(with_duet.WorkCompletedFraction())});
     fflush(stdout);

@@ -24,8 +24,8 @@ int main(int argc, char** argv) {
   for (int util_pct : UtilSweepPct(20)) {
     double util = util_pct / 100.0;
     auto run = [&](const StackConfig& s, MaintKind task) {
-      return RunAtUtil(rates, s, Personality::kWebserver, 1.0, false, util, {task},
-                       /*use_duet=*/true)
+      return RunAtUtil(rates, {.stack = s, .target_util = util, .tasks = {task},
+                               .use_duet = true})
           .IoSavedFraction();
     };
     table.AddRow({Pct(util), Pct(run(stack, MaintKind::kScrub)),
@@ -41,8 +41,8 @@ int main(int argc, char** argv) {
   // SSD. Show the baseline backup runtimes.
   printf("\nbaseline backup runtime (0%% utilization):\n");
   for (auto [s, name] : {std::pair{&stack, "hdd"}, std::pair{&ssd, "ssd"}}) {
-    MaintenanceRunResult r = RunAtUtil(rates, *s, Personality::kWebserver, 1.0, false,
-                                       0, {MaintKind::kBackup}, /*use_duet=*/false);
+    MaintenanceRunResult r =
+        RunAtUtil(rates, {.stack = *s, .target_util = 0, .tasks = {MaintKind::kBackup}});
     printf("  %s: %s in %.1f s\n", name,
            r.task_stats[0].finished ? "finished" : "not finished",
            ToSeconds(r.task_stats[0].Runtime()));

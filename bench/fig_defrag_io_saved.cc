@@ -34,9 +34,10 @@ int main(int argc, char** argv) {
     double util = util_pct / 100.0;
     std::vector<std::string> row{Pct(util)};
     for (auto [p, skew] : series) {
-      MaintenanceRunResult result = RunAtUtil(rates, stack, p, 1.0, skew, util,
-                                              {MaintKind::kDefrag},
-                                              /*use_duet=*/true, kFrag);
+      MaintenanceRunResult result = RunAtUtil(
+          rates, {.stack = stack, .personality = p, .skewed = skew, .target_util = util,
+                  .tasks = {MaintKind::kDefrag}, .use_duet = true,
+                  .fragmented_fraction = kFrag});
       row.push_back(Pct(result.IoSavedFraction()));
     }
     table.AddRow(std::move(row));

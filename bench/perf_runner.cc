@@ -229,9 +229,8 @@ Measurement MeasureScrubRun(const StackConfig& stack) {
   RateTable rates((std::string()));  // in-memory rate cache
   auto start = Clock::now();
   MaintenanceRunResult result =
-      RunAtUtil(rates, stack, Personality::kWebserver, /*coverage=*/1.0,
-                /*skewed=*/false, /*util=*/0.6, {MaintKind::kScrub},
-                /*use_duet=*/true);
+      RunAtUtil(rates, {.stack = stack, .target_util = 0.6,
+                        .tasks = {MaintKind::kScrub}, .use_duet = true});
   Measurement m{"fig02_scrub_duet_smoke", result.workload_ops, MsSince(start)};
   return m;
 }
@@ -243,9 +242,8 @@ Measurement MeasureScrubRun(const StackConfig& stack) {
 Measurement MeasureGcRun(StackConfig stack) {
   stack.window = Seconds(6);
   auto start = Clock::now();
-  GcRunResult result = RunGc(stack, /*target_util=*/0.6, /*use_duet=*/true,
-                             /*seed=*/42, /*ops_per_sec=*/100,
-                             /*unthrottled=*/false, /*skewed=*/false);
+  GcRunResult result =
+      RunGc(stack, /*use_duet=*/true, /*seed=*/42, /*ops_per_sec=*/100);
   Measurement m{"table6_gc_duet_smoke", result.segments_cleaned, MsSince(start)};
   return m;
 }

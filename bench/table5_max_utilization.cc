@@ -16,26 +16,6 @@ struct Row {
   bool skewed;
 };
 
-double MaxUtil(RateTable& rates, const StackConfig& stack, const Row& row,
-               MaintKind task, bool use_duet, double frag) {
-  double best = -1;
-  int step = SmokeMode() ? 50 : 10;
-  for (int util_pct = 0; util_pct <= 100; util_pct += step) {
-    double util = util_pct / 100.0;
-    MaintenanceRunResult result = RunAtUtil(rates, stack, row.personality,
-                                            row.overlap, row.skewed, util, {task},
-                                            use_duet, frag);
-    // Only count levels the workload can actually sustain.
-    bool reachable = util_pct == 0 || result.measured_util >= util - 0.08;
-    if (result.all_finished && reachable) {
-      best = util;
-    } else if (util_pct > 0) {
-      break;
-    }
-  }
-  return best;
-}
-
 std::string FmtUtil(double util) {
   return util < 0 ? std::string("n/a") : Pct(util);
 }
@@ -69,15 +49,20 @@ int main(int argc, char** argv) {
   }
 
   RateTable rates(BenchRateCachePath());
+  int step_pct = SmokeMode() ? 50 : 10;
   TextTable table({"workload", "overlap", "distribution", "scrub base", "scrub duet",
                    "backup base", "backup duet", "defrag base", "defrag duet"});
   for (const Row& row : rows) {
     std::vector<std::string> cells{row.workload_name, Pct(row.overlap),
                                    row.skewed ? "MS trace" : "uniform"};
     for (MaintKind task : task_kinds) {
-      double frag = task == MaintKind::kDefrag ? 0.1 : 0.0;
-      cells.push_back(FmtUtil(MaxUtil(rates, stack, row, task, false, frag)));
-      cells.push_back(FmtUtil(MaxUtil(rates, stack, row, task, true, frag)));
+      MaintenanceRunConfig config{
+          .stack = stack, .personality = row.personality, .coverage = row.overlap,
+          .skewed = row.skewed, .tasks = {task},
+          .fragmented_fraction = task == MaintKind::kDefrag ? 0.1 : 0.0};
+      cells.push_back(FmtUtil(FindMaxUtilization(rates, config, step_pct)));
+      config.use_duet = true;
+      cells.push_back(FmtUtil(FindMaxUtilization(rates, config, step_pct)));
       fflush(stdout);
     }
     table.AddRow(std::move(cells));

@@ -40,15 +40,9 @@ int main(int argc, char** argv) {
   for (bool skewed : skew_axis) {
     for (int util_pct = 40; util_pct <= 70; util_pct += util_step) {
       double util = util_pct / 100.0;
-      WorkloadConfig base = MakeWorkloadConfig(stack, Personality::kFileserver, 1.0,
-                                               skewed, 0, 42);
-      const CalibratedRate& rate = rates.Get(stack, base, util);
-      GcRunResult baseline =
-          RunGc(stack, util, /*use_duet=*/false, 42,
-                rate.unthrottled ? 0 : rate.ops_per_sec, rate.unthrottled, skewed);
-      GcRunResult with_duet =
-          RunGc(stack, util, /*use_duet=*/true, 42,
-                rate.unthrottled ? 0 : rate.ops_per_sec, rate.unthrottled, skewed);
+      double rate = rates.Get(stack, GcWorkload(stack, skewed, 42), util).ops_per_sec;
+      GcRunResult baseline = RunGc(stack, /*use_duet=*/false, 42, rate, skewed);
+      GcRunResult with_duet = RunGc(stack, /*use_duet=*/true, 42, rate, skewed);
       table.AddRow({Pct(util), skewed ? "MS trace" : "uniform", fmt(baseline),
                     fmt(with_duet), cached_share(baseline), cached_share(with_duet)});
       fflush(stdout);

@@ -17,23 +17,19 @@ int main() {
   StackConfig stack = QuickStackConfig();
   printf("Concurrent maintenance: scrub + backup + defrag, webserver @ ~50%% util\n\n");
 
-  WorkloadConfig base = MakeWorkloadConfig(stack, Personality::kWebserver, 1.0,
-                                           false, 0, 7);
-  base.fragmented_fraction = 0.1;  // an aged, ~10% fragmented file system
-  CalibratedRate rate = CalibrateRate(stack, base, 0.5);
-
+  // Both runs share one calibration: the table profiles the workload alone
+  // on first use and hands the second run the same rate.
+  RateTable rates;
   for (bool use_duet : {false, true}) {
     MaintenanceRunConfig config;
     config.stack = stack;
     config.personality = Personality::kWebserver;
     config.target_util = 0.5;
-    config.ops_per_sec = rate.unthrottled ? 0 : rate.ops_per_sec;
-    config.unthrottled = rate.unthrottled;
     config.tasks = {MaintKind::kScrub, MaintKind::kBackup, MaintKind::kDefrag};
     config.use_duet = use_duet;
-    config.fragmented_fraction = 0.1;
+    config.fragmented_fraction = 0.1;  // an aged, ~10% fragmented file system
     config.seed = 7;
-    MaintenanceRunResult result = RunMaintenance(config);
+    MaintenanceRunResult result = RunAtUtil(rates, config);
 
     printf("--- %s ---\n", use_duet ? "with Duet" : "baseline");
     for (size_t i = 0; i < config.tasks.size(); ++i) {

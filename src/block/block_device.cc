@@ -147,11 +147,6 @@ void BlockDevice::CrashFreeze() {
   image_->Freeze();
 }
 
-uint64_t BlockDevice::InFlightOrQueued() const {
-  return in_flight_ + scheduler_->QueuedCount(IoClass::kBestEffort) +
-         scheduler_->QueuedCount(IoClass::kIdle);
-}
-
 void BlockDevice::TryDispatch() {
   if (busy_) {
     return;

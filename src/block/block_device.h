@@ -46,9 +46,6 @@ struct DeviceStats {
   uint64_t TotalOps(IoClass c) const {
     return ops[static_cast<int>(c)][0] + ops[static_cast<int>(c)][1];
   }
-  uint64_t TotalBlocks(IoClass c) const {
-    return blocks[static_cast<int>(c)][0] + blocks[static_cast<int>(c)][1];
-  }
   SimDuration TotalBusy() const { return busy[0] + busy[1]; }
 };
 
@@ -85,8 +82,6 @@ class BlockDevice {
   // the image freezes. Everything still volatile is lost.
   void CrashFreeze();
 
-  // Blocks written but not yet covered by a completed Flush().
-  uint64_t VolatileDirtyBlocks() const { return volatile_index_.size(); }
   // Data + flush ops dispatched to the platter (crash-at-op addressing).
   uint64_t ops_dispatched() const { return ops_dispatched_; }
 
@@ -102,8 +97,6 @@ class BlockDevice {
   uint64_t capacity_blocks() const { return model_->capacity_blocks(); }
 
   bool busy() const { return busy_; }
-  // Requests queued or in flight, any class.
-  uint64_t InFlightOrQueued() const;
   // Last instant a best-effort request was submitted or completed.
   SimTime last_best_effort_activity() const { return last_best_effort_activity_; }
 

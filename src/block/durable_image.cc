@@ -20,14 +20,6 @@ uint64_t DurableImage::Commit(BlockNo block, uint64_t token, uint32_t csum,
   return r.seq;
 }
 
-void DurableImage::Forget(BlockNo block) {
-  assert(block < records_.size());
-  if (frozen_) {
-    return;
-  }
-  records_[block] = Record{};
-}
-
 void DurableImage::TearToken(BlockNo block) {
   assert(block < records_.size());
   if (records_[block].present) {
@@ -54,29 +46,6 @@ void DurableImage::PutMeta(const std::string& key, std::vector<uint8_t> blob) {
 const std::vector<uint8_t>* DurableImage::GetMeta(const std::string& key) const {
   auto it = meta_.find(key);
   return it == meta_.end() ? nullptr : &it->second;
-}
-
-void DurableImage::EraseMeta(const std::string& key) {
-  if (frozen_) {
-    return;
-  }
-  meta_.erase(key);
-}
-
-uint64_t DurableImage::MetaBytes() const {
-  uint64_t total = 0;
-  for (const auto& [key, blob] : meta_) {
-    total += key.size() + blob.size();
-  }
-  return total;
-}
-
-uint64_t DurableImage::committed_blocks() const {
-  uint64_t n = 0;
-  for (const Record& r : records_) {
-    n += r.present ? 1 : 0;
-  }
-  return n;
 }
 
 }  // namespace duet

@@ -56,10 +56,6 @@ class DurableImage {
   uint64_t Commit(BlockNo block, uint64_t token, uint32_t csum, InodeNo ino,
                   PageIdx idx);
 
-  // Forgets a block (setup-time resets; not used by the crash path — freed
-  // blocks simply stop being referenced by the next checkpoint).
-  void Forget(BlockNo block);
-
   const Record& At(BlockNo block) const { return records_[block]; }
   bool Present(BlockNo block) const { return records_[block].present; }
   uint64_t commit_seq() const { return commit_seq_; }
@@ -80,23 +76,16 @@ class DurableImage {
   // powered off. Thaw() re-enables writes for the recovered stack.
   void Freeze() { frozen_ = true; }
   void Thaw() { frozen_ = false; }
-  bool frozen() const { return frozen_; }
 
   // ---- Named metadata regions ----
   // Atomic replace of region `key`. Ignored while frozen.
   void PutMeta(const std::string& key, std::vector<uint8_t> blob);
   // nullptr if the region does not exist.
   const std::vector<uint8_t>* GetMeta(const std::string& key) const;
-  void EraseMeta(const std::string& key);
-  // Total bytes across all metadata regions (recovery-read sizing).
-  uint64_t MetaBytes() const;
-
-  // ---- Introspection ----
-  uint64_t committed_blocks() const;
 
  private:
   std::vector<Record> records_;
-  // Ordered map: iteration (MetaBytes, debugging) must be deterministic.
+  // Ordered map: iteration must be deterministic.
   std::map<std::string, std::vector<uint8_t>> meta_;
   uint64_t commit_seq_ = 0;
   bool frozen_ = false;

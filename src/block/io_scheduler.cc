@@ -34,12 +34,7 @@ DispatchDecision CfqScheduler::Dispatch(SimTime now, SimTime last_best_effort_ac
   return decision;
 }
 
-uint64_t CfqScheduler::QueuedCount(IoClass io_class) const {
-  return io_class == IoClass::kBestEffort ? best_effort_.size() : idle_.size();
-}
-
 void DeadlineScheduler::Enqueue(IoRequest request) {
-  ++queued_[static_cast<int>(request.io_class)];
   queue_.push_back(std::move(request));
 }
 
@@ -49,13 +44,8 @@ DispatchDecision DeadlineScheduler::Dispatch(SimTime /*now*/,
   if (!queue_.empty()) {
     decision.request = std::move(queue_.front());
     queue_.pop_front();
-    --queued_[static_cast<int>(decision.request->io_class)];
   }
   return decision;
-}
-
-uint64_t DeadlineScheduler::QueuedCount(IoClass io_class) const {
-  return queued_[static_cast<int>(io_class)];
 }
 
 }  // namespace duet

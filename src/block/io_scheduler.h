@@ -33,12 +33,7 @@ class IoScheduler {
   // submitted or completed.
   virtual DispatchDecision Dispatch(SimTime now, SimTime last_best_effort_activity) = 0;
 
-  virtual uint64_t QueuedCount(IoClass io_class) const = 0;
   virtual const char* name() const = 0;
-
-  bool Empty() const {
-    return QueuedCount(IoClass::kBestEffort) == 0 && QueuedCount(IoClass::kIdle) == 0;
-  }
 };
 
 // CFQ-like scheduler with two classes. Best-effort requests dispatch FIFO
@@ -51,7 +46,6 @@ class CfqScheduler : public IoScheduler {
 
   void Enqueue(IoRequest request) override;
   DispatchDecision Dispatch(SimTime now, SimTime last_best_effort_activity) override;
-  uint64_t QueuedCount(IoClass io_class) const override;
   const char* name() const override { return "cfq"; }
 
   SimDuration idle_grace() const { return idle_grace_; }
@@ -68,12 +62,10 @@ class DeadlineScheduler : public IoScheduler {
  public:
   void Enqueue(IoRequest request) override;
   DispatchDecision Dispatch(SimTime now, SimTime last_best_effort_activity) override;
-  uint64_t QueuedCount(IoClass io_class) const override;
   const char* name() const override { return "deadline"; }
 
  private:
   std::deque<IoRequest> queue_;
-  uint64_t queued_[2] = {0, 0};
 };
 
 // Trivial FIFO, used by unit tests.

@@ -362,12 +362,6 @@ void PageCache::RemoveListener(PageEventListener* listener) {
                    listeners_.end());
 }
 
-uint64_t PageCache::IndexMemoryBytes() const {
-  return arena_.capacity() * sizeof(Entry) +
-         free_slots_.capacity() * sizeof(uint32_t) + page_table_.MemoryBytes() +
-         inode_chains_.size() * (sizeof(InodeNo) + sizeof(InodeChain));
-}
-
 void PageCache::EvictIfNeeded() {
   if (page_count_ <= capacity_) {
     return;

@@ -128,10 +128,6 @@ class PageCache {
   void SetEvictionAdvisor(EvictionAdvisor advisor, size_t window = 64);
   void ClearEvictionAdvisor();
 
-  // sizeof-accurate heap footprint of the cache index (entry arena, freelist,
-  // flat page table, per-inode chain directory).
-  uint64_t IndexMemoryBytes() const;
-
  private:
   static constexpr uint32_t kNoSlot = FlatPageMap::kNoSlot;
 

@@ -63,7 +63,6 @@ class Writeback : public PageEventListener {
   // and test teardown.
   void Sync(std::function<void()> done);
 
-  bool running_pass() const { return pass_in_flight_; }
   const WritebackParams& params() const { return params_; }
 
  private:

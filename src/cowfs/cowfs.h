@@ -50,8 +50,6 @@ class CowFs : public FileSystem {
   // block unrecoverable by RepairBlocks.
   void CorruptBlock(BlockNo block, bool also_mirror = false);
   uint64_t checksum_errors_detected() const { return checksum_errors_detected_; }
-  // DUP mirror copy of `block` (tests).
-  uint64_t MirrorToken(BlockNo block) const { return mirror_data_[block]; }
 
   // ---- Raw block reads (scrubber; backup's unshared blocks) ----
   // Reads `count` blocks at `start` from the device, verifying checksums of
@@ -124,7 +122,6 @@ class CowFs : public FileSystem {
   void DefragFile(InodeNo ino, IoClass io_class,
                   std::function<void(const DefragResult&)> cb);
 
-  uint64_t free_blocks() const { return capacity_blocks() - allocated_.Count(); }
   // Where the next-fit allocator starts its next search (tests).
   BlockNo alloc_cursor() const { return alloc_cursor_; }
   uint32_t BlockRefcount(BlockNo block) const { return refcount_[block]; }
@@ -145,9 +142,6 @@ class CowFs : public FileSystem {
   // log tree). Must be called on a freshly constructed file system.
   void Mount(std::function<void(const MountReport&)> cb) override;
   FsckReport CheckConsistency() const override;
-  uint64_t superblock_generation() const { return superblock_generation_; }
-  // True if the last committed superblock references `block` (pinned).
-  bool CommittedBlock(BlockNo block) const { return committed_.Test(block); }
 
  protected:
   Result<BlockNo> AllocateForWrite(InodeNo ino, PageIdx idx, BlockNo old_block) override;

@@ -7,22 +7,6 @@
 
 namespace duet {
 
-const char* FaultKindName(uint32_t kind) {
-  switch (kind) {
-    case kFaultLatent:
-      return "latent";
-    case kFaultBitRot:
-      return "bitrot";
-    case kFaultTornWrite:
-      return "torn";
-    case kFaultTransient:
-      return "transient";
-    case kFaultCrash:
-      return "crash";
-  }
-  return "unknown";
-}
-
 FaultPlan FaultPlan::Generate(uint64_t seed, const FaultPlanConfig& config,
                               uint64_t capacity_blocks) {
   FaultPlan plan;

@@ -26,8 +26,6 @@ inline constexpr uint32_t kFaultCrash = 1u << 4;      // power loss: volatile st
 inline constexpr uint32_t kFaultAllKinds =
     kFaultLatent | kFaultBitRot | kFaultTornWrite | kFaultTransient | kFaultCrash;
 
-const char* FaultKindName(uint32_t kind);
-
 struct FaultPlanConfig {
   uint32_t kinds = kFaultLatent | kFaultBitRot;
   // Mean fault arrival rate (Poisson process over the window).

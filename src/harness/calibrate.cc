@@ -180,22 +180,39 @@ RateTable::~RateTable() {
     return;
   }
   for (const auto& [key, rate] : cache_) {
-    fprintf(f, "%s %.6f %d %.6f\n", key.c_str(), rate.ops_per_sec,
-            rate.unthrottled ? 1 : 0, rate.achieved_util);
+    fprintf(f, "%s %.17g %d %.17g\n", key.c_str(), rate.ops_per_sec,
+            rate.unthrottled, rate.achieved_util);
   }
   fclose(f);
 }
 
 const CalibratedRate& RateTable::Get(const StackConfig& stack,
                                      const WorkloadConfig& base, double target_util) {
+  using ull = unsigned long long;
+  // The bindings name every field of both configs, so adding a field stops
+  // this from compiling until the key takes it in or says why it does not.
+  // Not keyed: the stack's data_bytes and mean_file_size reach a probe only
+  // through the workload's file_count and mean_file_size, a probe runs for
+  // its own profile window rather than the stack's, and ops_per_sec is the
+  // output.
+  [[maybe_unused]] const auto& [device, scheduler, capacity_blocks, data_bytes,
+                                cache_pages, window, idle_grace, stack_mean_file_size] =
+      stack;
+  [[maybe_unused]] const auto& [personality, file_count, mean_file_size, coverage,
+                                cluster_covered, skewed, zipf_s, ops_per_sec, think_time,
+                                append_size, fragmented_fraction, seed, subdirs,
+                                partial_read_fraction, data_dir, log_path] = base;
   std::string key = StrFormat(
-      "%d|%d|%llu|%llu|%s|%.3f|%d|%.3f|%.2f|%llu", static_cast<int>(stack.device),
-      static_cast<int>(stack.scheduler),
-      static_cast<unsigned long long>(stack.capacity_blocks),
-      static_cast<unsigned long long>(stack.cache_pages),
-      PersonalityName(base.personality), base.coverage, base.skewed ? 1 : 0,
-      base.fragmented_fraction, target_util,
-      static_cast<unsigned long long>(base.seed));
+      "%d|%d|%llu|%llu|%llu|%s|%llu|%llu|%.17g|%d|%d|%.17g|%llu|%llu|%.17g|%llu|"
+      "%llu|%.17g|%s|%s|%.17g",
+      static_cast<int>(device), static_cast<int>(scheduler),
+      static_cast<ull>(capacity_blocks), static_cast<ull>(cache_pages),
+      static_cast<ull>(idle_grace), PersonalityName(personality),
+      static_cast<ull>(file_count), static_cast<ull>(mean_file_size), coverage,
+      cluster_covered, skewed, zipf_s, static_cast<ull>(think_time),
+      static_cast<ull>(append_size), fragmented_fraction, static_cast<ull>(seed),
+      static_cast<ull>(subdirs), partial_read_fraction, data_dir.c_str(),
+      log_path.c_str(), target_util);
   auto it = cache_.find(key);
   if (it == cache_.end()) {
     it = cache_.emplace(key, CalibrateRate(stack, base, target_util)).first;

@@ -32,7 +32,9 @@ double MeasureUtilization(const StackConfig& stack, const WorkloadConfig& worklo
 // counter only grows); if the bisection ends unconverged, every stopped
 // probe that could still hold the least error is re-measured in full.
 struct CalibratedRate {
-  double ops_per_sec = 0;   // 0 with unthrottled=false means "no workload"
+  // The workload's ops_per_sec: 0, the unthrottled closed loop, both for a
+  // target of 0 (the caller runs no workload) and when `unthrottled` is set.
+  double ops_per_sec = 0;
   bool unthrottled = false; // target at/above the natural maximum
   double achieved_util = 0;
   int probes = 0;           // profile runs made; 0 when read from a cache
@@ -43,12 +45,16 @@ CalibratedRate CalibrateRate(const StackConfig& stack, const WorkloadConfig& bas
 
 // Memoizes calibration results across runs of a bench binary: calibration is
 // deterministic given (stack, workload, target), so each combination is
-// profiled once.
+// profiled once. The key holds the target and every stack and workload field
+// a profile run reads, all but the workload's own ops_per_sec; Get names each
+// field, so a field added to either config does not compile until it is
+// keyed or excluded there.
 class RateTable {
  public:
   RateTable() = default;
   // With a path, previously saved calibrations are loaded, and new ones are
-  // appended on destruction — bench binaries share one cache file.
+  // appended on destruction — bench binaries share one cache file. Rates are
+  // saved exactly: a loaded rate is the same double CalibrateRate returned.
   explicit RateTable(std::string cache_path);
   ~RateTable();
 

@@ -1,29 +1,26 @@
 #include "src/harness/rig.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace duet {
 
-CowRig::CowRig(const StackConfig& stack, const WorkloadConfig& workload_config)
-    : stack_(stack),
-      device_(&loop_, MakeDiskModel(stack), MakeScheduler(stack)),
+template <typename Fs>
+Rig<Fs>::Rig(const StackConfig& stack, const WorkloadConfig& workload_config)
+    : device_(&loop_, MakeDiskModel(stack), MakeScheduler(stack)),
       fs_(&loop_, &device_, stack.cache_pages),
       duet_(&fs_),
       workload_(&fs_, workload_config) {
   Status setup = workload_.Setup();
-  assert(setup.ok());
-  (void)setup;
+  if (!setup.ok()) {
+    fprintf(stderr, "rig: cannot populate the %s file set: %s\n",
+            PersonalityName(workload_config.personality), setup.ToString().c_str());
+    std::abort();
+  }
 }
 
-LogRig::LogRig(const StackConfig& stack, const WorkloadConfig& workload_config,
-               uint32_t segment_blocks)
-    : stack_(stack),
-      device_(&loop_, MakeDiskModel(stack), MakeScheduler(stack)),
-      fs_(&loop_, &device_, stack.cache_pages, segment_blocks),
-      duet_(&fs_),
-      workload_(&fs_, workload_config) {
-  Status setup = workload_.Setup();
-  assert(setup.ok());
-  (void)setup;
-}
+template class Rig<CowFs>;
+template class Rig<LogFs>;
 
 WorkloadConfig MakeWorkloadConfig(const StackConfig& stack, Personality personality,
                                   double coverage, bool skewed, double ops_per_sec,

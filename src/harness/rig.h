@@ -3,8 +3,6 @@
 #ifndef SRC_HARNESS_RIG_H_
 #define SRC_HARNESS_RIG_H_
 
-#include <memory>
-
 #include "src/cowfs/cowfs.h"
 #include "src/duet/duet_core.h"
 #include "src/harness/stack_config.h"
@@ -13,52 +11,35 @@
 
 namespace duet {
 
+// One stack over file system type `Fs`. The constructor populates the
+// workload's file set; a population that fails (the file system fills up)
+// aborts with its status in every build type.
+template <typename Fs>
+class Rig {
+ public:
+  Rig(const StackConfig& stack, const WorkloadConfig& workload_config);
+
+  EventLoop& loop() { return loop_; }
+  BlockDevice& device() { return device_; }
+  Fs& fs() { return fs_; }
+  DuetCore& duet() { return duet_; }
+  FilebenchWorkload& workload() { return workload_; }
+
+ private:
+  EventLoop loop_;
+  BlockDevice device_;
+  Fs fs_;
+  DuetCore duet_;
+  FilebenchWorkload workload_;
+};
+
+extern template class Rig<CowFs>;
+extern template class Rig<LogFs>;
+
 // cowfs stack (scrubbing / backup / defragmentation / rsync source).
-class CowRig {
- public:
-  CowRig(const StackConfig& stack, const WorkloadConfig& workload_config);
-
-  EventLoop& loop() { return loop_; }
-  BlockDevice& device() { return device_; }
-  CowFs& fs() { return fs_; }
-  DuetCore& duet() { return duet_; }
-  FilebenchWorkload& workload() { return workload_; }
-  const StackConfig& stack() const { return stack_; }
-
-  // Measures best-effort device utilization over [since, now].
-  double UtilizationSince(SimTime since, SimDuration busy_snapshot) const {
-    return device_.BestEffortUtilizationSince(since, busy_snapshot);
-  }
-
- private:
-  StackConfig stack_;
-  EventLoop loop_;
-  BlockDevice device_;
-  CowFs fs_;
-  DuetCore duet_;
-  FilebenchWorkload workload_;
-};
-
+using CowRig = Rig<CowFs>;
 // logfs stack (garbage collection).
-class LogRig {
- public:
-  LogRig(const StackConfig& stack, const WorkloadConfig& workload_config,
-         uint32_t segment_blocks = 512);
-
-  EventLoop& loop() { return loop_; }
-  BlockDevice& device() { return device_; }
-  LogFs& fs() { return fs_; }
-  DuetCore& duet() { return duet_; }
-  FilebenchWorkload& workload() { return workload_; }
-
- private:
-  StackConfig stack_;
-  EventLoop loop_;
-  BlockDevice device_;
-  LogFs fs_;
-  DuetCore duet_;
-  FilebenchWorkload workload_;
-};
+using LogRig = Rig<LogFs>;
 
 // Fills in the workload's file set parameters from the stack config and
 // returns the adjusted config.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 
 namespace duet {
@@ -47,24 +49,33 @@ double MaintenanceRunResult::WorkCompletedFraction() const {
          static_cast<double>(work);
 }
 
-MaintenanceRunResult RunMaintenance(const MaintenanceRunConfig& config) {
+namespace {
+
+// The workload a maintenance run builds, at rate 0.
+WorkloadConfig MaintenanceWorkload(const MaintenanceRunConfig& config) {
   WorkloadConfig workload = MakeWorkloadConfig(
       config.stack, config.personality, config.coverage, config.skewed,
       /*ops_per_sec=*/0, config.seed);
   workload.fragmented_fraction = config.fragmented_fraction;
+  return workload;
+}
 
+}  // namespace
+
+MaintenanceRunResult RunMaintenance(const MaintenanceRunConfig& config) {
+  WorkloadConfig workload = MaintenanceWorkload(config);
   bool run_workload = config.target_util > 0;
   if (run_workload) {
-    if (config.ops_per_sec >= 0) {
-      workload.ops_per_sec = config.unthrottled ? 0 : config.ops_per_sec;
-    } else {
-      CalibratedRate rate = CalibrateRate(config.stack, workload, config.target_util);
-      workload.ops_per_sec = rate.unthrottled ? 0 : rate.ops_per_sec;
+    if (config.ops_per_sec < 0) {
+      fprintf(stderr,
+              "RunMaintenance: no workload rate for target utilization %.2f; "
+              "run it through RunAtUtil\n",
+              config.target_util);
+      std::abort();
     }
+    workload.ops_per_sec = config.unthrottled ? 0 : config.ops_per_sec;
   }
 
-  // Calibration above runs throwaway stacks; the run's observability scope
-  // starts here so its counters and trace cover exactly this stack.
   obs::ObsContext local_obs;
   obs::ObsContext* obs = config.obs != nullptr ? config.obs : &local_obs;
   obs::ObsScope obs_scope(obs);
@@ -136,7 +147,7 @@ MaintenanceRunResult RunMaintenance(const MaintenanceRunConfig& config) {
   rig.loop().RunUntil(config.stack.window);
 
   MaintenanceRunResult result;
-  result.measured_util = rig.UtilizationSince(0, 0);
+  result.measured_util = rig.device().BestEffortUtilizationSince(0, 0);
   result.workload_ops = obs->metrics.CounterValue("workload.ops.completed");
   if (const obs::LogHistogram* latency =
           obs->metrics.FindHistogram("workload.op.latency_ns")) {
@@ -198,19 +209,27 @@ MaintenanceRunResult RunMaintenance(const MaintenanceRunConfig& config) {
   return result;
 }
 
-double FindMaxUtilization(MaintenanceRunConfig config, double step) {
+MaintenanceRunResult RunAtUtil(RateTable& rates, MaintenanceRunConfig config) {
+  if (config.target_util > 0) {
+    const CalibratedRate& rate =
+        rates.Get(config.stack, MaintenanceWorkload(config), config.target_util);
+    config.ops_per_sec = rate.ops_per_sec;
+    config.unthrottled = rate.unthrottled;
+  }
+  return RunMaintenance(config);
+}
+
+double FindMaxUtilization(RateTable& rates, MaintenanceRunConfig config, int step_pct) {
   double best = -1;
-  for (double util = 0; util <= 1.0001; util += step) {
-    config.target_util = util;
-    config.ops_per_sec = -1;  // calibrate per level
-    MaintenanceRunResult result = RunMaintenance(config);
-    // A target the workload cannot actually reach (its natural maximum is
-    // lower) does not count as a higher utilization level.
-    bool reachable = util <= 0.01 || result.measured_util >= util - 0.08;
+  for (int util_pct = 0; util_pct <= 100; util_pct += step_pct) {
+    config.target_util = util_pct / 100.0;
+    MaintenanceRunResult result = RunAtUtil(rates, config);
+    bool reachable =
+        util_pct == 0 || result.measured_util >= config.target_util - 0.08;
     if (result.all_finished && reachable) {
-      best = util;
-    } else if (util > 0) {
-      break;  // completion is monotone in utilization
+      best = config.target_util;
+    } else if (util_pct > 0) {
+      break;
     }
   }
   return best;
@@ -257,20 +276,15 @@ RsyncRunResult RunRsync(const StackConfig& stack, Personality personality,
   return out;
 }
 
-GcRunResult RunGc(const StackConfig& stack, double target_util, bool use_duet,
-                  uint64_t seed, double ops_per_sec, bool unthrottled, bool skewed,
-                  obs::ObsContext* obs) {
-  WorkloadConfig workload = MakeWorkloadConfig(stack, Personality::kFileserver,
-                                               /*coverage=*/1.0, skewed,
-                                               /*ops_per_sec=*/0, seed);
-  if (ops_per_sec >= 0) {
-    workload.ops_per_sec = unthrottled ? 0 : ops_per_sec;
-  } else if (target_util > 0) {
-    // Calibrate on a cowfs stack — close enough for the same device model —
-    // to avoid a second calibration code path.
-    CalibratedRate rate = CalibrateRate(stack, workload, target_util);
-    workload.ops_per_sec = rate.unthrottled ? 0 : rate.ops_per_sec;
-  }
+WorkloadConfig GcWorkload(const StackConfig& stack, bool skewed, uint64_t seed) {
+  return MakeWorkloadConfig(stack, Personality::kFileserver, /*coverage=*/1.0, skewed,
+                            /*ops_per_sec=*/0, seed);
+}
+
+GcRunResult RunGc(const StackConfig& stack, bool use_duet, uint64_t seed,
+                  double ops_per_sec, bool skewed, obs::ObsContext* obs) {
+  WorkloadConfig workload = GcWorkload(stack, skewed, seed);
+  workload.ops_per_sec = ops_per_sec;
 
   obs::ObsContext local_obs;
   obs::ObsScope obs_scope(obs != nullptr ? obs : &local_obs);

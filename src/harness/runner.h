@@ -1,6 +1,7 @@
 // Experiment runners: build a stack, start the workload at a calibrated
 // rate, run one or more maintenance tasks (baseline or Duet mode), and
-// report the paper's metrics (Table 4).
+// report the paper's metrics (Table 4). Rates come from a RateTable: RunAtUtil
+// fills one in for a utilization target, and the runners never calibrate.
 #ifndef SRC_HARNESS_RUNNER_H_
 #define SRC_HARNESS_RUNNER_H_
 
@@ -37,14 +38,16 @@ struct MaintenanceRunConfig {
   // PACMan-style extension).
   bool informed_eviction = false;
   uint64_t seed = 42;
-  // Pre-calibrated rate (reuse across runs); negative = calibrate here.
+  // The workload's rate when target_util > 0, as a CalibratedRate gives it
+  // (RunAtUtil fills both in); unthrottled runs the closed loop. A negative
+  // rate, the default, aborts the run: it was never filled in.
   double ops_per_sec = -1;
   bool unthrottled = false;
   // Fault injection: active when fault.faults_per_second > 0. A window of 0
   // means "span the whole run" (stack.window). The plan is derived from
   // fault_seed, independent of the workload seed, so the same failure
   // scenario replays across baseline/Duet comparisons.
-  FaultPlanConfig fault;
+  FaultPlanConfig fault{};
   uint64_t fault_seed = 1;
   // Observability context for the run. When null, the runner creates a
   // private context so every run starts with zeroed counters and a fresh
@@ -85,9 +88,18 @@ struct MaintenanceRunResult {
 // window. Tasks run at idle I/O priority.
 MaintenanceRunResult RunMaintenance(const MaintenanceRunConfig& config);
 
-// Finds the maximum utilization (in `step` increments, e.g. 0.1) at which
-// all tasks still finish within the window (paper Table 5).
-double FindMaxUtilization(MaintenanceRunConfig config, double step = 0.1);
+// RunMaintenance at the rate `rates` holds for config.target_util, which the
+// table calibrates on first use with the workload the run builds.
+MaintenanceRunResult RunAtUtil(RateTable& rates, MaintenanceRunConfig config);
+
+// Paper Table 5: the highest target utilization, in `step_pct` percent steps
+// from 0, at which every task still finishes within the window and the
+// workload reaches the target (within 8 points, so a target above the
+// workload's natural maximum does not count). Completion is monotone in
+// utilization, so the search stops at the first level that fails. Returns
+// -1 when even the idle device fails.
+double FindMaxUtilization(RateTable& rates, MaintenanceRunConfig config,
+                          int step_pct = 10);
 
 // Rsync experiment (§6.2, Fig. 4): source workload runs unthrottled; rsync
 // runs at normal priority until completion. Returns the task runtime.
@@ -100,8 +112,8 @@ RsyncRunResult RunRsync(const StackConfig& stack, Personality personality,
                         double coverage, bool skewed, bool use_duet, uint64_t seed,
                         obs::ObsContext* obs = nullptr);
 
-// GC experiment (§6.2, Table 6): fileserver on logfs at a target utilization;
-// measures per-segment cleaning time.
+// GC experiment (§6.2, Table 6): fileserver on logfs at a given rate (0 runs
+// the closed loop); measures per-segment cleaning time.
 struct GcRunResult {
   RunningStats cleaning_time_ms;
   uint64_t segments_cleaned = 0;
@@ -110,9 +122,13 @@ struct GcRunResult {
   uint64_t blocks_cached = 0;  // cleaning reads saved by the cache
   double measured_util = 0;
 };
-GcRunResult RunGc(const StackConfig& stack, double target_util, bool use_duet,
-                  uint64_t seed, double ops_per_sec = -1, bool unthrottled = false,
-                  bool skewed = false, obs::ObsContext* obs = nullptr);
+GcRunResult RunGc(const StackConfig& stack, bool use_duet, uint64_t seed,
+                  double ops_per_sec, bool skewed = false,
+                  obs::ObsContext* obs = nullptr);
+// The workload RunGc runs, at rate 0: the base to calibrate its rate with.
+// Calibration profiles it on a cowfs stack, which is close enough for the
+// same device model.
+WorkloadConfig GcWorkload(const StackConfig& stack, bool skewed, uint64_t seed);
 
 }  // namespace duet
 

@@ -56,20 +56,4 @@ std::string Num(double value, int precision) {
   return StrFormat("%.*f", precision, value);
 }
 
-std::string RenderMetricsTable(const obs::MetricsSnapshot& snapshot,
-                               std::string_view prefix) {
-  TextTable table({"metric", "value"});
-  for (const auto& [name, value] : snapshot.counters) {
-    if (name.compare(0, prefix.size(), prefix) == 0) {
-      table.AddRow({name, StrFormat("%llu", static_cast<unsigned long long>(value))});
-    }
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    if (name.compare(0, prefix.size(), prefix) == 0) {
-      table.AddRow({name, StrFormat("%lld", static_cast<long long>(value))});
-    }
-  }
-  return table.Render();
-}
-
 }  // namespace duet

@@ -3,10 +3,7 @@
 #define SRC_HARNESS_TABLE_H_
 
 #include <string>
-#include <string_view>
 #include <vector>
-
-#include "src/obs/metrics.h"
 
 namespace duet {
 
@@ -28,12 +25,6 @@ class TextTable {
 std::string Pct(double fraction);
 // Formats a double with the given precision.
 std::string Num(double value, int precision = 2);
-
-// Renders every counter and gauge in the snapshot whose name starts with
-// `prefix` (all of them when empty) as an aligned two-column table, in name
-// order. The standard way for tools and benches to report registry numbers.
-std::string RenderMetricsTable(const obs::MetricsSnapshot& snapshot,
-                               std::string_view prefix = "");
 
 }  // namespace duet
 

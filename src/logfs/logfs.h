@@ -113,9 +113,6 @@ class LogFs : public FileSystem {
   // constructed file system.
   void Mount(std::function<void(const MountReport&)> cb) override;
   FsckReport CheckConsistency() const override;
-  uint64_t checkpoint_generation() const { return checkpoint_generation_; }
-  // True if recovery still depends on this block's current content.
-  bool PinnedBlock(BlockNo block) const { return pinned_.Test(block); }
 
  protected:
   Result<BlockNo> AllocateForWrite(InodeNo ino, PageIdx idx, BlockNo old_block) override;

@@ -45,10 +45,6 @@ class ObsScope {
   ObsContext* prev_;
 };
 
-// Shorthands for the current context's halves.
-inline MetricsRegistry& Metrics() { return CurrentObs()->metrics; }
-inline Tracer& Trace() { return CurrentObs()->trace; }
-
 }  // namespace obs
 }  // namespace duet
 

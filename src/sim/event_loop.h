@@ -48,12 +48,11 @@ class EventLoop {
   // empty.
   bool RunOne();
 
-  // Crash support: halts the loop. Run/RunUntil return immediately (without
-  // advancing the clock further) and RunOne refuses to fire events until
-  // ClearHalt(). Used by the crash injector to freeze the stack mid-run so
-  // the harness can tear it down at the exact crash instant.
+  // Crash support: halts the loop for good. Run/RunUntil return immediately
+  // (without advancing the clock further) and RunOne refuses to fire events.
+  // Used by the crash injector to freeze the stack mid-run so the harness can
+  // tear it down at the exact crash instant.
   void Halt() { halted_ = true; }
-  void ClearHalt() { halted_ = false; }
   bool halted() const { return halted_; }
 
   uint64_t pending_count() const { return pending_ids_.size(); }

@@ -53,7 +53,6 @@ class IncrementalBackup {
   void Stop();
 
   const TaskStats& stats() const { return run_.stats(); }
-  uint64_t pages_captured() const { return captured_.size(); }
 
   // Test hook: true if every page that differs between the base and end
   // snapshots was captured with its end-snapshot content.

@@ -4,7 +4,6 @@ namespace duet {
 
 void ChunkedByteMap::Reset() {
   chunks_.clear();
-  nonzero_ = 0;
   live_chunks_ = 0;
 }
 

@@ -61,10 +61,8 @@ class ChunkedByteMap {
     uint8_t& byte = chunk->bytes[off];
     if (byte == 0 && value != 0) {
       ++chunk->nonzero;
-      ++nonzero_;
     } else if (byte != 0 && value == 0) {
       --chunk->nonzero;
-      --nonzero_;
     }
     byte = value;
     if (chunk->nonzero == 0 && value == 0) {
@@ -76,7 +74,6 @@ class ChunkedByteMap {
   // Drops every chunk; all bytes become 0.
   void Reset();
 
-  uint64_t nonzero_count() const { return nonzero_; }
   uint64_t chunk_count() const { return live_chunks_; }
 
   // Exact heap footprint: allocated chunks plus the directory.
@@ -92,7 +89,6 @@ class ChunkedByteMap {
   };
 
   std::vector<std::unique_ptr<Chunk>> chunks_;
-  uint64_t nonzero_ = 0;
   uint64_t live_chunks_ = 0;
 };
 

@@ -8,24 +8,6 @@ namespace {
 constexpr size_t kMinCapacity = 16;
 }  // namespace
 
-void FlatPageMap::Reserve(size_t n) {
-  size_t want = kMinCapacity;
-  while (n * 10 > want * 7) {
-    want *= 2;
-  }
-  if (want > cells_.size()) {
-    std::vector<Cell> old = std::move(cells_);
-    cells_.assign(want, Cell{});
-    mask_ = want - 1;
-    size_ = 0;
-    for (const Cell& c : old) {
-      if (c.slot != kNoSlot) {
-        Insert(c.hi, c.lo, c.slot);
-      }
-    }
-  }
-}
-
 void FlatPageMap::Grow() {
   size_t want = cells_.empty() ? kMinCapacity : cells_.size() * 2;
   std::vector<Cell> old = std::move(cells_);
@@ -37,12 +19,6 @@ void FlatPageMap::Grow() {
       Insert(c.hi, c.lo, c.slot);
     }
   }
-}
-
-void FlatPageMap::Clear() {
-  cells_.clear();
-  size_ = 0;
-  mask_ = 0;
 }
 
 }  // namespace duet

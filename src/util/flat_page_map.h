@@ -136,11 +136,6 @@ class FlatPageMap {
     return slot;
   }
 
-  // Pre-sizes the table for `n` keys without rehashing along the way.
-  void Reserve(size_t n);
-
-  void Clear();
-
   size_t size() const { return size_; }
   uint64_t MemoryBytes() const { return cells_.capacity() * sizeof(Cell); }
 

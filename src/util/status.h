@@ -96,8 +96,6 @@ class Result {
   T* operator->() { return &value(); }
   const T* operator->() const { return &value(); }
 
-  T value_or(T fallback) const { return ok() ? *value_ : std::move(fallback); }
-
  private:
   std::optional<T> value_;
   Status status_;

@@ -86,7 +86,6 @@ Status FilebenchWorkload::Setup() {
                        : (i * covered_count) % config_.file_count < covered_count;
     if (covered && covered_.size() < covered_count) {
       covered_.push_back(*ino);
-      covered_bytes_ += fs_->ns().Get(*ino)->size;
     }
   }
   Result<InodeNo> log = fs_->PopulateFile(config_.log_path, kPageSize);

@@ -81,9 +81,6 @@ class FilebenchWorkload {
   uint64_t covered_files() const { return covered_.size(); }
   const WorkloadConfig& config() const { return config_; }
 
-  // Total bytes in the covered subset at setup time (overlap accounting).
-  uint64_t covered_bytes() const { return covered_bytes_; }
-
  private:
   enum class OpType { kReadFile, kOverwrite, kAppendFile, kAppendLog, kCreate, kDelete };
 
@@ -110,7 +107,6 @@ class FilebenchWorkload {
   std::unique_ptr<ZipfSampler> zipf_;
   std::vector<InodeNo> covered_;  // files the workload may touch
   InodeNo log_ino_ = kInvalidInode;
-  uint64_t covered_bytes_ = 0;
   uint64_t create_counter_ = 0;
   bool running_ = false;
   bool setup_done_ = false;

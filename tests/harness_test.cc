@@ -3,8 +3,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <set>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "src/harness/calibrate.h"
 #include "src/harness/runner.h"
@@ -93,7 +96,7 @@ double ReferenceMeasureUtilization(const StackConfig& stack, const WorkloadConfi
       rig.device().stats().busy[static_cast<int>(IoClass::kBestEffort)];
   rig.loop().RunUntil(warmup + profile_window);
   rig.workload().Stop();
-  return rig.UtilizationSince(measure_start, busy_at_start);
+  return rig.device().BestEffortUtilizationSince(measure_start, busy_at_start);
 }
 
 CalibratedRate ReferenceCalibrateRate(const StackConfig& stack, const WorkloadConfig& base,
@@ -203,6 +206,88 @@ TEST(CalibrateTest, UnconvergedBisectionReMeasuresStoppedProbes) {
   ExpectBitIdentical(rate, ReferenceCalibrateRate(stack, base, 0.3, kGridWindow));
 }
 
+// Configs that differ in one stack or workload field a profile run reads
+// must not share a rate. A zero target calibrates without a probe, so each Get is instant.
+TEST(RateTableTest, KeyCoversEveryWorkloadFieldTheProbeReads) {
+  StackConfig stack = TinyStack();
+  WorkloadConfig base = MakeWorkloadConfig(stack, Personality::kWebserver, 0.5, false, 0, 1);
+  RateTable rates;
+  const CalibratedRate* interleaved = &rates.Get(stack, base, 0);
+  std::vector<WorkloadConfig> variants(15, base);
+  variants[0].cluster_covered = true;
+  variants[1].file_count += 1;
+  variants[2].mean_file_size *= 2;
+  variants[3].subdirs = 4;
+  variants[4].partial_read_fraction = 0.25;
+  variants[5].zipf_s = 0.9;
+  variants[6].think_time = Micros(200);
+  variants[7].append_size = 8 * 1024;
+  variants[8].data_dir = "/other";
+  variants[9].log_path = "/otherlog";
+  variants[10].personality = Personality::kFileserver;
+  variants[11].coverage = 1.0;
+  variants[12].skewed = true;
+  variants[13].fragmented_fraction = 0.1;
+  variants[14].seed = 2;
+  std::set<const CalibratedRate*> entries{interleaved};
+  for (const WorkloadConfig& variant : variants) {
+    entries.insert(&rates.Get(stack, variant, 0));
+  }
+  // The stack fields a probe reads.
+  std::vector<StackConfig> stacks(5, stack);
+  stacks[0].device = DeviceKind::kSsd;
+  stacks[1].scheduler = SchedulerKind::kDeadline;
+  stacks[2].capacity_blocks *= 2;
+  stacks[3].cache_pages += 1;
+  stacks[4].idle_grace = Millis(4);
+  for (const StackConfig& variant : stacks) {
+    entries.insert(&rates.Get(variant, base, 0));
+  }
+  EXPECT_EQ(entries.size(), 1 + variants.size() + stacks.size());
+  // The rate itself is not part of the key.
+  WorkloadConfig throttled = base;
+  throttled.ops_per_sec = 50;
+  EXPECT_EQ(&rates.Get(stack, throttled, 0), interleaved);
+}
+
+// A rate loaded from the cache file is the double CalibrateRate returned, so a
+// warm-cache run simulates exactly what a cold one does.
+TEST(RateTableTest, SavedRatesRoundTripBitForBit) {
+  StackConfig stack = TinyStack();
+  WorkloadConfig base = MakeWorkloadConfig(stack, Personality::kWebserver, 1.0, false, 0, 1);
+  std::string path = testing::TempDir() + "rate_table_round_trip";
+  std::remove(path.c_str());
+  CalibratedRate fresh;
+  {
+    RateTable rates(path);
+    fresh = rates.Get(stack, base, 0.3);
+  }
+  ASSERT_GT(fresh.probes, 0);
+  ASSERT_FALSE(fresh.unthrottled);
+  RateTable reloaded(path);
+  const CalibratedRate& cached = reloaded.Get(stack, base, 0.3);
+  EXPECT_EQ(cached.probes, 0);  // read from the file, not re-calibrated
+  ExpectBitIdentical(cached, fresh);
+  std::remove(path.c_str());
+}
+
+TEST(RigDeathTest, FailedPopulationAbortsWithStatus) {
+  StackConfig stack = TinyStack();
+  stack.capacity_blocks = 1024;  // 4 MiB device for 128 MiB of data
+  WorkloadConfig workload =
+      MakeWorkloadConfig(stack, Personality::kWebserver, 1.0, false, 0, 1);
+  EXPECT_DEATH({ CowRig rig(stack, workload); }, "NO_SPACE: cowfs full");
+  EXPECT_DEATH({ LogRig rig(stack, workload); }, "cannot populate the webserver file set");
+}
+
+TEST(RunnerDeathTest, MissingRateAbortsWithMessage) {
+  MaintenanceRunConfig config;
+  config.stack = TinyStack();
+  config.target_util = 0.5;
+  config.tasks = {MaintKind::kScrub};
+  EXPECT_DEATH(RunMaintenance(config), "no workload rate for target utilization 0.50");
+}
+
 TEST(RunnerTest, IdleBaselineScrubCompletes) {
   MaintenanceRunConfig config;
   config.stack = TinyStack();
@@ -224,10 +309,11 @@ TEST(RunnerTest, DuetSavesUnderWorkload) {
   config.tasks = {MaintKind::kScrub};
   config.seed = 3;
 
+  RateTable rates;
   config.use_duet = false;
-  MaintenanceRunResult baseline = RunMaintenance(config);
+  MaintenanceRunResult baseline = RunAtUtil(rates, config);
   config.use_duet = true;
-  MaintenanceRunResult with_duet = RunMaintenance(config);
+  MaintenanceRunResult with_duet = RunAtUtil(rates, config);
 
   EXPECT_EQ(baseline.IoSavedFraction(), 0);
   EXPECT_GT(with_duet.IoSavedFraction(), 0.02);
@@ -275,7 +361,7 @@ TEST(RunnerTest, RsyncDuetNoSlowerThanBaseline) {
 
 TEST(RunnerTest, GcRunProducesCleanings) {
   StackConfig stack = TinyStack();
-  GcRunResult result = RunGc(stack, 0.5, /*use_duet=*/true, 9, /*ops_per_sec=*/60);
+  GcRunResult result = RunGc(stack, /*use_duet=*/true, 9, /*ops_per_sec=*/60);
   EXPECT_GT(result.segments_cleaned, 0u);
   EXPECT_GT(result.cleaning_time_ms.count(), 0u);
 }
@@ -285,7 +371,8 @@ TEST(RunnerTest, FindMaxUtilizationMonotoneResult) {
   config.stack = TinyStack();
   config.tasks = {MaintKind::kScrub};
   config.use_duet = false;
-  double base_max = FindMaxUtilization(config, /*step=*/0.25);
+  RateTable rates;
+  double base_max = FindMaxUtilization(rates, config, /*step_pct=*/25);
   EXPECT_GE(base_max, 0.0);
   EXPECT_LE(base_max, 1.0);
 }

@@ -133,9 +133,9 @@ TEST(GoldenTraceTest, RsyncAndGcRunnersAreDeterministic) {
   EXPECT_EQ(a.trace.Fingerprint(), b.trace.Fingerprint());
 
   obs::ObsContext c;
-  RunGc(stack, /*target_util=*/0.3, true, 42, /*ops_per_sec=*/40, false, false, &c);
+  RunGc(stack, /*use_duet=*/true, 42, /*ops_per_sec=*/40, /*skewed=*/false, &c);
   obs::ObsContext d;
-  RunGc(stack, /*target_util=*/0.3, true, 42, /*ops_per_sec=*/40, false, false, &d);
+  RunGc(stack, /*use_duet=*/true, 42, /*ops_per_sec=*/40, /*skewed=*/false, &d);
   EXPECT_EQ(c.trace.Fingerprint(), d.trace.Fingerprint());
   EXPECT_NE(c.trace.Fingerprint(), obs::Tracer::kFnvOffset);  // events flowed
 }

@@ -339,10 +339,13 @@ int main(int argc, char** argv) {
     }
     return r.finished ? 0 : 1;
   }
+  RateTable rates;
   if (run_gc) {
-    GcRunResult r = RunGc(config.stack, config.target_util, config.use_duet,
-                          config.seed, /*ops_per_sec=*/-1, false, config.skewed,
-                          &obs_ctx);
+    const CalibratedRate& rate =
+        rates.Get(config.stack, GcWorkload(config.stack, config.skewed, config.seed),
+                  config.target_util);
+    GcRunResult r = RunGc(config.stack, config.use_duet, config.seed, rate.ops_per_sec,
+                          config.skewed, &obs_ctx);
     printf("gc: %llu segments cleaned, avg %.1f ms; reads %llu disk / %llu cache; "
            "util %.0f%%\n",
            static_cast<unsigned long long>(r.segments_cleaned),
@@ -356,7 +359,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  MaintenanceRunResult result = RunMaintenance(config);
+  MaintenanceRunResult result = RunAtUtil(rates, config);
   printf("measured utilization: %.0f%%   workload ops: %llu (%.2f ms avg)\n",
          result.measured_util * 100,
          static_cast<unsigned long long>(result.workload_ops),
