@@ -2,7 +2,8 @@
 //
 // Runs a fixed set of seconds-scale measurements — hand-timed hook-dispatch
 // and fetch loops (the stack's hot-path microbenchmarks), page-cache eviction
-// under dirty pressure, rate calibration alone, a fig02-style scrub run, and
+// under dirty pressure and under whole-file read-miss churn, rate
+// calibration alone, a fig02-style scrub run, and
 // a table6-style GC run — and writes the results as JSON:
 //
 //   perf_runner [--smoke] [--out PATH]
@@ -179,6 +180,28 @@ Measurement MeasurePageCacheEvictDirtyTail(uint64_t inserts) {
   return Measurement{"page_cache_evict_dirty_tail", inserts, MsSince(start)};
 }
 
+// Whole-file reads through a cache holding 2% of the data, the scrub-web
+// benchmark workload's pattern: 4096 files of 64 pages, read in turn, so
+// every page misses (Lookup), is inserted clean and evicts the coldest
+// clean page.
+Measurement MeasurePageCacheReadMissChurn(int passes) {
+  constexpr InodeNo kFiles = 4096;
+  constexpr PageIdx kFilePages = 64;
+  PageCache cache(kFiles * kFilePages / 50, [] { return SimTime{0}; });
+  uint64_t reads = 0;
+  auto start = Clock::now();
+  for (int pass = 0; pass < passes; ++pass) {
+    for (InodeNo ino = 1; ino <= kFiles; ++ino) {
+      for (PageIdx idx = 0; idx < kFilePages; ++idx, ++reads) {
+        if (!cache.Lookup(ino, idx)) {
+          cache.Insert(ino, idx, idx, /*dirty=*/false);
+        }
+      }
+    }
+  }
+  return Measurement{"page_cache_read_miss_churn", reads, MsSince(start)};
+}
+
 // Host-speed calibration: a dependent-load walk over a buffer the size of
 // the HookRig cache's entry arena (65536 entries of 64 bytes), one load per
 // cache line in a fixed pseudo-random single cycle. Every load waits on the
@@ -327,6 +350,7 @@ int main(int argc, char** argv) {
   ms.push_back(best([] { return MeasureFetchBatch(20'000, 256); }));
   ms.push_back(best([] { return MeasureCrc32c(2'000); }));
   ms.push_back(best([] { return MeasurePageCacheEvictDirtyTail(400'000); }));
+  ms.push_back(best([] { return MeasurePageCacheReadMissChurn(2); }));
   ms.push_back(best([&stack] { return MeasureCalibrateRate(stack); }));
   ms.push_back(best([&stack] { return MeasureScrubRun(stack); }));
   const Measurement gc = best([&stack] { return MeasureGcRun(stack); });

@@ -1,7 +1,10 @@
 #include "src/cache/page_cache.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 namespace duet {
@@ -27,6 +30,10 @@ constexpr obs::TraceKind kPageTraceKind[4] = {
     obs::TraceKind::kPageAdded, obs::TraceKind::kPageRemoved,
     obs::TraceKind::kPageDirtied, obs::TraceKind::kPageFlushed};
 
+// Length of a fresh slot array (32 B): a file of up to 8 pages is indexed
+// with one allocation. A power of two, like every slot array length.
+constexpr uint64_t kMinSlots = 8;
+
 }  // namespace
 
 PageCache::PageCache(uint64_t capacity_pages, std::function<SimTime()> clock)
@@ -34,11 +41,10 @@ PageCache::PageCache(uint64_t capacity_pages, std::function<SimTime()> clock)
   assert(capacity_ > 0);
   assert(clock_ != nullptr);
   // Pre-size the entry arena for the configured capacity: the steady state
-  // allocates nothing. The page table deliberately starts small and doubles
-  // on demand: sizing it for full capacity up front would spread every probe
-  // across megabytes of mostly-empty cells (evicting L1/L2 on workloads
-  // whose live page set is far below capacity), while demand growth keeps
-  // the table proportional to the working set at O(n) amortized rehash.
+  // allocates nothing. The page index is not pre-sized: inode records grow
+  // to the highest inode number cached, and an inode's slot array spans its
+  // cached page range and is released when its last page leaves, so the
+  // index follows the cached set, not capacity or the data.
   arena_.reserve(capacity_ + capacity_ / 4);
   free_slots_.reserve(64);
   ctr_events_[0] = obs_->metrics.GetCounter("cache.added");
@@ -81,17 +87,17 @@ void PageCache::Unlink(List& list, uint32_t slot) {
       links.older;
 }
 
-void PageCache::CommitEntry(uint32_t slot, InodeNo ino, PageIdx idx,
+void PageCache::CreateEntry(InodeChain& chain, InodeNo ino, PageIdx idx,
                             uint64_t data, bool dirty) {
-  // `slot` was peeked (freelist back / arena end) before the page-table
-  // probe; commit the allocation it named.
+  uint32_t slot;
   if (!free_slots_.empty()) {
-    assert(free_slots_.back() == slot);
+    slot = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    assert(slot == arena_.size());
+    slot = static_cast<uint32_t>(arena_.size());
     arena_.emplace_back();
   }
+  chain.SlotOf(idx) = slot;
   Entry& e = arena_[slot];
   e.ino = ino;
   e.idx = idx;
@@ -105,30 +111,67 @@ void PageCache::CommitEntry(uint32_t slot, InodeNo ino, PageIdx idx,
   LinkFront<&Entry::sub>(SubListOf(e), slot);
   // Inode chain head (the chain runs tail->head in insertion order, the
   // canonical iteration order).
-  InodeChain& chain = inode_chains_[ino];
   LinkFront<&Entry::ino_links>(chain.pages, slot);
+  assert(chain.count < (1u << 26) - 1);
   ++chain.count;
   ++page_count_;
 }
 
-// The caller has already removed the key from the page table (fused with
-// its lookup probe); this only unlinks and recycles the arena entry.
 void PageCache::DestroyEntry(uint32_t slot) {
   Entry& e = arena_[slot];
   Unlink<&Entry::lru>(lru_, slot);
   Unlink<&Entry::sub>(SubListOf(e), slot);
-  auto it = inode_chains_.find(e.ino);
-  assert(it != inode_chains_.end());
-  InodeChain& chain = it->second;
+  InodeChain& chain = inode_chains_[e.ino];
+  chain.SlotOf(e.idx) = kNoSlot;
   Unlink<&Entry::ino_links>(chain.pages, slot);
-  // Deliberately keep the chain record when it empties: insert/remove churn
-  // on the same inode would otherwise rebuild the directory entry on every
-  // cycle. Empty records are 24 bytes, bounded by the number of distinct
-  // inodes ever cached, and reaped by RemoveInode (truncate/delete).
-  --chain.count;
+  // Reset the record, releasing its slot array, when the last page leaves:
+  // the index then holds arrays only for inodes with a cached page.
+  if (--chain.count == 0) {
+    if (chain.nslots() == kMinSlots) {  // see spare_slots_
+      spare_slots_ = std::move(chain.slots);
+    }
+    chain = InodeChain{};
+  }
   e = Entry{};
   free_slots_.push_back(slot);
   --page_count_;
+}
+
+void PageCache::GrowSlots(InodeChain& chain, PageIdx idx) {
+  if (idx > UINT32_MAX) {
+    fprintf(stderr, "page cache: page index %llu is past the index's 2^32-page limit\n",
+            static_cast<unsigned long long>(idx));
+    std::abort();
+  }
+  uint64_t base;
+  uint64_t n;
+  std::unique_ptr<uint32_t[]> grown;
+  if (chain.slots == nullptr) {
+    // A fresh array, the spare if there is one: the aligned run of
+    // kMinSlots that holds `idx`.
+    base = idx - idx % kMinSlots;
+    n = kMinSlots;
+    grown = std::move(spare_slots_);
+  } else {
+    // Cover `idx`, at least doubling and extending toward it, so a run of
+    // reads in either direction reallocates only a logarithmic number of
+    // times.
+    uint64_t end = chain.base + chain.nslots();
+    uint64_t lo = std::min<uint64_t>(idx, chain.base);
+    uint64_t hi = std::max(idx + 1, end);
+    n = std::bit_ceil(std::max(hi - lo, 2 * chain.nslots()));
+    base = idx >= end ? lo : (hi > n ? hi - n : 0);
+  }
+  if (grown == nullptr) {
+    grown = std::make_unique_for_overwrite<uint32_t[]>(n);
+  }
+  std::fill_n(grown.get(), n, kNoSlot);
+  if (chain.slots != nullptr) {
+    std::copy_n(chain.slots.get(), chain.nslots(), grown.get() + (chain.base - base));
+  }
+  chain.slots = std::move(grown);
+  chain.log2_slots = std::countr_zero(n);
+  chain.base = static_cast<uint32_t>(base);
 }
 
 void PageCache::MoveToLruFront(uint32_t slot) {
@@ -201,13 +244,15 @@ const CachedPage* PageCache::Peek(InodeNo ino, PageIdx idx) const {
 }
 
 void PageCache::Insert(InodeNo ino, PageIdx idx, uint64_t data, bool dirty) {
-  // Peek the slot a new entry would take, then resolve lookup + insertion
-  // with a single table probe; the allocation commits only on insertion.
-  uint32_t new_slot = free_slots_.empty()
-                          ? static_cast<uint32_t>(arena_.size())
-                          : free_slots_.back();
-  uint32_t slot = page_table_.FindOrInsert(ino, idx, new_slot);
-  if (slot != new_slot) {
+  if (ino >= inode_chains_.size()) {
+    inode_chains_.resize(ino + 1);
+  }
+  InodeChain& chain = inode_chains_[ino];
+  if (!chain.Covers(idx)) {
+    GrowSlots(chain, idx);
+  }
+  uint32_t slot = chain.SlotOf(idx);
+  if (slot != kNoSlot) {
     // Overwrite in place; only a clean->dirty transition emits an event.
     Entry& entry = arena_[slot];
     entry.page.data = data;
@@ -218,7 +263,7 @@ void PageCache::Insert(InodeNo ino, PageIdx idx, uint64_t data, bool dirty) {
     }
     return;
   }
-  CommitEntry(slot, ino, idx, data, dirty);
+  CreateEntry(chain, ino, idx, data, dirty);
   Emit(PageEventType::kAdded, ino, idx, /*exists=*/true, dirty);
   if (dirty) {
     Emit(PageEventType::kDirtied, ino, idx, /*exists=*/true, /*dirty=*/true);
@@ -256,8 +301,7 @@ bool PageCache::MarkClean(InodeNo ino, PageIdx idx) {
 }
 
 bool PageCache::Remove(InodeNo ino, PageIdx idx) {
-  // Erase returns the slot, fusing lookup and table removal into one probe.
-  uint32_t slot = page_table_.Erase(ino, idx);
+  uint32_t slot = FindSlot(ino, idx);
   if (slot == kNoSlot) {
     return false;
   }
@@ -271,24 +315,19 @@ bool PageCache::Remove(InodeNo ino, PageIdx idx) {
 }
 
 void PageCache::RemoveInode(InodeNo ino) {
-  auto it = inode_chains_.find(ino);
-  if (it == inode_chains_.end()) {
+  if (ino >= inode_chains_.size()) {
     return;
   }
   // Collect indices first: Emit may re-enter observers that inspect us.
+  // Removing the last page resets the inode's record (DestroyEntry).
   std::vector<PageIdx> indices;
-  indices.reserve(it->second.count);
-  for (uint32_t slot = it->second.pages.tail; slot != kNoSlot;
+  indices.reserve(inode_chains_[ino].count);
+  for (uint32_t slot = inode_chains_[ino].pages.tail; slot != kNoSlot;
        slot = arena_[slot].ino_links.newer) {
     indices.push_back(arena_[slot].idx);
   }
   for (PageIdx idx : indices) {
     Remove(ino, idx);
-  }
-  // Reap the (now empty) chain record: the inode is going away for good.
-  it = inode_chains_.find(ino);
-  if (it != inode_chains_.end() && it->second.count == 0) {
-    inode_chains_.erase(it);
   }
 }
 
@@ -297,34 +336,27 @@ bool PageCache::Contains(InodeNo ino, PageIdx idx) const {
 }
 
 uint64_t PageCache::CachedPagesOfInode(InodeNo ino) const {
-  auto it = inode_chains_.find(ino);
-  return it == inode_chains_.end() ? 0 : it->second.count;
+  return ino < inode_chains_.size() ? inode_chains_[ino].count : 0;
 }
 
 void PageCache::ForEachPage(
     const std::function<void(InodeNo, PageIdx, const CachedPage&)>& fn) const {
-  // Canonical order: inodes ascending, then insertion order within each
-  // inode. Hash-table layout must never leak into observable iteration.
-  std::vector<InodeNo> inodes;
-  inodes.reserve(inode_chains_.size());
-  for (const auto& [ino, chain] : inode_chains_) {
-    inodes.push_back(ino);
-  }
-  std::sort(inodes.begin(), inodes.end());
-  for (InodeNo ino : inodes) {
-    ForEachPageOfInode(ino, [&](PageIdx idx, const CachedPage& page) {
-      fn(ino, idx, page);
-    });
+  // Canonical order: inodes ascending (the index order), then insertion
+  // order within each inode.
+  for (InodeNo ino = 0; ino < inode_chains_.size(); ++ino) {
+    for (uint32_t slot = inode_chains_[ino].pages.tail; slot != kNoSlot;
+         slot = arena_[slot].ino_links.newer) {
+      fn(ino, arena_[slot].idx, arena_[slot].page);
+    }
   }
 }
 
 void PageCache::ForEachPageOfInode(
     InodeNo ino, const std::function<void(PageIdx, const CachedPage&)>& fn) const {
-  auto it = inode_chains_.find(ino);
-  if (it == inode_chains_.end()) {
+  if (ino >= inode_chains_.size()) {
     return;
   }
-  for (uint32_t slot = it->second.pages.tail; slot != kNoSlot;
+  for (uint32_t slot = inode_chains_[ino].pages.tail; slot != kNoSlot;
        slot = arena_[slot].ino_links.newer) {
     fn(arena_[slot].idx, arena_[slot].page);
   }

@@ -2,17 +2,17 @@
 // slot in a caller-owned arena.
 //
 // This is the flat replacement for the nested/std unordered maps that used
-// to sit on the two hottest lookup paths (the page cache's page index and
-// Duet's item-descriptor table): one contiguous cell array, linear probing,
-// backward-shift deletion (no tombstones), and a power-of-two capacity kept
-// at <= 70% load. A lookup is one hash plus a short linear scan of 24-byte
-// cells — no per-node allocation, no bucket chains.
+// to sit on Duet's item-descriptor table, one of the hottest lookup paths:
+// one contiguous cell array, linear probing, backward-shift deletion (no
+// tombstones), and a power-of-two capacity kept at <= 70% load. A lookup is
+// one hash plus a short linear scan of 24-byte cells — no per-node
+// allocation, no bucket chains.
 //
-// The table stores only the key -> slot mapping; the arena entries
-// themselves (descriptors, cached pages) live in packed vectors owned by the
-// caller and are recycled through freelists. Iteration order over the table
-// is never exposed: callers that need ordered traversal keep their own
-// intrusive chains, which keeps every observable iteration deterministic.
+// The table stores only the key -> slot mapping; the descriptors themselves
+// live in a packed vector owned by the caller and are recycled through a
+// freelist. Iteration order over the table is never exposed: callers that
+// need ordered traversal keep their own intrusive chains, which keeps every
+// observable iteration deterministic.
 #ifndef SRC_UTIL_FLAT_PAGE_MAP_H_
 #define SRC_UTIL_FLAT_PAGE_MAP_H_
 
@@ -65,31 +65,6 @@ class FlatPageMap {
     }
     cells[i] = Cell{hi, lo, slot};
     ++size_;
-  }
-
-  // Single-probe lookup-or-insert: returns the existing slot for (hi, lo),
-  // or inserts `slot` and returns it. Callers that allocate an arena entry
-  // speculatively (peek the freelist, commit only on insertion) use this to
-  // halve the probes on the create path.
-  uint32_t FindOrInsert(uint64_t hi, uint64_t lo, uint32_t slot) {
-    assert(slot != kNoSlot);
-    if (cells_.empty() || (size_ + 1) * 10 > cells_.size() * 7) {
-      Grow();
-    }
-    Cell* cells = cells_.data();
-    uint64_t i = Hash(hi, lo) & mask_;
-    while (true) {
-      Cell& c = cells[i];
-      if (c.slot == kNoSlot) {
-        c = Cell{hi, lo, slot};
-        ++size_;
-        return slot;
-      }
-      if (c.hi == hi && c.lo == lo) {
-        return c.slot;
-      }
-      i = (i + 1) & mask_;
-    }
   }
 
   // Removes (hi, lo). Returns the stored slot, or kNoSlot if absent.

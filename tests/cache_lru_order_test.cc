@@ -5,8 +5,9 @@
 // over one list: eviction walks from the LRU tail past every dirty page (never
 // taking the most recently used page), and writeback collection walks the same
 // list filtering dirty pages. Seeded random op streams and directed cases drive
-// both, and after every op the emitted events, return values, page counts and
-// CollectDirty output must be identical.
+// both, and after every op the emitted events, return values, page counts,
+// CollectDirty output, membership (Contains and CachedPagesOfInode of every
+// key touched so far) and the full ForEachPage sequence must be identical.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +17,9 @@
 #include <map>
 #include <optional>
 #include <random>
+#include <set>
 #include <sstream>
+#include <tuple>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,6 +37,8 @@ struct Ev {
   bool dirty;
   bool operator==(const Ev&) const = default;
 };
+
+using PageRow = std::tuple<InodeNo, PageIdx, uint64_t, bool>;
 
 std::string Describe(const std::vector<Ev>& evs) {
   std::ostringstream out;
@@ -157,6 +162,32 @@ class RefCache {
     return out;
   }
 
+  bool Contains(InodeNo ino, PageIdx idx) const {
+    return std::any_of(lru_.begin(), lru_.end(),
+                       [&](const Page& p) { return p.ino == ino && p.idx == idx; });
+  }
+
+  uint64_t CachedPagesOfInode(InodeNo ino) const {
+    return std::count_if(lru_.begin(), lru_.end(), [&](const Page& p) { return p.ino == ino; });
+  }
+
+  // Every page as (ino, idx, data, dirty): inodes ascending, then each
+  // inode's pages in cache-insertion order.
+  std::vector<PageRow> AllPages() const {
+    std::vector<const Page*> pages;
+    for (const Page& p : lru_) {
+      pages.push_back(&p);
+    }
+    std::sort(pages.begin(), pages.end(), [](const Page* a, const Page* b) {
+      return std::tie(a->ino, a->seq) < std::tie(b->ino, b->seq);
+    });
+    std::vector<PageRow> out;
+    for (const Page* p : pages) {
+      out.emplace_back(p->ino, p->idx, p->data, p->dirty);
+    }
+    return out;
+  }
+
   uint64_t PageCount() const { return lru_.size(); }
   uint64_t DirtyCount() const {
     return std::count_if(lru_.begin(), lru_.end(), [](const Page& p) { return p.dirty; });
@@ -217,27 +248,33 @@ class Differential {
   SimTime now() const { return now_; }
 
   void Insert(InodeNo ino, PageIdx idx, uint64_t data, bool dirty) {
+    keys_.emplace(ino, idx);
     cache_.Insert(ino, idx, data, dirty);
     ref_.Insert(ino, idx, data, dirty);
     Check("Insert");
   }
   void Lookup(InodeNo ino, PageIdx idx) {
+    keys_.emplace(ino, idx);
     EXPECT_EQ(cache_.Lookup(ino, idx), ref_.Lookup(ino, idx));
     Check("Lookup");
   }
   void MarkDirty(InodeNo ino, PageIdx idx, uint64_t data) {
+    keys_.emplace(ino, idx);
     EXPECT_EQ(cache_.MarkDirty(ino, idx, data), ref_.MarkDirty(ino, idx, data));
     Check("MarkDirty");
   }
   void MarkClean(InodeNo ino, PageIdx idx) {
+    keys_.emplace(ino, idx);
     EXPECT_EQ(cache_.MarkClean(ino, idx), ref_.MarkClean(ino, idx));
     Check("MarkClean");
   }
   void Remove(InodeNo ino, PageIdx idx) {
+    keys_.emplace(ino, idx);
     EXPECT_EQ(cache_.Remove(ino, idx), ref_.Remove(ino, idx));
     Check("Remove");
   }
   void RemoveInode(InodeNo ino) {
+    keys_.emplace(ino, 0);
     cache_.RemoveInode(ino);
     ref_.RemoveInode(ino);
     Check("RemoveInode");
@@ -270,6 +307,17 @@ class Differential {
             << op << " #" << ops_ << " not_after=" << not_after << " max=" << max;
       }
     }
+    for (const auto& [ino, idx] : keys_) {
+      ASSERT_EQ(cache_.Contains(ino, idx), ref_.Contains(ino, idx))
+          << op << " #" << ops_ << " (" << ino << "," << idx << ")";
+      ASSERT_EQ(cache_.CachedPagesOfInode(ino), ref_.CachedPagesOfInode(ino))
+          << op << " #" << ops_ << " inode " << ino;
+    }
+    std::vector<PageRow> pages;
+    cache_.ForEachPage([&](InodeNo ino, PageIdx idx, const CachedPage& page) {
+      pages.emplace_back(ino, idx, page.data, page.dirty);
+    });
+    ASSERT_EQ(pages, ref_.AllPages()) << op << " #" << ops_;
   }
 
   SimTime now_ = 1;
@@ -279,6 +327,8 @@ class Differential {
   RefCache ref_;
   Recorder recorder_;
   std::vector<Ev> last_events_;
+  // Every (inode, page) an op has named, for the membership checks.
+  std::set<std::pair<InodeNo, PageIdx>> keys_;
   uint64_t ops_ = 0;
 };
 
@@ -292,9 +342,10 @@ std::vector<PageIdx> RemovedPages(const std::vector<Ev>& evs) {
   return out;
 }
 
-// Random streams over a small key space (3 inodes x 8 pages) so pages are
-// revisited, evicted and re-inserted often. MarkClean picks any dirty page,
-// not only the oldest.
+// Random streams over a small but sparse key space (3 non-contiguous inodes x
+// 9 pages, one far past the rest) so pages are revisited, evicted and
+// re-inserted often, and inode records and slot arrays are created, grown
+// and released. MarkClean picks any dirty page, not only the oldest.
 void RunRandomStream(uint64_t seed, uint64_t capacity, int ops) {
   SCOPED_TRACE("seed " + std::to_string(seed) + " capacity " + std::to_string(capacity));
   std::mt19937_64 rng(seed);
@@ -302,8 +353,12 @@ void RunRandomStream(uint64_t seed, uint64_t capacity, int ops) {
   Differential d(capacity);
   for (int i = 0; i < ops && !::testing::Test::HasFatalFailure(); ++i) {
     d.Advance(pick(3));
-    InodeNo ino = 1 + pick(3);
-    PageIdx idx = pick(8);
+    constexpr InodeNo kInodes[] = {1, 7, 4096};
+    InodeNo ino = kInodes[pick(3)];
+    PageIdx idx = pick(9);
+    if (idx == 8) {
+      idx = PageIdx{1} << 16;
+    }
     uint64_t roll = pick(100);
     if (roll < 25) {
       d.Insert(ino, idx, rng(), /*dirty=*/false);

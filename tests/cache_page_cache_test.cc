@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <vector>
 
 namespace duet {
@@ -198,6 +199,110 @@ TEST_F(PageCacheTest, ReinsertExistingUpdatesData) {
   EXPECT_TRUE(recorder_.events.empty());
   EXPECT_EQ(cache_.Peek(1, 0)->data, 20u);
   EXPECT_EQ(cache_.PageCount(), 1u);
+}
+
+// The index is ordered by inode number, so ForEachPage needs no sort to
+// visit inodes ascending, whatever order they were cached in.
+TEST_F(PageCacheTest, ForEachPageIsInodeAscendingWhenInsertedDescending) {
+  cache_.Insert(9, 0, 1, false);
+  cache_.Insert(5, 2, 2, true);
+  cache_.Insert(5, 0, 3, false);
+  cache_.Insert(1, 4, 4, false);
+  std::vector<std::tuple<InodeNo, PageIdx, uint64_t>> seen;
+  cache_.ForEachPage([&](InodeNo ino, PageIdx idx, const CachedPage& page) {
+    seen.emplace_back(ino, idx, page.data);
+  });
+  // Inodes ascending; inode 5's pages in insertion order.
+  EXPECT_EQ(seen, (std::vector<std::tuple<InodeNo, PageIdx, uint64_t>>{
+                      {1, 4, 4}, {5, 2, 2}, {5, 0, 3}, {9, 0, 1}}));
+}
+
+// When an inode's last page leaves, its slot array is released; caching the
+// inode again must start from an empty index, with no stale slot left over
+// from the pages that were there before (their arena slots are reused).
+TEST_F(PageCacheTest, InodeReCachedAfterLastPageLeavesGetsFreshIndex) {
+  cache_.Insert(3, 0, 10, false);
+  cache_.Insert(3, 1, 11, false);
+  cache_.Insert(3, 2, 12, false);
+  // Evict all three pages of inode 3 (capacity 4).
+  for (InodeNo i = 20; i < 24; ++i) {
+    cache_.Insert(i, 0, i, false);
+  }
+  EXPECT_EQ(cache_.CachedPagesOfInode(3), 0u);
+  for (PageIdx p = 0; p < 3; ++p) {
+    EXPECT_FALSE(cache_.Contains(3, p));
+  }
+  cache_.Insert(3, 1, 99, false);
+  EXPECT_EQ(cache_.Lookup(3, 1), 99u);
+  EXPECT_EQ(cache_.Peek(3, 0), nullptr);
+  EXPECT_EQ(cache_.Peek(3, 2), nullptr);
+  EXPECT_EQ(cache_.CachedPagesOfInode(3), 1u);
+  std::vector<PageIdx> pages;
+  cache_.ForEachPageOfInode(3, [&](PageIdx idx, const CachedPage&) { pages.push_back(idx); });
+  EXPECT_EQ(pages, std::vector<PageIdx>{1});
+
+  // Same through Remove, and re-cached past the old array's end.
+  EXPECT_TRUE(cache_.Remove(3, 1));
+  EXPECT_EQ(cache_.CachedPagesOfInode(3), 0u);
+  EXPECT_FALSE(cache_.Contains(3, 1));
+  cache_.Insert(3, 500, 7, true);
+  EXPECT_EQ(cache_.Lookup(3, 500), 7u);
+  EXPECT_FALSE(cache_.Contains(3, 1));
+  EXPECT_EQ(cache_.CachedPagesOfInode(3), 1u);
+  EXPECT_EQ(cache_.DirtyCount(), 1u);
+}
+
+TEST_F(PageCacheTest, RemoveInodeOfUncachedInodeIsNoOp) {
+  cache_.Insert(5, 0, 1, false);
+  cache_.Insert(5, 1, 2, true);
+  recorder_.events.clear();
+  cache_.RemoveInode(3);        // inside the index, never cached
+  cache_.RemoveInode(6);        // just past the index's end
+  cache_.RemoveInode(1 << 20);  // far past it
+  EXPECT_TRUE(recorder_.events.empty());
+  EXPECT_EQ(cache_.PageCount(), 2u);
+  EXPECT_EQ(cache_.DirtyCount(), 1u);
+  EXPECT_EQ(cache_.CachedPagesOfInode(5), 2u);
+  EXPECT_EQ(cache_.CachedPagesOfInode(1 << 20), 0u);
+  EXPECT_FALSE(cache_.Contains(1 << 20, 0));
+}
+
+TEST_F(PageCacheTest, PageAtLargeIndex) {
+  constexpr PageIdx kFar = PageIdx{1} << 20;
+  cache_.Insert(2, kFar, 77, false);
+  cache_.Insert(2, 0, 78, false);
+  EXPECT_EQ(cache_.Lookup(2, kFar), 77u);
+  EXPECT_FALSE(cache_.Contains(2, kFar - 1));
+  EXPECT_FALSE(cache_.Contains(2, kFar + 1));
+  EXPECT_EQ(cache_.CachedPagesOfInode(2), 2u);
+  // Inode 2's page 0 is now the coldest, then kFar: four more inserts
+  // evict both, in that order.
+  recorder_.events.clear();
+  for (InodeNo i = 10; i < 14; ++i) {
+    cache_.Insert(i, 0, i, false);
+  }
+  std::vector<PageIdx> removed;
+  for (const PageEvent& e : recorder_.events) {
+    if (e.type == PageEventType::kRemoved) {
+      EXPECT_EQ(e.ino, 2u);
+      removed.push_back(e.idx);
+    }
+  }
+  EXPECT_EQ(removed, (std::vector<PageIdx>{0, kFar}));
+  EXPECT_FALSE(cache_.Contains(2, kFar));
+  EXPECT_EQ(cache_.Lookup(2, kFar), std::nullopt);
+  EXPECT_EQ(cache_.CachedPagesOfInode(2), 0u);
+}
+
+TEST(PageCacheDeathTest, PageIndexPastLimitAborts) {
+  obs::ObsContext ctx;
+  obs::ObsScope scope(&ctx);
+  PageCache cache(4, [] { return SimTime{0}; });
+  constexpr PageIdx kPastLimit = PageIdx{1} << 32;
+  cache.Insert(1, kPastLimit - 1, 1, false);  // the last index that fits
+  EXPECT_EQ(cache.Lookup(1, kPastLimit - 1), 1u);
+  EXPECT_FALSE(cache.Contains(1, kPastLimit));
+  EXPECT_DEATH(cache.Insert(1, kPastLimit, 2, false), "2\\^32-page limit");
 }
 
 }  // namespace
