@@ -54,7 +54,7 @@ StateSessionResult RunStateSession(const StackConfig& stack, bool poll) {
          static_cast<unsigned long long>(descriptors),
          static_cast<unsigned long long>(peak_descriptors),
          static_cast<unsigned long long>(2 * cached));
-  printf("  descriptor memory:   %.1f KiB (arena + page table) = %.2f%% of "
+  printf("  descriptor memory:   %.1f KiB (arena + page index) = %.2f%% of "
          "cache memory (paper, descriptors alone: 1.5%%)\n\n",
          static_cast<double>(rig.duet().DescriptorMemoryBytes()) / 1024.0,
          100.0 * static_cast<double>(rig.duet().DescriptorMemoryBytes()) /
@@ -114,9 +114,9 @@ int main(int argc, char** argv) {
   // ctest entry gates them):
   //  * a polling state session's live descriptors stay within the paper's
   //    2 x cached-pages bound (§6.4);
-  //  * the sizeof-accurate descriptor store (arena capacity + freelist +
-  //    page table, i.e. more than the paper's bare 32 B/descriptor) stays a
-  //    small fraction of cache memory;
+  //  * the sizeof-accurate descriptor store (arena capacity of 24 B
+  //    descriptors + freelist + page index) stays a small fraction of cache
+  //    memory;
   //  * a fully-set done bitmap for 50 GB of blocks stays within the paper's
   //    ~1.5 MiB / ~1 MB-per-task envelope (2 MiB with chunk headers).
   bool ok = true;

@@ -1,7 +1,8 @@
 // Perf-regression harness for the stack's hot paths.
 //
 // Runs a fixed set of seconds-scale measurements — hand-timed hook-dispatch
-// and fetch loops (the stack's hot-path microbenchmarks), page-cache eviction
+// and fetch loops (the stack's hot-path microbenchmarks; one of them with
+// nightly-fs's two Duet sessions over thousands of files), page-cache eviction
 // under dirty pressure and under whole-file read-miss churn, rate
 // calibration alone, a fig02-style scrub run, and
 // a table6-style GC run — and writes the results as JSON:
@@ -38,6 +39,7 @@
 #include "src/cowfs/cowfs.h"
 #include "src/duet/duet_core.h"
 #include "src/util/crc32c.h"
+#include "src/util/rng.h"
 #include "tests/sim_fixture.h"
 
 namespace duet {
@@ -118,6 +120,54 @@ Measurement MeasureHookDispatchSixteenSessions(uint64_t iters) {
     }
   }
   Measurement m{"hook_dispatch_sixteen_sessions", iters, MsSince(start)};
+  m.peak_descriptor_bytes = peak;
+  return m;
+}
+
+// nightly-fs's Duet shape: backup's block state session (kDuetPageExists)
+// and the scrubber's block event session (kDuetPageAdded |
+// kDuetPageDirtied), over page churn across 4096 four-page files through a
+// cache holding an eighth of them. Each op caches a random page, so most
+// ops are an Added hook plus the eviction's Removed hook; every fourth op
+// also dirties and cleans its page. Both sessions fetch every 4096 ops and
+// mark done what they would process, as the tasks do: backup the pages
+// reported present, the scrubber every item.
+Measurement MeasureHookDispatchBackupScrub(uint64_t iters) {
+  constexpr uint64_t kFiles = 4096;
+  constexpr PageIdx kFilePages = 4;
+  SimRig rig(1'000'000, Micros(1));
+  CowFs fs(&rig.loop, &rig.device, kFiles * kFilePages / 8);
+  DuetCore duet(&fs);
+  std::vector<InodeNo> inos;
+  for (uint64_t f = 0; f < kFiles; ++f) {
+    inos.push_back(*fs.PopulateFile("/f" + std::to_string(f), kFilePages * kPageSize));
+  }
+  SessionId backup = *duet.RegisterBlockTask(kDuetPageExists);
+  SessionId scrub = *duet.RegisterBlockTask(kDuetPageAdded | kDuetPageDirtied);
+  Rng rng(42);
+  uint64_t peak = 0;
+  auto start = Clock::now();
+  for (uint64_t i = 1; i <= iters; ++i) {
+    InodeNo ino = inos[rng.Uniform(kFiles)];
+    PageIdx idx = rng.Uniform(kFilePages);
+    fs.cache().Insert(ino, idx, i, false);
+    if (i % 4 == 0) {
+      fs.cache().MarkDirty(ino, idx, i);
+      fs.cache().MarkClean(ino, idx);
+    }
+    if (i % 4096 == 0) {
+      peak = std::max(peak, duet.DescriptorMemoryBytes());
+      for (SessionId sid : {backup, scrub}) {
+        Result<std::vector<DuetItem>> items = duet.Fetch(sid, 1 << 14);
+        for (const DuetItem& item : *items) {
+          if (sid == scrub || item.has(kDuetPageExists)) {
+            (void)duet.SetDone(sid, item.id);
+          }
+        }
+      }
+    }
+  }
+  Measurement m{"hook_dispatch_backup_scrub", iters, MsSince(start)};
   m.peak_descriptor_bytes = peak;
   return m;
 }
@@ -345,6 +395,7 @@ int main(int argc, char** argv) {
   ms.push_back(best([] { return MeasureHookDispatchNoSessions(400'000); }));
   ms.push_back(best([] { return MeasureHookDispatchOneEventSession(200'000); }));
   ms.push_back(best([] { return MeasureHookDispatchSixteenSessions(200'000); }));
+  ms.push_back(best([] { return MeasureHookDispatchBackupScrub(200'000); }));
   // Enough batches that the timed Fetch region is tens of ms — sub-ms
   // measurements can't be gated at 25% on a shared host.
   ms.push_back(best([] { return MeasureFetchBatch(20'000, 256); }));

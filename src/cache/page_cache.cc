@@ -1,10 +1,7 @@
 #include "src/cache/page_cache.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 namespace duet {
@@ -30,10 +27,6 @@ constexpr obs::TraceKind kPageTraceKind[4] = {
     obs::TraceKind::kPageAdded, obs::TraceKind::kPageRemoved,
     obs::TraceKind::kPageDirtied, obs::TraceKind::kPageFlushed};
 
-// Length of a fresh slot array (32 B): a file of up to 8 pages is indexed
-// with one allocation. A power of two, like every slot array length.
-constexpr uint64_t kMinSlots = 8;
-
 }  // namespace
 
 PageCache::PageCache(uint64_t capacity_pages, std::function<SimTime()> clock)
@@ -41,10 +34,8 @@ PageCache::PageCache(uint64_t capacity_pages, std::function<SimTime()> clock)
   assert(capacity_ > 0);
   assert(clock_ != nullptr);
   // Pre-size the entry arena for the configured capacity: the steady state
-  // allocates nothing. The page index is not pre-sized: inode records grow
-  // to the highest inode number cached, and an inode's slot array spans its
-  // cached page range and is released when its last page leaves, so the
-  // index follows the cached set, not capacity or the data.
+  // allocates nothing. The page index is not pre-sized: it follows the
+  // cached set, not capacity or the data.
   arena_.reserve(capacity_ + capacity_ / 4);
   free_slots_.reserve(64);
   ctr_events_[0] = obs_->metrics.GetCounter("cache.added");
@@ -87,8 +78,8 @@ void PageCache::Unlink(List& list, uint32_t slot) {
       links.older;
 }
 
-void PageCache::CreateEntry(InodeChain& chain, InodeNo ino, PageIdx idx,
-                            uint64_t data, bool dirty) {
+void PageCache::CreateEntry(InodeNo ino, PageIdx idx, uint64_t data,
+                            bool dirty) {
   uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -97,7 +88,7 @@ void PageCache::CreateEntry(InodeChain& chain, InodeNo ino, PageIdx idx,
     slot = static_cast<uint32_t>(arena_.size());
     arena_.emplace_back();
   }
-  chain.SlotOf(idx) = slot;
+  List& chain = index_.Insert(ino, idx, slot);
   Entry& e = arena_[slot];
   e.ino = ino;
   e.idx = idx;
@@ -111,9 +102,7 @@ void PageCache::CreateEntry(InodeChain& chain, InodeNo ino, PageIdx idx,
   LinkFront<&Entry::sub>(SubListOf(e), slot);
   // Inode chain head (the chain runs tail->head in insertion order, the
   // canonical iteration order).
-  LinkFront<&Entry::ino_links>(chain.pages, slot);
-  assert(chain.count < (1u << 26) - 1);
-  ++chain.count;
+  LinkFront<&Entry::ino_links>(chain, slot);
   ++page_count_;
 }
 
@@ -121,57 +110,11 @@ void PageCache::DestroyEntry(uint32_t slot) {
   Entry& e = arena_[slot];
   Unlink<&Entry::lru>(lru_, slot);
   Unlink<&Entry::sub>(SubListOf(e), slot);
-  InodeChain& chain = inode_chains_[e.ino];
-  chain.SlotOf(e.idx) = kNoSlot;
-  Unlink<&Entry::ino_links>(chain.pages, slot);
-  // Reset the record, releasing its slot array, when the last page leaves:
-  // the index then holds arrays only for inodes with a cached page.
-  if (--chain.count == 0) {
-    if (chain.nslots() == kMinSlots) {  // see spare_slots_
-      spare_slots_ = std::move(chain.slots);
-    }
-    chain = InodeChain{};
-  }
+  Unlink<&Entry::ino_links>(index_.MutableDataOf(e.ino), slot);
+  index_.Erase(e.ino, e.idx);
   e = Entry{};
   free_slots_.push_back(slot);
   --page_count_;
-}
-
-void PageCache::GrowSlots(InodeChain& chain, PageIdx idx) {
-  if (idx > UINT32_MAX) {
-    fprintf(stderr, "page cache: page index %llu is past the index's 2^32-page limit\n",
-            static_cast<unsigned long long>(idx));
-    std::abort();
-  }
-  uint64_t base;
-  uint64_t n;
-  std::unique_ptr<uint32_t[]> grown;
-  if (chain.slots == nullptr) {
-    // A fresh array, the spare if there is one: the aligned run of
-    // kMinSlots that holds `idx`.
-    base = idx - idx % kMinSlots;
-    n = kMinSlots;
-    grown = std::move(spare_slots_);
-  } else {
-    // Cover `idx`, at least doubling and extending toward it, so a run of
-    // reads in either direction reallocates only a logarithmic number of
-    // times.
-    uint64_t end = chain.base + chain.nslots();
-    uint64_t lo = std::min<uint64_t>(idx, chain.base);
-    uint64_t hi = std::max(idx + 1, end);
-    n = std::bit_ceil(std::max(hi - lo, 2 * chain.nslots()));
-    base = idx >= end ? lo : (hi > n ? hi - n : 0);
-  }
-  if (grown == nullptr) {
-    grown = std::make_unique_for_overwrite<uint32_t[]>(n);
-  }
-  std::fill_n(grown.get(), n, kNoSlot);
-  if (chain.slots != nullptr) {
-    std::copy_n(chain.slots.get(), chain.nslots(), grown.get() + (chain.base - base));
-  }
-  chain.slots = std::move(grown);
-  chain.log2_slots = std::countr_zero(n);
-  chain.base = static_cast<uint32_t>(base);
 }
 
 void PageCache::MoveToLruFront(uint32_t slot) {
@@ -228,7 +171,7 @@ void PageCache::LinkCleanInLruOrder(uint32_t slot) {
 }
 
 std::optional<uint64_t> PageCache::Lookup(InodeNo ino, PageIdx idx) {
-  uint32_t slot = FindSlot(ino, idx);
+  uint32_t slot = index_.Find(ino, idx);
   if (slot != kNoSlot) {
     ctr_hits_->Add();
     MoveToLruFront(slot);
@@ -239,19 +182,12 @@ std::optional<uint64_t> PageCache::Lookup(InodeNo ino, PageIdx idx) {
 }
 
 const CachedPage* PageCache::Peek(InodeNo ino, PageIdx idx) const {
-  uint32_t slot = FindSlot(ino, idx);
+  uint32_t slot = index_.Find(ino, idx);
   return slot == kNoSlot ? nullptr : &arena_[slot].page;
 }
 
 void PageCache::Insert(InodeNo ino, PageIdx idx, uint64_t data, bool dirty) {
-  if (ino >= inode_chains_.size()) {
-    inode_chains_.resize(ino + 1);
-  }
-  InodeChain& chain = inode_chains_[ino];
-  if (!chain.Covers(idx)) {
-    GrowSlots(chain, idx);
-  }
-  uint32_t slot = chain.SlotOf(idx);
+  uint32_t slot = index_.Find(ino, idx);
   if (slot != kNoSlot) {
     // Overwrite in place; only a clean->dirty transition emits an event.
     Entry& entry = arena_[slot];
@@ -263,7 +199,7 @@ void PageCache::Insert(InodeNo ino, PageIdx idx, uint64_t data, bool dirty) {
     }
     return;
   }
-  CreateEntry(chain, ino, idx, data, dirty);
+  CreateEntry(ino, idx, data, dirty);
   Emit(PageEventType::kAdded, ino, idx, /*exists=*/true, dirty);
   if (dirty) {
     Emit(PageEventType::kDirtied, ino, idx, /*exists=*/true, /*dirty=*/true);
@@ -272,7 +208,7 @@ void PageCache::Insert(InodeNo ino, PageIdx idx, uint64_t data, bool dirty) {
 }
 
 bool PageCache::MarkDirty(InodeNo ino, PageIdx idx, uint64_t data) {
-  uint32_t slot = FindSlot(ino, idx);
+  uint32_t slot = index_.Find(ino, idx);
   if (slot == kNoSlot) {
     return false;
   }
@@ -287,7 +223,7 @@ bool PageCache::MarkDirty(InodeNo ino, PageIdx idx, uint64_t data) {
 }
 
 bool PageCache::MarkClean(InodeNo ino, PageIdx idx) {
-  uint32_t slot = FindSlot(ino, idx);
+  uint32_t slot = index_.Find(ino, idx);
   if (slot == kNoSlot || !arena_[slot].page.dirty) {
     return false;
   }
@@ -301,7 +237,7 @@ bool PageCache::MarkClean(InodeNo ino, PageIdx idx) {
 }
 
 bool PageCache::Remove(InodeNo ino, PageIdx idx) {
-  uint32_t slot = FindSlot(ino, idx);
+  uint32_t slot = index_.Find(ino, idx);
   if (slot == kNoSlot) {
     return false;
   }
@@ -315,48 +251,38 @@ bool PageCache::Remove(InodeNo ino, PageIdx idx) {
 }
 
 void PageCache::RemoveInode(InodeNo ino) {
-  if (ino >= inode_chains_.size()) {
-    return;
-  }
   // Collect indices first: Emit may re-enter observers that inspect us.
   // Removing the last page resets the inode's record (DestroyEntry).
   std::vector<PageIdx> indices;
-  indices.reserve(inode_chains_[ino].count);
-  for (uint32_t slot = inode_chains_[ino].pages.tail; slot != kNoSlot;
-       slot = arena_[slot].ino_links.newer) {
-    indices.push_back(arena_[slot].idx);
-  }
+  indices.reserve(index_.Count(ino));
+  ForEachPageOfInode(ino, [&](PageIdx idx, const CachedPage&) { indices.push_back(idx); });
   for (PageIdx idx : indices) {
     Remove(ino, idx);
   }
 }
 
 bool PageCache::Contains(InodeNo ino, PageIdx idx) const {
-  return FindSlot(ino, idx) != kNoSlot;
+  return index_.Find(ino, idx) != kNoSlot;
 }
 
 uint64_t PageCache::CachedPagesOfInode(InodeNo ino) const {
-  return ino < inode_chains_.size() ? inode_chains_[ino].count : 0;
+  return index_.Count(ino);
 }
 
 void PageCache::ForEachPage(
     const std::function<void(InodeNo, PageIdx, const CachedPage&)>& fn) const {
   // Canonical order: inodes ascending (the index order), then insertion
   // order within each inode.
-  for (InodeNo ino = 0; ino < inode_chains_.size(); ++ino) {
-    for (uint32_t slot = inode_chains_[ino].pages.tail; slot != kNoSlot;
-         slot = arena_[slot].ino_links.newer) {
+  index_.ForEachInode([&](InodeNo ino, const List& chain) {
+    for (uint32_t slot = chain.tail; slot != kNoSlot; slot = arena_[slot].ino_links.newer) {
       fn(ino, arena_[slot].idx, arena_[slot].page);
     }
-  }
+  });
 }
 
 void PageCache::ForEachPageOfInode(
     InodeNo ino, const std::function<void(PageIdx, const CachedPage&)>& fn) const {
-  if (ino >= inode_chains_.size()) {
-    return;
-  }
-  for (uint32_t slot = inode_chains_[ino].pages.tail; slot != kNoSlot;
+  for (uint32_t slot = index_.DataOf(ino).tail; slot != kNoSlot;
        slot = arena_[slot].ino_links.newer) {
     fn(arena_[slot].idx, arena_[slot].page);
   }

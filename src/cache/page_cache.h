@@ -1,15 +1,11 @@
 // Simulated page cache.
 //
 // Pages are keyed by (inode, page index) as in the Linux address_space
-// model, and indexed the same way: a vector indexed by inode number (dense
-// and never reused, see Namespace) holds one record per inode, whose slot
-// array is indexed by page number. A lookup is two array loads, with no
-// hashing. An inode's slot array exists only while it has a cached page and
-// spans only its cached page range, so the index follows the cache rather
-// than the data: 4 B per page index between an inode's lowest and highest
-// cached page (up to twice that while the array has growth headroom), plus
-// a 24 B record per inode number up to the highest cached. Page indices must
-// be below 2^32 (16 TiB into a file).
+// model, and found through the stack's one page index (PageIndex, see
+// src/util/page_index.h): two array loads per lookup, with no hashing, in
+// memory that follows the cached set rather than the data. Its per-inode
+// record also holds the ends of the inode's insertion-order chain, 24 B per
+// inode number up to the highest cached.
 //
 // Content is a 64-bit token rather than a 4 KiB payload: every
 // correctness property the stack needs (checksum verification, backup/rsync
@@ -38,13 +34,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "src/cache/page_event.h"
 #include "src/obs/obs.h"
 #include "src/sim/time.h"
+#include "src/util/page_index.h"
 #include "src/util/types.h"
 
 namespace duet {
@@ -137,7 +133,7 @@ class PageCache {
   void ClearEvictionAdvisor();
 
  private:
-  static constexpr uint32_t kNoSlot = 0xffffffffu;
+  static constexpr uint32_t kNoSlot = PageIndex<>::kNoSlot;
 
   // Links of one intrusive slot-linked list threaded through the arena.
   struct Links {
@@ -150,8 +146,8 @@ class PageCache {
     uint32_t tail = kNoSlot;
   };
 
-  // One cached page. Entries live in a packed arena; the inode's slot array
-  // maps its page index -> arena slot. Every entry is on three intrusive
+  // One cached page. Entries live in a packed arena; the page index maps
+  // (inode, page index) -> arena slot. Every entry is on three intrusive
   // lists, so every cache operation is O(1) (MarkClean: O(1) amortised) with
   // no allocation on the steady path:
   //  * `lru`: the global LRU list (head = most recently used);
@@ -159,7 +155,7 @@ class PageCache {
   //    one. Each sub-list holds exactly the pages of its kind in global LRU
   //    order, so its tail is the coldest page of that kind;
   //  * `ino_links`: the page's inode chain, in insertion order (tail =
-  //    oldest).
+  //    oldest), whose ends are the inode's data in the page index.
   struct Entry {
     InodeNo ino = kInvalidInode;
     PageIdx idx = 0;
@@ -169,29 +165,6 @@ class PageCache {
     Links ino_links;
   };
   static_assert(sizeof(Entry) == 64, "an entry fills one cache line");
-  // One inode's pages: the insertion-order chain, a count so
-  // CachedPagesOfInode is O(1), and the slot array, which maps the page
-  // indices from `base` on to arena slots (kNoSlot where the page is
-  // absent). The record is reset, releasing the array, when its last page
-  // leaves, so a page that comes and goes alone needs one small array,
-  // whatever its index. There is one record per inode number, cached or
-  // not, so it is packed into 24 B: a bare array of a power-of-two length,
-  // a 26-bit count and a 32-bit base.
-  struct InodeChain {
-    List pages;
-    uint32_t count : 26 = 0;
-    uint32_t log2_slots : 6 = 0;  // `slots` has 1 << log2_slots entries
-    uint32_t base = 0;
-    std::unique_ptr<uint32_t[]> slots;
-
-    uint64_t nslots() const { return slots ? uint64_t{1} << log2_slots : 0; }
-    // Unsigned wrap-around puts an index below `base` out of range too.
-    bool Covers(PageIdx idx) const { return idx - base < nslots(); }
-    uint32_t& SlotOf(PageIdx idx) { return slots[idx - base]; }
-  };
-  static_assert(sizeof(InodeChain) == 24);
-  // Grows (or creates) `chain`'s slot array to cover `idx`.
-  void GrowSlots(InodeChain& chain, PageIdx idx);
 
   // `exists`/`dirty` are the page's post-event state, forwarded to listeners
   // in the PageEvent so they never re-probe the index on the hook path.
@@ -201,18 +174,9 @@ class PageCache {
   // Counts, traces and removes one eviction victim.
   void Evict(InodeNo ino, PageIdx idx);
 
-  uint32_t FindSlot(InodeNo ino, PageIdx idx) const {
-    if (ino >= inode_chains_.size()) {
-      return kNoSlot;
-    }
-    const InodeChain& chain = inode_chains_[ino];
-    return chain.Covers(idx) ? chain.slots[idx - chain.base] : kNoSlot;
-  }
   // Allocates an arena entry for a page that is not cached, fills it in,
-  // links it (LRU and sub-list fronts, inode chain head) and records its
-  // slot in `chain`, whose slot array already covers `idx`.
-  void CreateEntry(InodeChain& chain, InodeNo ino, PageIdx idx, uint64_t data,
-                   bool dirty);
+  // links it (LRU and sub-list fronts, inode chain head) and indexes it.
+  void CreateEntry(InodeNo ino, PageIdx idx, uint64_t data, bool dirty);
   // Unlinks, unindexes and recycles an entry. Does not emit.
   void DestroyEntry(uint32_t slot);
   void MoveToLruFront(uint32_t slot);
@@ -238,12 +202,8 @@ class PageCache {
   std::function<SimTime()> clock_;
   std::vector<Entry> arena_;
   std::vector<uint32_t> free_slots_;
-  // Indexed by InodeNo; grows to the highest inode number ever cached.
-  std::vector<InodeChain> inode_chains_;
-  // A fresh-length slot array kept from the last inode that emptied, for the
-  // next one that caches a page: a page that comes and goes alone then
-  // allocates nothing.
-  std::unique_ptr<uint32_t[]> spare_slots_;
+  // (inode, page index) -> arena slot; an inode's data is its chain's ends.
+  PageIndex<List> index_;
   List lru_;
   List clean_;
   List dirty_;

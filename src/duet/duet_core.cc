@@ -190,7 +190,7 @@ void DuetCore::EnsureInodeCapacity(InodeNo ino) {
 
 uint32_t DuetCore::GetOrCreateSlot(const PageKey& key, bool exists,
                                    bool modified) {
-  uint32_t slot = page_table_.Find(key.ino, key.idx);
+  uint32_t slot = FindSlot(key);
   if (slot != kNoSlot) {
     return slot;
   }
@@ -212,18 +212,7 @@ uint32_t DuetCore::CreateSlot(const PageKey& key, bool exists, bool modified) {
   d.live = true;
   d.cur_exists = exists;
   d.cur_modified = modified;
-  // Link into the inode's descriptor chain (front; order is only consumed
-  // by per-file bookkeeping, which collects before mutating).
-  auto [it, created] = inode_heads_.try_emplace(key.ino, slot);
-  if (created) {
-    d.ino_next = kNoSlot;
-  } else {
-    d.ino_next = it->second;
-    arena_[it->second].ino_prev = slot;
-    it->second = slot;
-  }
-  d.ino_prev = kNoSlot;
-  page_table_.Insert(key.ino, key.idx, slot);
+  page_index_.Insert(key.ino, key.idx, slot);
   ++live_descriptors_;
   return slot;
 }
@@ -276,22 +265,7 @@ void DuetCore::MaybeFreeDescriptor(const PageKey& key, uint32_t slot) {
       s.flags.Set(slot, 0);
     }
   }
-  // Unlink from the inode chain.
-  if (d.ino_prev != kNoSlot) {
-    arena_[d.ino_prev].ino_next = d.ino_next;
-  } else {
-    auto it = inode_heads_.find(key.ino);
-    assert(it != inode_heads_.end() && it->second == slot);
-    if (d.ino_next == kNoSlot) {
-      inode_heads_.erase(it);
-    } else {
-      it->second = d.ino_next;
-    }
-  }
-  if (d.ino_next != kNoSlot) {
-    arena_[d.ino_next].ino_prev = d.ino_prev;
-  }
-  page_table_.Erase(key.ino, key.idx);
+  page_index_.Erase(key.ino, key.idx);
   d = Descriptor{};
   free_slots_.push_back(slot);
   --live_descriptors_;
@@ -388,8 +362,8 @@ void DuetCore::ApplyEvent(SessionId sid, Session& s, const PageKey& key,
                           uint32_t& slot, PageEventType type, bool exists,
                           bool modified) {
   if (slot == kNoSlot) {
-    // OnPageEvent already probed the page table and missed; create without
-    // re-probing. (Nothing between that probe and here mutates the table.)
+    // OnPageEvent already probed the page index and missed; create without
+    // re-probing. (Nothing between that probe and here mutates the index.)
     slot = CreateSlot(key, exists, modified);
   }
   ctr_delivered_->Add();
@@ -575,17 +549,14 @@ Status DuetCore::SetDone(SessionId sid, uint64_t item_id) {
       clear_page(PageKey{owner->ino, owner->idx});
     }
   } else {
-    auto head_it = inode_heads_.find(item_id);
-    if (head_it != inode_heads_.end()) {
-      // Collect first: clear_page can free descriptors and relink the chain.
-      std::vector<PageKey> pages;
-      for (uint32_t slot = head_it->second; slot != kNoSlot;
-           slot = arena_[slot].ino_next) {
-        pages.push_back(PageKey{arena_[slot].ino, arena_[slot].idx});
-      }
-      for (const PageKey& key : pages) {
-        clear_page(key);
-      }
+    // Collect first: clear_page can free descriptors, which unindexes them.
+    std::vector<PageKey> pages;
+    pages.reserve(page_index_.Count(item_id));
+    page_index_.ForEachOfInode(item_id, [&](PageIdx idx, uint32_t) {
+      pages.push_back(PageKey{item_id, idx});
+    });
+    for (const PageKey& key : pages) {
+      clear_page(key);
     }
   }
   return Status::Ok();
@@ -741,7 +712,7 @@ void DuetCore::OnCreate(InodeNo ino) { EnsureInodeCapacity(ino); }
 
 uint64_t DuetCore::DescriptorMemoryBytes() const {
   return arena_.capacity() * sizeof(Descriptor) +
-         free_slots_.capacity() * sizeof(uint32_t) + page_table_.MemoryBytes();
+         free_slots_.capacity() * sizeof(uint32_t) + page_index_.MemoryBytes();
 }
 
 uint64_t DuetCore::SessionBitmapBytes(SessionId sid) const {

@@ -5,9 +5,13 @@
 // and to VFS rename/unlink notifications. It maintains:
 //  * a session table (up to `max_sessions` concurrent sessions, §4.2);
 //  * one *merged* item descriptor per page with pending notifications, in a
-//    packed descriptor arena addressed through a flat open-addressed page
-//    table; the arena slot doubles as the page's *global page number*, the
-//    key the paper uses for its per-session structures;
+//    packed descriptor arena addressed through the stack's per-inode page
+//    index (PageIndex, the page cache's index too); the arena slot doubles
+//    as the page's *global page number*, the key the paper uses for its
+//    per-session structures. The paper keeps descriptors in one global hash
+//    table (§4.2); a per-inode index is a deliberate departure: a lookup is
+//    two array loads, and a file's descriptors are found without a second
+//    per-inode structure;
 //  * per-session notification flag bytes (the four Table 2 event bits plus
 //    reported-state/queued bookkeeping) in dynamically allocated 4 KiB
 //    chunks keyed by global page number (ChunkedByteMap — the byte-wide
@@ -20,11 +24,11 @@
 // interested session with no allocation on the steady path:
 //  * per-event-type session interest masks — a hook visits exactly the
 //    sessions subscribed to that event (bit-scan, not a table walk);
-//  * the flat page table — one open-addressed probe replaces an
-//    unordered_map find plus a secondary inode-index map;
+//  * the page index — two array loads find a page's descriptor, with no
+//    hashing;
 //  * the descriptor arena + freelist — descriptors recycle without heap
-//    traffic, and per-inode descriptor chains are intrusive (slot links),
-//    so done-marking a file touches only that file's descriptors.
+//    traffic, and done-marking a file walks only that file's slot array in
+//    the index.
 //
 // Item identity: descriptors are keyed by (inode, page index). Block-task
 // items are translated to block numbers through the file system's FIBMAP
@@ -41,9 +45,7 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/cache/page_event.h"
@@ -52,7 +54,7 @@
 #include "src/fs/vfs_observer.h"
 #include "src/obs/obs.h"
 #include "src/util/chunked_bytes.h"
-#include "src/util/flat_page_map.h"
+#include "src/util/page_index.h"
 #include "src/util/range_bitmap.h"
 #include "src/util/status.h"
 
@@ -114,7 +116,7 @@ class DuetCore : public PageEventListener, public VfsObserver {
   uint64_t descriptor_count() const { return live_descriptors_; }
   // sizeof-accurate footprint of the descriptor store: the packed arena
   // (capacity, since freelist slots stay resident), its freelist, and the
-  // flat page table. Per-session flag chunks and done/relevant bitmaps are
+  // page index. Per-session flag chunks and done/relevant bitmaps are
   // reported by SessionBitmapBytes.
   uint64_t DescriptorMemoryBytes() const;
   // Heap footprint of one session's done+relevant bitmaps and its
@@ -137,7 +139,7 @@ class DuetCore : public PageEventListener, public VfsObserver {
 
  private:
   static constexpr uint32_t kMaxSessionsHard = 64;
-  static constexpr uint32_t kNoSlot = FlatPageMap::kNoSlot;
+  static constexpr uint32_t kNoSlot = PageIndex<>::kNoSlot;
 
   // Per-session per-page flag byte layout (stored in ChunkedByteMap).
   static constexpr uint8_t kPendingEventMask = 0x0f;  // bits 0-3: Table 2 events
@@ -151,18 +153,17 @@ class DuetCore : public PageEventListener, public VfsObserver {
     bool operator==(const PageKey&) const = default;
   };
 
-  // Merged item descriptor (§4.2): one per page for all sessions, 32 bytes
-  // as the paper estimates. Per-session flag bytes live in the sessions'
+  // Merged item descriptor (§4.2): one per page for all sessions, 24 bytes
+  // (the paper estimates 32). Per-session flag bytes live in the sessions'
   // chunked flag maps, keyed by this descriptor's arena slot.
   struct Descriptor {
     InodeNo ino = kInvalidInode;
     PageIdx idx = 0;
-    uint32_t ino_next = kNoSlot;  // intrusive chain of this inode's descriptors
-    uint32_t ino_prev = kNoSlot;
     bool cur_exists = false;
     bool cur_modified = false;
     bool live = false;  // false: slot is on the freelist
   };
+  static_assert(sizeof(Descriptor) == 24);
 
   struct Session {
     bool active = false;
@@ -212,16 +213,16 @@ class DuetCore : public PageEventListener, public VfsObserver {
   void MaybeFreeDescriptor(const PageKey& key, uint32_t slot);
   bool DescriptorNeeded(uint32_t slot, const Descriptor& d) const;
 
-  // Returns the page's descriptor slot, allocating one (and linking it into
-  // its inode's chain) if absent. `exists`/`modified` seed a newly created
-  // descriptor's current-state view; callers always know the page state (from
-  // the hook event or a cache scan), so creation never probes the cache.
+  // Returns the page's descriptor slot, allocating and indexing one if
+  // absent. `exists`/`modified` seed a newly created descriptor's
+  // current-state view; callers always know the page state (from the hook
+  // event or a cache scan), so creation never probes the cache.
   uint32_t GetOrCreateSlot(const PageKey& key, bool exists, bool modified);
-  // Allocates + links a descriptor for a key known to be absent from the
-  // page table (callers that just probed and missed skip the re-probe).
+  // Allocates + indexes a descriptor for a key known to be absent from the
+  // page index (callers that just probed and missed skip the re-probe).
   uint32_t CreateSlot(const PageKey& key, bool exists, bool modified);
   uint32_t FindSlot(const PageKey& key) const {
-    return page_table_.Find(key.ino, key.idx);
+    return page_index_.Find(key.ino, key.idx);
   }
   void EnsureInodeCapacity(InodeNo ino);
 
@@ -253,15 +254,12 @@ class DuetCore : public PageEventListener, public VfsObserver {
   uint64_t state_mask_ = 0;  // active sessions subscribed to state bits
   std::array<uint64_t, 4> event_interest_{};  // indexed by PageEventType
 
-  // Descriptor store: flat page table -> packed arena + freelist. The arena
-  // slot is the page's global page number for per-session structures.
-  FlatPageMap page_table_;
+  // Descriptor store: page index -> packed arena + freelist. The arena slot
+  // is the page's global page number for per-session structures.
+  PageIndex<> page_index_;
   std::vector<Descriptor> arena_;
   std::vector<uint32_t> free_slots_;
   uint64_t live_descriptors_ = 0;
-  // Head (slot) of each inode's intrusive descriptor chain: done-marking and
-  // rename handling need per-file access.
-  std::unordered_map<InodeNo, uint32_t> inode_heads_;
 };
 
 }  // namespace duet

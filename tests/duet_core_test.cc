@@ -440,11 +440,11 @@ TEST_F(DuetCoreTest, MemoryAccountingExposed) {
   InodeNo ino = MakeFile("/f", 8);
   SessionId sid = *duet_.RegisterBlockTask(kDuetPageExists);
   ReadSync(ino, 0, 8 * kPageSize);
-  // Accounting is sizeof-accurate (arena capacity + freelist + page table),
-  // so it must at least cover one 32-byte descriptor per live page and stay
-  // within a sane constant envelope of that floor.
+  // Accounting is sizeof-accurate (arena capacity + freelist + page index),
+  // so it must at least cover one 24-byte descriptor and one 4-byte index
+  // slot per live page.
   EXPECT_EQ(duet_.descriptor_count(), 8u);
-  EXPECT_GE(duet_.DescriptorMemoryBytes(), duet_.descriptor_count() * 32);
+  EXPECT_GE(duet_.DescriptorMemoryBytes(), duet_.descriptor_count() * (24 + 4));
   ASSERT_TRUE(duet_.SetDone(sid, *fs_.Bmap(ino, 0)).ok());
   EXPECT_GT(duet_.SessionBitmapBytes(sid), 0u);
 }
