@@ -7,33 +7,14 @@
 
 #include "src/fault/fault_injector.h"
 #include "src/fs/meta_codec.h"
-#include "src/obs/obs.h"
-#include "src/util/crc32c.h"
 
 namespace duet {
 
 CowFs::CowFs(EventLoop* loop, BlockDevice* device, uint64_t cache_pages,
              WritebackParams wb_params)
-    : FileSystem(loop, device, cache_pages, wb_params),
-      allocated_(device->capacity_blocks()),
+    : FileSystem(loop, device, cache_pages, wb_params, "cowfs.sb"),
       refcount_(device->capacity_blocks(), 0),
-      // A fresh device holds token 0 everywhere; checksums must agree, or
-      // every allocated-but-never-flushed block would read as corrupt.
-      disk_csum_(device->capacity_blocks(), TokenChecksum(0)),
-      mirror_data_(device->capacity_blocks(), 0),
-      committed_(device->capacity_blocks()) {}
-
-uint32_t CowFs::TokenChecksum(uint64_t token) {
-  return Crc32c(&token, sizeof(token));
-}
-
-bool CowFs::BlockChecksumOk(BlockNo block) const {
-  return disk_csum_[block] == TokenChecksum(disk_data_[block]);
-}
-
-void CowFs::CorruptBlock(BlockNo block, bool also_mirror) {
-  InjectCorruption(block, also_mirror);
-}
+      mirror_data_(device->capacity_blocks(), 0) {}
 
 void CowFs::InjectCorruption(BlockNo block, bool both_copies) {
   FileSystem::InjectCorruption(block, both_copies);
@@ -43,9 +24,9 @@ void CowFs::InjectCorruption(BlockNo block, bool both_copies) {
 }
 
 std::optional<BlockNo> CowFs::FindFreeUnpinned(BlockNo from) const {
-  std::optional<BlockNo> found = allocated_.FindNextClear(from);
-  while (found.has_value() && committed_.Test(*found)) {
-    found = allocated_.FindNextClear(*found + 1);
+  std::optional<BlockNo> found = in_use_.FindNextClear(from);
+  while (found.has_value() && pinned_.Test(*found)) {
+    found = in_use_.FindNextClear(*found + 1);
   }
   return found;
 }
@@ -61,24 +42,21 @@ Result<BlockNo> CowFs::AllocBlock(BlockNo hint) {
   if (!found.has_value()) {
     return Status(StatusCode::kNoSpace, "cowfs full");
   }
-  allocated_.Set(*found);
-  ++allocated_blocks_;
+  MarkInUse(*found);
   alloc_cursor_ = *found + 1;
   return *found;
 }
 
 void CowFs::Incref(BlockNo block) {
-  assert(allocated_.Test(block));
+  assert(BlockInUse(block));
   ++refcount_[block];
 }
 
 void CowFs::Decref(BlockNo block) {
-  assert(allocated_.Test(block));
+  assert(BlockInUse(block));
   assert(refcount_[block] > 0);
   if (--refcount_[block] == 0) {
-    allocated_.Clear(block);
-    --allocated_blocks_;
-    ClearOwner(block);
+    MarkFree(block);
   }
 }
 
@@ -90,7 +68,7 @@ Result<BlockNo> CowFs::AllocateForWrite(InodeNo ino, PageIdx idx, BlockNo old_bl
     // would need its old content), rewrite it in place rather than COWing.
     const CachedPage* page = cache_.Peek(ino, idx);
     if (refcount_[old_block] == 1 && page != nullptr && page->dirty &&
-        !committed_.Test(old_block)) {
+        !pinned_.Test(old_block)) {
       return old_block;
     }
   }
@@ -127,42 +105,26 @@ void CowFs::FreeFileBlocks(InodeNo ino) {
   }
 }
 
-Status CowFs::OnDiskBlockRead(BlockNo block, uint64_t token) {
-  if (allocated_.Test(block) && disk_csum_[block] != TokenChecksum(token)) {
-    ++checksum_errors_detected_;
-    if (injector_ != nullptr) {
-      injector_->NoteCorruptionDetected(block);
-    }
-    return Status(StatusCode::kCorruption, "checksum mismatch");
-  }
-  return Status::Ok();
-}
-
 void CowFs::OnBlockFlushed(BlockNo block, uint64_t token) {
   FileSystem::OnBlockFlushed(block, token);
-  disk_csum_[block] = TokenChecksum(token);
   mirror_data_[block] = token;
-}
-
-std::optional<BlockNo> CowFs::NextAllocated(BlockNo from) const {
-  return allocated_.FindNextSet(from);
 }
 
 void CowFs::ReadRawBlocks(BlockNo start, uint32_t count, IoClass io_class,
                           bool populate_cache,
                           std::function<void(const RawReadResult&)> cb) {
-  // Collect allocated blocks in the range and coalesce them into runs.
+  // Collect in-use blocks in the range and coalesce them into runs.
   std::vector<std::pair<BlockNo, uint32_t>> runs;
   BlockNo cursor = start;
   BlockNo end = std::min<BlockNo>(start + count, capacity_blocks());
   while (cursor < end) {
-    std::optional<BlockNo> next = allocated_.FindNextSet(cursor);
+    std::optional<BlockNo> next = NextBlockInUse(cursor);
     if (!next.has_value() || *next >= end) {
       break;
     }
     BlockNo run_start = *next;
     BlockNo run_end = run_start;
-    while (run_end < end && allocated_.Test(run_end)) {
+    while (run_end < end && BlockInUse(run_end)) {
       ++run_end;
     }
     runs.emplace_back(run_start, static_cast<uint32_t>(run_end - run_start));
@@ -201,15 +163,11 @@ void CowFs::ReadRawBlocks(BlockNo start, uint32_t count, IoClass io_class,
           ++result->read_errors;
           result->bad_blocks.push_back(b);
           result->status = io.status;
-        } else if (allocated_.Test(b) && !BlockChecksumOk(b)) {
+        } else if (Status verify = VerifyBlock(b); !verify.ok()) {
           ++result->checksum_errors;
-          ++checksum_errors_detected_;
           result->bad_blocks.push_back(b);
-          if (injector_ != nullptr) {
-            injector_->NoteCorruptionDetected(b);
-          }
           if (result->status.ok()) {
-            result->status = Status(StatusCode::kCorruption, "checksum mismatch");
+            result->status = verify;
           }
         } else {
           verified = true;
@@ -256,7 +214,7 @@ void CowFs::RepairBlocks(std::vector<BlockNo> blocks, IoClass io_class,
 void CowFs::RepairNext(std::shared_ptr<RepairJob> job) {
   while (job->next < job->blocks.size()) {
     BlockNo block = job->blocks[job->next++];
-    if (!allocated_.Test(block)) {
+    if (!BlockInUse(block)) {
       // Freed (COW) since it was reported bad; nothing left to repair.
       continue;
     }
@@ -289,7 +247,7 @@ void CowFs::RepairNext(std::shared_ptr<RepairJob> job) {
         // mirror read was queued. Note a latent-error block's simulated
         // token can look intact (the failure is in readability), so the
         // rewrite proceeds whenever the mirror still matches the checksum.
-        if (allocated_.Test(block) &&
+        if (BlockInUse(block) &&
             TokenChecksum(mirror_data_[block]) == disk_csum_[block]) {
           ++job->result.repaired_from_mirror;
           WriteRepair(std::move(job), block, mirror_data_[block]);
@@ -432,8 +390,8 @@ Result<std::vector<std::pair<BlockNo, uint32_t>>> CowFs::AllocContiguous(uint64_
     }
     BlockNo run_start = *next;
     BlockNo run_end = run_start;
-    while (run_end < capacity_blocks() && !allocated_.Test(run_end) &&
-           !committed_.Test(run_end) && run_end - run_start < remaining) {
+    while (run_end < capacity_blocks() && !BlockInUse(run_end) &&
+           !pinned_.Test(run_end) && run_end - run_start < remaining) {
       ++run_end;
     }
     uint32_t len = static_cast<uint32_t>(run_end - run_start);
@@ -500,13 +458,12 @@ void CowFs::DefragFile(InodeNo ino, IoClass io_class,
       finish(runs.status());
       return;
     }
-    // Mark the new blocks allocated and remap pages onto them.
+    // Mark the new blocks in use and remap pages onto them.
     std::vector<BlockNo> new_blocks;
     new_blocks.reserve(npages);
     for (const auto& [start, count] : *runs) {
       for (BlockNo b = start; b < start + count; ++b) {
-        allocated_.Set(b);
-        ++allocated_blocks_;
+        MarkInUse(b);
         refcount_[b] = 1;
         new_blocks.push_back(b);
       }
@@ -594,9 +551,7 @@ Status CowFs::PopulatePages(InodeNo ino, uint64_t npages, double break_prob, Rng
   return status;
 }
 
-std::vector<uint8_t> CowFs::SerializeSuperblock() const {
-  ByteWriter w;
-  SerializeNamespaceAndMaps(&w);
+void CowFs::SerializeFsState(ByteWriter* w) const {
   std::vector<const Snapshot*> snaps;
   snaps.reserve(snapshots_.size());
   for (const auto& [id, snap] : snapshots_) {
@@ -604,71 +559,36 @@ std::vector<uint8_t> CowFs::SerializeSuperblock() const {
   }
   std::sort(snaps.begin(), snaps.end(),
             [](const Snapshot* a, const Snapshot* b) { return a->id < b->id; });
-  w.U64(snaps.size());
+  w->U64(snaps.size());
   for (const Snapshot* snap : snaps) {
-    w.U64(snap->id);
-    w.U64(snap->files.size());
+    w->U64(snap->id);
+    w->U64(snap->files.size());
     for (const auto& [ino, file] : snap->files) {  // std::map: ino-ordered
-      w.U64(ino);
-      w.U64(file.size);
-      w.U64(file.blocks.size());
+      w->U64(ino);
+      w->U64(file.size);
+      w->U64(file.blocks.size());
       for (BlockNo block : file.blocks) {
-        w.U64(block);
+        w->U64(block);
       }
     }
   }
-  w.U64(next_snapshot_id_);
-  return w.Take();
+  w->U64(next_snapshot_id_);
 }
 
-void CowFs::CommitSuperblock(std::function<void(uint64_t)> done) {
-  assert(image_ != nullptr && "attach a durable image before committing");
-  Sync([this, done = std::move(done)]() mutable {
-    // Quiesced commit: with no foreground writes racing the sync, the cache
-    // is clean at the barrier, so the serialized tree references only
-    // durably committed blocks.
-    assert(cache_.DirtyCount() == 0 && "quiesce writes during superblock commit");
-    std::vector<uint8_t> payload = SerializeSuperblock();
-    uint64_t generation = superblock_generation_ + 1;
-    SimDuration latency = MetaIoLatency(payload.size());
-    // The superblock area is written FUA at the end of the modeled latency;
-    // a crash inside the window simply leaves the previous generation (and
-    // the image's PutMeta is a no-op once frozen anyway).
-    loop_->ScheduleAfter(latency, [this, payload = std::move(payload), generation,
-                                   done = std::move(done)]() mutable {
-      CommitCheckpointSlot(image_, "cowfs.sb", generation, payload);
-      superblock_generation_ = generation;
-      committed_ = allocated_;  // pin the committed tree until the next commit
-      obs_->trace.Emit(loop_->now(), obs::TraceLayer::kFs,
-                       obs::TraceKind::kCheckpointCommit, generation,
-                       payload.size(), image_->commit_seq());
-      done(generation);
-    });
-  });
-}
-
-void CowFs::Checkpoint(std::function<void()> done) {
-  CommitSuperblock([done = std::move(done)](uint64_t) { done(); });
-}
-
-Status CowFs::RestoreFromSuperblock(const std::vector<uint8_t>& payload,
-                                    MountReport* report) {
-  ByteReader r(payload);
-  if (!RestoreNamespaceAndMaps(&r, &report->files)) {
-    return Status(StatusCode::kCorruption, "bad superblock namespace");
-  }
-  uint64_t snap_count = r.U64();
-  for (uint64_t k = 0; k < snap_count && r.ok(); ++k) {
+Status CowFs::RestoreFsState(ByteReader* r, MountReport* report,
+                             std::vector<BlockNo>* /*read_back*/) {
+  uint64_t snap_count = r->U64();
+  for (uint64_t k = 0; k < snap_count && r->ok(); ++k) {
     Snapshot snap;
-    snap.id = r.U64();
-    uint64_t file_count = r.U64();
-    for (uint64_t j = 0; j < file_count && r.ok(); ++j) {
-      InodeNo ino = r.U64();
+    snap.id = r->U64();
+    uint64_t file_count = r->U64();
+    for (uint64_t j = 0; j < file_count && r->ok(); ++j) {
+      InodeNo ino = r->U64();
       SnapshotFile file;
-      file.size = r.U64();
-      uint64_t nblocks = r.U64();
+      file.size = r->U64();
+      uint64_t nblocks = r->U64();
       for (uint64_t b = 0; b < nblocks; ++b) {
-        BlockNo block = r.U64();
+        BlockNo block = r->U64();
         if (block != kInvalidBlock && block >= capacity_blocks()) {
           return Status(StatusCode::kCorruption, "snapshot block out of range");
         }
@@ -678,135 +598,60 @@ Status CowFs::RestoreFromSuperblock(const std::vector<uint8_t>& payload,
     }
     snapshots_.emplace(snap.id, std::move(snap));
   }
-  next_snapshot_id_ = r.U64();
-  if (!r.ok()) {
+  next_snapshot_id_ = r->U64();
+  if (!r->ok()) {
     return Status(StatusCode::kCorruption, "truncated superblock");
   }
 
-  // Rebuild refcounts and the allocation bitmap from the restored trees.
-  for (const auto& [ino, map] : fmap_) {
-    for (BlockNo block : map.blocks) {
-      if (block != kInvalidBlock) {
-        ++refcount_[block];
-      }
-    }
-  }
-  for (const auto& [id, snap] : snapshots_) {
-    for (const auto& [ino, file] : snap.files) {
-      for (BlockNo block : file.blocks) {
-        if (block != kInvalidBlock) {
-          ++refcount_[block];
-        }
-      }
-    }
-  }
-  allocated_blocks_ = 0;
+  // Rebuild refcounts and the in-use bitmap from the restored trees.
+  refcount_ = CountReferences();
   for (BlockNo b = 0; b < capacity_blocks(); ++b) {
     if (refcount_[b] == 0) {
       continue;
     }
-    allocated_.Set(b);
-    ++allocated_blocks_;
-    if (image_->Present(b)) {
-      const DurableImage::Record& rec = image_->At(b);
-      disk_data_[b] = rec.token;
-      disk_csum_[b] = rec.csum;
-      // The DUP mirror is not persisted separately; it is resilvered from
-      // the primary copy during mount.
-      mirror_data_[b] = rec.token;
-      ++report->blocks_restored;
-    } else {
-      ++report->blocks_missing;
-    }
+    MarkInUse(b);
+    LoadBlock(b, report);
+    // The DUP mirror is not persisted separately; it is resilvered from the
+    // primary copy during mount.
+    mirror_data_[b] = disk_data_[b];
   }
+  // Pin the restored tree until the next commit. Rollback recovery reads
+  // only the superblock area, so nothing goes to `read_back`.
+  pinned_ = in_use_;
   return Status::Ok();
 }
 
-void CowFs::Mount(std::function<void(const MountReport&)> cb) {
-  assert(image_ != nullptr && "attach a durable image before mounting");
-  assert(ns_.inode_count() == 1 && fmap_.empty() &&
-         "mount requires a freshly constructed file system");
-  SimTime started = loop_->now();
-  auto report = std::make_shared<MountReport>();
-  std::optional<LoadedCheckpoint> loaded = LoadNewestCheckpoint(*image_, "cowfs.sb");
-  if (!loaded.has_value()) {
-    report->status = Status(StatusCode::kNotFound, "no committed superblock");
-    loop_->ScheduleAfter(0, [cb = std::move(cb), report] { cb(*report); });
-    return;
-  }
-  report->generation = loaded->generation;
-  report->meta_bytes = loaded->payload.size();
-  report->status = RestoreFromSuperblock(loaded->payload, report.get());
-  if (!report->status.ok()) {
-    loop_->ScheduleAfter(0, [cb = std::move(cb), report] { cb(*report); });
-    return;
-  }
-  superblock_generation_ = loaded->generation;
-  committed_ = allocated_;
-  // Rollback recovery reads only the superblock area — no data blocks.
-  loop_->ScheduleAfter(MetaIoLatency(loaded->payload.size()),
-                       [this, report, cb = std::move(cb), started] {
-    report->duration = loop_->now() - started;
-    obs_->trace.Emit(loop_->now(), obs::TraceLayer::kFs,
-                     obs::TraceKind::kMountRecovered,
-                     report->generation, report->blocks_restored,
-                     report->blocks_discarded);
-    cb(*report);
-  });
-}
-
-FsckReport CowFs::CheckConsistency() const {
-  FsckReport report;
-  CheckFileMappings(&report);
-  // Recompute every block's expected reference count from the live extent
-  // maps and the snapshot tables.
-  std::vector<uint32_t> want(capacity_blocks(), 0);
+std::vector<uint32_t> CowFs::CountReferences() const {
+  std::vector<uint32_t> refs(capacity_blocks(), 0);
+  auto count = [&refs](const std::vector<BlockNo>& blocks) {
+    for (BlockNo block : blocks) {
+      if (block != kInvalidBlock) {
+        ++refs[block];
+      }
+    }
+  };
   for (const auto& [ino, map] : fmap_) {
     const Inode* inode = ns_.Get(ino);
-    if (inode == nullptr || inode->is_dir()) {
-      ++report.structural_errors;  // extent map for a nonexistent file
-      continue;
-    }
-    for (BlockNo block : map.blocks) {
-      if (block != kInvalidBlock) {
-        ++want[block];
-      }
+    if (inode != nullptr && !inode->is_dir()) {  // fsck reports any other map
+      count(map.blocks);
     }
   }
   for (const auto& [id, snap] : snapshots_) {
     for (const auto& [ino, file] : snap.files) {
-      for (BlockNo block : file.blocks) {
-        if (block != kInvalidBlock) {
-          ++want[block];
-        }
-      }
+      count(file.blocks);
     }
   }
-  uint64_t allocated_count = 0;
+  return refs;
+}
+
+void CowFs::CheckFsState(FsckReport* report) const {
+  std::vector<uint32_t> want = CountReferences();
   for (BlockNo b = 0; b < capacity_blocks(); ++b) {
-    bool alloc = allocated_.Test(b);
-    if (want[b] != refcount_[b] || alloc != (want[b] > 0)) {
-      ++report.structural_errors;
-      report.NoteBad(b);
-    }
-    if (!alloc) {
-      continue;
-    }
-    ++allocated_count;
-    ++report.blocks_checked;
-    if (!BlockChecksumOk(b)) {
-      ++report.checksum_errors;
-      report.NoteBad(b);
+    if (want[b] != refcount_[b] || BlockInUse(b) != (want[b] > 0)) {
+      ++report->structural_errors;
+      report->NoteBad(b);
     }
   }
-  if (allocated_count != allocated_blocks_) {
-    ++report.structural_errors;
-  }
-  obs_->trace.Emit(loop_->now(), obs::TraceLayer::kFs,
-                   obs::TraceKind::kFsckRan,
-                   report.structural_errors, report.checksum_errors,
-                   report.blocks_checked);
-  return report;
 }
 
 }  // namespace duet

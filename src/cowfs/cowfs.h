@@ -1,12 +1,17 @@
 // cowfs: a Btrfs-like copy-on-write file system over the simulated stack.
 //
-// Mechanisms the paper's tasks rely on (§5):
-//  * per-block CRC32C checksums, verified on every read path — the scrubber's
-//    correctness guarantee and the reason a page Added event means "verified";
+// Mechanisms the paper's tasks rely on (§5), on top of FileSystem's block
+// store (per-block CRC32C verified on every read path — the scrubber's
+// correctness guarantee and the reason a page Added event means "verified"):
+//  * a DUP mirror copy of every block, the scrubber's repair source;
 //  * copy-on-write: every write allocates a new block, breaking sharing with
 //    snapshots (the backup task's staleness signal);
 //  * refcounted snapshots with back references (SharedWithSnapshot);
 //  * extent fragmentation metrics and a defragmentation primitive.
+//
+// Its checkpoint is a superblock generation holding the snapshot tables;
+// mount rolls back to it (cowfs has no log tree), and fsck recomputes every
+// block's reference count.
 #ifndef SRC_COWFS_COWFS_H_
 #define SRC_COWFS_COWFS_H_
 
@@ -17,7 +22,6 @@
 #include <vector>
 
 #include "src/fs/file_system.h"
-#include "src/util/bitmap.h"
 #include "src/util/rng.h"
 
 namespace duet {
@@ -41,22 +45,12 @@ class CowFs : public FileSystem {
   CowFs(EventLoop* loop, BlockDevice* device, uint64_t cache_pages,
         WritebackParams wb_params = WritebackParams());
 
-  // ---- Checksums ----
-  static uint32_t TokenChecksum(uint64_t token);
-  // Verifies the on-disk copy of `block` against its stored checksum.
-  bool BlockChecksumOk(BlockNo block) const;
-  // Flips on-disk bits without updating the checksum (failure injection).
-  // With `also_mirror`, the DUP mirror copy is corrupted too, making the
-  // block unrecoverable by RepairBlocks.
-  void CorruptBlock(BlockNo block, bool also_mirror = false);
-  uint64_t checksum_errors_detected() const { return checksum_errors_detected_; }
-
   // ---- Raw block reads (scrubber; backup's unshared blocks) ----
   // Reads `count` blocks at `start` from the device, verifying checksums of
-  // allocated blocks. Unallocated blocks in the range are skipped without
-  // I/O. With `populate_cache`, blocks owned by a live file page are
-  // inserted into the page cache (clean), surfacing the access to Duet —
-  // this is how one maintenance pass serves other tasks (§6.3).
+  // in-use blocks. Blocks not in use are skipped without I/O. With
+  // `populate_cache`, blocks owned by a live file page are inserted into the
+  // page cache (clean), surfacing the access to Duet — this is how one
+  // maintenance pass serves other tasks (§6.3).
   void ReadRawBlocks(BlockNo start, uint32_t count, IoClass io_class,
                      bool populate_cache,
                      std::function<void(const RawReadResult&)> cb);
@@ -81,11 +75,6 @@ class CowFs : public FileSystem {
   // sequentially; `cb` fires once all are done.
   void RepairBlocks(std::vector<BlockNo> blocks, IoClass io_class,
                     std::function<void(const RepairResult&)> cb);
-
-  // ---- Allocation map queries (scrubber traversal) ----
-  bool IsAllocated(BlockNo block) const { return allocated_.Test(block); }
-  // First allocated block at or after `from`.
-  std::optional<BlockNo> NextAllocated(BlockNo from) const;
 
   // ---- Snapshots (backup substrate) ----
   struct SnapshotFile {
@@ -126,23 +115,6 @@ class CowFs : public FileSystem {
   BlockNo alloc_cursor() const { return alloc_cursor_; }
   uint32_t BlockRefcount(BlockNo block) const { return refcount_[block]; }
 
-  // ---- Crash consistency (superblock generations) ----
-  // Atomically commits the current tree: Sync(), then serialize the
-  // namespace, extent maps, and snapshot tables into the next superblock
-  // generation (two-slot, CRC-protected). Every block the committed tree
-  // references is pinned — not reusable by the allocator — until the NEXT
-  // commit, so a crash always rolls back to an intact tree. Requires
-  // quiesced foreground writes during the commit (a real COW file system's
-  // transaction-commit stall) and an attached durable image.
-  void CommitSuperblock(std::function<void(uint64_t generation)> done);
-  void Checkpoint(std::function<void()> done) override;
-  // Rolls back to the newest committed superblock generation: restores the
-  // namespace, maps, snapshots, refcounts, and block content from the
-  // durable image. Anything written after that commit is gone (cowfs has no
-  // log tree). Must be called on a freshly constructed file system.
-  void Mount(std::function<void(const MountReport&)> cb) override;
-  FsckReport CheckConsistency() const override;
-
  protected:
   Result<BlockNo> AllocateForWrite(InodeNo ino, PageIdx idx, BlockNo old_block) override;
   void FreeFileBlocks(InodeNo ino) override;
@@ -150,11 +122,17 @@ class CowFs : public FileSystem {
   // population breaks extents: before each page the allocation cursor jumps
   // with probability `break_prob`, and the cursor is restored afterwards.
   Status PopulatePages(InodeNo ino, uint64_t npages, double break_prob, Rng* rng) override;
-  Status OnDiskBlockRead(BlockNo block, uint64_t token) override;
   void OnBlockFlushed(BlockNo block, uint64_t token) override;
   void InjectCorruption(BlockNo block, bool both_copies) override;
-  bool BlockInUse(BlockNo block) const override { return allocated_.Test(block); }
-  uint32_t StoredChecksum(BlockNo block) const override { return disk_csum_[block]; }
+  // Superblock state: the snapshot tables. The restore rebuilds refcounts
+  // and the in-use bitmap from the restored trees, resilvers the mirror, and
+  // pins the restored tree.
+  void SerializeFsState(ByteWriter* w) const override;
+  Status RestoreFsState(ByteReader* r, MountReport* report,
+                        std::vector<BlockNo>* read_back) override;
+  // Every block's reference count must equal its references from the live
+  // extent maps and the snapshot tables, and it is in use iff referenced.
+  void CheckFsState(FsckReport* report) const override;
 
  private:
   struct RepairJob;
@@ -167,18 +145,16 @@ class CowFs : public FileSystem {
   Result<BlockNo> AllocBlock(BlockNo hint);
   // First free, unpinned block at or after `from`.
   std::optional<BlockNo> FindFreeUnpinned(BlockNo from) const;
-  std::vector<uint8_t> SerializeSuperblock() const;
-  Status RestoreFromSuperblock(const std::vector<uint8_t>& payload,
-                               MountReport* report);
   // Allocates `n` contiguous free blocks; falls back to the longest runs
   // available. Returns the start blocks of the runs covering n blocks total.
   Result<std::vector<std::pair<BlockNo, uint32_t>>> AllocContiguous(uint64_t n);
   void Incref(BlockNo block);
   void Decref(BlockNo block);
+  // Each block's references from the live files' extent maps and the
+  // snapshot tables: what its refcount must be.
+  std::vector<uint32_t> CountReferences() const;
 
-  Bitmap allocated_;
   std::vector<uint32_t> refcount_;
-  std::vector<uint32_t> disk_csum_;
   // DUP profile: a second physical copy of each block, kept in sync by
   // OnBlockFlushed. Repair reads it (one device read) when the primary is
   // corrupt; reading it does not consult the fault injector since it lives
@@ -187,13 +163,6 @@ class CowFs : public FileSystem {
   BlockNo alloc_cursor_ = 0;
   SnapshotId next_snapshot_id_ = 1;
   std::unordered_map<SnapshotId, Snapshot> snapshots_;
-  uint64_t checksum_errors_detected_ = 0;
-  // Blocks referenced by the last committed superblock. Pinned against both
-  // in-place rewrite and reallocation until the next commit (btrfs's pinned
-  // extents). Empty when no superblock was ever committed, making the whole
-  // crash path zero-cost for stacks that never use it.
-  Bitmap committed_;
-  uint64_t superblock_generation_ = 0;
 };
 
 }  // namespace duet

@@ -7,28 +7,61 @@
 
 #include "src/fault/fault_injector.h"
 #include "src/fs/meta_codec.h"
+#include "src/util/crc32c.h"
 
 namespace duet {
 
 FileSystem::FileSystem(EventLoop* loop, BlockDevice* device, uint64_t cache_pages,
-                       WritebackParams wb_params)
-    : loop_(loop),
+                       WritebackParams wb_params, std::string checkpoint_slot)
+    : rmap_(device->capacity_blocks(), BlockOwner{}),
+      disk_data_(device->capacity_blocks(), 0),
+      // A fresh device holds token 0 everywhere; checksums must agree, or
+      // every allocated-but-never-flushed block would read as corrupt.
+      disk_csum_(device->capacity_blocks(), TokenChecksum(0)),
+      in_use_(device->capacity_blocks()),
+      pinned_(device->capacity_blocks()),
+      loop_(loop),
       device_(device),
       obs_(obs::CurrentObs()),
       cache_(cache_pages, [loop] { return loop->now(); }),
-      writeback_(loop, &cache_, this, wb_params) {
+      writeback_(loop, &cache_, this, wb_params),
+      checkpoint_slot_(std::move(checkpoint_slot)) {
   assert(loop_ != nullptr && device_ != nullptr);
-  disk_data_.assign(device_->capacity_blocks(), 0);
-  rmap_.assign(device_->capacity_blocks(), BlockOwner{});
   writeback_.Start();
 }
 
-Status FileSystem::OnDiskBlockRead(BlockNo /*block*/, uint64_t /*token*/) {
+uint32_t FileSystem::TokenChecksum(uint64_t token) {
+  return Crc32c(&token, sizeof(token));
+}
+
+bool FileSystem::BlockChecksumOk(BlockNo block) const {
+  return disk_csum_[block] == TokenChecksum(disk_data_[block]);
+}
+
+Status FileSystem::VerifyBlock(BlockNo block) {
+  if (in_use_.Test(block) && !BlockChecksumOk(block)) {
+    ++checksum_errors_detected_;
+    if (injector_ != nullptr) {
+      injector_->NoteCorruptionDetected(block);
+    }
+    return Status(StatusCode::kCorruption, "checksum mismatch");
+  }
   return Status::Ok();
+}
+
+void FileSystem::MarkFree(BlockNo block) {
+  in_use_.Clear(block);
+  --allocated_blocks_;
+  rmap_[block] = BlockOwner{};
+  if (injector_ != nullptr) {
+    // A freed block's fault can no longer serve corrupt data to a reader.
+    injector_->OnBlockFreed(block);
+  }
 }
 
 void FileSystem::OnBlockFlushed(BlockNo block, uint64_t token) {
   disk_data_[block] = token;
+  disk_csum_[block] = TokenChecksum(token);
 }
 
 void FileSystem::InjectCorruption(BlockNo block, bool /*both_copies*/) {
@@ -57,7 +90,7 @@ void FileSystem::AttachDurableImage(DurableImage* image) {
     device_->SetDurableContentProvider([this](BlockNo block) {
       DurableContent content;
       content.token = disk_data_[block];
-      content.csum = StoredChecksum(block);
+      content.csum = disk_csum_[block];
       content.ino = rmap_[block].ino;
       content.idx = rmap_[block].idx;
       content.in_use = BlockInUse(block);
@@ -79,26 +112,123 @@ void FileSystem::SnapshotToDurable() {
   }
   for (BlockNo b = 0; b < capacity_blocks(); ++b) {
     if (BlockInUse(b)) {
-      image_->Commit(b, disk_data_[b], StoredChecksum(b), rmap_[b].ino,
-                     rmap_[b].idx);
+      image_->Commit(b, disk_data_[b], disk_csum_[b], rmap_[b].ino, rmap_[b].idx);
     }
   }
 }
 
 void FileSystem::Checkpoint(std::function<void()> done) {
-  Sync(std::move(done));
+  assert(image_ != nullptr && "attach a durable image before checkpointing");
+  Sync([this, done = std::move(done)]() mutable {
+    // Quiesced commit: with no foreground writes racing the sync, the cache
+    // is clean at the barrier, so the payload references only durably
+    // committed blocks.
+    assert(cache_.DirtyCount() == 0 && "quiesce writes during checkpoint");
+    ByteWriter w;
+    SerializeNamespaceAndMaps(&w);
+    SerializeFsState(&w);
+    std::vector<uint8_t> payload = w.Take();
+    uint64_t generation = checkpoint_generation_ + 1;
+    // Taken before `payload` moves into the commit below.
+    SimDuration latency = MetaIoLatency(payload.size());
+    // The checkpoint area is written FUA at the end of the modeled latency;
+    // a crash inside the window simply leaves the previous generation (and
+    // the image's PutMeta is a no-op once frozen anyway).
+    loop_->ScheduleAfter(latency, [this, payload = std::move(payload), generation,
+                                   done = std::move(done)] {
+      CommitCheckpointSlot(image_, checkpoint_slot_, generation, payload);
+      checkpoint_generation_ = generation;
+      // Pin the committed tree until the next commit; logfs's prefree
+      // segments become reusable here.
+      pinned_ = in_use_;
+      obs_->trace.Emit(loop_->now(), obs::TraceLayer::kFs,
+                       obs::TraceKind::kCheckpointCommit, generation,
+                       payload.size(), image_->commit_seq());
+      done();
+    });
+  });
 }
 
 void FileSystem::Mount(std::function<void(const MountReport&)> cb) {
-  MountReport report;
-  report.status = Status(StatusCode::kNotSupported, "no recovery metadata");
-  loop_->ScheduleAfter(0, [cb = std::move(cb), report] { cb(report); });
+  assert(image_ != nullptr && "attach a durable image before mounting");
+  assert(ns_.inode_count() == 1 && fmap_.empty() &&
+         "mount requires a freshly constructed file system");
+  SimTime started = loop_->now();
+  auto report = std::make_shared<MountReport>();
+  std::optional<LoadedCheckpoint> loaded = LoadNewestCheckpoint(*image_, checkpoint_slot_);
+  std::vector<BlockNo> read_back;
+  if (!loaded.has_value()) {
+    report->status = Status(StatusCode::kNotFound, "no committed checkpoint");
+  } else {
+    report->generation = loaded->generation;
+    report->meta_bytes = loaded->payload.size();
+    ByteReader r(loaded->payload);
+    report->status = RestoreNamespaceAndMaps(&r, &report->files)
+                         ? RestoreFsState(&r, report.get(), &read_back)
+                         : Status(StatusCode::kCorruption, "bad checkpoint namespace");
+  }
+  if (!report->status.ok()) {
+    loop_->ScheduleAfter(0, [cb = std::move(cb), report] { cb(*report); });
+    return;
+  }
+  checkpoint_generation_ = report->generation;
+
+  auto finish = [this, report, cb = std::move(cb), started] {
+    report->duration = loop_->now() - started;
+    obs_->trace.Emit(loop_->now(), obs::TraceLayer::kFs,
+                     obs::TraceKind::kMountRecovered,
+                     report->generation, report->blocks_restored,
+                     report->blocks_discarded);
+    cb(*report);
+  };
+  // Model the recovery I/O: read the checkpoint area, then read back what
+  // the file system asked for (logfs: its replayed log tail, so recovery
+  // latency scales with the post-checkpoint work the crash left behind).
+  loop_->ScheduleAfter(MetaIoLatency(report->meta_bytes),
+                       [this, read_back = std::move(read_back),
+                        finish = std::move(finish)]() mutable {
+    if (read_back.empty()) {
+      finish();
+      return;
+    }
+    ReadBlocks(std::move(read_back), IoClass::kBestEffort,
+               [finish = std::move(finish)](const RawReadResult&) { finish(); });
+  });
 }
 
 FsckReport FileSystem::CheckConsistency() const {
   FsckReport report;
   CheckFileMappings(&report);
+  CheckFsState(&report);
+  uint64_t in_use_count = 0;
+  for (std::optional<BlockNo> b = in_use_.FindNextSet(0); b.has_value();
+       b = in_use_.FindNextSet(*b + 1)) {
+    ++in_use_count;
+    ++report.blocks_checked;
+    if (!BlockChecksumOk(*b)) {
+      ++report.checksum_errors;
+      report.NoteBad(*b);
+    }
+  }
+  if (in_use_count != allocated_blocks_) {
+    ++report.structural_errors;
+  }
+  obs_->trace.Emit(loop_->now(), obs::TraceLayer::kFs,
+                   obs::TraceKind::kFsckRan,
+                   report.structural_errors, report.checksum_errors,
+                   report.blocks_checked);
   return report;
+}
+
+void FileSystem::LoadBlock(BlockNo block, MountReport* report) {
+  if (image_->Present(block)) {
+    const DurableImage::Record& rec = image_->At(block);
+    disk_data_[block] = rec.token;
+    disk_csum_[block] = rec.csum;
+    ++report->blocks_restored;
+  } else {
+    ++report->blocks_missing;
+  }
 }
 
 void FileSystem::SerializeNamespaceAndMaps(ByteWriter* w) const {
@@ -175,6 +305,12 @@ bool FileSystem::RestoreNamespaceAndMaps(ByteReader* r, uint64_t* files_out) {
 }
 
 void FileSystem::CheckFileMappings(FsckReport* report) const {
+  for (const auto& [ino, map] : fmap_) {
+    const Inode* inode = ns_.Get(ino);
+    if (inode == nullptr || inode->is_dir()) {
+      ++report->structural_errors;  // extent map for a nonexistent file
+    }
+  }
   ns_.ForEachInode([this, report](const Inode& inode) {
     if (inode.is_dir()) {
       return;
@@ -202,16 +338,6 @@ void FileSystem::SetMapping(InodeNo ino, PageIdx idx, BlockNo block) {
   map.blocks[idx] = block;
   if (block != kInvalidBlock) {
     rmap_[block] = BlockOwner{ino, idx};
-  }
-}
-
-void FileSystem::ClearOwner(BlockNo block) {
-  if (block != kInvalidBlock) {
-    rmap_[block] = BlockOwner{};
-    if (injector_ != nullptr) {
-      // A freed block's fault can no longer serve corrupt data to a reader.
-      injector_->OnBlockFreed(block);
-    }
   }
 }
 
@@ -346,8 +472,7 @@ void FileSystem::Read(InodeNo ino, ByteOff off, uint64_t len, IoClass io_class,
           }
           continue;
         }
-        uint64_t token = disk_data_[m.block];
-        Status verify = OnDiskBlockRead(m.block, token);
+        Status verify = VerifyBlock(m.block);
         if (!verify.ok()) {
           // Corrupt content must not enter the page cache: a later read
           // would be served the bad token with an OK status.
@@ -362,7 +487,7 @@ void FileSystem::Read(InodeNo ino, ByteOff off, uint64_t len, IoClass io_class,
         }
         ++job->result.pages_from_disk;
         if (raced == nullptr) {
-          cache_.Insert(m.ino, m.idx, token, /*dirty=*/false);
+          cache_.Insert(m.ino, m.idx, disk_data_[m.block], /*dirty=*/false);
         }
       }
       if (--job->outstanding == 0 && job->submitted_all) {
@@ -479,7 +604,7 @@ void FileSystem::ReadBlocks(std::vector<BlockNo> blocks, IoClass io_class,
           continue;
         }
         ++result->blocks_read;
-        Status verify = OnDiskBlockRead(b, disk_data_[b]);
+        Status verify = VerifyBlock(b);
         if (!verify.ok()) {
           ++result->checksum_errors;
           result->bad_blocks.push_back(b);

@@ -1,16 +1,23 @@
 // Shared file-system machinery for the two concrete file systems (cowfs,
 // logfs): namespace, page cache, async read/write paths over the simulated
-// block device, and writeback. Concrete file systems supply block placement
-// (COW vs log-structured) through a small set of virtual hooks.
+// block device, writeback, and the block store both keep the same way — the
+// in-use bitmap, a CRC32C per block verified on every read path, the blocks
+// pinned by the last checkpoint, and one checkpoint / mount / fsck path.
+// Concrete file systems supply block placement (COW vs log-structured) and
+// their own checkpoint payload and fsck rules through a small set of virtual
+// hooks.
 //
 // All data callbacks are delivered through the event loop (never inline), so
 // task state machines cannot recurse unboundedly on all-cached reads.
 #ifndef SRC_FS_FILE_SYSTEM_H_
 #define SRC_FS_FILE_SYSTEM_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "src/block/block_device.h"
@@ -19,6 +26,7 @@
 #include "src/fs/namespace.h"
 #include "src/obs/obs.h"
 #include "src/sim/event_loop.h"
+#include "src/util/bitmap.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
 #include "src/util/types.h"
@@ -63,11 +71,9 @@ struct FsckReport {
   BlockNo first_bad_block = kInvalidBlock;
 
   bool clean() const { return structural_errors == 0 && checksum_errors == 0; }
-  void NoteBad(BlockNo block) {
-    if (first_bad_block == kInvalidBlock) {
-      first_bad_block = block;
-    }
-  }
+  // Keeps the lowest bad block, so the report does not depend on the order
+  // the checks run in.
+  void NoteBad(BlockNo block) { first_bad_block = std::min(first_bad_block, block); }
 };
 
 // Outcome of a raw block-level read (no page-cache involvement).
@@ -84,8 +90,10 @@ struct RawReadResult {
 
 class FileSystem : public WritebackTarget {
  public:
+  // `checkpoint_slot` names the durable image's checkpoint slots this file
+  // system commits to and mounts from.
   FileSystem(EventLoop* loop, BlockDevice* device, uint64_t cache_pages,
-             WritebackParams wb_params = WritebackParams());
+             WritebackParams wb_params, std::string checkpoint_slot);
   ~FileSystem() override = default;
 
   FileSystem(const FileSystem&) = delete;
@@ -131,9 +139,9 @@ class FileSystem : public WritebackTarget {
               IoClass io_class, FsIoCallback cb);
 
   // Reads an explicit list of device blocks, bypassing the page cache.
-  // Consecutive block numbers are coalesced into single requests. Content
-  // verification (checksums) happens via OnDiskBlockRead. Used by tasks that
-  // must read data with no live page, e.g. preserved snapshot blocks.
+  // Consecutive block numbers are coalesced into single requests, and every
+  // block read is checked by VerifyBlock. Used by tasks that must read data
+  // with no live page, e.g. preserved snapshot blocks.
   void ReadBlocks(std::vector<BlockNo> blocks, IoClass io_class,
                   std::function<void(const RawReadResult&)> cb);
 
@@ -189,22 +197,30 @@ class FileSystem : public WritebackTarget {
   // them). Call after population, before the run starts.
   void SnapshotToDurable();
 
-  // Commits a recovery point: Sync(), then serialize metadata and write it
-  // to the image's checkpoint area (cowfs: superblock generation; logfs:
-  // checkpoint). Requires quiesced foreground writes between the internal
-  // Sync and the metadata write — the transaction-commit stall of a real
-  // COW/log file system. The base implementation only syncs.
-  virtual void Checkpoint(std::function<void()> done);
+  // Commits a recovery point: Sync(), then serializes the namespace, the
+  // extent maps and the file system's own state (SerializeFsState) into the
+  // next checkpoint generation (two-slot, CRC-protected), written
+  // MetaIoLatency(payload bytes) after the sync's device flush. Every block
+  // in use at the commit is pinned — not reusable by the allocator — until
+  // the NEXT commit, so recovery always finds the checkpointed tree intact.
+  // Requires quiesced foreground writes during the commit (the
+  // transaction-commit stall of a real COW/log file system) and an attached
+  // durable image.
+  void Checkpoint(std::function<void()> done);
 
-  // Mount-time recovery: rebuilds all in-memory state from the durable
-  // image. Must be called on a freshly constructed file system (empty
-  // namespace). The base implementation reports kNotSupported.
-  virtual void Mount(std::function<void(const MountReport&)> cb);
+  // Mount-time recovery: loads the newest checkpoint generation, restores
+  // the namespace and extent maps, then the file system's own state
+  // (RestoreFsState), and reads back the blocks that hook returns. Takes
+  // MetaIoLatency(checkpoint bytes) plus the read-back. Must be called on a
+  // freshly constructed file system (empty namespace) with an attached
+  // durable image.
+  void Mount(std::function<void(const MountReport&)> cb);
 
-  // fsck: verifies refcounts, allocation bitmaps, forward/reverse extent
-  // maps, and per-block CRC32C of every in-use block. Pure in-memory check
-  // (no modeled I/O); run it right after Mount to audit the recovered state.
-  virtual FsckReport CheckConsistency() const;
+  // fsck: verifies the forward/reverse extent maps, the file system's own
+  // tables (CheckFsState), the in-use count, and the CRC32C of every in-use
+  // block. Pure in-memory check (no modeled I/O); run it right after Mount
+  // to audit the recovered state.
+  FsckReport CheckConsistency() const;
 
   // ---- Fault injection ----
   // Wires a fault injector to this stack: the device consults it on every
@@ -213,6 +229,24 @@ class FileSystem : public WritebackTarget {
   // FaultInjector::Start(). Passing nullptr detaches.
   void AttachFaultInjector(FaultInjector* injector);
   FaultInjector* fault_injector() const { return injector_; }
+
+  // ---- Block store ----
+  // True if `block` currently holds live data.
+  bool BlockInUse(BlockNo block) const { return in_use_.Test(block); }
+  // First in-use block at or after `from` (physical order).
+  std::optional<BlockNo> NextBlockInUse(BlockNo from) const {
+    return in_use_.FindNextSet(from);
+  }
+  // Verifies the on-disk copy of `block` against its stored checksum.
+  bool BlockChecksumOk(BlockNo block) const;
+  // Flips on-disk bits without updating the checksum (failure injection).
+  // With `also_mirror`, cowfs's DUP mirror copy is corrupted too, making the
+  // block unrecoverable by RepairBlocks.
+  void CorruptBlock(BlockNo block, bool also_mirror = false) {
+    InjectCorruption(block, also_mirror);
+  }
+  // Checksum mismatches VerifyBlock found on in-use blocks.
+  uint64_t checksum_errors_detected() const { return checksum_errors_detected_; }
 
   // ---- Introspection ----
   uint64_t allocated_blocks() const { return allocated_blocks_; }
@@ -245,37 +279,46 @@ class FileSystem : public WritebackTarget {
   virtual Status PopulatePages(InodeNo ino, uint64_t npages, double break_prob,
                                Rng* rng);
 
-  // Called when a block's content has been read from the device; cowfs
-  // verifies the stored checksum here.
-  virtual Status OnDiskBlockRead(BlockNo block, uint64_t token);
-
-  // Called when writeback has persisted `token` into `block`; cowfs updates
-  // the block checksum, logfs updates segment metadata.
+  // Called when `token` has been persisted into `block` (writeback, repair,
+  // population): stores it and its checksum. cowfs also updates its mirror.
   virtual void OnBlockFlushed(BlockNo block, uint64_t token);
 
-  // Corruption sink for the fault injector (and the CorruptBlock test
-  // hooks): flips the on-disk content of `block` without touching any stored
-  // checksum. cowfs extends it to optionally corrupt the DUP mirror too.
+  // Corruption sink for the fault injector (and CorruptBlock): flips the
+  // on-disk content of `block` without touching its stored checksum. cowfs
+  // extends it to optionally corrupt the DUP mirror too.
   virtual void InjectCorruption(BlockNo block, bool both_copies);
 
-  // True if `block` currently holds live data (fault targeting filter).
-  virtual bool BlockInUse(BlockNo /*block*/) const { return true; }
+  // ---- Checkpoint hooks: the file system's own state ----
+  // Appends this file system's state to a checkpoint payload, after the
+  // namespace and extent maps.
+  virtual void SerializeFsState(ByteWriter* w) const = 0;
+  // Inverse of SerializeFsState, run at mount after the namespace and maps
+  // are restored: rebuilds the in-use bitmap, block content (LoadBlock) and
+  // pins. Blocks appended to `read_back` are read through the device before
+  // the mount completes.
+  virtual Status RestoreFsState(ByteReader* r, MountReport* report,
+                                std::vector<BlockNo>* read_back) = 0;
+  // Checks this file system's own tables; counts what disagrees.
+  virtual void CheckFsState(FsckReport* report) const = 0;
 
-  // Stored checksum of `block` (may legitimately disagree with the current
-  // content — that is how torn writes and bit rot are detected). Feeds the
-  // durable-image content provider.
-  virtual uint32_t StoredChecksum(BlockNo /*block*/) const { return 0; }
+  static uint32_t TokenChecksum(uint64_t token);
 
-  // Shared checkpoint payload pieces: the namespace (inode table) and the
-  // forward extent map, in deterministic (inode-sorted) order.
-  void SerializeNamespaceAndMaps(ByteWriter* w) const;
-  // Inverse of the above; installs inodes and page->block mappings (which
-  // also rebuilds the reverse map). Returns false on a malformed payload.
-  bool RestoreNamespaceAndMaps(ByteReader* r, uint64_t* files_out);
+  // Checks the content just read from `block` against its stored checksum.
+  // A mismatch on an in-use block is counted in checksum_errors_detected()
+  // and reported to the fault injector.
+  Status VerifyBlock(BlockNo block);
 
-  // Shared fsck piece: every page of every live file must be mapped (no
-  // holes), its block in use, and the reverse map must agree.
-  void CheckFileMappings(FsckReport* report) const;
+  // In-use bitmap updates; both keep allocated_blocks_. MarkFree also drops
+  // the block's reverse mapping.
+  void MarkInUse(BlockNo block) {
+    in_use_.Set(block);
+    ++allocated_blocks_;
+  }
+  void MarkFree(BlockNo block);
+
+  // Mount helper: reloads `block`'s content and stored checksum from the
+  // durable image, counting it restored, or missing if never committed.
+  void LoadBlock(BlockNo block, MountReport* report);
 
   // Forward/reverse map storage shared by both file systems.
   struct FileMap {
@@ -284,14 +327,20 @@ class FileSystem : public WritebackTarget {
   std::unordered_map<InodeNo, FileMap> fmap_;
   std::vector<BlockOwner> rmap_;     // block -> owner page
   std::vector<uint64_t> disk_data_;  // block -> stored token
-  uint64_t allocated_blocks_ = 0;
+  std::vector<uint32_t> disk_csum_;  // block -> CRC32C of the stored token
+  Bitmap in_use_;                    // block-level liveness
+  uint64_t allocated_blocks_ = 0;    // set bits of in_use_
+  // Blocks recovery depends on: the blocks in use at the last checkpoint
+  // (plus, in logfs, every block appended since). Neither allocator hands
+  // them out or rewrites them in place. Empty until the first checkpoint or
+  // mount, making the crash path free for stacks that never use it.
+  Bitmap pinned_;
 
   // Fresh unique content token.
   uint64_t NextToken() { return token_counter_ += 0x9e3779b97f4a7c15ULL; }
 
   // Installs a page->block mapping (and the reverse map).
   void SetMapping(InodeNo ino, PageIdx idx, BlockNo block);
-  void ClearOwner(BlockNo block);
 
   EventLoop* loop_;
   BlockDevice* device_;
@@ -312,6 +361,21 @@ class FileSystem : public WritebackTarget {
   struct ReadJob;
   void FinishViaLoop(FsIoCallback cb, FsIoResult result);
 
+  // Checkpoint payload pieces both file systems share: the namespace (inode
+  // table) and the forward extent map, in deterministic (inode-sorted)
+  // order. The restore installs inodes and page->block mappings (which also
+  // rebuilds the reverse map); false on a malformed payload.
+  void SerializeNamespaceAndMaps(ByteWriter* w) const;
+  bool RestoreNamespaceAndMaps(ByteReader* r, uint64_t* files_out);
+
+  // fsck piece both file systems share: every extent map belongs to a live
+  // regular file, every page of a live file is mapped (no holes), its block
+  // in use, and the reverse map agrees.
+  void CheckFileMappings(FsckReport* report) const;
+
+  const std::string checkpoint_slot_;
+  uint64_t checkpoint_generation_ = 0;
+  uint64_t checksum_errors_detected_ = 0;
   uint64_t token_counter_ = 1;
 };
 

@@ -7,46 +7,16 @@
 #include <unordered_set>
 #include <utility>
 
-#include "src/fault/fault_injector.h"
 #include "src/fs/meta_codec.h"
-#include "src/obs/obs.h"
-#include "src/util/crc32c.h"
 
 namespace duet {
 
 LogFs::LogFs(EventLoop* loop, BlockDevice* device, uint64_t cache_pages,
              uint32_t segment_blocks, WritebackParams wb_params)
-    : FileSystem(loop, device, cache_pages, wb_params),
-      segment_blocks_(segment_blocks),
-      valid_(device->capacity_blocks()),
-      disk_csum_(device->capacity_blocks(), TokenChecksum(0)),
-      pinned_(device->capacity_blocks()) {
+    : FileSystem(loop, device, cache_pages, wb_params, "logfs.ckpt"),
+      segment_blocks_(segment_blocks) {
   assert(segment_blocks_ > 0);
   sit_.resize((device->capacity_blocks() + segment_blocks_ - 1) / segment_blocks_);
-}
-
-uint32_t LogFs::TokenChecksum(uint64_t token) {
-  return Crc32c(&token, sizeof(token));
-}
-
-bool LogFs::BlockChecksumOk(BlockNo block) const {
-  return disk_csum_[block] == TokenChecksum(disk_data_[block]);
-}
-
-Status LogFs::OnDiskBlockRead(BlockNo block, uint64_t token) {
-  if (valid_.Test(block) && disk_csum_[block] != TokenChecksum(token)) {
-    ++checksum_errors_detected_;
-    if (injector_ != nullptr) {
-      injector_->NoteCorruptionDetected(block);
-    }
-    return Status(StatusCode::kCorruption, "checksum mismatch");
-  }
-  return Status::Ok();
-}
-
-void LogFs::OnBlockFlushed(BlockNo block, uint64_t token) {
-  FileSystem::OnBlockFlushed(block, token);
-  disk_csum_[block] = TokenChecksum(token);
 }
 
 uint64_t LogFs::free_segments() const {
@@ -64,7 +34,7 @@ std::vector<BlockNo> LogFs::ValidBlocksOf(SegmentNo seg) const {
   BlockNo start = seg * segment_blocks_;
   BlockNo end = std::min<BlockNo>(start + segment_blocks_, capacity_blocks());
   for (BlockNo b = start; b < end; ++b) {
-    if (valid_.Test(b)) {
+    if (BlockInUse(b)) {
       blocks.push_back(b);
     }
   }
@@ -115,12 +85,11 @@ Result<BlockNo> LogFs::LogAppend() {
         BlockNo start = s * segment_blocks_;
         BlockNo end = std::min<BlockNo>(start + sit_[s].written, capacity_blocks());
         for (BlockNo b = start; b < end; ++b) {
-          if (!valid_.Test(b) && !pinned_.Test(b)) {
+          if (!BlockInUse(b) && !pinned_.Test(b)) {
             ++scattered_writes_;
-            valid_.Set(b);
+            MarkInUse(b);
             ++sit_[s].valid;
             sit_[s].mtime = loop_->now();
-            ++allocated_blocks_;
             if (image_ != nullptr) {
               pinned_.Set(b);
             }
@@ -139,8 +108,7 @@ Result<BlockNo> LogFs::LogAppend() {
   ++info.written;
   ++info.valid;
   info.mtime = loop_->now();
-  valid_.Set(block);
-  ++allocated_blocks_;
+  MarkInUse(block);
   if (image_ != nullptr) {
     pinned_.Set(block);
   }
@@ -148,16 +116,14 @@ Result<BlockNo> LogFs::LogAppend() {
 }
 
 void LogFs::Invalidate(BlockNo block) {
-  if (!valid_.Test(block)) {
+  if (!BlockInUse(block)) {
     return;
   }
-  valid_.Clear(block);
   SegmentNo seg = SegmentOf(block);
   assert(sit_[seg].valid > 0);
   --sit_[seg].valid;
   sit_[seg].mtime = loop_->now();
-  --allocated_blocks_;
-  ClearOwner(block);
+  MarkFree(block);
 }
 
 Result<BlockNo> LogFs::AllocateForWrite(InodeNo ino, PageIdx idx, BlockNo old_block) {
@@ -259,7 +225,7 @@ void LogFs::CleanSegment(SegmentNo seg, IoClass io_class,
   // leave its page dirty for asynchronous writeback.
   auto move_phase = [this, seg, victims = std::move(victims), bad, result, finish] {
     for (const Victim& v : victims) {
-      if (!valid_.Test(v.block)) {
+      if (!BlockInUse(v.block)) {
         continue;  // invalidated while we were reading (foreground write)
       }
       if (bad->count(v.block) != 0) {
@@ -336,13 +302,9 @@ void LogFs::CleanSegment(SegmentNo seg, IoClass io_class,
           bad->insert(v.block);
           continue;
         }
-        if (valid_.Test(v.block) && !BlockChecksumOk(v.block)) {
+        if (!VerifyBlock(v.block).ok()) {
           ++result->checksum_errors;
-          ++checksum_errors_detected_;
           bad->insert(v.block);
-          if (injector_ != nullptr) {
-            injector_->NoteCorruptionDetected(v.block);
-          }
           continue;
         }
         if (!cache_.Contains(v.ino, v.idx)) {
@@ -358,68 +320,32 @@ void LogFs::CleanSegment(SegmentNo seg, IoClass io_class,
   }
 }
 
-std::vector<uint8_t> LogFs::SerializeCheckpoint() const {
-  ByteWriter w;
-  SerializeNamespaceAndMaps(&w);
+void LogFs::SerializeFsState(ByteWriter* w) const {
   // Replay threshold: every image record committed after this sequence
   // number belongs to the log tail and is rolled forward at mount.
-  w.U64(image_->commit_seq());
-  w.U64(open_segment_);
-  w.U64(sit_.size());
+  w->U64(image_->commit_seq());
+  w->U64(open_segment_);
+  w->U64(sit_.size());
   for (const SegmentInfo& info : sit_) {
-    w.U32(info.written);
-    w.U64(info.mtime);
+    w->U32(info.written);
+    w->U64(info.mtime);
   }
-  return w.Take();
 }
 
-void LogFs::WriteCheckpoint(std::function<void(uint64_t)> done) {
-  assert(image_ != nullptr && "attach a durable image before checkpointing");
-  Sync([this, done = std::move(done)]() mutable {
-    // Quiesced commit: with no foreground writes racing the sync, the cache
-    // is clean at the barrier, so the checkpoint references only durably
-    // committed blocks and the recorded commit_seq covers all of them.
-    assert(cache_.DirtyCount() == 0 && "quiesce writes during checkpoint");
-    std::vector<uint8_t> payload = SerializeCheckpoint();
-    uint64_t generation = checkpoint_generation_ + 1;
-    SimDuration latency = MetaIoLatency(payload.size());
-    loop_->ScheduleAfter(latency, [this, payload = std::move(payload), generation,
-                                   done = std::move(done)]() mutable {
-      CommitCheckpointSlot(image_, "logfs.ckpt", generation, payload);
-      checkpoint_generation_ = generation;
-      // Drop the pins down to the blocks this checkpoint references; prefree
-      // segments become reusable (F2fs's checkpoint unpins prefree segments).
-      pinned_ = valid_;
-      obs_->trace.Emit(loop_->now(), obs::TraceLayer::kFs,
-                       obs::TraceKind::kCheckpointCommit, generation,
-                       payload.size(), image_->commit_seq());
-      done(generation);
-    });
-  });
-}
-
-void LogFs::Checkpoint(std::function<void()> done) {
-  WriteCheckpoint([done = std::move(done)](uint64_t) { done(); });
-}
-
-Status LogFs::RestoreFromCheckpoint(const std::vector<uint8_t>& payload,
-                                    MountReport* report, uint64_t* ckpt_seq) {
-  ByteReader r(payload);
-  if (!RestoreNamespaceAndMaps(&r, &report->files)) {
-    return Status(StatusCode::kCorruption, "bad checkpoint namespace");
-  }
-  *ckpt_seq = r.U64();
-  open_segment_ = r.U64();
-  uint64_t nsegs = r.U64();
-  if (!r.ok() || nsegs != sit_.size() || open_segment_ >= nsegs) {
+Status LogFs::RestoreFsState(ByteReader* r, MountReport* report,
+                             std::vector<BlockNo>* read_back) {
+  uint64_t ckpt_seq = r->U64();
+  open_segment_ = r->U64();
+  uint64_t nsegs = r->U64();
+  if (!r->ok() || nsegs != sit_.size() || open_segment_ >= nsegs) {
     return Status(StatusCode::kCorruption, "checkpoint geometry mismatch");
   }
   for (SegmentInfo& info : sit_) {
-    info.written = r.U32();
-    info.mtime = r.U64();
+    info.written = r->U32();
+    info.mtime = r->U64();
     info.valid = 0;
   }
-  if (!r.ok()) {
+  if (!r->ok()) {
     return Status(StatusCode::kCorruption, "truncated checkpoint");
   }
 
@@ -429,20 +355,13 @@ Status LogFs::RestoreFromCheckpoint(const std::vector<uint8_t>& payload,
       if (block == kInvalidBlock) {
         continue;
       }
-      valid_.Set(block);
+      MarkInUse(block);
       ++sit_[SegmentOf(block)].valid;
-      ++allocated_blocks_;
       pinned_.Set(block);
-      if (image_->Present(block)) {
-        const DurableImage::Record& rec = image_->At(block);
-        disk_data_[block] = rec.token;
-        disk_csum_[block] = rec.csum;
-        ++report->blocks_restored;
-      } else {
-        ++report->blocks_missing;
-      }
+      LoadBlock(block, report);
     }
   }
+  ReplayImageRecords(ckpt_seq, report, read_back);
   return Status::Ok();
 }
 
@@ -480,7 +399,7 @@ void LogFs::ReplayImageRecords(uint64_t ckpt_seq, MountReport* report,
       ++report->blocks_discarded;
       continue;
     }
-    if (valid_.Test(rec.block)) {
+    if (BlockInUse(rec.block)) {
       // Pinning makes reuse of a checkpoint-referenced block impossible, so
       // this cannot happen; discard defensively rather than steal the block.
       ++report->blocks_discarded;
@@ -491,13 +410,12 @@ void LogFs::ReplayImageRecords(uint64_t ckpt_seq, MountReport* report,
       Invalidate(*old);  // the replayed record supersedes the older location
     }
     SetMapping(rec.ino, rec.idx, rec.block);
-    valid_.Set(rec.block);
+    MarkInUse(rec.block);
     SegmentNo seg = SegmentOf(rec.block);
     ++sit_[seg].valid;
     uint32_t offset = static_cast<uint32_t>(rec.block - seg * segment_blocks_);
     sit_[seg].written = std::max(sit_[seg].written, offset + 1);
     sit_[seg].mtime = loop_->now();
-    ++allocated_blocks_;
     pinned_.Set(rec.block);
     disk_data_[rec.block] = rec.token;
     disk_csum_[rec.block] = rec.csum;
@@ -510,118 +428,53 @@ void LogFs::ReplayImageRecords(uint64_t ckpt_seq, MountReport* report,
   }
 }
 
-void LogFs::Mount(std::function<void(const MountReport&)> cb) {
-  assert(image_ != nullptr && "attach a durable image before mounting");
-  assert(ns_.inode_count() == 1 && fmap_.empty() &&
-         "mount requires a freshly constructed file system");
-  SimTime started = loop_->now();
-  auto report = std::make_shared<MountReport>();
-  std::optional<LoadedCheckpoint> loaded = LoadNewestCheckpoint(*image_, "logfs.ckpt");
-  if (!loaded.has_value()) {
-    report->status = Status(StatusCode::kNotFound, "no committed checkpoint");
-    loop_->ScheduleAfter(0, [cb = std::move(cb), report] { cb(*report); });
-    return;
-  }
-  report->generation = loaded->generation;
-  report->meta_bytes = loaded->payload.size();
-  uint64_t ckpt_seq = 0;
-  report->status = RestoreFromCheckpoint(loaded->payload, report.get(), &ckpt_seq);
-  if (!report->status.ok()) {
-    loop_->ScheduleAfter(0, [cb = std::move(cb), report] { cb(*report); });
-    return;
-  }
-  auto replayed = std::make_shared<std::vector<BlockNo>>();
-  ReplayImageRecords(ckpt_seq, report.get(), replayed.get());
-  checkpoint_generation_ = loaded->generation;
-
-  auto finish = [this, report, cb = std::move(cb), started] {
-    report->duration = loop_->now() - started;
-    obs_->trace.Emit(loop_->now(), obs::TraceLayer::kFs,
-                     obs::TraceKind::kMountRecovered,
-                     report->generation, report->blocks_restored,
-                     report->blocks_discarded);
-    cb(*report);
-  };
-  // Model the recovery I/O: read the checkpoint area, then read the replayed
-  // log tail back through the device — recovery latency scales with the
-  // amount of post-checkpoint work the crash left behind.
-  loop_->ScheduleAfter(MetaIoLatency(loaded->payload.size()),
-                       [this, replayed, finish = std::move(finish)]() mutable {
-    if (replayed->empty()) {
-      finish();
-      return;
-    }
-    ReadBlocks(*replayed, IoClass::kBestEffort,
-               [finish = std::move(finish)](const RawReadResult&) { finish(); });
-  });
-}
-
-FsckReport LogFs::CheckConsistency() const {
-  FsckReport report;
-  CheckFileMappings(&report);
-  // Every extent map must belong to a live regular file and reference only
-  // valid blocks.
+void LogFs::CheckFsState(FsckReport* report) const {
+  // Every extent map of a live file references only valid blocks.
   for (const auto& [ino, map] : fmap_) {
     const Inode* inode = ns_.Get(ino);
     if (inode == nullptr || inode->is_dir()) {
-      ++report.structural_errors;  // extent map for a nonexistent file
-      continue;
+      continue;  // counted by CheckFileMappings
     }
     for (BlockNo block : map.blocks) {
-      if (block != kInvalidBlock && !valid_.Test(block)) {
-        ++report.structural_errors;
-        report.NoteBad(block);
+      if (block != kInvalidBlock && !BlockInUse(block)) {
+        ++report->structural_errors;
+        report->NoteBad(block);
       }
     }
   }
   // Segment table vs block-level liveness, and log-head discipline: valid
   // blocks only below each segment's write frontier.
-  uint64_t valid_count = 0;
   for (SegmentNo s = 0; s < sit_.size(); ++s) {
     BlockNo start = s * segment_blocks_;
     BlockNo end = std::min<BlockNo>(start + segment_blocks_, capacity_blocks());
-    uint64_t in_seg = valid_.CountRange(start, end);
-    valid_count += in_seg;
-    if (sit_[s].valid != in_seg || sit_[s].written > segment_blocks_) {
-      ++report.structural_errors;
-      report.NoteBad(start);
+    if (sit_[s].valid != in_use_.CountRange(start, end) ||
+        sit_[s].written > segment_blocks_) {
+      ++report->structural_errors;
+      report->NoteBad(start);
     }
     for (BlockNo b = start; b < end; ++b) {
-      if (!valid_.Test(b)) {
+      if (!BlockInUse(b)) {
         continue;
       }
       if (b - start >= sit_[s].written) {
-        ++report.structural_errors;  // valid block beyond the write frontier
-        report.NoteBad(b);
+        ++report->structural_errors;  // valid block beyond the write frontier
+        report->NoteBad(b);
       }
       // logfs's reverse map is exact: every valid block has exactly one
       // owning page, and the forward map agrees.
       Result<BlockOwner> owner = Rmap(b);
       if (!owner.ok()) {
-        ++report.structural_errors;
-        report.NoteBad(b);
+        ++report->structural_errors;
+        report->NoteBad(b);
       } else {
         Result<BlockNo> fwd = Bmap(owner->ino, owner->idx);
         if (!fwd.ok() || *fwd != b) {
-          ++report.structural_errors;
-          report.NoteBad(b);
+          ++report->structural_errors;
+          report->NoteBad(b);
         }
-      }
-      ++report.blocks_checked;
-      if (!BlockChecksumOk(b)) {
-        ++report.checksum_errors;
-        report.NoteBad(b);
       }
     }
   }
-  if (valid_count != allocated_blocks_) {
-    ++report.structural_errors;
-  }
-  obs_->trace.Emit(loop_->now(), obs::TraceLayer::kFs,
-                   obs::TraceKind::kFsckRan,
-                   report.structural_errors, report.checksum_errors,
-                   report.blocks_checked);
-  return report;
 }
 
 double GcCostBaseline(const SegmentInfo& info, uint32_t segment_blocks, SimTime now) {

@@ -9,6 +9,11 @@
 // When no free segment is left, the allocator degrades to overwriting
 // invalid blocks in scattered segments — the slow mode the paper measures a
 // 57% latency increase in; `scattered_writes()` exposes how often it hit.
+//
+// FileSystem's block store holds block liveness (valid = in use), the
+// per-block CRC32C the cleaner verifies (so cleaning doubles as corruption
+// detection), and the checkpoint pins. logfs's checkpoint adds the segment
+// table and a replay threshold; mount rolls the log tail forward from it.
 #ifndef SRC_LOGFS_LOGFS_H_
 #define SRC_LOGFS_LOGFS_H_
 
@@ -18,7 +23,6 @@
 #include <vector>
 
 #include "src/fs/file_system.h"
-#include "src/util/bitmap.h"
 
 namespace duet {
 
@@ -50,15 +54,6 @@ class LogFs : public FileSystem {
   LogFs(EventLoop* loop, BlockDevice* device, uint64_t cache_pages,
         uint32_t segment_blocks = 512, WritebackParams wb_params = WritebackParams());
 
-  // ---- Checksums ----
-  // Per-block CRC32C over the stored token, updated on every flush. The GC
-  // verifies victims it reads, so cleaning doubles as corruption detection.
-  static uint32_t TokenChecksum(uint64_t token);
-  bool BlockChecksumOk(BlockNo block) const;
-  // Flips on-disk bits without updating the checksum (failure injection).
-  void CorruptBlock(BlockNo block) { InjectCorruption(block, false); }
-  uint64_t checksum_errors_detected() const { return checksum_errors_detected_; }
-
   // ---- Geometry ----
   uint32_t segment_blocks() const { return segment_blocks_; }
   uint64_t segment_count() const { return sit_.size(); }
@@ -66,7 +61,6 @@ class LogFs : public FileSystem {
 
   // ---- Segment info table ----
   const SegmentInfo& segment(SegmentNo seg) const { return sit_[seg]; }
-  bool BlockValid(BlockNo block) const { return valid_.Test(block); }
   uint64_t free_segments() const;
   uint64_t scattered_writes() const { return scattered_writes_; }
 
@@ -94,33 +88,25 @@ class LogFs : public FileSystem {
   void CleanSegment(SegmentNo seg, IoClass io_class,
                     std::function<void(const CleanResult&)> cb);
 
-  // ---- Crash consistency (checkpoint + roll-forward) ----
-  // Commits a checkpoint: Sync(), then serialize the namespace, extent maps,
-  // log head, and segment table into the next checkpoint generation
-  // (two-slot, CRC-protected), recording the durable image's commit sequence
-  // as the replay threshold. Blocks the checkpoint references — and every
-  // block committed after it — stay pinned against reuse until the NEXT
-  // checkpoint (F2fs's prefree discipline), so roll-forward replay always
-  // finds its records intact. Requires quiesced foreground writes during the
-  // commit and an attached durable image.
-  void WriteCheckpoint(std::function<void(uint64_t generation)> done);
-  void Checkpoint(std::function<void()> done) override;
-  // Loads the newest checkpoint, then rolls the log tail forward: every
-  // image record committed after the checkpoint is replayed in commit-seq
-  // order (checksum-verified; torn or orphaned records are discarded), and
-  // the replayed tail is read back through the device so recovery latency
-  // scales with the amount of work lost. Must be called on a freshly
-  // constructed file system.
-  void Mount(std::function<void(const MountReport&)> cb) override;
-  FsckReport CheckConsistency() const override;
-
  protected:
   Result<BlockNo> AllocateForWrite(InodeNo ino, PageIdx idx, BlockNo old_block) override;
   void FreeFileBlocks(InodeNo ino) override;
-  Status OnDiskBlockRead(BlockNo block, uint64_t token) override;
-  void OnBlockFlushed(BlockNo block, uint64_t token) override;
-  bool BlockInUse(BlockNo block) const override { return valid_.Test(block); }
-  uint32_t StoredChecksum(BlockNo block) const override { return disk_csum_[block]; }
+  // Checkpoint state: the replay threshold (the durable image's commit
+  // sequence at the commit), the log head and the segment table. Blocks the
+  // checkpoint references — and every block committed after it — stay
+  // pinned against reuse until the NEXT checkpoint (F2fs's prefree
+  // discipline), so roll-forward replay always finds its records intact.
+  void SerializeFsState(ByteWriter* w) const override;
+  // Restores the segment table and block liveness, then rolls the log tail
+  // forward: every image record committed after the checkpoint is replayed
+  // in commit-seq order (checksum-verified; torn or orphaned records are
+  // discarded). The replayed blocks go to `read_back`, so recovery latency
+  // scales with the amount of work lost.
+  Status RestoreFsState(ByteReader* r, MountReport* report,
+                        std::vector<BlockNo>* read_back) override;
+  // Segment table vs block liveness, the write frontier, extent maps that
+  // reference invalid blocks, and the exact reverse map.
+  void CheckFsState(FsckReport* report) const override;
 
  private:
   // Next block at the log head; opens a new segment when the current one
@@ -130,25 +116,13 @@ class LogFs : public FileSystem {
   Result<BlockNo> LogAppend();
   void Invalidate(BlockNo block);
   std::optional<SegmentNo> FindFreeSegment();
-  std::vector<uint8_t> SerializeCheckpoint() const;
-  Status RestoreFromCheckpoint(const std::vector<uint8_t>& payload,
-                               MountReport* report, uint64_t* ckpt_seq);
   void ReplayImageRecords(uint64_t ckpt_seq, MountReport* report,
                           std::vector<BlockNo>* replayed);
 
   uint32_t segment_blocks_;
   std::vector<SegmentInfo> sit_;
-  Bitmap valid_;                // block-level liveness
-  std::vector<uint32_t> disk_csum_;  // block -> CRC32C of stored token
   SegmentNo open_segment_ = 0;  // current log head segment
   uint64_t scattered_writes_ = 0;
-  uint64_t checksum_errors_detected_ = 0;
-  // Union of the last checkpoint's referenced blocks and every block
-  // written since; cleared down to the then-valid set at each checkpoint.
-  // Only maintained when a durable image is attached — empty (and free)
-  // otherwise.
-  Bitmap pinned_;
-  uint64_t checkpoint_generation_ = 0;
 };
 
 // The two victim-selection policies (paper §5.4):

@@ -1,5 +1,6 @@
 #include "src/tasks/backup.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace duet {
@@ -174,14 +175,21 @@ void Backup::ProcessFileChunk(InodeNo ino, PageIdx next_page) {
   uint64_t count = end - p;
 
   run_.ChunkStarted(ino, count);
-  auto complete = [this, ino, p, end](uint64_t read_pages, uint64_t cached_pages) {
+  // A page whose read failed or did not verify was not sent: with `read_ok`
+  // false none of the chunk was, otherwise every page whose snapshot block
+  // is in `bad` (ascending) is left unsent.
+  auto complete = [this, ino, p, end](uint64_t read_pages, uint64_t cached_pages,
+                                      bool read_ok, const std::vector<BlockNo>& bad) {
     if (!run_.running()) {
       return;  // the run finished (opportunistically) or was stopped
     }
     TaskStats& stats = run_.stats();
-    for (PageIdx q = p; q < end; ++q) {
-      if (MarkSent(ino, q)) {
-        ++stats.work_done;
+    if (read_ok) {
+      const std::vector<BlockNo>& blocks = fs_->GetSnapshot(snapshot_)->files.at(ino).blocks;
+      for (PageIdx q = p; q < end; ++q) {
+        if (!std::binary_search(bad.begin(), bad.end(), blocks[q]) && MarkSent(ino, q)) {
+          ++stats.work_done;
+        }
       }
     }
     stats.io_read_pages += read_pages;
@@ -192,10 +200,12 @@ void Backup::ProcessFileChunk(InodeNo ino, PageIdx next_page) {
 
   if (shared) {
     // Unmodified since the snapshot: read through the live file (this
-    // populates the page cache — visible to other Duet tasks).
+    // populates the page cache — visible to other Duet tasks). Read reports
+    // no per-page failures, so a failed read leaves the whole chunk unsent.
     fs_->Read(ino, p * kPageSize, count * kPageSize, config_.io_class,
               [complete](const FsIoResult& result) {
-                complete(result.pages_from_disk, result.pages_from_cache);
+                complete(result.pages_from_disk, result.pages_from_cache,
+                         result.status.ok(), {});
               });
   } else {
     // Modified since the snapshot: stream the preserved old blocks.
@@ -203,7 +213,7 @@ void Backup::ProcessFileChunk(InodeNo ino, PageIdx next_page) {
                                 file.blocks.begin() + static_cast<long>(end));
     fs_->ReadBlocks(std::move(blocks), config_.io_class,
                     [complete](const RawReadResult& result) {
-                      complete(result.blocks_read, 0);
+                      complete(result.blocks_read, 0, true, result.bad_blocks);
                     });
   }
 }

@@ -102,9 +102,9 @@ void Scrubber::ProcessNextChunk() {
   // Find the next block that still needs scrubbing. Blocks already marked
   // done were verified by someone else's read; the scan skips them without
   // I/O (accounted in FinalizeAccounting).
-  std::optional<BlockNo> next = fs_->NextAllocated(cursor_);
+  std::optional<BlockNo> next = fs_->NextBlockInUse(cursor_);
   while (next.has_value() && config_.use_duet && duet_->CheckDone(run_.sid(), *next)) {
-    next = fs_->NextAllocated(*next + 1);
+    next = fs_->NextBlockInUse(*next + 1);
   }
   if (!next.has_value()) {
     Finish();
@@ -180,7 +180,7 @@ void Scrubber::ProcessNextChunk() {
                          if (config_.use_duet) {
                            // Mark verified blocks so events for them are muted.
                            for (BlockNo v = start; v < start + count; ++v) {
-                             if (fs_->IsAllocated(v)) {
+                             if (fs_->BlockInUse(v)) {
                                (void)duet_->SetDone(run_.sid(), v);
                              }
                            }

@@ -90,7 +90,7 @@ TEST_F(CowFsTest, CowWriteRelocatesBlock) {
   WriteSync(ino, 0, kPageSize);
   BlockNo after = *fs_.Bmap(ino, 0);
   EXPECT_NE(before, after);
-  EXPECT_FALSE(fs_.IsAllocated(before));  // old copy freed (no snapshot)
+  EXPECT_FALSE(fs_.BlockInUse(before));  // old copy freed (no snapshot)
 }
 
 TEST_F(CowFsTest, RewriteOfUnflushedPageReusesBlock) {
@@ -114,7 +114,7 @@ TEST_F(CowFsTest, SnapshotPreservesOldBlocks) {
 
   // Sharing broken; snapshot still references the preserved old block.
   EXPECT_FALSE(fs_.SharedWithSnapshot(*snap, ino, 1));
-  EXPECT_TRUE(fs_.IsAllocated(old_block));
+  EXPECT_TRUE(fs_.BlockInUse(old_block));
   EXPECT_EQ(fs_.DiskToken(old_block), old_token);
   EXPECT_NE(*fs_.Bmap(ino, 1), old_block);
   const CowFs::Snapshot* s = fs_.GetSnapshot(*snap);
@@ -127,9 +127,9 @@ TEST_F(CowFsTest, DeleteSnapshotFreesPreservedBlocks) {
   BlockNo old_block = *fs_.Bmap(ino, 0);
   SnapshotId snap = *fs_.CreateSnapshot();
   WriteSync(ino, 0, kPageSize);
-  EXPECT_TRUE(fs_.IsAllocated(old_block));  // kept alive by the snapshot
+  EXPECT_TRUE(fs_.BlockInUse(old_block));  // kept alive by the snapshot
   ASSERT_TRUE(fs_.DeleteSnapshot(snap).ok());
-  EXPECT_FALSE(fs_.IsAllocated(old_block));
+  EXPECT_FALSE(fs_.BlockInUse(old_block));
   EXPECT_FALSE(fs_.DeleteSnapshot(snap).ok());  // double delete
 }
 
@@ -138,11 +138,11 @@ TEST_F(CowFsTest, DeletedFileBlocksSurviveViaSnapshot) {
   BlockNo b0 = *fs_.Bmap(ino, 0);
   SnapshotId snap = *fs_.CreateSnapshot();
   ASSERT_TRUE(fs_.DeleteFile(ino).ok());
-  EXPECT_TRUE(fs_.IsAllocated(b0));
+  EXPECT_TRUE(fs_.BlockInUse(b0));
   const CowFs::Snapshot* s = fs_.GetSnapshot(snap);
   EXPECT_EQ(s->files.at(ino).blocks.size(), 3u);
   ASSERT_TRUE(fs_.DeleteSnapshot(snap).ok());
-  EXPECT_FALSE(fs_.IsAllocated(b0));
+  EXPECT_FALSE(fs_.BlockInUse(b0));
 }
 
 TEST_F(CowFsTest, SnapshotAsyncSyncsFirst) {
@@ -324,8 +324,8 @@ TEST_F(CowFsTest, DefragCountsDirtyPagesAsSavedWrites) {
 TEST_F(CowFsTest, NextAllocatedScansPhysicalOrder) {
   InodeNo a = MakeFile("/a", 4);
   BlockNo first = *fs_.Bmap(a, 0);
-  EXPECT_EQ(fs_.NextAllocated(0), first);
-  EXPECT_EQ(fs_.NextAllocated(first + 100), std::nullopt);
+  EXPECT_EQ(fs_.NextBlockInUse(0), first);
+  EXPECT_EQ(fs_.NextBlockInUse(first + 100), std::nullopt);
 }
 
 TEST_F(CowFsTest, RefcountsTrackSharing) {

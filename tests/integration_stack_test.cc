@@ -55,7 +55,7 @@ void CheckCowFsInvariants(CowFs& fs, const std::vector<SnapshotId>& snapshots) {
   }
   uint64_t allocated = 0;
   for (const auto& [block, refs] : expected_refs) {
-    EXPECT_TRUE(fs.IsAllocated(block)) << "block " << block;
+    EXPECT_TRUE(fs.BlockInUse(block)) << "block " << block;
     EXPECT_EQ(fs.BlockRefcount(block), refs) << "block " << block;
     ++allocated;
   }
@@ -184,7 +184,7 @@ void CheckLogFsInvariants(LogFs& fs) {
       for (PageIdx p = 0; p < inode.PageCount(); ++p) {
         Result<BlockNo> block = fs.Bmap(inode.ino, p);
         ASSERT_TRUE(block.ok());
-        EXPECT_TRUE(fs.BlockValid(*block));
+        EXPECT_TRUE(fs.BlockInUse(*block));
         ++mapped_total;
       }
     }

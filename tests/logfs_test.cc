@@ -66,8 +66,8 @@ TEST_F(LogFsTest, OverwriteInvalidatesOldBlock) {
   BlockNo new_block = *fs_.Bmap(ino, 1);
   EXPECT_NE(old_block, new_block);
   EXPECT_NE(fs_.SegmentOf(new_block), fs_.SegmentOf(old_block));
-  EXPECT_FALSE(fs_.BlockValid(old_block));
-  EXPECT_TRUE(fs_.BlockValid(new_block));
+  EXPECT_FALSE(fs_.BlockInUse(old_block));
+  EXPECT_TRUE(fs_.BlockInUse(new_block));
   EXPECT_EQ(fs_.segment(fs_.SegmentOf(old_block)).valid, 15u);
 }
 
@@ -85,7 +85,7 @@ TEST_F(LogFsTest, ValidBlocksOfReportsLiveBlocks) {
   auto valid = fs_.ValidBlocksOf(0);
   EXPECT_EQ(valid.size(), 12u);
   for (BlockNo b : valid) {
-    EXPECT_TRUE(fs_.BlockValid(b));
+    EXPECT_TRUE(fs_.BlockInUse(b));
   }
 }
 
@@ -225,7 +225,7 @@ TEST_F(LogFsTest, CleaningRacesWithForegroundWrites) {
   // Every page still readable with correct mapping.
   for (PageIdx p = 0; p < 16; ++p) {
     EXPECT_TRUE(fs_.Bmap(ino, p).ok());
-    EXPECT_TRUE(fs_.BlockValid(*fs_.Bmap(ino, p)));
+    EXPECT_TRUE(fs_.BlockInUse(*fs_.Bmap(ino, p)));
   }
 }
 
@@ -259,7 +259,7 @@ TEST_F(LogFsTest, CleanerDetectsCorruptionAndRefusesToMoveIt) {
   // The corrupt block stays where it was, still valid (live but rotten), so
   // nothing downstream mistakes the segment for empty.
   EXPECT_EQ(*fs_.Bmap(ino, 13), bad);
-  EXPECT_TRUE(fs_.BlockValid(bad));
+  EXPECT_TRUE(fs_.BlockInUse(bad));
   EXPECT_EQ(fs_.segment(0).valid, 1u);
   EXPECT_FALSE(fs_.BlockChecksumOk(bad));
 }

@@ -126,5 +126,47 @@ TEST_F(BackupTest, BackupReadsPopulateCacheForOtherTasks) {
   EXPECT_GT(fs_.cache().CachedPagesOfInode(f0), 0u);
 }
 
+// A page whose read did not verify was not backed up. Read reports no
+// per-page failures, so the whole chunk holding the corrupt page stays
+// unsent.
+TEST_F(BackupTest, CorruptPageReadThroughFileIsNotCountedSent) {
+  Populate(2, 16);
+  fs_.CorruptBlock(*fs_.Bmap(*fs_.ns().Resolve("/f0"), 3));
+  Backup backup(&fs_, nullptr, BackupConfig{});
+  bool finished = false;
+  backup.Start([&] { finished = true; });
+  rig_.loop.Run();
+  ASSERT_TRUE(finished);
+  EXPECT_EQ(fs_.checksum_errors_detected(), 1u);
+  EXPECT_EQ(backup.stats().work_total, 32u);
+  EXPECT_EQ(backup.stats().work_done, 16u);
+  EXPECT_EQ(backup.bytes_sent(), 16 * kPageSize);
+  EXPECT_FALSE(backup.AllPagesSentOnce());
+}
+
+// Pages modified since the snapshot are streamed from their preserved
+// blocks, which ReadBlocks verifies one by one: only the corrupt one stays
+// unsent.
+TEST_F(BackupTest, CorruptSnapshotBlockIsNotCountedSent) {
+  Populate(2, 16);
+  InodeNo f1 = *fs_.ns().Resolve("/f1");
+  BlockNo preserved = *fs_.Bmap(f1, 5);
+  Backup backup(&fs_, nullptr, BackupConfig{});
+  bool finished = false;
+  backup.Start([&] { finished = true; });
+  // Once the snapshot is cut (t≈0), overwrite f1 so its pages stream from
+  // the preserved blocks, and rot one of them.
+  rig_.loop.RunUntil(Micros(1));
+  fs_.Write(f1, 0, 16 * kPageSize, IoClass::kBestEffort, nullptr);
+  ASSERT_NE(*fs_.Bmap(f1, 5), preserved);
+  ASSERT_TRUE(fs_.BlockInUse(preserved));  // kept alive by the snapshot
+  fs_.CorruptBlock(preserved);
+  rig_.loop.Run();
+  ASSERT_TRUE(finished);
+  EXPECT_EQ(fs_.checksum_errors_detected(), 1u);
+  EXPECT_EQ(backup.stats().work_done, 31u);
+  EXPECT_FALSE(backup.AllPagesSentOnce());
+}
+
 }  // namespace
 }  // namespace duet
