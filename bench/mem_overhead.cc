@@ -3,7 +3,8 @@
 // Paper numbers (50 GB of data, N = 16 sessions): 32-byte merged
 // descriptors; at most 2 x cached pages of descriptors alive for state
 // sessions = 1.5% of cache memory; done bitmaps ~1.47 MB measured (1.56 MB
-// worst case) for 50 GB of blocks.
+// worst case) for 50 GB of blocks. Also reports the file system's own
+// metadata per block, the simulator's largest per-stack allocation.
 
 #include "bench/bench_common.h"
 #include "src/util/range_bitmap.h"
@@ -17,6 +18,9 @@ struct StateSessionResult {
   uint64_t cache_capacity = 0;
   uint64_t descriptor_bytes = 0;
   uint64_t cache_bytes = 0;
+  uint64_t fs_metadata_bytes = 0;
+  uint64_t fs_blocks = 0;
+  uint64_t mapped_pages = 0;
 };
 
 // Runs the webserver over a state session; `poll` controls whether the
@@ -64,6 +68,13 @@ StateSessionResult RunStateSession(const StackConfig& stack, bool poll) {
   out.cache_capacity = rig.fs().cache().capacity();
   out.descriptor_bytes = rig.duet().DescriptorMemoryBytes();
   out.cache_bytes = cached * kPageSize;
+  out.fs_metadata_bytes = rig.fs().MetadataMemoryBytes();
+  out.fs_blocks = rig.fs().capacity_blocks();
+  rig.fs().ns().ForEachInode([&out](const Inode& inode) {
+    if (!inode.is_dir()) {
+      out.mapped_pages += inode.PageCount();
+    }
+  });
   return out;
 }
 
@@ -110,6 +121,20 @@ int main(int argc, char** argv) {
          "demand\n\n",
          static_cast<double>(sparse.MemoryBytes()) / (1024.0 * 1024.0));
 
+  // The file system's block store and extent maps, after the polling run.
+  // Every page of a live file is mapped, so mapped pages = file pages.
+  const double fs_bytes_per_block =
+      static_cast<double>(polling.fs_metadata_bytes - 8 * polling.mapped_pages) /
+      static_cast<double>(polling.fs_blocks);
+  printf("file-system metadata (cowfs), webserver file set after the polling run:\n");
+  printf("  %.2f MiB for %llu blocks and %llu mapped pages\n",
+         static_cast<double>(polling.fs_metadata_bytes) / (1024.0 * 1024.0),
+         static_cast<unsigned long long>(polling.fs_blocks),
+         static_cast<unsigned long long>(polling.mapped_pages));
+  printf("  %.2f B/block beyond 8 B per mapped page (reverse map 8 + token 8 + "
+         "CRC32C 4 + refcount 4)\n\n",
+         fs_bytes_per_block);
+
   // Hard envelope checks (exit non-zero on violation so the bench_smoke
   // ctest entry gates them):
   //  * a polling state session's live descriptors stay within the paper's
@@ -118,7 +143,9 @@ int main(int argc, char** argv) {
   //    descriptors + freelist + page index) stays a small fraction of cache
   //    memory;
   //  * a fully-set done bitmap for 50 GB of blocks stays within the paper's
-  //    ~1.5 MiB / ~1 MB-per-task envelope (2 MiB with chunk headers).
+  //    ~1.5 MiB / ~1 MB-per-task envelope (2 MiB with chunk headers);
+  //  * the file system's metadata stays within 24 B per block plus 8 B per
+  //    mapped page.
   bool ok = true;
   ok &= CheckEnvelope("peak descriptors / cache capacity (poll)",
                       static_cast<double>(polling.peak_descriptors) /
@@ -131,6 +158,8 @@ int main(int argc, char** argv) {
   ok &= CheckEnvelope("done bitmap MiB, 50 GB fully scrubbed",
                       static_cast<double>(done.MemoryBytes()) / (1024.0 * 1024.0),
                       2.0);
+  ok &= CheckEnvelope("fs metadata B/block beyond 8 B/mapped page", fs_bytes_per_block,
+                      24.0);
   if (!ok) {
     printf("memory envelope violated\n");
     return 1;

@@ -3,8 +3,8 @@
 // Runs a fixed set of seconds-scale measurements — hand-timed hook-dispatch
 // and fetch loops (the stack's hot-path microbenchmarks; one of them with
 // nightly-fs's two Duet sessions over thousands of files), page-cache eviction
-// under dirty pressure and under whole-file read-miss churn, rate
-// calibration alone, a fig02-style scrub run, and
+// under dirty pressure and under whole-file read-miss churn, building and
+// populating a stack, rate calibration alone, a fig02-style scrub run, and
 // a table6-style GC run — and writes the results as JSON:
 //
 //   perf_runner [--smoke] [--out PATH]
@@ -286,6 +286,23 @@ Measurement MeasureCalibration(uint64_t steps) {
   return m;
 }
 
+// Stack set-up, which every calibration probe and every run pays: build a
+// cowfs Rig on the smoke stack (device, file system, Duet, the webserver's
+// file set populated) and destroy it, `builds` times. One op is one page
+// populated.
+Measurement MeasureStackBuildPopulate(const StackConfig& stack, int builds) {
+  WorkloadConfig workload = MakeWorkloadConfig(stack, Personality::kWebserver,
+                                               /*coverage=*/1.0, /*skewed=*/false,
+                                               /*ops_per_sec=*/0, /*seed=*/42);
+  uint64_t pages = 0;
+  auto start = Clock::now();
+  for (int b = 0; b < builds; ++b) {
+    CowRig rig(stack, workload);
+    pages += rig.fs().allocated_blocks();
+  }
+  return Measurement{"stack_build_populate", pages, MsSince(start)};
+}
+
 // Rate calibration alone, as a figure binary runs it on a cold rate cache:
 // the webserver at 60% on the smoke stack, the calibration the
 // fig02_scrub_duet_smoke row starts with. One op is one profile run.
@@ -402,6 +419,7 @@ int main(int argc, char** argv) {
   ms.push_back(best([] { return MeasureCrc32c(2'000); }));
   ms.push_back(best([] { return MeasurePageCacheEvictDirtyTail(400'000); }));
   ms.push_back(best([] { return MeasurePageCacheReadMissChurn(2); }));
+  ms.push_back(best([&stack] { return MeasureStackBuildPopulate(stack, 32); }));
   ms.push_back(best([&stack] { return MeasureCalibrateRate(stack); }));
   ms.push_back(best([&stack] { return MeasureScrubRun(stack); }));
   const Measurement gc = best([&stack] { return MeasureGcRun(stack); });

@@ -13,17 +13,50 @@ namespace duet {
 CowFs::CowFs(EventLoop* loop, BlockDevice* device, uint64_t cache_pages,
              WritebackParams wb_params)
     : FileSystem(loop, device, cache_pages, wb_params, "cowfs.sb"),
-      refcount_(device->capacity_blocks(), 0),
-      mirror_data_(device->capacity_blocks(), 0) {}
+      refcount_(device->capacity_blocks(), 0) {}
 
 void CowFs::InjectCorruption(BlockNo block, bool both_copies) {
+  const uint64_t before = disk_data_[block];
   FileSystem::InjectCorruption(block, both_copies);
   if (both_copies) {
-    mirror_data_[block] ^= 0xdeadbeefcafef00dULL;
+    // Both copies take the same flip: a mirror equal to the primary stays
+    // equal, a diverged one keeps diverging.
+    if (auto it = mirror_diverged_.find(block); it != mirror_diverged_.end()) {
+      it->second ^= kCorruptionFlip;
+    }
+    return;
+  }
+  // The mirror keeps its content: the primary's before the flip, unless it
+  // had diverged already. A second flip can bring the two back together.
+  auto it = mirror_diverged_.try_emplace(block, before).first;
+  if (it->second == disk_data_[block]) {
+    mirror_diverged_.erase(it);
   }
 }
 
+uint64_t CowFs::MirrorToken(BlockNo block) const {
+  auto it = mirror_diverged_.find(block);
+  return it == mirror_diverged_.end() ? disk_data_[block] : it->second;
+}
+
+uint64_t CowFs::MetadataMemoryBytes() const {
+  uint64_t bytes = FileSystem::MetadataMemoryBytes() +
+                   refcount_.capacity() * sizeof(uint32_t);
+  if (!mirror_diverged_.empty()) {
+    // One node (entry plus next pointer) per diverged block, and the buckets.
+    bytes += mirror_diverged_.size() *
+                 (sizeof(decltype(mirror_diverged_)::value_type) + sizeof(void*)) +
+             mirror_diverged_.bucket_count() * sizeof(void*);
+  }
+  return bytes;
+}
+
 std::optional<BlockNo> CowFs::FindFreeUnpinned(BlockNo from) const {
+  // Population's cursor and a sequential writer's hint are almost always
+  // free and unpinned; answering that from two bits skips the word search.
+  if (from < capacity_blocks() && !BlockInUse(from) && !pinned_.Test(from)) {
+    return from;
+  }
   std::optional<BlockNo> found = in_use_.FindNextClear(from);
   while (found.has_value() && pinned_.Test(*found)) {
     found = in_use_.FindNextClear(*found + 1);
@@ -107,7 +140,11 @@ void CowFs::FreeFileBlocks(InodeNo ino) {
 
 void CowFs::OnBlockFlushed(BlockNo block, uint64_t token) {
   FileSystem::OnBlockFlushed(block, token);
-  mirror_data_[block] = token;
+  // Both copies now hold `token`. Population and writeback flush blocks
+  // that almost never diverged, so skip the hash when nothing has.
+  if (!mirror_diverged_.empty()) {
+    mirror_diverged_.erase(block);
+  }
 }
 
 void CowFs::ReadRawBlocks(BlockNo start, uint32_t count, IoClass io_class,
@@ -234,7 +271,7 @@ void CowFs::RepairNext(std::shared_ptr<RepairJob> job) {
     }
 
     // Source 2: the DUP mirror copy, if intact — one read plus one write.
-    if (TokenChecksum(mirror_data_[block]) == want) {
+    if (TokenChecksum(MirrorToken(block)) == want) {
       ++job->result.device_reads;
       IoRequest req;
       req.block = block;
@@ -248,9 +285,9 @@ void CowFs::RepairNext(std::shared_ptr<RepairJob> job) {
         // token can look intact (the failure is in readability), so the
         // rewrite proceeds whenever the mirror still matches the checksum.
         if (BlockInUse(block) &&
-            TokenChecksum(mirror_data_[block]) == disk_csum_[block]) {
+            TokenChecksum(MirrorToken(block)) == disk_csum_[block]) {
           ++job->result.repaired_from_mirror;
-          WriteRepair(std::move(job), block, mirror_data_[block]);
+          WriteRepair(std::move(job), block, MirrorToken(block));
         } else {
           RepairNext(std::move(job));
         }
@@ -542,7 +579,7 @@ Status CowFs::PopulatePages(InodeNo ino, uint64_t npages, double break_prob, Rng
     }
     refcount_[*block] = 1;
     blocks.push_back(*block);
-    rmap_[*block] = BlockOwner{ino, p};
+    SetOwner(*block, ino, p);
     OnBlockFlushed(*block, NextToken());
   }
   if (rng != nullptr) {
@@ -611,10 +648,11 @@ Status CowFs::RestoreFsState(ByteReader* r, MountReport* report,
     }
     MarkInUse(b);
     LoadBlock(b, report);
-    // The DUP mirror is not persisted separately; it is resilvered from the
-    // primary copy during mount.
-    mirror_data_[b] = disk_data_[b];
   }
+  // The DUP mirror is not persisted separately. Mount fills a fresh store,
+  // which has no diverged mirror, so every mirror is resilvered from the
+  // primary LoadBlock just read.
+  assert(mirror_diverged_.empty());
   // Pin the restored tree until the next commit. Rollback recovery reads
   // only the superblock area, so nothing goes to `read_back`.
   pinned_ = in_use_;

@@ -3,7 +3,8 @@
 // Mechanisms the paper's tasks rely on (§5), on top of FileSystem's block
 // store (per-block CRC32C verified on every read path — the scrubber's
 // correctness guarantee and the reason a page Added event means "verified"):
-//  * a DUP mirror copy of every block, the scrubber's repair source;
+//  * a DUP mirror copy of every block, the scrubber's repair source (stored
+//    only where it differs from the primary);
 //  * copy-on-write: every write allocates a new block, breaking sharing with
 //    snapshots (the backup task's staleness signal);
 //  * refcounted snapshots with back references (SharedWithSnapshot);
@@ -114,6 +115,8 @@ class CowFs : public FileSystem {
   // Where the next-fit allocator starts its next search (tests).
   BlockNo alloc_cursor() const { return alloc_cursor_; }
   uint32_t BlockRefcount(BlockNo block) const { return refcount_[block]; }
+  // FileSystem's store plus the refcounts and the diverged mirror copies.
+  uint64_t MetadataMemoryBytes() const override;
 
  protected:
   Result<BlockNo> AllocateForWrite(InodeNo ino, PageIdx idx, BlockNo old_block) override;
@@ -125,14 +128,17 @@ class CowFs : public FileSystem {
   void OnBlockFlushed(BlockNo block, uint64_t token) override;
   void InjectCorruption(BlockNo block, bool both_copies) override;
   // Superblock state: the snapshot tables. The restore rebuilds refcounts
-  // and the in-use bitmap from the restored trees, resilvers the mirror, and
-  // pins the restored tree.
+  // and the in-use bitmap from the restored trees and pins the restored
+  // tree; the fresh store's mirror equals each loaded primary.
   void SerializeFsState(ByteWriter* w) const override;
   Status RestoreFsState(ByteReader* r, MountReport* report,
                         std::vector<BlockNo>* read_back) override;
   // Every block's reference count must equal its references from the live
   // extent maps and the snapshot tables, and it is in use iff referenced.
   void CheckFsState(FsckReport* report) const override;
+
+  // Content of `block`'s DUP mirror copy.
+  uint64_t MirrorToken(BlockNo block) const;
 
  private:
   struct RepairJob;
@@ -154,12 +160,19 @@ class CowFs : public FileSystem {
   // snapshot tables: what its refcount must be.
   std::vector<uint32_t> CountReferences() const;
 
+  // Block -> reference count (live extent maps plus snapshots): 4 B per
+  // block, which makes cowfs's per-block store 24 B.
   std::vector<uint32_t> refcount_;
-  // DUP profile: a second physical copy of each block, kept in sync by
-  // OnBlockFlushed. Repair reads it (one device read) when the primary is
-  // corrupt; reading it does not consult the fault injector since it lives
-  // at a different physical location.
-  std::vector<uint64_t> mirror_data_;
+  // DUP profile: a second physical copy of each block. Repair reads it (one
+  // device read) when the primary is corrupt; reading it does not consult
+  // the fault injector since it lives at a different physical location.
+  // Only blocks whose mirror differs from the primary are stored, with the
+  // mirror's token; every other block's mirror is its primary. A live
+  // block's primary changes in two places, each keeping that rule: a flush
+  // writes both copies (the entry goes), and InjectCorruption diverges them
+  // (an entry is made, or flips when both copies are hit). Mount loads the
+  // primaries into a fresh store, whose map is empty.
+  std::unordered_map<BlockNo, uint64_t> mirror_diverged_;
   BlockNo alloc_cursor_ = 0;
   SnapshotId next_snapshot_id_ = 1;
   std::unordered_map<SnapshotId, Snapshot> snapshots_;

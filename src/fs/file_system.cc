@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <utility>
 
@@ -13,7 +15,7 @@ namespace duet {
 
 FileSystem::FileSystem(EventLoop* loop, BlockDevice* device, uint64_t cache_pages,
                        WritebackParams wb_params, std::string checkpoint_slot)
-    : rmap_(device->capacity_blocks(), BlockOwner{}),
+    : rmap_(device->capacity_blocks()),
       disk_data_(device->capacity_blocks(), 0),
       // A fresh device holds token 0 everywhere; checksums must agree, or
       // every allocated-but-never-flushed block would read as corrupt.
@@ -52,7 +54,7 @@ Status FileSystem::VerifyBlock(BlockNo block) {
 void FileSystem::MarkFree(BlockNo block) {
   in_use_.Clear(block);
   --allocated_blocks_;
-  rmap_[block] = BlockOwner{};
+  rmap_[block] = RmapEntry{};
   if (injector_ != nullptr) {
     // A freed block's fault can no longer serve corrupt data to a reader.
     injector_->OnBlockFreed(block);
@@ -65,7 +67,7 @@ void FileSystem::OnBlockFlushed(BlockNo block, uint64_t token) {
 }
 
 void FileSystem::InjectCorruption(BlockNo block, bool /*both_copies*/) {
-  disk_data_[block] ^= 0xdeadbeefcafef00dULL;
+  disk_data_[block] ^= kCorruptionFlip;
   // The durable image models the same platter: rot that hits a committed
   // block must survive a crash and remount too.
   if (image_ != nullptr && image_->Present(block)) {
@@ -331,21 +333,43 @@ void FileSystem::CheckFileMappings(FsckReport* report) const {
 }
 
 void FileSystem::SetMapping(InodeNo ino, PageIdx idx, BlockNo block) {
+  // The owner goes first: SetOwner rejects an index past 2^32 before the
+  // extent map grows to it.
+  if (block != kInvalidBlock) {
+    SetOwner(block, ino, idx);
+  }
   FileMap& map = fmap_[ino];
   if (map.blocks.size() <= idx) {
     map.blocks.resize(idx + 1, kInvalidBlock);
   }
   map.blocks[idx] = block;
-  if (block != kInvalidBlock) {
-    rmap_[block] = BlockOwner{ino, idx};
-  }
 }
 
 Result<FileSystem::BlockOwner> FileSystem::Rmap(BlockNo block) const {
   if (block >= rmap_.size() || rmap_[block].ino == kInvalidInode) {
     return Status(StatusCode::kNotFound, "unowned block");
   }
-  return rmap_[block];
+  return BlockOwner{rmap_[block].ino, rmap_[block].idx};
+}
+
+void FileSystem::SetOwner(BlockNo block, InodeNo ino, PageIdx idx) {
+  if (ino > UINT32_MAX || idx > UINT32_MAX) {
+    fprintf(stderr,
+            "file system: inode %llu page %llu is past the reverse map's 2^32 limit\n",
+            static_cast<unsigned long long>(ino), static_cast<unsigned long long>(idx));
+    std::abort();
+  }
+  rmap_[block] = RmapEntry{static_cast<uint32_t>(ino), static_cast<uint32_t>(idx)};
+}
+
+uint64_t FileSystem::MetadataMemoryBytes() const {
+  uint64_t bytes = rmap_.capacity() * sizeof(RmapEntry) +
+                   disk_data_.capacity() * sizeof(uint64_t) +
+                   disk_csum_.capacity() * sizeof(uint32_t);
+  for (const auto& [ino, map] : fmap_) {
+    bytes += map.blocks.size() * sizeof(BlockNo);
+  }
+  return bytes;
 }
 
 Result<uint64_t> FileSystem::PageContent(InodeNo ino, PageIdx idx) const {

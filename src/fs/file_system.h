@@ -160,7 +160,7 @@ class FileSystem : public WritebackTarget {
 
   // Reverse mapping (back references): the file page currently stored in
   // `block`, if any. Used to surface block-level reads as page events and by
-  // the logfs cleaner.
+  // the logfs cleaner. The store packs each owner into 8 B (RmapEntry).
   struct BlockOwner {
     InodeNo ino = kInvalidInode;
     PageIdx idx = 0;
@@ -249,6 +249,11 @@ class FileSystem : public WritebackTarget {
   uint64_t checksum_errors_detected() const { return checksum_errors_detected_; }
 
   // ---- Introspection ----
+  // Bytes of the block store's per-block arrays (reverse map, token, CRC32C
+  // and the file system's own, e.g. cowfs's refcounts and diverged mirror
+  // copies) plus 8 B per extent-map entry. The in-use and pinned bitmaps
+  // (2 bits per block) and container headers are not counted.
+  virtual uint64_t MetadataMemoryBytes() const;
   uint64_t allocated_blocks() const { return allocated_blocks_; }
   uint64_t capacity_blocks() const { return disk_data_.size(); }
   // Token currently stored on disk for `block` (tests, verification).
@@ -284,9 +289,11 @@ class FileSystem : public WritebackTarget {
   virtual void OnBlockFlushed(BlockNo block, uint64_t token);
 
   // Corruption sink for the fault injector (and CorruptBlock): flips the
-  // on-disk content of `block` without touching its stored checksum. cowfs
-  // extends it to optionally corrupt the DUP mirror too.
+  // on-disk content of `block` (XOR with kCorruptionFlip) without touching
+  // its stored checksum. cowfs extends it to optionally corrupt the DUP
+  // mirror too.
   virtual void InjectCorruption(BlockNo block, bool both_copies);
+  static constexpr uint64_t kCorruptionFlip = 0xdeadbeefcafef00dULL;
 
   // ---- Checkpoint hooks: the file system's own state ----
   // Appends this file system's state to a checkpoint payload, after the
@@ -324,8 +331,23 @@ class FileSystem : public WritebackTarget {
   struct FileMap {
     std::vector<BlockNo> blocks;  // page index -> block
   };
+  // One reverse-map entry: the owner page of a block in 8 B, so an inode
+  // number or page index must fit 32 bits (SetOwner aborts otherwise).
+  // ino == kInvalidInode means the block has no owner.
+  struct RmapEntry {
+    uint32_t ino = 0;
+    uint32_t idx = 0;
+  };
+  static_assert(sizeof(RmapEntry) == 8, "a reverse-map entry is 8 B");
+
+  // Records (ino, idx) as the owner of `block`; aborts with a message when
+  // either is 2^32 or more.
+  void SetOwner(BlockNo block, InodeNo ino, PageIdx idx);
+
   std::unordered_map<InodeNo, FileMap> fmap_;
-  std::vector<BlockOwner> rmap_;     // block -> owner page
+  // The per-block store: 20 B per block here (reverse map 8, token 8,
+  // CRC32C 4) plus two bitmaps; cowfs's refcount makes it 24 B.
+  std::vector<RmapEntry> rmap_;      // block -> owner page
   std::vector<uint64_t> disk_data_;  // block -> stored token
   std::vector<uint32_t> disk_csum_;  // block -> CRC32C of the stored token
   Bitmap in_use_;                    // block-level liveness

@@ -3,6 +3,7 @@
 #define SRC_FS_INODE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 
@@ -19,8 +20,9 @@ struct Inode {
   InodeNo parent = kInvalidInode;
   std::string name;              // name within parent (root has "")
   // Directory entries, name -> child inode. Ordered so traversals are
-  // deterministic (rsync walks depth-first in name order).
-  std::map<std::string, InodeNo> children;
+  // deterministic (rsync walks depth-first in name order); the transparent
+  // comparator lets a path component look up without a string copy.
+  std::map<std::string, InodeNo, std::less<>> children;
 
   bool is_dir() const { return type == FileType::kDirectory; }
   uint64_t PageCount() const { return PagesForBytes(size); }

@@ -2,23 +2,47 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 namespace duet {
 
+namespace {
+
+// The next non-empty component of `path` at or after `*pos`, advancing
+// `*pos` past it; empty once the path is exhausted.
+std::string_view NextComponent(std::string_view path, size_t* pos) {
+  size_t start = path.find_first_not_of('/', *pos);
+  if (start == std::string_view::npos) {
+    *pos = path.size();
+    return {};
+  }
+  size_t end = std::min(path.find('/', start), path.size());
+  *pos = end;
+  return path.substr(start, end - start);
+}
+
+}  // namespace
+
 std::vector<std::string_view> SplitPath(std::string_view path) {
   std::vector<std::string_view> parts;
-  size_t start = 0;
-  while (start < path.size()) {
-    size_t slash = path.find('/', start);
-    if (slash == std::string_view::npos) {
-      slash = path.size();
-    }
-    if (slash > start) {
-      parts.push_back(path.substr(start, slash - start));
-    }
-    start = slash + 1;
+  size_t pos = 0;
+  for (std::string_view part = NextComponent(path, &pos); !part.empty();
+       part = NextComponent(path, &pos)) {
+    parts.push_back(part);
   }
   return parts;
+}
+
+std::optional<InodeNo> Namespace::Lookup(InodeNo dir, std::string_view name) const {
+  const Inode* inode = Get(dir);
+  if (inode == nullptr || !inode->is_dir()) {
+    return std::nullopt;
+  }
+  auto it = inode->children.find(name);
+  if (it == inode->children.end()) {
+    return std::nullopt;
+  }
+  return it->second;
 }
 
 Namespace::Namespace() {
@@ -31,16 +55,14 @@ Namespace::Namespace() {
 
 Result<InodeNo> Namespace::Resolve(std::string_view path) const {
   InodeNo cur = kRootIno;
-  for (std::string_view part : SplitPath(path)) {
-    const Inode* inode = Get(cur);
-    if (inode == nullptr || !inode->is_dir()) {
+  size_t pos = 0;
+  for (std::string_view part = NextComponent(path, &pos); !part.empty();
+       part = NextComponent(path, &pos)) {
+    std::optional<InodeNo> child = Lookup(cur, part);
+    if (!child.has_value()) {
       return Status(StatusCode::kNotFound, std::string(path));
     }
-    auto it = inode->children.find(std::string(part));
-    if (it == inode->children.end()) {
-      return Status(StatusCode::kNotFound, std::string(path));
-    }
-    cur = it->second;
+    cur = *child;
   }
   return cur;
 }
@@ -94,22 +116,21 @@ bool Namespace::IsUnder(InodeNo ino, InodeNo ancestor) const {
 }
 
 Result<InodeNo> Namespace::Create(std::string_view path, FileType type) {
-  auto parts = SplitPath(path);
-  if (parts.empty()) {
+  size_t pos = 0;
+  std::string_view name = NextComponent(path, &pos);
+  if (name.empty()) {
     return Status(StatusCode::kInvalidArgument, "empty path");
   }
-  std::string_view name = parts.back();
+  // Every component but the last names a directory to descend into.
   InodeNo parent = kRootIno;
-  for (size_t i = 0; i + 1 < parts.size(); ++i) {
-    const Inode* dir = Get(parent);
-    if (dir == nullptr || !dir->is_dir()) {
+  for (std::string_view next = NextComponent(path, &pos); !next.empty();
+       next = NextComponent(path, &pos)) {
+    std::optional<InodeNo> dir = Lookup(parent, name);
+    if (!dir.has_value()) {
       return Status(StatusCode::kNotFound, std::string(path));
     }
-    auto it = dir->children.find(std::string(parts[i]));
-    if (it == dir->children.end()) {
-      return Status(StatusCode::kNotFound, std::string(path));
-    }
-    parent = it->second;
+    parent = *dir;
+    name = next;
   }
   return CreateIn(parent, name, type);
 }
@@ -123,18 +144,19 @@ Result<InodeNo> Namespace::CreateIn(InodeNo parent, std::string_view name,
   if (name.empty() || name.find('/') != std::string_view::npos) {
     return Status(StatusCode::kInvalidArgument, std::string(name));
   }
-  std::string key(name);
-  if (dir->children.count(key) > 0) {
-    return Status(StatusCode::kExists, key);
+  // One descent: the lower bound is both the existence check and the hint
+  // the new entry is inserted at.
+  auto at = dir->children.lower_bound(name);
+  if (at != dir->children.end() && at->first == name) {
+    return Status(StatusCode::kExists, std::string(name));
   }
   InodeNo ino = next_ino_++;
-  Inode inode;
+  at = dir->children.emplace_hint(at, std::string(name), ino);
+  Inode& inode = inodes_[ino];
   inode.ino = ino;
   inode.type = type;
   inode.parent = parent;
-  inode.name = key;
-  dir->children.emplace(std::move(key), ino);
-  inodes_.emplace(ino, std::move(inode));
+  inode.name = at->first;
   for (VfsObserver* o : observers_) {
     o->OnCreate(ino);
   }

@@ -5,6 +5,7 @@
 #define SRC_FS_NAMESPACE_H_
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -86,6 +87,8 @@ class Namespace {
   void RemoveObserver(VfsObserver* observer);
 
  private:
+  // The entry `name` of directory `dir`, if `dir` is a directory holding it.
+  std::optional<InodeNo> Lookup(InodeNo dir, std::string_view name) const;
   bool WalkImpl(const Inode& dir, const std::function<bool(const Inode&)>& fn) const;
 
   std::unordered_map<InodeNo, Inode> inodes_;

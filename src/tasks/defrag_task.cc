@@ -23,10 +23,9 @@ void DefragTask::Start(std::function<void()> on_finish) {
   // Collect fragmented files in inode order (the baseline processing order,
   // Table 3). Work units are pages: each fragmented file costs read+write of
   // all its pages.
-  Result<InodeNo> root = fs_->ns().Resolve(config_.root);
-  assert(root.ok());
+  InodeNo root = run_.ResolveRoot(fs_->ns(), config_.root);
   std::vector<const Inode*> files;
-  fs_->ns().WalkDepthFirst(*root, [&](const Inode& inode) {
+  fs_->ns().WalkDepthFirst(root, [&](const Inode& inode) {
     if (!inode.is_dir() && fs_->ExtentCount(inode.ino) > config_.extent_threshold) {
       files.push_back(&inode);
     }

@@ -38,9 +38,8 @@ void RsyncTask::Start(std::function<void()> on_finish) {
   run_.Begin(std::move(on_finish));
   pass_ = Pass{};
 
-  Result<InodeNo> root = src_->ns().Resolve(config_.source_dir);
-  assert(root.ok());
-  src_->ns().WalkDepthFirst(*root, [&](const Inode& inode) {
+  InodeNo root = run_.ResolveRoot(src_->ns(), config_.source_dir);
+  src_->ns().WalkDepthFirst(root, [&](const Inode& inode) {
     if (!inode.is_dir()) {
       pass_.worklist.push_back(inode.ino);
       run_.stats().work_total += 2 * inode.PageCount();  // read + write
@@ -57,10 +56,7 @@ void RsyncTask::Start(std::function<void()> on_finish) {
     // One watch per directory, recursively — the setup cost Duet avoids
     // with a single registration (§3.3).
     pass_.inotify = std::make_unique<Inotify>(src_);
-    Result<InodeNo> watch_root = src_->ns().Resolve(config_.source_dir);
-    assert(watch_root.ok());
-    Result<uint64_t> created =
-        pass_.inotify->AddWatchRecursive(*watch_root, kInAccess | kInModify);
+    Result<uint64_t> created = pass_.inotify->AddWatchRecursive(root, kInAccess | kInModify);
     pass_.watches_created = created.ok() ? *created : 0;
   }
   ProcessNext();

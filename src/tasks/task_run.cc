@@ -45,6 +45,16 @@ void TaskRun::Register(Result<SessionId> sid) {
   sid_ = *sid;
 }
 
+InodeNo TaskRun::ResolveRoot(const Namespace& ns, std::string_view path) const {
+  Result<InodeNo> root = ns.Resolve(path);
+  if (!root.ok()) {
+    fprintf(stderr, "task %s: root %.*s: %s\n", name_.c_str(),
+            static_cast<int>(path.size()), path.data(), root.status().ToString().c_str());
+    std::abort();
+  }
+  return *root;
+}
+
 void TaskRun::Arm(SimDuration delay, std::function<void()> fn) {
   if (!running_) {
     return;

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/duet/duet_core.h"
+#include "src/fs/namespace.h"
 #include "src/obs/obs.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/time.h"
@@ -86,6 +87,10 @@ class TaskRun {
   // Takes the run's Duet session. A failed registration (e.g. the session
   // table is full) aborts with a message in every build type.
   void Register(Result<SessionId> sid);
+  // Resolves the task's configured root directory in `ns`. A root that does
+  // not resolve aborts with "task <name>: root <path>: <status>" in every
+  // build type.
+  InodeNo ResolveRoot(const Namespace& ns, std::string_view path) const;
   // Runs `fn` once after `delay` on the run's one timer, unless the run has
   // ended by then. Does nothing when the run has already ended.
   void Arm(SimDuration delay, std::function<void()> fn);

@@ -20,9 +20,8 @@ void VirusScanner::Start(std::function<void()> on_finish) {
   run_.Begin(std::move(on_finish));
   pass_ = Pass{};
 
-  Result<InodeNo> root = fs_->ns().Resolve(config_.root);
-  assert(root.ok());
-  fs_->ns().WalkDepthFirst(*root, [&](const Inode& inode) {
+  InodeNo root = run_.ResolveRoot(fs_->ns(), config_.root);
+  fs_->ns().WalkDepthFirst(root, [&](const Inode& inode) {
     if (!inode.is_dir()) {
       pass_.worklist.push_back(inode.ino);
       run_.stats().work_total += inode.PageCount();  // scans are read-only

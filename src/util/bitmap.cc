@@ -28,21 +28,6 @@ void Bitmap::Resize(uint64_t num_bits) {
   words_.assign(WordCount(num_bits), 0);
 }
 
-void Bitmap::Set(uint64_t bit) {
-  assert(bit < num_bits_);
-  words_[bit / kWordBits] |= 1ULL << (bit % kWordBits);
-}
-
-void Bitmap::Clear(uint64_t bit) {
-  assert(bit < num_bits_);
-  words_[bit / kWordBits] &= ~(1ULL << (bit % kWordBits));
-}
-
-bool Bitmap::Test(uint64_t bit) const {
-  assert(bit < num_bits_);
-  return (words_[bit / kWordBits] >> (bit % kWordBits)) & 1;
-}
-
 void Bitmap::SetRange(uint64_t begin, uint64_t end) {
   assert(begin <= end && end <= num_bits_);
   for (uint64_t w = begin / kWordBits; w <= (end ? (end - 1) / kWordBits : 0) && begin < end;

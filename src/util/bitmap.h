@@ -2,6 +2,7 @@
 #ifndef SRC_UTIL_BITMAP_H_
 #define SRC_UTIL_BITMAP_H_
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -17,9 +18,20 @@ class Bitmap {
 
   uint64_t size() const { return num_bits_; }
 
-  void Set(uint64_t bit);
-  void Clear(uint64_t bit);
-  bool Test(uint64_t bit) const;
+  // Inline: the block store tests and flips one bit per block on every
+  // allocation, free and verified read. A word holds 64 bits.
+  void Set(uint64_t bit) {
+    assert(bit < num_bits_);
+    words_[bit / 64] |= uint64_t{1} << (bit % 64);
+  }
+  void Clear(uint64_t bit) {
+    assert(bit < num_bits_);
+    words_[bit / 64] &= ~(uint64_t{1} << (bit % 64));
+  }
+  bool Test(uint64_t bit) const {
+    assert(bit < num_bits_);
+    return (words_[bit / 64] >> (bit % 64)) & 1;
+  }
 
   // Sets or clears [begin, end).
   void SetRange(uint64_t begin, uint64_t end);

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "src/block/durable_image.h"
+#include "src/fs/meta_codec.h"
 #include "src/obs/obs.h"
+#include "src/util/crc32c.h"
 #include "src/util/rng.h"
 #include "tests/sim_fixture.h"
 
@@ -218,6 +225,7 @@ TEST(CowFsPopulateTest, LayoutMatchesPerPagePlacement) {
   Rng fs_rng(11);
   Rng model_rng(11);
   std::vector<std::pair<InodeNo, std::vector<BlockNo>>> files;
+  std::vector<std::string> paths;  // parallel to `files`
   // Plain and aged files interleaved, with a hole left by a deleted file.
   struct Spec {
     uint64_t pages;
@@ -230,6 +238,7 @@ TEST(CowFsPopulateTest, LayoutMatchesPerPagePlacement) {
         spec.aged ? fs.PopulateFileAged(path, spec.pages * kPageSize, 0.3, fs_rng)
                   : fs.PopulateFile(path, spec.pages * kPageSize);
     ASSERT_TRUE(ino.ok());
+    paths.push_back(path);
     files.emplace_back(*ino, model.Place(spec.pages, 0.3, spec.aged ? &model_rng : nullptr));
     EXPECT_EQ(fs.alloc_cursor(), model.cursor) << path;
   }
@@ -238,12 +247,26 @@ TEST(CowFsPopulateTest, LayoutMatchesPerPagePlacement) {
     model.used[b] = false;
   }
   files.erase(files.begin());
+  EXPECT_FALSE(fs.ns().Resolve(paths.front()).ok());
+  paths.erase(paths.begin());
   BlockNo cursor_before_aged = fs.alloc_cursor();
   Result<InodeNo> aged = fs.PopulateFileAged("/late", 90 * kPageSize, 0.3, fs_rng);
   ASSERT_TRUE(aged.ok());
+  paths.push_back("/late");
   files.emplace_back(*aged, model.Place(90, 0.3, &model_rng));
   EXPECT_EQ(fs.alloc_cursor(), cursor_before_aged);  // the aged file restored it
   EXPECT_EQ(fs_rng.Next(), model_rng.Next());        // same number of draws
+
+  // Every populated path resolves to its file, with the populated size;
+  // inode numbers count up from the root's in creation order.
+  InodeNo want_ino = fs.ns().root() + 2;  // "/f0", since deleted, was root + 1
+  for (size_t f = 0; f < files.size(); ++f) {
+    Result<InodeNo> resolved = fs.ns().Resolve(paths[f]);
+    ASSERT_TRUE(resolved.ok()) << paths[f];
+    EXPECT_EQ(*resolved, files[f].first) << paths[f];
+    EXPECT_EQ(files[f].first, want_ino++) << paths[f];
+    EXPECT_EQ(fs.ns().Get(*resolved)->size, files[f].second.size() * kPageSize) << paths[f];
+  }
 
   size_t token_at = 40;  // the deleted first file took the first 40 tokens
   for (const auto& [ino, blocks] : files) {
@@ -406,6 +429,267 @@ TEST_F(CowFsTest, RepairBlocksUsesMirrorThenReportsUnrecoverable) {
   EXPECT_EQ(result.unrecoverable, 1u);
   EXPECT_TRUE(fs_.BlockChecksumOk(fixable));
   EXPECT_FALSE(fs_.BlockChecksumOk(doomed));
+}
+
+// Exposes the DUP mirror, to compare it block by block with a model.
+class MirrorPeekCowFs : public CowFs {
+ public:
+  using CowFs::CowFs;
+  uint64_t Mirror(BlockNo block) const { return MirrorToken(block); }
+};
+
+uint32_t TokenCrc(uint64_t token) { return Crc32c(&token, sizeof(token)); }
+
+// The DUP mirror as a dense copy of every block, next to the primary, its
+// checksum and the durable image's record: the layout cowfs kept before it
+// stored only the mirrors that differ. Corruption flips with the same XOR
+// constant as FileSystem's.
+struct DenseMirrorModel {
+  static constexpr uint64_t kFlip = 0xdeadbeefcafef00dULL;
+  struct Durable {
+    bool present = false;
+    uint64_t token = 0;
+    uint32_t csum = 0;
+  };
+
+  explicit DenseMirrorModel(uint64_t capacity)
+      : primary(capacity, 0), mirror(capacity, 0), csum(capacity, TokenCrc(0)),
+        durable(capacity) {}
+
+  // A completed write: both copies take the token, and the drive's write
+  // cache holds it until the next device flush.
+  void Flushed(BlockNo b, uint64_t token) {
+    primary[b] = mirror[b] = token;
+    csum[b] = TokenCrc(token);
+    unflushed.emplace_back(b, Durable{true, token, csum[b]});
+  }
+  void Corrupt(BlockNo b, bool both) {
+    primary[b] ^= kFlip;
+    if (both) {
+      mirror[b] ^= kFlip;
+    }
+    if (durable[b].present) {
+      durable[b].token ^= kFlip;
+    }
+  }
+  // A device flush commits what every write since the last one carried.
+  void DeviceFlushed() {
+    for (const auto& [b, record] : unflushed) {
+      durable[b] = record;
+    }
+    unflushed.clear();
+  }
+  // Mount on a fresh stack: blank blocks, the checkpointed tree reloaded from
+  // the image, and the mirror resilvered from it.
+  void Remounted(const std::vector<BlockNo>& in_use) {
+    std::fill(primary.begin(), primary.end(), 0);
+    std::fill(csum.begin(), csum.end(), TokenCrc(0));
+    unflushed.clear();
+    for (BlockNo b : in_use) {
+      if (durable[b].present) {
+        primary[b] = durable[b].token;
+        csum[b] = durable[b].csum;
+      }
+    }
+    mirror = primary;
+  }
+
+  std::vector<uint64_t> primary;
+  std::vector<uint64_t> mirror;
+  std::vector<uint32_t> csum;
+  std::vector<Durable> durable;
+  std::vector<std::pair<BlockNo, Durable>> unflushed;  // in write order
+};
+
+// Seeded differential test of the sparse DUP mirror: cowfs and the dense
+// model go through the same random sequence of primary-only and both-copies
+// corruption, rewrites flushed to disk, cache drops, repairs, checkpoints
+// and remounts after a crash. Every repair must pick the source the model
+// picks (clean cached page, mirror, or none), and every block's primary and
+// mirror must match the model after every step.
+TEST(CowFsMirrorDifferentialTest, SparseMirrorMatchesDenseModel) {
+  // A small device, so the allocator soon hands out blocks freed by COW
+  // rewrites again, diverged mirrors included.
+  constexpr uint64_t kCapacity = 256;
+  constexpr int kFiles = 4;
+  constexpr uint64_t kPagesPerFile = 24;
+  for (uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(seed);
+    DurableImage image(kCapacity);
+    auto rig = std::make_unique<SimRig>(kCapacity, Micros(100));
+    auto fs = std::make_unique<MirrorPeekCowFs>(&rig->loop, &rig->device, /*cache_pages=*/32);
+    DenseMirrorModel model(kCapacity);
+    std::vector<InodeNo> files;
+    for (int f = 0; f < kFiles; ++f) {
+      Result<InodeNo> ino = fs->PopulateFile("/f" + std::to_string(f), kPagesPerFile * kPageSize);
+      ASSERT_TRUE(ino.ok());
+      files.push_back(*ino);
+    }
+    // Every file page and the block backing it, in file order.
+    auto mapped = [&] {
+      std::vector<std::pair<InodeNo, PageIdx>> pages;
+      std::vector<BlockNo> blocks;
+      for (InodeNo ino : files) {
+        for (PageIdx p = 0; p < kPagesPerFile; ++p) {
+          pages.emplace_back(ino, p);
+          blocks.push_back(*fs->Bmap(ino, p));
+        }
+      }
+      return std::make_pair(pages, blocks);
+    };
+    for (BlockNo b : mapped().second) {
+      model.Flushed(b, fs->DiskToken(b));  // population's tokens are the fs's own
+    }
+    fs->AttachDurableImage(&image);
+    fs->SnapshotToDurable();
+    model.DeviceFlushed();
+    auto checkpoint = [&] {
+      bool committed = false;
+      fs->Checkpoint([&] { committed = true; });
+      rig->loop.Run();
+      ASSERT_TRUE(committed);
+      model.DeviceFlushed();
+    };
+    checkpoint();
+
+    Rng rng(seed);
+    uint64_t next_token = 0x5eed0000ULL * seed;
+    int repairs_from[3] = {0, 0, 0};  // cache, mirror, none
+    for (int step = 0; step < 400; ++step) {
+      SCOPED_TRACE(step);
+      auto [pages, blocks] = mapped();
+      // Half the steps go to eight hot pages, so one block often takes
+      // several corruptions, rewrites and repairs in a row.
+      size_t pick = rng.Uniform(2) == 0 ? rng.Uniform(8) : rng.Uniform(pages.size());
+      auto [ino, idx] = pages[pick];
+      BlockNo block = blocks[pick];
+      switch (rng.Uniform(13)) {
+        case 0:
+        case 1:
+        case 2:
+          fs->CorruptBlock(block);
+          model.Corrupt(block, /*both=*/false);
+          break;
+        case 3:
+          fs->CorruptBlock(block, /*also_mirror=*/true);
+          model.Corrupt(block, /*both=*/true);
+          break;
+        case 4:
+        case 5: {  // rewrite, flushed by writeback (no device flush)
+          uint64_t token = ++next_token;
+          fs->CopyIn(ino, idx * kPageSize, kPageSize, {token}, IoClass::kBestEffort, nullptr);
+          fs->writeback().Sync(nullptr);
+          rig->loop.Run();
+          model.Flushed(*fs->Bmap(ino, idx), token);
+          break;
+        }
+        case 6:  // a read caches the page if its primary verifies
+          fs->Read(ino, idx * kPageSize, kPageSize, IoClass::kBestEffort, nullptr);
+          rig->loop.Run();
+          break;
+        case 7:  // drop the page, so only the mirror can repair it
+          fs->cache().Remove(ino, idx);
+          break;
+        case 8:
+        case 9:
+        case 10: {
+          // The source the model expects: a clean cached page that matches
+          // the stored checksum, else an intact mirror, else none.
+          int want = 2;
+          uint64_t heal = 0;
+          const CachedPage* page = fs->cache().Peek(ino, idx);
+          if (page != nullptr && !page->dirty && TokenCrc(page->data) == model.csum[block]) {
+            want = 0;
+            heal = page->data;
+          } else if (TokenCrc(model.mirror[block]) == model.csum[block]) {
+            want = 1;
+            heal = model.mirror[block];
+          }
+          CowFs::RepairResult result;
+          fs->RepairBlocks({block}, IoClass::kBestEffort,
+                           [&](const CowFs::RepairResult& r) { result = r; });
+          rig->loop.Run();
+          EXPECT_EQ(result.attempted, 1u);
+          EXPECT_EQ(result.repaired_from_cache, want == 0 ? 1u : 0u);
+          EXPECT_EQ(result.repaired_from_mirror, want == 1 ? 1u : 0u);
+          EXPECT_EQ(result.unrecoverable, want == 2 ? 1u : 0u);
+          ++repairs_from[want];
+          if (want != 2) {
+            model.Flushed(block, heal);
+          }
+          break;
+        }
+        case 11:
+          checkpoint();
+          break;
+        case 12: {  // power loss, then mount a fresh stack over the image
+          rig->device.CrashFreeze();
+          fs.reset();
+          rig.reset();
+          image.Thaw();
+          rig = std::make_unique<SimRig>(kCapacity, Micros(100));
+          fs = std::make_unique<MirrorPeekCowFs>(&rig->loop, &rig->device, 32);
+          fs->AttachDurableImage(&image);
+          MountReport report;
+          fs->Mount([&](const MountReport& r) { report = r; });
+          rig->loop.Run();
+          ASSERT_TRUE(report.status.ok()) << report.status.message();
+          model.Remounted(mapped().second);
+          break;
+        }
+      }
+      for (BlockNo b = 0; b < kCapacity; ++b) {
+        ASSERT_EQ(fs->DiskToken(b), model.primary[b]) << "block " << b;
+        ASSERT_EQ(fs->Mirror(b), model.mirror[b]) << "block " << b;
+      }
+    }
+    // The sequence reached every repair outcome.
+    EXPECT_GT(repairs_from[0], 0);
+    EXPECT_GT(repairs_from[1], 0);
+    EXPECT_GT(repairs_from[2], 0);
+  }
+}
+
+// The reverse map packs an owner into 32-bit inode and page fields. A write
+// at page 2^32 reaches the limit through the public data path and aborts
+// before the extent map grows to that index.
+TEST(CowFsDeathTest, ReverseMapRejectsPagePast32Bits) {
+  SimRig rig(1024);
+  CowFs fs(&rig.loop, &rig.device, /*cache_pages=*/16);
+  InodeNo ino = *fs.PopulateFile("/f", kPageSize);
+  EXPECT_DEATH(fs.Write(ino, (uint64_t{1} << 32) * kPageSize, kPageSize,
+                        IoClass::kBestEffort, nullptr),
+               "inode 2 page 4294967296 is past the reverse map's 2\\^32 limit");
+}
+
+// A checkpoint naming an inode number past 2^32 (one a long-lived namespace
+// could reach) aborts the mount the same way.
+TEST(CowFsDeathTest, ReverseMapRejectsInodePast32Bits) {
+  constexpr InodeNo kBigIno = (uint64_t{1} << 32) + 5;
+  DurableImage image(1024);
+  ByteWriter w;
+  w.U64(kBigIno + 1);  // next inode number
+  w.U64(2);            // inodes: the root and one file
+  for (InodeNo ino : {Namespace::kRootIno, kBigIno}) {
+    bool root = ino == Namespace::kRootIno;
+    w.U64(ino);
+    w.U8(root ? 1 : 0);
+    w.U64(root ? 0 : kPageSize);
+    w.U64(root ? kInvalidInode : Namespace::kRootIno);
+    w.Str(root ? "" : "big");
+  }
+  w.U64(1);  // one extent map: the file's page 0 in block 7
+  w.U64(kBigIno);
+  w.U64(1);
+  w.U64(7);
+  w.U64(0);  // no snapshots
+  w.U64(1);  // next snapshot id
+  CommitCheckpointSlot(&image, "cowfs.sb", 1, w.Take());
+  SimRig rig(1024);
+  CowFs fs(&rig.loop, &rig.device, /*cache_pages=*/16);
+  fs.AttachDurableImage(&image);
+  EXPECT_DEATH(fs.Mount([](const MountReport&) {}),
+               "inode 4294967301 page 0 is past the reverse map's 2\\^32 limit");
 }
 
 // Late FS emits (fsck here; checkpoint commits and mount recovery likewise)

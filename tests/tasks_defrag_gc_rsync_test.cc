@@ -35,6 +35,17 @@ class DefragTaskTest : public ::testing::Test {
   Rng rng_;
 };
 
+// A root that does not resolve aborts with a message in every build type,
+// rather than walking an error Result once NDEBUG drops an assert.
+using DefragTaskDeathTest = DefragTaskTest;
+TEST_F(DefragTaskDeathTest, MissingRootAbortsWithMessage) {
+  PopulateFragmented(2, 8, 0.5);
+  DefragConfig config;
+  config.root = "/missing";
+  DefragTask task(&fs_, nullptr, config);
+  EXPECT_DEATH(task.Start(), "task defrag: root /missing: NOT_FOUND");
+}
+
 TEST_F(DefragTaskTest, BaselineDefragmentsAllFragmentedFiles) {
   PopulateFragmented(6, 32, 0.5);
   DefragTask task(&fs_, nullptr, DefragConfig{});
@@ -219,6 +230,15 @@ class RsyncTest : public ::testing::Test {
   CowFs dst_fs_;
   DuetCore duet_;
 };
+
+using RsyncDeathTest = RsyncTest;
+TEST_F(RsyncDeathTest, MissingRootAbortsWithMessage) {
+  Populate(3);
+  RsyncConfig config = Config(false);
+  config.source_dir = "/src/missing";
+  RsyncTask task(&src_fs_, &dst_fs_, nullptr, config);
+  EXPECT_DEATH(task.Start(), "task rsync: root /src/missing: NOT_FOUND");
+}
 
 TEST_F(RsyncTest, BaselineCopiesEverythingCorrectly) {
   Populate(12);

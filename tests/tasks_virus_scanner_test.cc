@@ -30,6 +30,17 @@ class VirusScannerTest : public ::testing::Test {
   DuetCore duet_;
 };
 
+// A root that does not resolve aborts with a message in every build type,
+// rather than walking an error Result once NDEBUG drops an assert.
+using VirusScannerDeathTest = VirusScannerTest;
+TEST_F(VirusScannerDeathTest, MissingRootAbortsWithMessage) {
+  Populate(2, 4);
+  VirusScannerConfig config;
+  config.root = "/scan/missing";
+  VirusScanner scanner(&fs_, nullptr, config);
+  EXPECT_DEATH(scanner.Start(), "task virus_scan: root /scan/missing: NOT_FOUND");
+}
+
 TEST_F(VirusScannerTest, BaselineScansEveryFile) {
   Populate(10, 16);
   VirusScannerConfig config;
