@@ -51,26 +51,13 @@ uint64_t CowFs::MetadataMemoryBytes() const {
   return bytes;
 }
 
-std::optional<BlockNo> CowFs::FindFreeUnpinned(BlockNo from) const {
-  // Population's cursor and a sequential writer's hint are almost always
-  // free and unpinned; answering that from two bits skips the word search.
-  if (from < capacity_blocks() && !BlockInUse(from) && !pinned_.Test(from)) {
-    return from;
-  }
-  std::optional<BlockNo> found = in_use_.FindNextClear(from);
-  while (found.has_value() && pinned_.Test(*found)) {
-    found = in_use_.FindNextClear(*found + 1);
-  }
-  return found;
-}
-
 Result<BlockNo> CowFs::AllocBlock(BlockNo hint) {
   if (hint >= capacity_blocks()) {
     hint = 0;
   }
-  std::optional<BlockNo> found = FindFreeUnpinned(hint);
+  std::optional<BlockNo> found = NextAllocatable(hint);
   if (!found.has_value()) {
-    found = FindFreeUnpinned(0);
+    found = NextAllocatable(0);
   }
   if (!found.has_value()) {
     return Status(StatusCode::kNoSpace, "cowfs full");
@@ -101,7 +88,7 @@ Result<BlockNo> CowFs::AllocateForWrite(InodeNo ino, PageIdx idx, BlockNo old_bl
     // would need its old content), rewrite it in place rather than COWing.
     const CachedPage* page = cache_.Peek(ino, idx);
     if (refcount_[old_block] == 1 && page != nullptr && page->dirty &&
-        !pinned_.Test(old_block)) {
+        !pinned().Test(old_block)) {
       return old_block;
     }
   }
@@ -416,7 +403,7 @@ Result<std::vector<std::pair<BlockNo, uint32_t>>> CowFs::AllocContiguous(uint64_
   BlockNo scan = alloc_cursor_;
   bool wrapped = false;
   while (remaining > 0) {
-    std::optional<BlockNo> next = FindFreeUnpinned(scan);
+    std::optional<BlockNo> next = NextAllocatable(scan);
     if (!next.has_value()) {
       if (wrapped) {
         break;
@@ -428,7 +415,7 @@ Result<std::vector<std::pair<BlockNo, uint32_t>>> CowFs::AllocContiguous(uint64_
     BlockNo run_start = *next;
     BlockNo run_end = run_start;
     while (run_end < capacity_blocks() && !BlockInUse(run_end) &&
-           !pinned_.Test(run_end) && run_end - run_start < remaining) {
+           !pinned().Test(run_end) && run_end - run_start < remaining) {
       ++run_end;
     }
     uint32_t len = static_cast<uint32_t>(run_end - run_start);
@@ -655,7 +642,7 @@ Status CowFs::RestoreFsState(ByteReader* r, MountReport* report,
   assert(mirror_diverged_.empty());
   // Pin the restored tree until the next commit. Rollback recovery reads
   // only the superblock area, so nothing goes to `read_back`.
-  pinned_ = in_use_;
+  PinAllInUse();
   return Status::Ok();
 }
 

@@ -149,8 +149,6 @@ class CowFs : public FileSystem {
   // last committed superblock are skipped even when free (pinned until the
   // next commit), so rollback never finds its tree overwritten.
   Result<BlockNo> AllocBlock(BlockNo hint);
-  // First free, unpinned block at or after `from`.
-  std::optional<BlockNo> FindFreeUnpinned(BlockNo from) const;
   // Allocates `n` contiguous free blocks; falls back to the longest runs
   // available. Returns the start blocks of the runs covering n blocks total.
   Result<std::vector<std::pair<BlockNo, uint32_t>>> AllocContiguous(uint64_t n);

@@ -1,6 +1,7 @@
 #include "src/fs/file_system.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -20,13 +21,14 @@ FileSystem::FileSystem(EventLoop* loop, BlockDevice* device, uint64_t cache_page
       // A fresh device holds token 0 everywhere; checksums must agree, or
       // every allocated-but-never-flushed block would read as corrupt.
       disk_csum_(device->capacity_blocks(), TokenChecksum(0)),
-      in_use_(device->capacity_blocks()),
-      pinned_(device->capacity_blocks()),
       loop_(loop),
       device_(device),
       obs_(obs::CurrentObs()),
       cache_(cache_pages, [loop] { return loop->now(); }),
       writeback_(loop, &cache_, this, wb_params),
+      in_use_(device->capacity_blocks()),
+      pinned_(device->capacity_blocks()),
+      allocatable_words_(ComputeAllocatableWords()),
       checkpoint_slot_(std::move(checkpoint_slot)) {
   assert(loop_ != nullptr && device_ != nullptr);
   writeback_.Start();
@@ -53,12 +55,49 @@ Status FileSystem::VerifyBlock(BlockNo block) {
 
 void FileSystem::MarkFree(BlockNo block) {
   in_use_.Clear(block);
+  if (!pinned_.Test(block)) {
+    allocatable_words_.Set(block / 64);
+  }
   --allocated_blocks_;
   rmap_[block] = RmapEntry{};
   if (injector_ != nullptr) {
     // A freed block's fault can no longer serve corrupt data to a reader.
     injector_->OnBlockFreed(block);
   }
+}
+
+void FileSystem::PinAllInUse() {
+  pinned_ = in_use_;
+  allocatable_words_ = ComputeAllocatableWords();
+}
+
+Bitmap FileSystem::ComputeAllocatableWords() const {
+  const uint64_t words = (in_use_.size() + 63) / 64;
+  Bitmap allocatable(words);
+  for (uint64_t w = 0; w < words; ++w) {
+    if (TakenWord(w) != ~uint64_t{0}) {
+      allocatable.Set(w);
+    }
+  }
+  return allocatable;
+}
+
+std::optional<BlockNo> FileSystem::NextAllocatable(BlockNo from) const {
+  if (from >= capacity_blocks()) {
+    return std::nullopt;
+  }
+  uint64_t w = from / 64;
+  uint64_t free = ~TakenWord(w) & (~uint64_t{0} << (from % 64));
+  if (free == 0) {
+    std::optional<uint64_t> next = allocatable_words_.FindNextSet(w + 1);
+    if (!next.has_value()) {
+      return std::nullopt;
+    }
+    w = *next;
+    free = ~TakenWord(w);
+    assert(free != 0 && "allocatable index bit set on a full word");
+  }
+  return w * 64 + static_cast<uint64_t>(std::countr_zero(free));
 }
 
 void FileSystem::OnBlockFlushed(BlockNo block, uint64_t token) {
@@ -142,7 +181,7 @@ void FileSystem::Checkpoint(std::function<void()> done) {
       checkpoint_generation_ = generation;
       // Pin the committed tree until the next commit; logfs's prefree
       // segments become reusable here.
-      pinned_ = in_use_;
+      PinAllInUse();
       obs_->trace.Emit(loop_->now(), obs::TraceLayer::kFs,
                        obs::TraceKind::kCheckpointCommit, generation,
                        payload.size(), image_->commit_seq());
@@ -214,6 +253,16 @@ FsckReport FileSystem::CheckConsistency() const {
   }
   if (in_use_count != allocated_blocks_) {
     ++report.structural_errors;
+  }
+  // The allocatable index is derived state: rebuild it from the bitmaps.
+  const Bitmap want = ComputeAllocatableWords();
+  for (uint64_t w = 0; w < want.size(); ++w) {
+    if (want.Test(w) != allocatable_words_.Test(w)) {
+      ++report.structural_errors;
+      if (!report.first_bad_index_word.has_value()) {
+        report.first_bad_index_word = w;
+      }
+    }
   }
   obs_->trace.Emit(loop_->now(), obs::TraceLayer::kFs,
                    obs::TraceKind::kFsckRan,

@@ -2,7 +2,8 @@
 // logfs): namespace, page cache, async read/write paths over the simulated
 // block device, writeback, and the block store both keep the same way — the
 // in-use bitmap, a CRC32C per block verified on every read path, the blocks
-// pinned by the last checkpoint, and one checkpoint / mount / fsck path.
+// pinned by the last checkpoint, the allocatable index over both bitmaps, and
+// one checkpoint / mount / fsck path.
 // Concrete file systems supply block placement (COW vs log-structured) and
 // their own checkpoint payload and fsck rules through a small set of virtual
 // hooks.
@@ -69,6 +70,9 @@ struct FsckReport {
   uint64_t structural_errors = 0;  // refcount/bitmap/extent-map disagreements
   uint64_t checksum_errors = 0;    // stored CRC32C does not match content
   BlockNo first_bad_block = kInvalidBlock;
+  // First 64-block word whose allocatable index bit disagrees with the
+  // in-use and pinned bitmaps; each such word is a structural error.
+  std::optional<uint64_t> first_bad_index_word;
 
   bool clean() const { return structural_errors == 0 && checksum_errors == 0; }
   // Keeps the lowest bad block, so the report does not depend on the order
@@ -252,7 +256,8 @@ class FileSystem : public WritebackTarget {
   // Bytes of the block store's per-block arrays (reverse map, token, CRC32C
   // and the file system's own, e.g. cowfs's refcounts and diverged mirror
   // copies) plus 8 B per extent-map entry. The in-use and pinned bitmaps
-  // (2 bits per block) and container headers are not counted.
+  // (2 bits per block), the allocatable index (1 bit per 64 blocks) and
+  // container headers are not counted.
   virtual uint64_t MetadataMemoryBytes() const;
   uint64_t allocated_blocks() const { return allocated_blocks_; }
   uint64_t capacity_blocks() const { return disk_data_.size(); }
@@ -315,13 +320,30 @@ class FileSystem : public WritebackTarget {
   // and reported to the fault injector.
   Status VerifyBlock(BlockNo block);
 
-  // In-use bitmap updates; both keep allocated_blocks_. MarkFree also drops
-  // the block's reverse mapping.
+  // In-use bitmap updates; both keep allocated_blocks_ and the allocatable
+  // index. MarkFree also drops the block's reverse mapping.
   void MarkInUse(BlockNo block) {
     in_use_.Set(block);
+    NoteTaken(block);
     ++allocated_blocks_;
   }
   void MarkFree(BlockNo block);
+
+  // Pins: blocks recovery depends on, which neither allocator hands out or
+  // rewrites in place. Pin adds one; PinAllInUse pins exactly the blocks in
+  // use now and drops every earlier pin (a checkpoint commit or mount).
+  void Pin(BlockNo block) {
+    pinned_.Set(block);
+    NoteTaken(block);
+  }
+  void PinAllInUse();
+
+  // First allocatable block (neither in use nor pinned) at or after `from`,
+  // or nullopt. Reads the allocatable index, then one bitmap word.
+  std::optional<BlockNo> NextAllocatable(BlockNo from) const;
+
+  const Bitmap& in_use() const { return in_use_; }
+  const Bitmap& pinned() const { return pinned_; }
 
   // Mount helper: reloads `block`'s content and stored checksum from the
   // durable image, counting it restored, or missing if never committed.
@@ -346,17 +368,11 @@ class FileSystem : public WritebackTarget {
 
   std::unordered_map<InodeNo, FileMap> fmap_;
   // The per-block store: 20 B per block here (reverse map 8, token 8,
-  // CRC32C 4) plus two bitmaps; cowfs's refcount makes it 24 B.
+  // CRC32C 4) plus the in-use and pinned bitmaps and the allocatable index
+  // (below); cowfs's refcount makes it 24 B.
   std::vector<RmapEntry> rmap_;      // block -> owner page
   std::vector<uint64_t> disk_data_;  // block -> stored token
   std::vector<uint32_t> disk_csum_;  // block -> CRC32C of the stored token
-  Bitmap in_use_;                    // block-level liveness
-  uint64_t allocated_blocks_ = 0;    // set bits of in_use_
-  // Blocks recovery depends on: the blocks in use at the last checkpoint
-  // (plus, in logfs, every block appended since). Neither allocator hands
-  // them out or rewrites them in place. Empty until the first checkpoint or
-  // mount, making the crash path free for stacks that never use it.
-  Bitmap pinned_;
 
   // Fresh unique content token.
   uint64_t NextToken() { return token_counter_ += 0x9e3779b97f4a7c15ULL; }
@@ -394,6 +410,38 @@ class FileSystem : public WritebackTarget {
   // regular file, every page of a live file is mapped (no holes), its block
   // in use, and the reverse map agrees.
   void CheckFileMappings(FsckReport* report) const;
+
+  // Blocks of 64-block word `w` that cannot be allocated: in use, pinned,
+  // or past the device's last block.
+  uint64_t TakenWord(uint64_t w) const {
+    uint64_t taken = in_use_.Word(w) | pinned_.Word(w);
+    uint64_t real = in_use_.size() - w * 64;
+    return real >= 64 ? taken : taken | (~uint64_t{0} << real);
+  }
+  // Clears the allocatable index bit of `block`'s word once the word holds
+  // no allocatable block.
+  void NoteTaken(BlockNo block) {
+    if (TakenWord(block / 64) == ~uint64_t{0}) {
+      allocatable_words_.Clear(block / 64);
+    }
+  }
+  // The allocatable index derived from the two bitmaps from scratch: what
+  // PinAllInUse installs and fsck compares with.
+  Bitmap ComputeAllocatableWords() const;
+
+  Bitmap in_use_;                  // block-level liveness
+  uint64_t allocated_blocks_ = 0;  // set bits of in_use_
+  // Blocks recovery depends on: the blocks in use at the last checkpoint
+  // (plus, in logfs, every block appended since). Empty until the first
+  // checkpoint or mount, making the crash path free for stacks that never
+  // use it. Written only through Pin and PinAllInUse.
+  Bitmap pinned_;
+  // The allocatable index: bit w is set when 64-block word w of the device
+  // holds a block that is neither in use nor pinned. Kept by MarkInUse,
+  // MarkFree, Pin and PinAllInUse; NextAllocatable skips clear words.
+  Bitmap allocatable_words_;
+  // Tests plant a stale index bit through it to check that fsck reports it.
+  friend class AllocatableIndexTestPeer;
 
   const std::string checkpoint_slot_;
   uint64_t checkpoint_generation_ = 0;

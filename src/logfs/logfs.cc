@@ -62,7 +62,7 @@ std::optional<SegmentNo> LogFs::FindFreeSegment() {
     // only after the next checkpoint drops the pins.
     BlockNo start = s * segment_blocks_;
     BlockNo end = std::min<BlockNo>(start + segment_blocks_, capacity_blocks());
-    if (pinned_.CountRange(start, end) != 0) {
+    if (pinned().CountRange(start, end) != 0) {
       continue;
     }
     // Reset a fully-invalidated segment before reuse.
@@ -80,22 +80,23 @@ Result<BlockNo> LogFs::LogAppend() {
     } else {
       // Out of clean segments: overwrite an invalid slot inside some
       // already-written segment (the paper's slow scattered-write mode,
-      // §6.2 Garbage collection).
-      for (SegmentNo s = 0; s < sit_.size(); ++s) {
-        BlockNo start = s * segment_blocks_;
-        BlockNo end = std::min<BlockNo>(start + sit_[s].written, capacity_blocks());
-        for (BlockNo b = start; b < end; ++b) {
-          if (!BlockInUse(b) && !pinned_.Test(b)) {
-            ++scattered_writes_;
-            MarkInUse(b);
-            ++sit_[s].valid;
-            sit_[s].mtime = loop_->now();
-            if (image_ != nullptr) {
-              pinned_.Set(b);
-            }
-            return b;
+      // §6.2 Garbage collection). The slot is the lowest allocatable block
+      // below its segment's write frontier; a block past the frontier sends
+      // the search on to the next segment.
+      std::optional<BlockNo> b = NextAllocatable(0);
+      while (b.has_value()) {
+        SegmentNo s = SegmentOf(*b);
+        if (*b - s * segment_blocks_ < sit_[s].written) {
+          ++scattered_writes_;
+          MarkInUse(*b);
+          ++sit_[s].valid;
+          sit_[s].mtime = loop_->now();
+          if (image_ != nullptr) {
+            Pin(*b);
           }
+          return *b;
         }
+        b = NextAllocatable((s + 1) * segment_blocks_);
       }
       return Status(StatusCode::kNoSpace, "logfs full");
     }
@@ -110,7 +111,7 @@ Result<BlockNo> LogFs::LogAppend() {
   info.mtime = loop_->now();
   MarkInUse(block);
   if (image_ != nullptr) {
-    pinned_.Set(block);
+    Pin(block);
   }
   return block;
 }
@@ -357,7 +358,7 @@ Status LogFs::RestoreFsState(ByteReader* r, MountReport* report,
       }
       MarkInUse(block);
       ++sit_[SegmentOf(block)].valid;
-      pinned_.Set(block);
+      Pin(block);
       LoadBlock(block, report);
     }
   }
@@ -416,7 +417,7 @@ void LogFs::ReplayImageRecords(uint64_t ckpt_seq, MountReport* report,
     uint32_t offset = static_cast<uint32_t>(rec.block - seg * segment_blocks_);
     sit_[seg].written = std::max(sit_[seg].written, offset + 1);
     sit_[seg].mtime = loop_->now();
-    pinned_.Set(rec.block);
+    Pin(rec.block);
     disk_data_[rec.block] = rec.token;
     disk_csum_[rec.block] = rec.csum;
     // Page granularity is all the log records carry; a replayed tail page
@@ -447,7 +448,7 @@ void LogFs::CheckFsState(FsckReport* report) const {
   for (SegmentNo s = 0; s < sit_.size(); ++s) {
     BlockNo start = s * segment_blocks_;
     BlockNo end = std::min<BlockNo>(start + segment_blocks_, capacity_blocks());
-    if (sit_[s].valid != in_use_.CountRange(start, end) ||
+    if (sit_[s].valid != in_use().CountRange(start, end) ||
         sit_[s].written > segment_blocks_) {
       ++report->structural_errors;
       report->NoteBad(start);

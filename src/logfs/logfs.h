@@ -111,7 +111,7 @@ class LogFs : public FileSystem {
  private:
   // Next block at the log head; opens a new segment when the current one
   // fills, falling back to scattered overwrites when no segment is free.
-  // With a durable image attached, blocks recovery depends on (pinned_) are
+  // With a durable image attached, blocks recovery depends on (pinned) are
   // never handed out, and every block handed out is pinned in turn.
   Result<BlockNo> LogAppend();
   void Invalidate(BlockNo block);

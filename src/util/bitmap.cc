@@ -88,27 +88,6 @@ std::optional<uint64_t> Bitmap::FindNextSet(uint64_t from) const {
   }
 }
 
-std::optional<uint64_t> Bitmap::FindNextClear(uint64_t from) const {
-  if (from >= num_bits_) {
-    return std::nullopt;
-  }
-  uint64_t w = from / kWordBits;
-  uint64_t word = ~words_[w] & ~((1ULL << (from % kWordBits)) - 1);
-  while (true) {
-    if (word != 0) {
-      uint64_t bit = w * kWordBits + static_cast<uint64_t>(std::countr_zero(word));
-      if (bit < num_bits_) {
-        return bit;
-      }
-      return std::nullopt;
-    }
-    if (++w >= words_.size()) {
-      return std::nullopt;
-    }
-    word = ~words_[w];
-  }
-}
-
 bool Bitmap::AllClear() const {
   for (uint64_t w : words_) {
     if (w != 0) {

@@ -32,6 +32,11 @@ class Bitmap {
     assert(bit < num_bits_);
     return (words_[bit / 64] >> (bit % 64)) & 1;
   }
+  // Bits [64 * w, 64 * w + 64) as one word; bits past size() read 0.
+  uint64_t Word(uint64_t w) const {
+    assert(w < words_.size());
+    return words_[w];
+  }
 
   // Sets or clears [begin, end).
   void SetRange(uint64_t begin, uint64_t end);
@@ -42,9 +47,8 @@ class Bitmap {
   // Number of set bits in [begin, end).
   uint64_t CountRange(uint64_t begin, uint64_t end) const;
 
-  // First set (or clear) bit at or after `from`, or nullopt.
+  // First set bit at or after `from`, or nullopt.
   std::optional<uint64_t> FindNextSet(uint64_t from) const;
-  std::optional<uint64_t> FindNextClear(uint64_t from) const;
 
   bool AllClear() const;
   bool AllSet() const;

@@ -106,15 +106,6 @@ TEST(BitmapTest, FindNextSet) {
   EXPECT_EQ(bm.FindNextSet(200), std::nullopt);
 }
 
-TEST(BitmapTest, FindNextClear) {
-  Bitmap bm(100);
-  bm.SetRange(0, 100);
-  EXPECT_EQ(bm.FindNextClear(0), std::nullopt);
-  bm.Clear(42);
-  EXPECT_EQ(bm.FindNextClear(0), 42u);
-  EXPECT_EQ(bm.FindNextClear(43), std::nullopt);
-}
-
 TEST(BitmapTest, AllSetAllClear) {
   Bitmap bm(65);
   EXPECT_TRUE(bm.AllClear());
@@ -263,9 +254,10 @@ TEST(BitmapTest, FindNextAcrossWordSeams) {
   EXPECT_EQ(b.FindNextSet(192), std::nullopt);
   Bitmap full(130);
   full.SetRange(0, 130);
-  EXPECT_EQ(full.FindNextClear(0), std::nullopt);
+  EXPECT_EQ(full.Word(1), ~uint64_t{0});
+  EXPECT_EQ(full.Word(2), uint64_t{0b11});
   full.Clear(128);
-  EXPECT_EQ(full.FindNextClear(64), std::optional<uint64_t>(128));
+  EXPECT_EQ(full.Word(2), uint64_t{0b10});
 }
 
 TEST(BitmapTest, NonWordMultipleSizeTailBitsStayClean) {
@@ -275,9 +267,10 @@ TEST(BitmapTest, NonWordMultipleSizeTailBitsStayClean) {
   b.SetRange(0, 100);
   EXPECT_TRUE(b.AllSet());
   EXPECT_EQ(b.Count(), 100u);
-  EXPECT_EQ(b.FindNextClear(0), std::nullopt);
+  EXPECT_EQ(b.Word(1), (uint64_t{1} << 36) - 1);
   b.ClearRange(99, 100);
-  EXPECT_EQ(b.FindNextClear(0), std::optional<uint64_t>(99));
+  EXPECT_EQ(b.Word(1), (uint64_t{1} << 35) - 1);
+  EXPECT_EQ(b.FindNextSet(99), std::nullopt);
 }
 
 }  // namespace

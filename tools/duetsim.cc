@@ -347,12 +347,13 @@ int main(int argc, char** argv) {
     GcRunResult r = RunGc(config.stack, config.use_duet, config.seed, rate.ops_per_sec,
                           config.skewed, &obs_ctx);
     printf("gc: %llu segments cleaned, avg %.1f ms; reads %llu disk / %llu cache; "
-           "util %.0f%%\n",
+           "util %.0f%%; scattered writes %llu\n",
            static_cast<unsigned long long>(r.segments_cleaned),
            r.cleaning_time_ms.count() > 0 ? r.cleaning_time_ms.mean() : 0.0,
            static_cast<unsigned long long>(r.blocks_read),
            static_cast<unsigned long long>(r.blocks_cached),
-           r.measured_util * 100);
+           r.measured_util * 100,
+           static_cast<unsigned long long>(r.scattered_writes));
     if (!finish_obs()) {
       return 2;
     }
