@@ -48,7 +48,9 @@ DuetCore::DuetCore(FileSystem* fs, DuetConfig config)
       ctr_fetch_calls_(obs_->metrics.GetCounter("duet.fetch.calls")),
       ctr_done_set_(obs_->metrics.GetCounter("duet.done.set")),
       ctr_done_unset_(obs_->metrics.GetCounter("duet.done.unset")),
-      ctr_relevance_checks_(obs_->metrics.GetCounter("duet.relevance_checks")) {
+      ctr_relevance_checks_(obs_->metrics.GetCounter("duet.relevance_checks")),
+      gauge_descriptors_(obs_->metrics.GetGauge("duet.desc.live")),
+      gauge_peak_descriptors_(obs_->metrics.GetGauge("duet.desc.peak")) {
   assert(fs_ != nullptr);
   assert(config_.max_sessions <= kMaxSessionsHard);
   fs_->cache().AddListener(this);
@@ -58,6 +60,7 @@ DuetCore::DuetCore(FileSystem* fs, DuetConfig config)
 SimTime DuetCore::Now() const { return fs_->loop().now(); }
 
 DuetCore::~DuetCore() {
+  gauge_descriptors_->Add(-static_cast<int64_t>(live_descriptors_));
   fs_->cache().RemoveListener(this);
   fs_->ns().RemoveObserver(this);
 }
@@ -65,6 +68,7 @@ DuetCore::~DuetCore() {
 void DuetCore::RebuildInterestMasks() {
   active_mask_ = 0;
   state_mask_ = 0;
+  block_mask_ = 0;
   event_interest_.fill(0);
   for (SessionId sid = 0; sid < config_.max_sessions; ++sid) {
     const Session& s = sessions_[sid];
@@ -75,6 +79,9 @@ void DuetCore::RebuildInterestMasks() {
     active_mask_ |= bit;
     if (SubscribesState(s)) {
       state_mask_ |= bit;
+    }
+    if (s.is_block) {
+      block_mask_ |= bit;
     }
     for (int t = 0; t < 4; ++t) {
       auto type = static_cast<PageEventType>(t);
@@ -214,6 +221,10 @@ uint32_t DuetCore::CreateSlot(const PageKey& key, bool exists, bool modified) {
   d.cur_modified = modified;
   page_index_.Insert(key.ino, key.idx, slot);
   ++live_descriptors_;
+  gauge_descriptors_->Add(1);
+  if (gauge_descriptors_->value() > gauge_peak_descriptors_->value()) {
+    gauge_peak_descriptors_->Set(gauge_descriptors_->value());
+  }
   return slot;
 }
 
@@ -269,6 +280,7 @@ void DuetCore::MaybeFreeDescriptor(const PageKey& key, uint32_t slot) {
   d = Descriptor{};
   free_slots_.push_back(slot);
   --live_descriptors_;
+  gauge_descriptors_->Add(-1);
 }
 
 bool DuetCore::HasPending(const Session& s, uint8_t byte,
@@ -335,27 +347,47 @@ void DuetCore::OnPageEvent(const PageEvent& event) {
   if (interested == 0) {
     return;
   }
+  // Block sessions share one FIBMAP translation of the page.
+  BlockNo block = (interested & block_mask_) != 0
+                      ? fs_->BlockOf(event.ino, event.idx)
+                      : kInvalidBlock;
   uint64_t mask = interested;
   while (mask != 0) {
     auto sid = static_cast<SessionId>(std::countr_zero(mask));
     mask &= mask - 1;
     Session& s = sessions_[sid];
+    bool done;
     if (s.is_block) {
-      Result<BlockNo> block = fs_->Bmap(event.ino, event.idx);
-      if (!block.ok() || s.done.Test(*block)) {
+      if (block == kInvalidBlock) {
         continue;
       }
+      done = s.done.Test(block);
     } else {
       if (event.ino >= s.done.size()) {
         EnsureInodeCapacity(event.ino);
       }
-      if (s.done.Test(event.ino) || !IsRelevant(s, event.ino)) {
-        continue;
+      done = s.done.Test(event.ino) || !IsRelevant(s, event.ino);
+    }
+    if (done) {
+      if (slot != kNoSlot && SubscribesState(s)) {
+        AbsorbSkippedEvent(s, slot);
       }
+      continue;
     }
     ApplyEvent(sid, s, key, slot, event.type, event.exists, event.dirty);
   }
   MaybeFreeDescriptor(key, slot);
+}
+
+void DuetCore::AbsorbSkippedEvent(Session& s, uint32_t slot) {
+  uint8_t byte = s.flags.Get(slot);
+  if ((byte & (kPendingEventMask | kQueued)) != 0) {
+    return;  // the next fetch reports against the older snapshot
+  }
+  uint8_t reported = ReportedState(arena_[slot]);
+  if (byte != reported) {
+    s.flags.Set(slot, reported);
+  }
 }
 
 void DuetCore::ApplyEvent(SessionId sid, Session& s, const PageKey& key,
@@ -384,7 +416,7 @@ void DuetCore::InitialScan(SessionId sid) {
   Session& s = sessions_[sid];
   fs_->cache().ForEachPage([&](InodeNo ino, PageIdx idx, const CachedPage& page) {
     if (s.is_block) {
-      if (!fs_->Bmap(ino, idx).ok()) {
+      if (fs_->BlockOf(ino, idx) == kInvalidBlock) {
         return;
       }
     } else {
@@ -449,14 +481,7 @@ Result<std::vector<DuetItem>> DuetCore::Fetch(SessionId sid, size_t max_items) {
 
     // Mark up-to-date: clear queued + pending events, snapshot the reported
     // state.
-    uint8_t cleared = 0;
-    if (d.cur_exists) {
-      cleared |= kReportedExists;
-    }
-    if (d.cur_modified) {
-      cleared |= kReportedModified;
-    }
-    s.flags.Set(slot, cleared);
+    s.flags.Set(slot, ReportedState(d));
 
     if (out == 0) {
       // Notifications cancelled each other (e.g. added then removed).
@@ -466,12 +491,12 @@ Result<std::vector<DuetItem>> DuetCore::Fetch(SessionId sid, size_t max_items) {
     DuetItem item;
     item.flags = out;
     if (s.is_block) {
-      Result<BlockNo> block = fs_->Bmap(key.ino, key.idx);
-      if (!block.ok()) {
+      BlockNo block = fs_->BlockOf(key.ino, key.idx);
+      if (block == kInvalidBlock) {
         MaybeFreeDescriptor(key, slot);
         continue;  // page no longer mapped (file deleted/truncated)
       }
-      item.id = *block;
+      item.id = block;
       item.offset = 0;
     } else {
       item.id = key.ino;
@@ -526,16 +551,8 @@ Status DuetCore::SetDone(SessionId sid, uint64_t item_id) {
     if (slot == kNoSlot) {
       return;
     }
-    Descriptor& d = arena_[slot];
     uint8_t byte = s.flags.Get(slot);
-    uint8_t cleared = 0;
-    if (d.cur_exists) {
-      cleared |= kReportedExists;
-    }
-    if (d.cur_modified) {
-      cleared |= kReportedModified;
-    }
-    s.flags.Set(slot, cleared);
+    s.flags.Set(slot, ReportedState(arena_[slot]));
     if ((byte & kQueued) != 0) {
       assert(s.pending > 0);
       --s.pending;
@@ -742,8 +759,8 @@ bool DuetCore::ProcessedByAllSessions(InodeNo ino, PageIdx idx) const {
     }
     any_tracking = true;
     if (s.is_block) {
-      Result<BlockNo> block = fs_->Bmap(ino, idx);
-      if (!block.ok() || !s.done.Test(*block)) {
+      BlockNo block = fs_->BlockOf(ino, idx);
+      if (block == kInvalidBlock || !s.done.Test(block)) {
         return false;
       }
     } else {

@@ -36,10 +36,19 @@
 // informing block tasks of file-level accesses.
 //
 // Memory bound: a descriptor stays allocated while its page is cached and a
-// state-subscribed session exists, or while any session has unfetched
-// notifications — giving the paper's 2 × (max pages in cache) bound for
-// state sessions. Event-only sessions are subject to a per-session
-// descriptor limit; beyond it, new events are dropped (§4.2).
+// state-subscribed session exists, or while some session has something to
+// report for the page: pending event bits, or a reported-state snapshot that
+// differs from the page's state. Once a page leaves the cache, only the
+// report of its departure keeps the descriptor, and the next fetch settles
+// it. That gives the paper's 2 × (max pages in cache) bound for state
+// sessions (§4.2, §6.4). A session whose item is done skips the page's
+// events and so would never fetch that report. Instead, when the session
+// has nothing pending or queued for the page, the skipped event moves its
+// snapshot to the page's new state. A done item therefore pins no
+// descriptor once its page is gone. The `duet.desc.live` and
+// `duet.desc.peak` gauges expose the count. Event-only sessions are subject
+// to a per-session descriptor limit; beyond it, new events are dropped
+// (§4.2).
 #ifndef SRC_DUET_DUET_CORE_H_
 #define SRC_DUET_DUET_CORE_H_
 
@@ -184,6 +193,12 @@ class DuetCore : public PageEventListener, public VfsObserver {
   };
 
   bool SubscribesState(const Session& s) const { return (s.mask & kDuetStateMask) != 0; }
+  // The flag byte of a session that is up to date with `d`: the page's
+  // current state as the reported-state snapshot, nothing pending.
+  static uint8_t ReportedState(const Descriptor& d) {
+    return static_cast<uint8_t>((d.cur_exists ? kReportedExists : 0) |
+                                (d.cur_modified ? kReportedModified : 0));
+  }
 
   Result<SessionId> AllocateSession(uint8_t mask);
   // Scans the page cache at registration time so existing pages generate
@@ -200,6 +215,11 @@ class DuetCore : public PageEventListener, public VfsObserver {
   // hook, used when the descriptor must be created.
   void ApplyEvent(SessionId sid, Session& s, const PageKey& key, uint32_t& slot,
                   PageEventType type, bool exists, bool modified);
+  // A state session skipped an event because the page's item is done: with
+  // nothing pending or queued for the page, its snapshot takes the
+  // descriptor's current state, so the skipped change does not keep the
+  // descriptor alive.
+  void AbsorbSkippedEvent(Session& s, uint32_t slot);
   // Marks the page pending for `sid` and enqueues it, honouring the
   // event-only drop limit. `byte` is the session's current flag byte for
   // `slot` (the hot path already holds it; passing it avoids a re-read).
@@ -246,12 +266,17 @@ class DuetCore : public PageEventListener, public VfsObserver {
   obs::Counter* ctr_done_set_;
   obs::Counter* ctr_done_unset_;
   obs::Counter* ctr_relevance_checks_;  // backward path traversals
+  // Live descriptors of every DuetCore in the context, and their peak. The
+  // names fit a short string, so registering them allocates no key.
+  obs::Gauge* gauge_descriptors_;
+  obs::Gauge* gauge_peak_descriptors_;
   std::array<Session, kMaxSessionsHard> sessions_;
   uint32_t active_sessions_ = 0;
   // Bit s set: session s is active / is active and interested in event type
   // t (its mask covers the event bit or the state bit the event affects).
   uint64_t active_mask_ = 0;
   uint64_t state_mask_ = 0;  // active sessions subscribed to state bits
+  uint64_t block_mask_ = 0;  // active block sessions
   std::array<uint64_t, 4> event_interest_{};  // indexed by PageEventType
 
   // Descriptor store: page index -> packed arena + freelist. The arena slot

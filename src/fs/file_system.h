@@ -151,13 +151,20 @@ class FileSystem : public WritebackTarget {
 
   // ---- Mapping (the FIBMAP ioctl the paper relies on, §4.2) ----
   // Returns the device block currently backing page `idx` of `ino`.
-  // Inline: block-task hook dispatch translates every page event through
-  // Bmap, making this one of the hottest lookups in the stack.
   Result<BlockNo> Bmap(InodeNo ino, PageIdx idx) const {
-    auto it = fmap_.find(ino);
-    if (it == fmap_.end() || idx >= it->second.blocks.size() ||
-        it->second.blocks[idx] == kInvalidBlock) {
+    BlockNo block = BlockOf(ino, idx);
+    if (block == kInvalidBlock) {
       return Status(StatusCode::kNotFound, "unmapped page");
+    }
+    return block;
+  }
+  // Bmap without the status: kInvalidBlock for an unmapped page. Inline:
+  // Duet translates every block-task page event and fetch through it, making
+  // this one of the hottest lookups in the stack.
+  BlockNo BlockOf(InodeNo ino, PageIdx idx) const {
+    auto it = fmap_.find(ino);
+    if (it == fmap_.end() || idx >= it->second.blocks.size()) {
+      return kInvalidBlock;
     }
     return it->second.blocks[idx];
   }

@@ -22,11 +22,21 @@ LogFs::LogFs(EventLoop* loop, BlockDevice* device, uint64_t cache_pages,
 uint64_t LogFs::free_segments() const {
   uint64_t free = 0;
   for (SegmentNo s = 0; s < sit_.size(); ++s) {
-    if (s != open_segment_ && sit_[s].valid == 0 && sit_[s].written == 0) {
-      ++free;
-    }
+    free += Reusable(s);
   }
   return free;
+}
+
+bool LogFs::Reusable(SegmentNo seg) const {
+  if (seg == open_segment_ || sit_[seg].valid != 0) {
+    return false;
+  }
+  // A fully-invalidated segment that still holds pinned blocks is
+  // "prefree": recovery depends on its content, so it becomes reusable only
+  // after the next checkpoint drops the pins.
+  BlockNo start = seg * segment_blocks_;
+  BlockNo end = std::min<BlockNo>(start + segment_blocks_, capacity_blocks());
+  return pinned().CountRange(start, end) == 0;
 }
 
 std::vector<BlockNo> LogFs::ValidBlocksOf(SegmentNo seg) const {
@@ -54,26 +64,21 @@ uint64_t LogFs::CachedValidBlocksOf(SegmentNo seg) const {
 
 std::optional<SegmentNo> LogFs::FindFreeSegment() {
   for (SegmentNo s = 0; s < sit_.size(); ++s) {
-    if (s == open_segment_ || sit_[s].valid != 0) {
-      continue;
+    if (Reusable(s)) {
+      // Reset a fully-invalidated segment before reuse.
+      sit_[s].written = 0;
+      return s;
     }
-    // A fully-invalidated segment that still holds pinned blocks is
-    // "prefree": recovery depends on its content, so it becomes reusable
-    // only after the next checkpoint drops the pins.
-    BlockNo start = s * segment_blocks_;
-    BlockNo end = std::min<BlockNo>(start + segment_blocks_, capacity_blocks());
-    if (pinned().CountRange(start, end) != 0) {
-      continue;
-    }
-    // Reset a fully-invalidated segment before reuse.
-    sit_[s].written = 0;
-    return s;
   }
   return std::nullopt;
 }
 
 Result<BlockNo> LogFs::LogAppend() {
-  if (sit_[open_segment_].written >= segment_blocks_) {
+  // The open segment is full at its size, or at the device end when it is
+  // the truncated last segment.
+  if (sit_[open_segment_].written >= segment_blocks_ ||
+      open_segment_ * segment_blocks_ + sit_[open_segment_].written >=
+          capacity_blocks()) {
     std::optional<SegmentNo> next = FindFreeSegment();
     if (next.has_value()) {
       open_segment_ = *next;
@@ -103,9 +108,7 @@ Result<BlockNo> LogFs::LogAppend() {
   }
   SegmentInfo& info = sit_[open_segment_];
   BlockNo block = open_segment_ * segment_blocks_ + info.written;
-  if (block >= capacity_blocks()) {
-    return Status(StatusCode::kNoSpace, "logfs tail segment truncated");
-  }
+  assert(block < capacity_blocks());
   ++info.written;
   ++info.valid;
   info.mtime = loop_->now();

@@ -61,6 +61,8 @@ class LogFs : public FileSystem {
 
   // ---- Segment info table ----
   const SegmentInfo& segment(SegmentNo seg) const { return sit_[seg]; }
+  // Segments the log head may open next: every segment FindFreeSegment
+  // would reuse, whether or not it was ever written.
   uint64_t free_segments() const;
   uint64_t scattered_writes() const { return scattered_writes_; }
 
@@ -115,6 +117,9 @@ class LogFs : public FileSystem {
   // never handed out, and every block handed out is pinned in turn.
   Result<BlockNo> LogAppend();
   void Invalidate(BlockNo block);
+  // Not the open segment, no valid block, and no pinned one.
+  bool Reusable(SegmentNo seg) const;
+  // The lowest reusable segment, with its write frontier reset.
   std::optional<SegmentNo> FindFreeSegment();
   void ReplayImageRecords(uint64_t ckpt_seq, MountReport* report,
                           std::vector<BlockNo>* replayed);

@@ -436,6 +436,51 @@ TEST_F(DuetCoreTest, StateDescriptorsBoundedByCachedPages) {
   EXPECT_EQ(duet_.descriptor_count(), 0u);
 }
 
+// Backup's pattern: a state session marks each block done while its page is
+// cached. The skipped eviction moves the session's snapshot along, so the
+// done items pin no descriptor once their pages leave, nor after the file is
+// deleted (§4.2's 2x-cached-pages bound).
+TEST_F(DuetCoreTest, DoneItemDescriptorsLeaveWithTheirPages) {
+  InodeNo ino = MakeFile("/f", 4);
+  SessionId sid = *duet_.RegisterBlockTask(kDuetPageExists);
+  ReadSync(ino, 0, 4 * kPageSize);
+  std::vector<DuetItem> items = FetchAll(sid);
+  ASSERT_EQ(items.size(), 4u);
+  for (const DuetItem& item : items) {
+    ASSERT_TRUE(duet_.SetDone(sid, item.id).ok());
+  }
+  EXPECT_EQ(duet_.descriptor_count(), 4u);  // cached: kept as live context
+  for (PageIdx p = 0; p < 4; ++p) {
+    ASSERT_TRUE(fs_.cache().Remove(ino, p));
+  }
+  ASSERT_TRUE(fs_.DeleteFile(ino).ok());
+  EXPECT_TRUE(FetchAll(sid).empty());
+  EXPECT_EQ(duet_.descriptor_count(), 0u);
+  EXPECT_EQ(ctx_.metrics.FindGauge("duet.desc.live")->value(), 0);
+  EXPECT_EQ(ctx_.metrics.FindGauge("duet.desc.peak")->value(), 4);
+}
+
+// A done page that is evicted and then overwritten moves to a fresh block
+// (COW allocates before the page is cached again). Its old descriptor went
+// with the eviction, so the new block is reported as existing.
+TEST_F(DuetCoreTest, OverwrittenDonePageReportsItsNewBlock) {
+  InodeNo ino = MakeFile("/f", 1);
+  SessionId sid = *duet_.RegisterBlockTask(kDuetPageExists);
+  ReadSync(ino, 0, kPageSize);
+  BlockNo old_block = *fs_.Bmap(ino, 0);
+  ASSERT_EQ(FetchAll(sid).size(), 1u);
+  ASSERT_TRUE(duet_.SetDone(sid, old_block).ok());
+  ASSERT_TRUE(fs_.cache().Remove(ino, 0));
+  EXPECT_EQ(duet_.descriptor_count(), 0u);
+  WriteSync(ino, 0, kPageSize);
+  BlockNo new_block = *fs_.Bmap(ino, 0);
+  ASSERT_NE(new_block, old_block);
+  std::vector<DuetItem> items = FetchAll(sid);
+  ASSERT_EQ(items.size(), 1u);
+  EXPECT_EQ(items[0].id, new_block);
+  EXPECT_EQ(items[0].flags, kDuetPageExists);
+}
+
 TEST_F(DuetCoreTest, MemoryAccountingExposed) {
   InodeNo ino = MakeFile("/f", 8);
   SessionId sid = *duet_.RegisterBlockTask(kDuetPageExists);

@@ -333,6 +333,25 @@ TEST(RunnerTest, ConcurrentTasksCollaborateWhenIdle) {
   EXPECT_TRUE(result.all_finished);
 }
 
+// Scrub and backup on a fragmented fileserver, as in Figs. 7/8: backup's
+// state session marks blocks done while their pages are cached, yet the
+// descriptor store stays within the paper's 2 x cached-pages bound (§4.2).
+TEST(RunnerTest, ScrubAndBackupKeepDescriptorsWithinTwiceTheCache) {
+  MaintenanceRunConfig config;
+  config.stack = TinyStack();
+  config.personality = Personality::kFileserver;
+  config.fragmented_fraction = 0.1;
+  config.target_util = 0.5;
+  config.ops_per_sec = 40;  // fixed rate: skip calibration
+  config.tasks = {MaintKind::kScrub, MaintKind::kBackup};
+  config.use_duet = true;
+  MaintenanceRunResult result = RunMaintenance(config);
+  int64_t peak = result.metrics.GaugeValue("duet.desc.peak");
+  EXPECT_GT(peak, 0);
+  EXPECT_LE(peak, static_cast<int64_t>(2 * config.stack.cache_pages));
+  EXPECT_EQ(result.metrics.GaugeValue("duet.desc.live"), 0);
+}
+
 TEST(RunnerTest, DeterministicAcrossRuns) {
   MaintenanceRunConfig config;
   config.stack = TinyStack();

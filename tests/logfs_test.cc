@@ -281,5 +281,46 @@ TEST_F(LogFsTest, ChecksumFollowsBlockThroughCleaning) {
   }
 }
 
+// A 1000-block device with 64-block segments: 15 full segments and a
+// 40-block tail segment. The first file fills segments 0-14, the second the
+// tail; deleting the first leaves 15 reusable segments while the log head
+// sits at the device end.
+class LogFsTruncatedTailTest : public ::testing::Test {
+ protected:
+  LogFsTruncatedTailTest()
+      : rig_(1000), fs_(&rig_.loop, &rig_.device, /*cache_pages=*/64,
+                        /*segment_blocks=*/64) {}
+
+  void SetUp() override {
+    ASSERT_EQ(fs_.segment_count(), 16u);
+    InodeNo first = *fs_.PopulateFile("/a", 15 * 64 * kPageSize);
+    tail_ = *fs_.PopulateFile("/b", 40 * kPageSize);
+    ASSERT_EQ(fs_.SegmentOf(*fs_.Bmap(tail_, 39)), 15u);
+    ASSERT_TRUE(fs_.DeleteFile(first).ok());
+  }
+
+  SimRig rig_;
+  LogFs fs_;
+  InodeNo tail_ = kInvalidInode;
+};
+
+TEST_F(LogFsTruncatedTailTest, FullTailSegmentOpensAReusableOne) {
+  FsIoResult result;
+  bool done = false;
+  fs_.Write(tail_, 0, kPageSize, IoClass::kBestEffort, [&](const FsIoResult& r) {
+    result = r;
+    done = true;
+  });
+  rig_.loop.RunUntil(rig_.loop.now() + Millis(500));
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(fs_.SegmentOf(*fs_.Bmap(tail_, 0)), 0u);
+  EXPECT_EQ(fs_.scattered_writes(), 0u);
+}
+
+TEST_F(LogFsTruncatedTailTest, FreeSegmentsCountsWrittenReusableSegments) {
+  EXPECT_EQ(fs_.free_segments(), 15u);
+}
+
 }  // namespace
 }  // namespace duet

@@ -377,10 +377,12 @@ int main(int argc, char** argv) {
          100 * result.IoSavedFraction(), 100 * result.WorkCompletedFraction());
   const obs::MetricsSnapshot& m = result.metrics;
   printf("duet: %llu hook invocations, %llu items fetched, %llu descriptors "
-         "dropped\n",
+         "dropped; peak descriptors %lld for %llu cache pages\n",
          static_cast<unsigned long long>(m.Value("duet.hooks")),
          static_cast<unsigned long long>(m.Value("duet.items.fetched")),
-         static_cast<unsigned long long>(m.Value("duet.events.dropped")));
+         static_cast<unsigned long long>(m.Value("duet.events.dropped")),
+         static_cast<long long>(m.GaugeValue("duet.desc.peak")),
+         static_cast<unsigned long long>(config.stack.cache_pages));
   if (config.fault.faults_per_second > 0) {
     printf("\nfaults (plan %08x): %llu injected, %llu detected, %llu repaired, "
            "%llu masked, %llu unrecoverable, %llu undetected\n",
