@@ -553,21 +553,52 @@ Status CowFs::PopulatePages(InodeNo ino, uint64_t npages, double break_prob, Rng
   // every file populated afterwards would inherit the fragmentation.
   BlockNo saved_cursor = alloc_cursor_;
   Status status;
-  for (PageIdx p = 0; p < npages; ++p) {
-    if (rng != nullptr && rng->Chance(break_prob)) {
+  // Pages go to runs of allocatable blocks, each placed the way AllocBlock
+  // places its first page: next-fit from the cursor, which sits just past
+  // the previous page's block (the hint AllocateForWrite gives a fresh
+  // page). Before each page an aged file draws whether the cursor jumps, so
+  // a jump ends the run and places the next page.
+  bool jumped = false;  // the next page's draw is made and it jumped
+  for (PageIdx p = 0; p < npages;) {
+    if (!jumped && rng != nullptr && rng->Chance(break_prob)) {
       alloc_cursor_ = rng->Uniform(capacity_blocks());
     }
-    // The cursor sits just past the previous page's block, which is the
-    // placement hint AllocateForWrite gives a fresh page.
-    Result<BlockNo> block = AllocBlock(alloc_cursor_);
-    if (!block.ok()) {
-      status = block.status();
+    jumped = false;
+    std::optional<BlockNo> start =
+        NextAllocatable(alloc_cursor_ < capacity_blocks() ? alloc_cursor_ : 0);
+    if (!start.has_value()) {
+      start = NextAllocatable(0);
+    }
+    if (!start.has_value()) {
+      status = Status(StatusCode::kNoSpace, "cowfs full");
       break;
     }
-    refcount_[*block] = 1;
-    blocks.push_back(*block);
-    SetOwner(*block, ino, p);
-    OnBlockFlushed(*block, NextToken());
+    uint64_t length = AllocatableRunLength(*start, npages - p);
+    for (uint64_t k = 1; rng != nullptr && k < length; ++k) {
+      if (rng->Chance(break_prob)) {
+        alloc_cursor_ = rng->Uniform(capacity_blocks());
+        jumped = true;
+        length = k;
+        break;
+      }
+    }
+    MarkRunInUse(*start, length);
+    const RmapEntry last_owner = OwnerEntry(ino, p + length - 1);
+    for (BlockNo b = *start; b < *start + length; ++b, ++p) {
+      refcount_[b] = 1;
+      blocks.push_back(b);
+      rmap_[b] = RmapEntry{last_owner.ino, static_cast<uint32_t>(p)};
+      // The content goes straight to disk, mirror and all (OnBlockFlushed).
+      const uint64_t token = NextToken();
+      disk_data_[b] = token;
+      disk_csum_[b] = TokenChecksum(token);
+      if (!mirror_diverged_.empty()) {
+        mirror_diverged_.erase(b);
+      }
+    }
+    if (!jumped) {
+      alloc_cursor_ = *start + length;
+    }
   }
   if (rng != nullptr) {
     alloc_cursor_ = saved_cursor;

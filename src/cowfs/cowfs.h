@@ -121,9 +121,11 @@ class CowFs : public FileSystem {
  protected:
   Result<BlockNo> AllocateForWrite(InodeNo ino, PageIdx idx, BlockNo old_block) override;
   void FreeFileBlocks(InodeNo ino) override;
-  // One pass per file: the file map is looked up and sized once. Aged
-  // population breaks extents: before each page the allocation cursor jumps
-  // with probability `break_prob`, and the cursor is restored afterwards.
+  // Fills runs of contiguous allocatable blocks: one search per run, and
+  // the file map is looked up and sized once. Placement, tokens and draws
+  // are the page-by-page AllocBlock loop's. Aged population breaks extents:
+  // before each page the allocation cursor jumps with probability
+  // `break_prob`, which ends the run, and the cursor is restored afterwards.
   Status PopulatePages(InodeNo ino, uint64_t npages, double break_prob, Rng* rng) override;
   void OnBlockFlushed(BlockNo block, uint64_t token) override;
   void InjectCorruption(BlockNo block, bool both_copies) override;
@@ -172,6 +174,9 @@ class CowFs : public FileSystem {
   // primaries into a fresh store, whose map is empty.
   std::unordered_map<BlockNo, uint64_t> mirror_diverged_;
   BlockNo alloc_cursor_ = 0;
+  // The population test keeps the page-by-page loop PopulatePages replaced
+  // and places cursors with it.
+  friend class PopulateReference;
   SnapshotId next_snapshot_id_ = 1;
   std::unordered_map<SnapshotId, Snapshot> snapshots_;
 };

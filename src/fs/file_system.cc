@@ -100,6 +100,33 @@ std::optional<BlockNo> FileSystem::NextAllocatable(BlockNo from) const {
   return w * 64 + static_cast<uint64_t>(std::countr_zero(free));
 }
 
+uint64_t FileSystem::AllocatableRunLength(BlockNo start, uint64_t max) const {
+  uint64_t length = 0;
+  for (BlockNo b = start; length < max && b < capacity_blocks();) {
+    // Bits past the device's end are taken, so a run stops there.
+    const uint64_t offset = b % 64;
+    const uint64_t run = std::min<uint64_t>(
+        static_cast<uint64_t>(std::countr_zero(TakenWord(b / 64) >> offset)), 64 - offset);
+    length += run;
+    if (run < 64 - offset) {
+      break;
+    }
+    b += run;
+  }
+  return std::min(length, max);
+}
+
+void FileSystem::MarkRunInUse(BlockNo start, uint64_t count) {
+  assert(count > 0 && AllocatableRunLength(start, count) == count);
+  in_use_.SetRange(start, start + count);
+  allocated_blocks_ += count;
+  for (uint64_t w = start / 64; w <= (start + count - 1) / 64; ++w) {
+    if (TakenWord(w) == ~uint64_t{0}) {
+      allocatable_words_.Clear(w);
+    }
+  }
+}
+
 void FileSystem::OnBlockFlushed(BlockNo block, uint64_t token) {
   disk_data_[block] = token;
   disk_csum_[block] = TokenChecksum(token);
@@ -401,14 +428,14 @@ Result<FileSystem::BlockOwner> FileSystem::Rmap(BlockNo block) const {
   return BlockOwner{rmap_[block].ino, rmap_[block].idx};
 }
 
-void FileSystem::SetOwner(BlockNo block, InodeNo ino, PageIdx idx) {
+FileSystem::RmapEntry FileSystem::OwnerEntry(InodeNo ino, PageIdx idx) {
   if (ino > UINT32_MAX || idx > UINT32_MAX) {
     fprintf(stderr,
             "file system: inode %llu page %llu is past the reverse map's 2^32 limit\n",
             static_cast<unsigned long long>(ino), static_cast<unsigned long long>(idx));
     std::abort();
   }
-  rmap_[block] = RmapEntry{static_cast<uint32_t>(ino), static_cast<uint32_t>(idx)};
+  return RmapEntry{static_cast<uint32_t>(ino), static_cast<uint32_t>(idx)};
 }
 
 uint64_t FileSystem::MetadataMemoryBytes() const {

@@ -335,6 +335,8 @@ class FileSystem : public WritebackTarget {
     ++allocated_blocks_;
   }
   void MarkFree(BlockNo block);
+  // MarkInUse over [start, start + count), a run of allocatable blocks.
+  void MarkRunInUse(BlockNo start, uint64_t count);
 
   // Pins: blocks recovery depends on, which neither allocator hands out or
   // rewrites in place. Pin adds one; PinAllInUse pins exactly the blocks in
@@ -348,6 +350,9 @@ class FileSystem : public WritebackTarget {
   // First allocatable block (neither in use nor pinned) at or after `from`,
   // or nullopt. Reads the allocatable index, then one bitmap word.
   std::optional<BlockNo> NextAllocatable(BlockNo from) const;
+  // How many blocks from `start` on are allocatable in a row, at most `max`:
+  // 0 when `start` itself is taken or past the device's end.
+  uint64_t AllocatableRunLength(BlockNo start, uint64_t max) const;
 
   const Bitmap& in_use() const { return in_use_; }
   const Bitmap& pinned() const { return pinned_; }
@@ -371,7 +376,11 @@ class FileSystem : public WritebackTarget {
 
   // Records (ino, idx) as the owner of `block`; aborts with a message when
   // either is 2^32 or more.
-  void SetOwner(BlockNo block, InodeNo ino, PageIdx idx);
+  void SetOwner(BlockNo block, InodeNo ino, PageIdx idx) {
+    rmap_[block] = OwnerEntry(ino, idx);
+  }
+  // The reverse-map entry for (ino, idx), with SetOwner's check.
+  static RmapEntry OwnerEntry(InodeNo ino, PageIdx idx);
 
   std::unordered_map<InodeNo, FileMap> fmap_;
   // The per-block store: 20 B per block here (reverse map 8, token 8,

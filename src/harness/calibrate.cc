@@ -1,6 +1,7 @@
 #include "src/harness/calibrate.h"
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "src/obs/obs.h"
@@ -20,10 +21,12 @@ constexpr int kBisectionSteps = 11;
 constexpr uint64_t kProbeSlices = 64;
 
 // One profiling run's result. A stopped run ended early: `util` is then a
-// lower bound on what the full window would have measured.
+// lower bound on what the full window would have measured. `unpaced` counts
+// the leading watched rates at which the run would have been the same.
 struct Probe {
   double util = 0;
   bool stopped = false;
+  size_t unpaced = 0;
 };
 
 // Runs the workload alone, with a warmup of a fifth of the window so the
@@ -34,12 +37,15 @@ struct Probe {
 // RunUntil would), and after each the same expression on the busy time so
 // far goes to `settled`. The busy counter only grows, so that bound never
 // falls and never exceeds the final value. Once `settled` holds for the
-// bound it holds for the final value too, and the probe stops. Each probe
-// reports into its own throwaway observability context, so where it stops
-// never shows in the caller's metrics or trace.
+// bound it holds for the final value too, and the probe stops. The workload
+// watches `watch` (FilebenchWorkload::WatchRates), lower rates a later step
+// may probe with the same `settled`. Each probe reports into its own
+// throwaway observability context, so where it stops never shows in the
+// caller's metrics or trace.
 template <typename Settled>
 Probe RunProbe(const StackConfig& stack, const WorkloadConfig& workload,
-               SimDuration profile_window, Settled settled) {
+               SimDuration profile_window, Settled settled,
+               std::vector<double> watch = {}) {
   obs::ObsContext probe_obs;
   obs::ObsScope scope(&probe_obs);
   CowRig rig(stack, workload);
@@ -47,6 +53,9 @@ Probe RunProbe(const StackConfig& stack, const WorkloadConfig& workload,
     return rig.device().stats().busy[static_cast<int>(IoClass::kBestEffort)];
   };
   SimDuration warmup = profile_window / 5;
+  if (!watch.empty()) {
+    rig.workload().WatchRates(std::move(watch));
+  }
   rig.workload().Start();
   rig.loop().RunUntil(warmup);
   SimDuration busy_at_start = busy();
@@ -61,6 +70,7 @@ Probe RunProbe(const StackConfig& stack, const WorkloadConfig& workload,
     }
   }
   rig.workload().Stop();
+  probe.unpaced = rig.workload().unpaced_watched_rates();
   return probe;
 }
 
@@ -97,22 +107,41 @@ CalibratedRate CalibrateRate(const StackConfig& stack, const WorkloadConfig& bas
     double err;    // utilization minus target; a lower bound when stopped
     bool stopped;
   };
+  auto settled = [target_util](double bound) { return bound - target_util >= 0.015; };
   std::vector<Step> steps;
   double lo = kMinRate;
   double hi = kMaxRate;
   bool converged = false;
+  // The last probe, and how many of the next mids it stands for.
+  Probe last;
+  size_t reusable = 0;
   for (int iter = 0; iter < kBisectionSteps && !converged; ++iter) {
     double mid = (lo + hi) / 2;
-    config.ops_per_sec = mid;
-    Probe p = RunProbe(stack, config, profile_window,
-                       [target_util](double bound) { return bound - target_util >= 0.015; });
-    ++out.probes;
-    double err = p.util - target_util;
-    steps.push_back(Step{mid, err, p.stopped});
+    if (reusable > 0) {
+      // The previous step lowered `hi` and the probe watched this mid: a run
+      // here would have been the same run, and stopped where it stopped.
+      --reusable;
+      ++out.reused;
+    } else {
+      // While steps lower `hi`, `lo` stays, so the next mids are known now.
+      std::vector<double> watch;
+      double h = mid;
+      for (int later = iter + 1; later < kBisectionSteps; ++later) {
+        h = (lo + h) / 2;
+        watch.push_back(h);
+      }
+      config.ops_per_sec = mid;
+      last = RunProbe(stack, config, profile_window, settled, std::move(watch));
+      reusable = last.unpaced;
+      ++out.probes;
+    }
+    double err = last.util - target_util;
+    steps.push_back(Step{mid, err, last.stopped});
     if (std::abs(err) < 0.015) {
       converged = true;
     } else if (err < 0) {
       lo = mid;
+      reusable = 0;
     } else {
       hi = mid;
     }

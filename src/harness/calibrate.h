@@ -31,6 +31,12 @@ double MeasureUtilization(const StackConfig& stack, const WorkloadConfig& worklo
 // once its busy time so far proves the step's outcome (the device's busy
 // counter only grows); if the bisection ends unconverged, every stopped
 // probe that could still hold the least error is re-measured in full.
+// A step reuses the previous probe instead of running its own when that
+// probe watched the step's rate and no op would have been held back at it:
+// while steps lower `hi` the next mids are known, and a run at such a rate
+// makes the same draws through the same pacing expression and issues every
+// op at the same time, so it is the same event stream and measures the same
+// busy time, stopping in the same slice.
 struct CalibratedRate {
   // The workload's ops_per_sec: 0, the unthrottled closed loop, both for a
   // target of 0 (the caller runs no workload) and when `unthrottled` is set.
@@ -38,6 +44,7 @@ struct CalibratedRate {
   bool unthrottled = false; // target at/above the natural maximum
   double achieved_util = 0;
   int probes = 0;           // profile runs made; 0 when read from a cache
+  int reused = 0;           // bisection steps that reused the previous probe
 };
 CalibratedRate CalibrateRate(const StackConfig& stack, const WorkloadConfig& base,
                              double target_util,

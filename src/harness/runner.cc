@@ -49,9 +49,6 @@ double MaintenanceRunResult::WorkCompletedFraction() const {
          static_cast<double>(work);
 }
 
-namespace {
-
-// The workload a maintenance run builds, at rate 0.
 WorkloadConfig MaintenanceWorkload(const MaintenanceRunConfig& config) {
   WorkloadConfig workload = MakeWorkloadConfig(
       config.stack, config.personality, config.coverage, config.skewed,
@@ -59,8 +56,6 @@ WorkloadConfig MaintenanceWorkload(const MaintenanceRunConfig& config) {
   workload.fragmented_fraction = config.fragmented_fraction;
   return workload;
 }
-
-}  // namespace
 
 MaintenanceRunResult RunMaintenance(const MaintenanceRunConfig& config) {
   WorkloadConfig workload = MaintenanceWorkload(config);

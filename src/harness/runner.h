@@ -88,8 +88,12 @@ struct MaintenanceRunResult {
 // window. Tasks run at idle I/O priority.
 MaintenanceRunResult RunMaintenance(const MaintenanceRunConfig& config);
 
+// The workload a maintenance run builds, at rate 0: what its rate is
+// calibrated with.
+WorkloadConfig MaintenanceWorkload(const MaintenanceRunConfig& config);
+
 // RunMaintenance at the rate `rates` holds for config.target_util, which the
-// table calibrates on first use with the workload the run builds.
+// table calibrates on first use with MaintenanceWorkload(config).
 MaintenanceRunResult RunAtUtil(RateTable& rates, MaintenanceRunConfig config);
 
 // Paper Table 5: the highest target utilization, in `step_pct` percent steps

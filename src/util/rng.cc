@@ -59,12 +59,17 @@ double Rng::NextDouble() {
 }
 
 double Rng::Exponential(double mean) {
-  assert(mean > 0);
+  return ExponentialFromUniform(mean, ExponentialUniform());
+}
+
+double Rng::ExponentialUniform() {
   double u = NextDouble();
   // Guard against log(0).
-  if (u <= 0) {
-    u = 0x1.0p-53;
-  }
+  return u <= 0 ? 0x1.0p-53 : u;
+}
+
+double Rng::ExponentialFromUniform(double mean, double u) {
+  assert(mean > 0);
   return -mean * std::log(u);
 }
 

@@ -26,8 +26,16 @@ class Rng {
   // Uniform double in [0, 1).
   double NextDouble();
 
-  // Exponentially distributed with the given mean (> 0).
+  // Exponentially distributed with the given mean (> 0):
+  // ExponentialFromUniform(mean, ExponentialUniform()).
   double Exponential(double mean);
+
+  // Exponential's two halves, for a caller that transforms one draw at
+  // several means. The draw is NextDouble with 0 mapped to 2^-53, so its log
+  // is finite; the transform is -mean * log(u), the same expression for
+  // every caller, so equal inputs give bit-identical variates.
+  double ExponentialUniform();
+  static double ExponentialFromUniform(double mean, double u);
 
   // Bernoulli trial.
   bool Chance(double probability);

@@ -107,10 +107,40 @@ void FilebenchWorkload::Start() {
   }
   running_ = true;
   next_issue_at_ = fs_->loop().now();
+  for (WatchedRate& w : watched_) {
+    w.next_issue_at = next_issue_at_;
+  }
   IssueNext();
 }
 
 void FilebenchWorkload::Stop() { running_ = false; }
+
+void FilebenchWorkload::WatchRates(std::vector<double> rates) {
+  assert(!running_);
+  watched_.clear();
+  for (double rate : rates) {
+    assert(rate > 0 &&
+           rate < (watched_.empty() ? config_.ops_per_sec : watched_.back().ops_per_sec) &&
+           "watched rates descend below ops_per_sec");
+    watched_.push_back(WatchedRate{rate, 0});
+  }
+  unpaced_watched_ = watched_.size();
+}
+
+void FilebenchWorkload::AdvanceWatched(double u) {
+  // A watched rate's gap is never shorter than the one the rate above it
+  // drew from `u`, so its clock never runs behind: once it holds an op back,
+  // every lower rate would too.
+  SimTime now = fs_->loop().now();
+  for (size_t i = 0; i < unpaced_watched_; ++i) {
+    WatchedRate& w = watched_[i];
+    w.next_issue_at += FromSeconds(Rng::ExponentialFromUniform(1.0 / w.ops_per_sec, u));
+    if (w.next_issue_at > now) {
+      unpaced_watched_ = i;
+      return;
+    }
+  }
+}
 
 FilebenchWorkload::OpType FilebenchWorkload::PickOp() {
   // Weighted mixes chosen to land on the paper's R:W ratios per personality.
@@ -195,8 +225,11 @@ void FilebenchWorkload::OnOpComplete(OpType op, SimTime issued_at,
   // Closed loop with optional rate throttle: the next operation issues at
   // the later of "now" and the next pacing slot.
   if (config_.ops_per_sec > 0) {
-    SimDuration gap = FromSeconds(rng_.Exponential(1.0 / config_.ops_per_sec));
-    next_issue_at_ += gap;
+    double u = rng_.ExponentialUniform();
+    next_issue_at_ += FromSeconds(Rng::ExponentialFromUniform(1.0 / config_.ops_per_sec, u));
+    if (unpaced_watched_ > 0) {
+      AdvanceWatched(u);
+    }
   } else {
     next_issue_at_ = fs_->loop().now() + config_.think_time;
   }

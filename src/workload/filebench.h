@@ -77,6 +77,17 @@ class FilebenchWorkload {
   void Start();
   void Stop();
 
+  // Shadow pacing, for calibration probes of a throttled workload: `rates`
+  // are below ops_per_sec, in descending order. Each op's pacing draw also
+  // advances one pacing clock per watched rate, through the same expression
+  // the workload paces with; nothing per op is stored. Call before Start().
+  void WatchRates(std::vector<double> rates);
+  // How many leading watched rates would not have held back any op so far.
+  // A run at any of them is this run, event for event: it makes the same
+  // draws and issues every op the moment its predecessor completes. Lower
+  // rates pace no sooner, so every rate past these would hold an op back.
+  size_t unpaced_watched_rates() const { return unpaced_watched_; }
+
   // Files the workload may touch (the covered subset).
   uint64_t covered_files() const { return covered_.size(); }
   const WorkloadConfig& config() const { return config_; }
@@ -111,6 +122,14 @@ class FilebenchWorkload {
   bool running_ = false;
   bool setup_done_ = false;
   SimTime next_issue_at_ = 0;
+  // WatchRates' pacing clocks; only the first unpaced_watched_ advance.
+  struct WatchedRate {
+    double ops_per_sec;
+    SimTime next_issue_at;
+  };
+  void AdvanceWatched(double u);
+  std::vector<WatchedRate> watched_;
+  size_t unpaced_watched_ = 0;
 };
 
 }  // namespace duet

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "src/util/zipf.h"
 
@@ -71,6 +73,33 @@ TEST(RngTest, ExponentialHasRequestedMean) {
     sum += rng.Exponential(4.0);
   }
   EXPECT_NEAR(sum / kSamples, 4.0, 0.1);
+}
+
+// The workload paces at several rates from one draw: ExponentialUniform then
+// ExponentialFromUniform must give exactly what Exponential gives, and what
+// the inline draw-and-transform it replaced gave, for every mean.
+TEST(RngTest, SharedDrawReproducesExponentialBitForBit) {
+  for (uint64_t seed = 0; seed < 64; ++seed) {
+    Rng whole(seed);
+    Rng split(seed);
+    Rng inline_draw(seed);
+    for (int i = 0; i < 2000; ++i) {
+      double rate = 0.1 + static_cast<double>((seed * 2000 + i) % 4000);
+      double mean = i % 2 == 0 ? 1.0 / rate : 65536.0 * static_cast<double>(i + 1);
+      double u = split.ExponentialUniform();
+      double got = Rng::ExponentialFromUniform(mean, u);
+      double reference = inline_draw.NextDouble();
+      if (reference <= 0) {
+        reference = 0x1.0p-53;
+      }
+      reference = -mean * std::log(reference);
+      double want = whole.Exponential(mean);
+      ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+          << "seed " << seed << " draw " << i;
+      ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(reference))
+          << "seed " << seed << " draw " << i;
+    }
+  }
 }
 
 TEST(RngTest, ChanceMatchesProbability) {

@@ -85,6 +85,21 @@ void Usage() {
   exit(2);
 }
 
+// The workload's calibrated rate, and the profile runs it took: probes run
+// and bisection steps that reused a probe instead.
+void PrintCalibration(const CalibratedRate& rate, double target_util) {
+  if (target_util <= 0) {
+    printf("calibration: no workload at target 0%%");
+  } else if (rate.unthrottled) {
+    printf("calibration: unthrottled, target %.0f%% at or above the %.1f%% maximum",
+           target_util * 100, rate.achieved_util * 100);
+  } else {
+    printf("calibration: %.3f ops/s for target %.0f%% (profiled %.1f%%)", rate.ops_per_sec,
+           target_util * 100, rate.achieved_util * 100);
+  }
+  printf("; %d probes run, %d reused\n", rate.probes, rate.reused);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -344,6 +359,7 @@ int main(int argc, char** argv) {
     const CalibratedRate& rate =
         rates.Get(config.stack, GcWorkload(config.stack, config.skewed, config.seed),
                   config.target_util);
+    PrintCalibration(rate, config.target_util);
     GcRunResult r = RunGc(config.stack, config.use_duet, config.seed, rate.ops_per_sec,
                           config.skewed, &obs_ctx);
     printf("gc: %llu segments cleaned, avg %.1f ms; reads %llu disk / %llu cache; "
@@ -354,12 +370,19 @@ int main(int argc, char** argv) {
            static_cast<unsigned long long>(r.blocks_cached),
            r.measured_util * 100,
            static_cast<unsigned long long>(r.scattered_writes));
+    obs::MetricsSnapshot m = obs_ctx.metrics.Snapshot();
+    printf("duet: %llu items fetched; peak descriptors %lld for %llu cache pages\n",
+           static_cast<unsigned long long>(m.Value("duet.items.fetched")),
+           static_cast<long long>(m.GaugeValue("duet.desc.peak")),
+           static_cast<unsigned long long>(config.stack.cache_pages));
     if (!finish_obs()) {
       return 2;
     }
     return 0;
   }
 
+  PrintCalibration(rates.Get(config.stack, MaintenanceWorkload(config), config.target_util),
+                   config.target_util);
   MaintenanceRunResult result = RunAtUtil(rates, config);
   printf("measured utilization: %.0f%%   workload ops: %llu (%.2f ms avg)\n",
          result.measured_util * 100,
