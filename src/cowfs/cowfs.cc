@@ -114,11 +114,7 @@ Result<BlockNo> CowFs::AllocateForWrite(InodeNo ino, PageIdx idx, BlockNo old_bl
 }
 
 void CowFs::FreeFileBlocks(InodeNo ino) {
-  auto it = fmap_.find(ino);
-  if (it == fmap_.end()) {
-    return;
-  }
-  for (BlockNo block : it->second.blocks) {
+  for (BlockNo block : MapOf(ino)) {
     if (block != kInvalidBlock) {
       Decref(block);
     }
@@ -317,16 +313,14 @@ Result<SnapshotId> CowFs::CreateSnapshot() {
     if (inode.is_dir()) {
       return;
     }
-    auto it = fmap_.find(inode.ino);
-    if (it == fmap_.end()) {
-      return;
+    std::span<const BlockNo> map = MapOf(inode.ino);
+    if (map.empty()) {
+      return;  // no page was ever mapped: nothing to preserve
     }
     SnapshotFile file;
     file.size = inode.size;
-    file.blocks.assign(it->second.blocks.begin(),
-                       it->second.blocks.begin() +
-                           static_cast<long>(std::min<uint64_t>(
-                               it->second.blocks.size(), inode.PageCount())));
+    map = map.first(std::min<uint64_t>(map.size(), inode.PageCount()));
+    file.blocks.assign(map.begin(), map.end());
     for (BlockNo block : file.blocks) {
       if (block != kInvalidBlock) {
         Incref(block);
@@ -378,13 +372,9 @@ bool CowFs::SharedWithSnapshot(SnapshotId id, InodeNo ino, PageIdx idx) const {
 }
 
 uint64_t CowFs::ExtentCount(InodeNo ino) const {
-  auto it = fmap_.find(ino);
-  if (it == fmap_.end() || it->second.blocks.empty()) {
-    return 0;
-  }
   uint64_t extents = 0;
   BlockNo prev = kInvalidBlock;
-  for (BlockNo block : it->second.blocks) {
+  for (BlockNo block : MapOf(ino)) {
     if (block == kInvalidBlock) {
       prev = kInvalidBlock;
       continue;
@@ -546,7 +536,8 @@ Status CowFs::PopulatePages(InodeNo ino, uint64_t npages, double break_prob, Rng
   if (npages == 0) {
     return Status::Ok();
   }
-  std::vector<BlockNo>& blocks = fmap_[ino].blocks;
+  // Nothing below maps another inode, so the reference stays good.
+  std::vector<BlockNo>& blocks = MapFor(ino);
   assert(blocks.empty());
   blocks.reserve(npages);
   // The aged random jumps must not leak into subsequent allocations, or
@@ -679,19 +670,19 @@ Status CowFs::RestoreFsState(ByteReader* r, MountReport* report,
 
 std::vector<uint32_t> CowFs::CountReferences() const {
   std::vector<uint32_t> refs(capacity_blocks(), 0);
-  auto count = [&refs](const std::vector<BlockNo>& blocks) {
+  auto count = [&refs](std::span<const BlockNo> blocks) {
     for (BlockNo block : blocks) {
       if (block != kInvalidBlock) {
         ++refs[block];
       }
     }
   };
-  for (const auto& [ino, map] : fmap_) {
+  ForEachFileMap([this, &count](InodeNo ino, std::span<const BlockNo> blocks) {
     const Inode* inode = ns_.Get(ino);
     if (inode != nullptr && !inode->is_dir()) {  // fsck reports any other map
-      count(map.blocks);
+      count(blocks);
     }
-  }
+  });
   for (const auto& [id, snap] : snapshots_) {
     for (const auto& [ino, file] : snap.files) {
       count(file.blocks);

@@ -323,20 +323,16 @@ void FileSystem::SerializeNamespaceAndMaps(ByteWriter* w) const {
     w->U64(inode->parent);
     w->Str(inode->name);
   }
-  std::vector<std::pair<InodeNo, const FileMap*>> maps;
-  maps.reserve(fmap_.size());
-  for (const auto& [ino, map] : fmap_) {
-    maps.emplace_back(ino, &map);
-  }
-  std::sort(maps.begin(), maps.end());
-  w->U64(maps.size());
-  for (const auto& [ino, map] : maps) {
+  uint64_t maps = 0;
+  ForEachFileMap([&maps](InodeNo, std::span<const BlockNo>) { ++maps; });
+  w->U64(maps);
+  ForEachFileMap([w](InodeNo ino, std::span<const BlockNo> blocks) {
     w->U64(ino);
-    w->U64(map->blocks.size());
-    for (BlockNo block : map->blocks) {
+    w->U64(blocks.size());
+    for (BlockNo block : blocks) {
       w->U64(block);
     }
-  }
+  });
 }
 
 bool FileSystem::RestoreNamespaceAndMaps(ByteReader* r, uint64_t* files_out) {
@@ -383,12 +379,12 @@ bool FileSystem::RestoreNamespaceAndMaps(ByteReader* r, uint64_t* files_out) {
 }
 
 void FileSystem::CheckFileMappings(FsckReport* report) const {
-  for (const auto& [ino, map] : fmap_) {
+  ForEachFileMap([this, report](InodeNo ino, std::span<const BlockNo>) {
     const Inode* inode = ns_.Get(ino);
     if (inode == nullptr || inode->is_dir()) {
       ++report->structural_errors;  // extent map for a nonexistent file
     }
-  }
+  });
   ns_.ForEachInode([this, report](const Inode& inode) {
     if (inode.is_dir()) {
       return;
@@ -414,18 +410,11 @@ void FileSystem::SetMapping(InodeNo ino, PageIdx idx, BlockNo block) {
   if (block != kInvalidBlock) {
     SetOwner(block, ino, idx);
   }
-  FileMap& map = fmap_[ino];
-  if (map.blocks.size() <= idx) {
-    map.blocks.resize(idx + 1, kInvalidBlock);
+  std::vector<BlockNo>& blocks = MapFor(ino);
+  if (blocks.size() <= idx) {
+    blocks.resize(idx + 1, kInvalidBlock);
   }
-  map.blocks[idx] = block;
-}
-
-Result<FileSystem::BlockOwner> FileSystem::Rmap(BlockNo block) const {
-  if (block >= rmap_.size() || rmap_[block].ino == kInvalidInode) {
-    return Status(StatusCode::kNotFound, "unowned block");
-  }
-  return BlockOwner{rmap_[block].ino, rmap_[block].idx};
+  blocks[idx] = block;
 }
 
 FileSystem::RmapEntry FileSystem::OwnerEntry(InodeNo ino, PageIdx idx) {
@@ -442,9 +431,9 @@ uint64_t FileSystem::MetadataMemoryBytes() const {
   uint64_t bytes = rmap_.capacity() * sizeof(RmapEntry) +
                    disk_data_.capacity() * sizeof(uint64_t) +
                    disk_csum_.capacity() * sizeof(uint32_t);
-  for (const auto& [ino, map] : fmap_) {
-    bytes += map.blocks.size() * sizeof(BlockNo);
-  }
+  ForEachFileMap([&bytes](InodeNo, std::span<const BlockNo> blocks) {
+    bytes += blocks.size() * sizeof(BlockNo);
+  });
   return bytes;
 }
 
@@ -469,7 +458,9 @@ Status FileSystem::DeleteFile(InodeNo ino) {
   }
   cache_.RemoveInode(ino);
   FreeFileBlocks(ino);
-  fmap_.erase(ino);
+  if (ino < fmap_.size()) {
+    fmap_[ino] = FileMap{};  // releases the map's array
+  }
   return ns_.Unlink(ino);
 }
 

@@ -143,11 +143,7 @@ Result<BlockNo> LogFs::AllocateForWrite(InodeNo ino, PageIdx idx, BlockNo old_bl
 }
 
 void LogFs::FreeFileBlocks(InodeNo ino) {
-  auto it = fmap_.find(ino);
-  if (it == fmap_.end()) {
-    return;
-  }
-  for (BlockNo block : it->second.blocks) {
+  for (BlockNo block : MapOf(ino)) {
     if (block != kInvalidBlock) {
       Invalidate(block);
     }
@@ -354,8 +350,8 @@ Status LogFs::RestoreFsState(ByteReader* r, MountReport* report,
   }
 
   // Rebuild block-level liveness and content from the restored extent maps.
-  for (const auto& [ino, map] : fmap_) {
-    for (BlockNo block : map.blocks) {
+  ForEachFileMap([this, report](InodeNo, std::span<const BlockNo> blocks) {
+    for (BlockNo block : blocks) {
       if (block == kInvalidBlock) {
         continue;
       }
@@ -364,7 +360,7 @@ Status LogFs::RestoreFsState(ByteReader* r, MountReport* report,
       Pin(block);
       LoadBlock(block, report);
     }
-  }
+  });
   ReplayImageRecords(ckpt_seq, report, read_back);
   return Status::Ok();
 }
@@ -434,18 +430,18 @@ void LogFs::ReplayImageRecords(uint64_t ckpt_seq, MountReport* report,
 
 void LogFs::CheckFsState(FsckReport* report) const {
   // Every extent map of a live file references only valid blocks.
-  for (const auto& [ino, map] : fmap_) {
+  ForEachFileMap([this, report](InodeNo ino, std::span<const BlockNo> blocks) {
     const Inode* inode = ns_.Get(ino);
     if (inode == nullptr || inode->is_dir()) {
-      continue;  // counted by CheckFileMappings
+      return;  // counted by CheckFileMappings
     }
-    for (BlockNo block : map.blocks) {
+    for (BlockNo block : blocks) {
       if (block != kInvalidBlock && !BlockInUse(block)) {
         ++report->structural_errors;
         report->NoteBad(block);
       }
     }
-  }
+  });
   // Segment table vs block-level liveness, and log-head discipline: valid
   // blocks only below each segment's write frontier.
   for (SegmentNo s = 0; s < sit_.size(); ++s) {

@@ -88,15 +88,6 @@ std::optional<uint64_t> Bitmap::FindNextSet(uint64_t from) const {
   }
 }
 
-bool Bitmap::AllClear() const {
-  for (uint64_t w : words_) {
-    if (w != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
 bool Bitmap::AllSet() const { return Count() == num_bits_; }
 
 void Bitmap::Reset() { words_.assign(words_.size(), 0); }

@@ -50,7 +50,6 @@ class Bitmap {
   // First set bit at or after `from`, or nullopt.
   std::optional<uint64_t> FindNextSet(uint64_t from) const;
 
-  bool AllClear() const;
   bool AllSet() const;
 
   void Reset();  // clears every bit

@@ -38,36 +38,27 @@ class ChunkedByteMap {
   }
 
   // Sets the byte at `index`, allocating its chunk on demand and freeing the
-  // chunk when its last nonzero byte is cleared. Inline: the Duet hook path
-  // updates one flag byte per delivered event.
+  // chunk when its last nonzero byte is cleared. The update of an allocated
+  // chunk is inline (the Duet hook path updates one flag byte per delivered
+  // event); allocating and freeing a chunk are out of line.
   void Set(uint64_t index, uint8_t value) {
-    uint64_t ci = index / kChunkBytes;
-    uint64_t off = index % kChunkBytes;
-    if (ci >= chunks_.size()) {
-      if (value == 0) {
-        return;  // clearing an unallocated byte is a no-op
-      }
-      chunks_.resize(ci + 1);
-    }
-    Chunk* chunk = chunks_[ci].get();
+    const uint64_t ci = index / kChunkBytes;
+    Chunk* chunk = ci < chunks_.size() ? chunks_[ci].get() : nullptr;
     if (chunk == nullptr) {
-      if (value == 0) {
-        return;
+      if (value != 0) {  // clearing an unallocated byte is a no-op
+        SetInNewChunk(index, value);
       }
-      chunks_[ci] = std::make_unique<Chunk>();
-      chunk = chunks_[ci].get();
-      ++live_chunks_;
+      return;
     }
-    uint8_t& byte = chunk->bytes[off];
+    uint8_t& byte = chunk->bytes[index % kChunkBytes];
     if (byte == 0 && value != 0) {
       ++chunk->nonzero;
     } else if (byte != 0 && value == 0) {
       --chunk->nonzero;
     }
     byte = value;
-    if (chunk->nonzero == 0 && value == 0) {
-      chunks_[ci].reset();
-      --live_chunks_;
+    if (chunk->nonzero == 0) {
+      FreeChunk(ci);
     }
   }
 
@@ -87,6 +78,11 @@ class ChunkedByteMap {
     uint32_t nonzero = 0;  // bytes in this chunk with a nonzero value
     uint8_t bytes[kChunkBytes] = {};
   };
+
+  // Set's slow paths: allocate the chunk of `index` (growing the directory)
+  // and store a nonzero `value`; free chunk `ci`, whose bytes are all 0.
+  void SetInNewChunk(uint64_t index, uint8_t value);
+  void FreeChunk(uint64_t ci);
 
   std::vector<std::unique_ptr<Chunk>> chunks_;
   uint64_t live_chunks_ = 0;

@@ -1,97 +1,125 @@
 #include "src/util/range_bitmap.h"
 
 #include <algorithm>
-#include <cassert>
+#include <bit>
 
 namespace duet {
+
+namespace {
+
+// Bits [lo, hi) of 64-bit word `w`, for lo < hi within one chunk.
+uint64_t WordMask(uint64_t w, uint64_t lo, uint64_t hi) {
+  const uint64_t first = std::max(lo, w * 64) - w * 64;
+  const uint64_t last = std::min(hi, w * 64 + 64) - w * 64;  // exclusive
+  const uint64_t upper = last == 64 ? ~uint64_t{0} : (uint64_t{1} << last) - 1;
+  return upper & (~uint64_t{0} << first);
+}
+
+}  // namespace
+
+uint64_t RangeBitmap::Chunk::SetRange(uint64_t lo, uint64_t hi) {
+  uint64_t changed = 0;
+  for (uint64_t w = lo / 64; w * 64 < hi; ++w) {
+    const uint64_t mask = WordMask(w, lo, hi);
+    changed += static_cast<uint64_t>(std::popcount(mask & ~words[w]));
+    words[w] |= mask;
+  }
+  set += changed;
+  return changed;
+}
+
+uint64_t RangeBitmap::Chunk::ClearRange(uint64_t lo, uint64_t hi) {
+  uint64_t changed = 0;
+  for (uint64_t w = lo / 64; w * 64 < hi; ++w) {
+    const uint64_t mask = WordMask(w, lo, hi);
+    changed += static_cast<uint64_t>(std::popcount(mask & words[w]));
+    words[w] &= ~mask;
+  }
+  set -= changed;
+  return changed;
+}
 
 void RangeBitmap::Resize(uint64_t num_bits) {
   num_bits_ = num_bits;
   // Drop chunks that now lie entirely beyond the end.
-  for (auto it = chunks_.begin(); it != chunks_.end();) {
-    if (it->first * kChunkBits >= num_bits) {
-      set_count_ -= it->second.Count();
-      it = chunks_.erase(it);
-    } else {
-      ++it;
+  const uint64_t keep = (num_bits + kChunkBits - 1) / kChunkBits;
+  for (uint64_t ci = keep; ci < chunks_.size(); ++ci) {
+    if (chunks_[ci] != nullptr) {
+      set_count_ -= chunks_[ci]->set;
+      --live_chunks_;
     }
   }
-}
-
-Bitmap& RangeBitmap::ChunkFor(uint64_t bit) {
-  uint64_t idx = bit / kChunkBits;
-  auto it = chunks_.find(idx);
-  if (it == chunks_.end()) {
-    it = chunks_.emplace(idx, Bitmap(kChunkBits)).first;
+  if (keep < chunks_.size()) {
+    chunks_.resize(keep);
   }
-  return it->second;
-}
-
-void RangeBitmap::MaybeFree(uint64_t chunk_idx) {
-  auto it = chunks_.find(chunk_idx);
-  if (it != chunks_.end() && it->second.AllClear()) {
-    chunks_.erase(it);
+  if (live_chunks_ == 0) {
+    chunks_ = decltype(chunks_)();
   }
 }
 
-void RangeBitmap::Set(uint64_t bit) {
-  assert(bit < num_bits_);
-  Bitmap& chunk = ChunkFor(bit);
-  uint64_t off = bit % kChunkBits;
-  if (!chunk.Test(off)) {
-    chunk.Set(off);
-    ++set_count_;
+RangeBitmap::Chunk& RangeBitmap::ChunkAt(uint64_t ci) {
+  if (ci >= chunks_.size()) {
+    // Cover the whole logical size at once: the directory is small (8 B
+    // per chunk) and an exact fit keeps MemoryBytes free of growth slack.
+    chunks_.resize(std::max(ci + 1, (num_bits_ + kChunkBits - 1) / kChunkBits));
   }
+  if (chunks_[ci] == nullptr) {
+    chunks_[ci] = std::make_unique<Chunk>();
+    ++live_chunks_;
+  }
+  return *chunks_[ci];
+}
+
+void RangeBitmap::MaybeFree(uint64_t ci) {
+  if (chunks_[ci] == nullptr || chunks_[ci]->set != 0) {
+    return;
+  }
+  chunks_[ci].reset();
+  if (--live_chunks_ == 0) {
+    chunks_ = decltype(chunks_)();
+  }
+}
+
+void RangeBitmap::SetInNewChunk(uint64_t bit) {
+  ChunkAt(bit / kChunkBits).Set(bit % kChunkBits);
+  ++set_count_;
 }
 
 void RangeBitmap::Clear(uint64_t bit) {
   assert(bit < num_bits_);
-  auto it = chunks_.find(bit / kChunkBits);
-  if (it == chunks_.end()) {
+  const uint64_t ci = bit / kChunkBits;
+  Chunk* chunk = ci < chunks_.size() ? chunks_[ci].get() : nullptr;
+  const uint64_t off = bit % kChunkBits;
+  if (chunk == nullptr || !chunk->Test(off)) {
     return;
   }
-  uint64_t off = bit % kChunkBits;
-  if (it->second.Test(off)) {
-    it->second.Clear(off);
-    --set_count_;
-    MaybeFree(bit / kChunkBits);
-  }
-}
-
-bool RangeBitmap::Test(uint64_t bit) const {
-  assert(bit < num_bits_);
-  auto it = chunks_.find(bit / kChunkBits);
-  return it != chunks_.end() && it->second.Test(bit % kChunkBits);
+  chunk->words[off / 64] &= ~(uint64_t{1} << (off % 64));
+  --chunk->set;
+  --set_count_;
+  MaybeFree(ci);
 }
 
 void RangeBitmap::SetRange(uint64_t begin, uint64_t end) {
   assert(begin <= end && end <= num_bits_);
   while (begin < end) {
-    uint64_t chunk_idx = begin / kChunkBits;
-    uint64_t chunk_end = std::min(end, (chunk_idx + 1) * kChunkBits);
-    Bitmap& chunk = ChunkFor(begin);
-    uint64_t lo = begin % kChunkBits;
-    uint64_t hi = chunk_end - chunk_idx * kChunkBits;
-    uint64_t before = chunk.CountRange(lo, hi);
-    chunk.SetRange(lo, hi);
-    set_count_ += (hi - lo) - before;
+    const uint64_t ci = begin / kChunkBits;
+    const uint64_t chunk_end = std::min(end, (ci + 1) * kChunkBits);
+    set_count_ += ChunkAt(ci).SetRange(begin - ci * kChunkBits,
+                                       chunk_end - ci * kChunkBits);
     begin = chunk_end;
   }
 }
 
 void RangeBitmap::ClearRange(uint64_t begin, uint64_t end) {
   assert(begin <= end && end <= num_bits_);
-  while (begin < end) {
-    uint64_t chunk_idx = begin / kChunkBits;
-    uint64_t chunk_end = std::min(end, (chunk_idx + 1) * kChunkBits);
-    auto it = chunks_.find(chunk_idx);
-    if (it != chunks_.end()) {
-      uint64_t lo = begin % kChunkBits;
-      uint64_t hi = chunk_end - chunk_idx * kChunkBits;
-      uint64_t before = it->second.CountRange(lo, hi);
-      it->second.ClearRange(lo, hi);
-      set_count_ -= before;
-      MaybeFree(chunk_idx);
+  while (begin < end && begin / kChunkBits < chunks_.size()) {
+    const uint64_t ci = begin / kChunkBits;
+    const uint64_t chunk_end = std::min(end, (ci + 1) * kChunkBits);
+    if (chunks_[ci] != nullptr) {
+      set_count_ -= chunks_[ci]->ClearRange(begin - ci * kChunkBits,
+                                            chunk_end - ci * kChunkBits);
+      // Freeing the last chunk releases the directory, which ends the loop.
+      MaybeFree(ci);
     }
     begin = chunk_end;
   }
@@ -101,34 +129,31 @@ std::optional<uint64_t> RangeBitmap::FindNextSet(uint64_t from) const {
   if (from >= num_bits_) {
     return std::nullopt;
   }
-  for (auto it = chunks_.lower_bound(from / kChunkBits); it != chunks_.end(); ++it) {
-    uint64_t base = it->first * kChunkBits;
-    uint64_t start = (from > base) ? from - base : 0;
-    if (auto bit = it->second.FindNextSet(start)) {
-      uint64_t abs = base + *bit;
-      if (abs < num_bits_) {
-        return abs;
+  for (uint64_t ci = from / kChunkBits; ci < chunks_.size(); ++ci) {
+    const Chunk* chunk = chunks_[ci].get();
+    if (chunk == nullptr) {
+      continue;
+    }
+    const uint64_t base = ci * kChunkBits;
+    const uint64_t start = from > base ? from - base : 0;
+    for (uint64_t w = start / 64; w < Chunk::kWords; ++w) {
+      uint64_t word = chunk->words[w];
+      if (w == start / 64) {
+        word &= ~uint64_t{0} << (start % 64);
       }
-      return std::nullopt;
+      if (word != 0) {
+        const uint64_t abs = base + w * 64 + static_cast<uint64_t>(std::countr_zero(word));
+        return abs < num_bits_ ? std::optional<uint64_t>(abs) : std::nullopt;
+      }
     }
   }
   return std::nullopt;
 }
 
 void RangeBitmap::Reset() {
-  chunks_.clear();
+  chunks_ = decltype(chunks_)();
   set_count_ = 0;
-}
-
-uint64_t RangeBitmap::MemoryBytes() const {
-  // Chunk payload plus an estimate of the tree-node overhead (3 pointers,
-  // color, key — round to 48 bytes, typical for std::map nodes on LP64).
-  uint64_t bytes = 0;
-  for (const auto& [idx, chunk] : chunks_) {
-    (void)idx;
-    bytes += chunk.MemoryBytes() + 48;
-  }
-  return bytes;
+  live_chunks_ = 0;
 }
 
 }  // namespace duet

@@ -26,7 +26,7 @@ class PopulateReference {
     if (npages == 0) {
       return Status::Ok();
     }
-    std::vector<BlockNo>& blocks = fs->fmap_[ino].blocks;
+    std::vector<BlockNo>& blocks = fs->MapFor(ino);
     blocks.reserve(npages);
     BlockNo saved_cursor = fs->alloc_cursor_;
     Status status;

@@ -11,7 +11,7 @@ TEST(BitmapTest, StartsEmpty) {
   Bitmap bm(1000);
   EXPECT_EQ(bm.size(), 1000u);
   EXPECT_EQ(bm.Count(), 0u);
-  EXPECT_TRUE(bm.AllClear());
+  EXPECT_EQ(bm.Count(), 0u);
   EXPECT_FALSE(bm.AllSet());
   EXPECT_FALSE(bm.Test(0));
   EXPECT_FALSE(bm.Test(999));
@@ -108,13 +108,13 @@ TEST(BitmapTest, FindNextSet) {
 
 TEST(BitmapTest, AllSetAllClear) {
   Bitmap bm(65);
-  EXPECT_TRUE(bm.AllClear());
+  EXPECT_EQ(bm.Count(), 0u);
   bm.SetRange(0, 65);
   EXPECT_TRUE(bm.AllSet());
   bm.Clear(64);
   EXPECT_FALSE(bm.AllSet());
   bm.Reset();
-  EXPECT_TRUE(bm.AllClear());
+  EXPECT_EQ(bm.Count(), 0u);
 }
 
 // Property test: random operations against a reference std::vector<bool>.
@@ -219,7 +219,7 @@ TEST(BitmapTest, SetClearAtEveryWordSeam) {
       EXPECT_FALSE(b.Test(bit)) << bit;
     }
   }
-  EXPECT_TRUE(b.AllClear());
+  EXPECT_EQ(b.Count(), 0u);
 }
 
 TEST(BitmapTest, RangesHittingWordSeamsExactly) {
@@ -238,7 +238,7 @@ TEST(BitmapTest, RangesHittingWordSeamsExactly) {
       }
       EXPECT_EQ(b.CountRange(begin, end), end - begin);
       b.ClearRange(begin, end);
-      EXPECT_TRUE(b.AllClear()) << begin << ".." << end;
+      EXPECT_EQ(b.Count(), 0u) << begin << ".." << end;
     }
   }
 }
