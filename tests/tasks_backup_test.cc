@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/duet/duet_core.h"
+#include "src/obs/obs.h"
 #include "src/util/format.h"
 #include "tests/sim_fixture.h"
 
@@ -22,6 +23,9 @@ class BackupTest : public ::testing::Test {
     }
   }
 
+  // Duet's counters go to this test's own registry.
+  obs::ObsContext ctx_;
+  obs::ObsScope scope_{&ctx_};
   SimRig rig_;
   CowFs fs_;
   DuetCore duet_;
@@ -166,6 +170,68 @@ TEST_F(BackupTest, CorruptSnapshotBlockIsNotCountedSent) {
   EXPECT_EQ(fs_.checksum_errors_detected(), 1u);
   EXPECT_EQ(backup.stats().work_done, 31u);
   EXPECT_FALSE(backup.AllPagesSentOnce());
+}
+
+// Sparse files: a page never written is a hole in the snapshot, with no
+// block and nothing to send. The stream skips it; every mapped page is sent
+// once, with or without Duet.
+class BackupHoleTest : public BackupTest, public ::testing::WithParamInterface<bool> {};
+
+TEST_P(BackupHoleTest, HoledFileSendsEveryMappedPageOnce) {
+  Populate(2, 16);
+  // /sparse maps pages 4-7 and 12 only: its first page and the runs between
+  // are holes.
+  InodeNo sparse = *fs_.CreateFile("/sparse");
+  fs_.Write(sparse, 4 * kPageSize, 4 * kPageSize, IoClass::kBestEffort, nullptr);
+  fs_.Write(sparse, 12 * kPageSize, kPageSize, IoClass::kBestEffort, nullptr);
+  rig_.loop.Run();
+  ASSERT_EQ(fs_.BlockOf(sparse, 0), kInvalidBlock);
+  ASSERT_EQ(fs_.BlockOf(sparse, 8), kInvalidBlock);
+  ASSERT_NE(fs_.BlockOf(sparse, 12), kInvalidBlock);
+
+  BackupConfig config;
+  config.use_duet = GetParam();
+  config.chunk_pages = 4;
+  Backup backup(&fs_, &duet_, config);
+  bool finished = false;
+  backup.Start([&] { finished = true; });
+  // Reads of the sparse file's mapped pages give Duet something to report.
+  rig_.loop.ScheduleAt(Micros(300), [this, sparse] {
+    fs_.Read(sparse, 4 * kPageSize, 4 * kPageSize, IoClass::kBestEffort, nullptr);
+  });
+  rig_.loop.Run();
+  ASSERT_TRUE(finished);
+  EXPECT_TRUE(backup.AllPagesSentOnce());
+  EXPECT_EQ(backup.stats().work_total, 2 * 16 + 5u);
+  EXPECT_EQ(backup.stats().work_done, backup.stats().work_total);
+  EXPECT_EQ(backup.bytes_sent(), (2 * 16 + 5) * kPageSize);
+}
+
+INSTANTIATE_TEST_SUITE_P(WithAndWithoutDuet, BackupHoleTest, ::testing::Bool());
+
+// Backup marks done in Duet every block it will never send: each snapshot
+// block once sent (in order here, since nothing else reads the files), and
+// a block outside the snapshot when a drain first sees it. Pages written
+// after the snapshot sit in new blocks; their Exists reports are the only
+// items the session fetches, and each is marked done once.
+TEST_F(BackupTest, DuetMarksBlocksItWillNeverSendDone) {
+  Populate(4, 32);
+  InodeNo f3 = *fs_.ns().Resolve("/f3");
+  BackupConfig config;
+  config.use_duet = true;
+  config.chunk_pages = 4;
+  Backup backup(&fs_, &duet_, config);
+  bool finished = false;
+  backup.Start([&] { finished = true; });
+  rig_.loop.RunUntil(Micros(1));  // the snapshot is cut
+  fs_.Write(f3, 0, 8 * kPageSize, IoClass::kBestEffort, nullptr);
+  rig_.loop.Run();
+  ASSERT_TRUE(finished);
+  EXPECT_TRUE(backup.AllPagesSentOnce());
+  EXPECT_EQ(backup.stats().work_done, 4 * 32u);
+  EXPECT_EQ(backup.stats().opportunistic_units, 0u);
+  EXPECT_EQ(ctx_.metrics.CounterValue("duet.items.fetched"), 8u);
+  EXPECT_EQ(ctx_.metrics.CounterValue("duet.done.set"), 4 * 32 + 8u);
 }
 
 }  // namespace
