@@ -561,8 +561,10 @@ Status DuetCore::SetDone(SessionId sid, uint64_t item_id) {
   };
 
   if (s.is_block) {
+    // A block keeps its reverse-map entry after its page moves (a COW under
+    // a snapshot): clear the page only while it still lives in the block.
     Result<FileSystem::BlockOwner> owner = fs_->Rmap(item_id);
-    if (owner.ok()) {
+    if (owner.ok() && fs_->BlockOf(owner->ino, owner->idx) == item_id) {
       clear_page(PageKey{owner->ino, owner->idx});
     }
   } else {

@@ -481,6 +481,29 @@ TEST_F(DuetCoreTest, OverwrittenDonePageReportsItsNewBlock) {
   EXPECT_EQ(items[0].flags, kDuetPageExists);
 }
 
+// After a COW under a snapshot, the page's old block stays in use (the
+// snapshot holds it) and keeps its reverse-map entry. Marking that old block
+// done is about the block alone: the page, which now lives in a new block,
+// keeps its pending report.
+TEST_F(DuetCoreTest, DoneSnapshotBlockKeepsMovedPagesReport) {
+  InodeNo ino = MakeFile("/f", 1);
+  BlockNo old_block = *fs_.Bmap(ino, 0);
+  ASSERT_TRUE(fs_.CreateSnapshot().ok());
+  SessionId sid = *duet_.RegisterBlockTask(kDuetPageExists);
+  WriteSync(ino, 0, kPageSize);
+  BlockNo new_block = *fs_.Bmap(ino, 0);
+  ASSERT_NE(new_block, old_block);
+  ASSERT_TRUE(fs_.BlockInUse(old_block));
+  ASSERT_EQ(fs_.Rmap(old_block)->ino, ino);  // the old block's stale owner
+  ASSERT_EQ(duet_.PendingCount(sid), 1u);
+  ASSERT_TRUE(duet_.SetDone(sid, old_block).ok());
+  EXPECT_EQ(duet_.PendingCount(sid), 1u);
+  std::vector<DuetItem> items = FetchAll(sid);
+  ASSERT_EQ(items.size(), 1u);
+  EXPECT_EQ(items[0].id, new_block);
+  EXPECT_EQ(items[0].flags, kDuetPageExists);
+}
+
 TEST_F(DuetCoreTest, MemoryAccountingExposed) {
   InodeNo ino = MakeFile("/f", 8);
   SessionId sid = *duet_.RegisterBlockTask(kDuetPageExists);
