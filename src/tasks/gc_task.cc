@@ -54,7 +54,11 @@ void GcTask::DrainDuetEvents() {
       }
       return;
     }
-    if (item.has(kDuetPageExists) || item.has(kDuetPageFlushed)) {
+    // A Flushed item without Exists may be a page that was added, flushed
+    // and evicted since the last drain: its existence was never reported,
+    // so only the cache can tell whether it is still there.
+    if (item.has(kDuetPageExists) ||
+        (item.has(kDuetPageFlushed) && fs_->cache().Contains(owner->ino, owner->idx))) {
       // Page is cached and currently backed by `seg`. Move the count if it
       // was attributed to another segment (the block was relocated).
       if (counted != counted_.end()) {

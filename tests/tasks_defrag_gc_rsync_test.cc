@@ -169,6 +169,33 @@ TEST_F(GcTaskTest, DuetCountersTrackCachedBlocks) {
   EXPECT_LE(gc.CachedCounter(0), 32);
 }
 
+// A page added, flushed and evicted between two drains is fetched with
+// only its Flushed event (its existence was never reported, so no state
+// change is): the page is not cached and must not be counted as cached.
+TEST_F(GcTaskTest, DuetDoesNotCountFlushedPagesThatLeftTheCache) {
+  InodeNo a = *fs_.PopulateFile("/a", 64 * kPageSize);
+  GcConfig config;
+  config.use_duet = true;
+  config.wake_interval = Millis(100);
+  config.idle_threshold = Seconds(100);  // never cleans: counters stay put
+  GcTask gc(&fs_, &duet_, config);
+  gc.Start();
+  fs_.Write(a, 0, 8 * kPageSize, IoClass::kBestEffort, nullptr);
+  bool synced = false;
+  fs_.Sync([&synced] { synced = true; });
+  rig_.loop.RunUntil(Millis(50));  // before the first drain
+  ASSERT_TRUE(synced);
+  const SegmentNo seg = fs_.SegmentOf(*fs_.Bmap(a, 0));
+  for (PageIdx p = 0; p < 8; ++p) {
+    ASSERT_TRUE(fs_.cache().Remove(a, p));
+  }
+  // Two pages come back into the cache, so they are counted.
+  fs_.Read(a, 0, 2 * kPageSize, IoClass::kBestEffort, nullptr);
+  rig_.loop.RunUntil(Seconds(1));
+  gc.Stop();
+  EXPECT_EQ(gc.CachedCounter(seg), 2);
+}
+
 TEST_F(GcTaskTest, DuetPrefersCachedVictims) {
   // Segments 0 and 1: same validity and age; warm segment 1's blocks.
   InodeNo a = *fs_.PopulateFile("/a", 64 * kPageSize);  // segment 0
