@@ -17,7 +17,8 @@
 //    chunks keyed by global page number (ChunkedByteMap — the byte-wide
 //    sibling of the paper's chunked bitmaps);
 //  * per-session done / relevant bitmaps backed by dynamically allocated
-//    chunks in a red-black tree (RangeBitmap, §4.2 verbatim).
+//    chunks (RangeBitmap, §4.2's memory behaviour; a dense chunk directory
+//    stands in for the paper's red-black tree).
 //
 // Hook dispatch is the hottest path in the stack: every page-cache event
 // fans out to the interested sessions. Three things keep it O(1) per
