@@ -29,8 +29,7 @@ int main(int argc, char** argv) {
       workload.cluster_covered = clustered;
       workload.ops_per_sec = rates.Get(stack, workload, util).ops_per_sec;
       obs::ObsContext ctx;  // per-run counts
-      obs::ObsScope scope(&ctx);
-      CowRig rig(stack, workload);
+      CowRig rig(stack, workload, ctx);
       ScrubberConfig sc;
       sc.use_duet = true;
       Scrubber scrub(&rig.fs(), &rig.duet(), sc);

@@ -43,7 +43,8 @@ int main(int argc, char** argv) {
       WorkloadConfig workload = MakeWorkloadConfig(
           stack, Personality::kWebserver, overlap, /*skewed=*/false,
           /*ops_per_sec=*/0, 42);
-      CowRig rig(stack, workload);
+      obs::ObsContext ctx;  // per-run counts
+      CowRig rig(stack, workload, ctx);
       BlockDevice dst_device(&rig.loop(), MakeDiskModel(stack), MakeScheduler(stack));
       CowFs dst_fs(&rig.loop(), &dst_device, stack.cache_pages);
       (void)dst_fs.Mkdir("/backup");

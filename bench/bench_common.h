@@ -3,7 +3,6 @@
 // Every bench accepts:
 //   --quick   1/100-scale stack (512 MiB data, 18 s window)  [default]
 //   --std     1/50-scale stack  (1 GiB data, 36 s window)
-//   --full    1/12.5-scale stack (4 GiB data, 144 s window)
 //   --smoke   seconds-scale CI configuration: a tiny stack plus truncated
 //             sweeps. Proves the binary runs end to end; the numbers it
 //             prints are NOT a valid reproduction of the paper.
@@ -35,8 +34,6 @@ inline StackConfig StdStackConfig() {
   return config;
 }
 
-inline StackConfig FullStackConfig() { return StackConfig(); }
-
 inline StackConfig SmokeStackConfig() {
   StackConfig config = QuickStackConfig();
   config.data_bytes = 48ull * 1024 * 1024;
@@ -58,8 +55,6 @@ inline StackConfig ParseStackArgs(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (strcmp(argv[i], "--std") == 0) {
       config = StdStackConfig();
-    } else if (strcmp(argv[i], "--full") == 0) {
-      config = FullStackConfig();
     } else if (strcmp(argv[i], "--quick") == 0) {
       config = QuickStackConfig();
     } else if (strcmp(argv[i], "--smoke") == 0) {

@@ -41,8 +41,7 @@ MttdRun RunMttd(StackConfig stack, bool use_duet, double ops_per_sec, uint64_t s
                                                /*coverage=*/0.5, /*skewed=*/false,
                                                ops_per_sec, seed);
   obs::ObsContext ctx;  // per-run counts
-  obs::ObsScope scope(&ctx);
-  CowRig rig(stack, workload);
+  CowRig rig(stack, workload, ctx);
 
   FaultPlanConfig fc;
   fc.kinds = kFaultLatent | kFaultBitRot;

@@ -32,11 +32,10 @@ OverheadResult Measure(const StackConfig& stack, uint8_t mask,
   // Fresh context per measurement: the cost model below reads the duet.*
   // registry counters, so each configuration must start from zero.
   obs::ObsContext obs_ctx;
-  obs::ObsScope obs_scope(&obs_ctx);
 
   WorkloadConfig workload = MakeWorkloadConfig(stack, Personality::kWebserver, 1.0,
                                                false, /*ops_per_sec=*/0, 42);
-  CowRig rig(stack, workload);
+  CowRig rig(stack, workload, obs_ctx);
   Result<SessionId> sid = rig.duet().RegisterFileTask("/", mask);
   assert(sid.ok());
 

@@ -38,8 +38,7 @@ StateSessionResult RunStateSession(const StackConfig& stack, Fetching fetching) 
                                                false, /*ops_per_sec=*/0, 42);
   // A context of its own, so the descriptor gauges count this run only.
   obs::ObsContext ctx;
-  obs::ObsScope scope(&ctx);
-  CowRig rig(stack, workload);
+  CowRig rig(stack, workload, ctx);
   Result<SessionId> sid = rig.duet().RegisterBlockTask(kDuetPageExists);
   assert(sid.ok());
   uint64_t peak_descriptors = 0;

@@ -216,7 +216,9 @@ Measurement MeasureCrc32c(uint64_t iters) {
 Measurement MeasurePageCacheEvictDirtyTail(uint64_t inserts) {
   constexpr uint64_t kCapacity = 4096;
   constexpr uint64_t kDirtyTail = 512;
-  PageCache cache(kCapacity, [] { return SimTime{0}; });
+  obs::ObsContext ctx;
+  EventLoop loop(ctx);
+  PageCache cache(kCapacity, &loop);
   for (PageIdx i = 0; i < kDirtyTail; ++i) {
     cache.Insert(/*ino=*/1, i, i, /*dirty=*/true);
   }
@@ -237,7 +239,9 @@ Measurement MeasurePageCacheEvictDirtyTail(uint64_t inserts) {
 Measurement MeasurePageCacheReadMissChurn(int passes) {
   constexpr InodeNo kFiles = 4096;
   constexpr PageIdx kFilePages = 64;
-  PageCache cache(kFiles * kFilePages / 50, [] { return SimTime{0}; });
+  obs::ObsContext ctx;
+  EventLoop loop(ctx);
+  PageCache cache(kFiles * kFilePages / 50, &loop);
   uint64_t reads = 0;
   auto start = Clock::now();
   for (int pass = 0; pass < passes; ++pass) {
@@ -294,10 +298,11 @@ Measurement MeasureStackBuildPopulate(const StackConfig& stack, int builds) {
   WorkloadConfig workload = MakeWorkloadConfig(stack, Personality::kWebserver,
                                                /*coverage=*/1.0, /*skewed=*/false,
                                                /*ops_per_sec=*/0, /*seed=*/42);
+  obs::ObsContext ctx;
   uint64_t pages = 0;
   auto start = Clock::now();
   for (int b = 0; b < builds; ++b) {
-    CowRig rig(stack, workload);
+    CowRig rig(stack, workload, ctx);
     pages += rig.fs().allocated_blocks();
   }
   return Measurement{"stack_build_populate", pages, MsSince(start)};

@@ -21,7 +21,8 @@ int main() {
     WorkloadConfig workload = MakeWorkloadConfig(stack, Personality::kFileserver,
                                                  1.0, /*skewed=*/true,
                                                  /*ops_per_sec=*/120, 13);
-    LogRig rig(stack, workload);
+    obs::ObsContext obs;  // this run's metrics and trace
+    LogRig rig(stack, workload, obs);
     GcConfig config;
     config.use_duet = use_duet;
     config.wake_interval = Millis(100);

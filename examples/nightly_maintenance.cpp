@@ -1,8 +1,7 @@
-// Nightly maintenance: the two extension tasks collaborating. An
-// incremental backup epoch is open while the fileserver workload churns;
-// meanwhile a virus scan walks the tree. With Duet, the scan's reads feed
-// the page cache, the workload's flushes feed the incremental backup, and
-// both finish with far less device I/O.
+// Nightly maintenance: an incremental backup epoch is open while the
+// fileserver workload churns. With Duet, the backup copies each page the
+// workload modifies from memory once it is flushed, so closing the epoch
+// reads far less from disk.
 //
 // Build & run:  ./build/examples/nightly_maintenance
 
@@ -10,32 +9,25 @@
 
 #include "src/harness/rig.h"
 #include "src/tasks/incremental_backup.h"
-#include "src/tasks/virus_scanner.h"
 
 using namespace duet;
 
 int main() {
   StackConfig stack = QuickStackConfig();
-  printf("Nightly maintenance: incremental backup epoch + virus scan, "
-         "fileserver churning\n\n");
+  printf("Nightly maintenance: incremental backup epoch, fileserver churning\n\n");
 
   for (bool use_duet : {false, true}) {
     WorkloadConfig workload = MakeWorkloadConfig(stack, Personality::kFileserver,
                                                  1.0, /*skewed=*/false,
                                                  /*ops_per_sec=*/80, 21);
-    CowRig rig(stack, workload);
+    obs::ObsContext obs;  // this run's metrics and trace
+    CowRig rig(stack, workload, obs);
 
     IncrementalBackupConfig inc_config;
     inc_config.use_duet = use_duet;
     IncrementalBackup inc(&rig.fs(), &rig.duet(), inc_config);
     inc.BeginEpoch();
     rig.loop().RunUntil(Millis(50));
-
-    VirusScannerConfig scan_config;
-    scan_config.root = "/data";
-    scan_config.use_duet = use_duet;
-    VirusScanner scanner(&rig.fs(), &rig.duet(), scan_config);
-    scanner.Start();
 
     rig.workload().Start();
     rig.loop().RunUntil(stack.window);
@@ -46,11 +38,6 @@ int main() {
     rig.loop().Run();
 
     printf("--- %s ---\n", use_duet ? "with Duet" : "baseline");
-    printf("  scan: %llu files (%s), %llu pages read, %llu saved\n",
-           static_cast<unsigned long long>(scanner.files_scanned()),
-           scanner.stats().finished ? "finished" : "window ended",
-           static_cast<unsigned long long>(scanner.stats().io_read_pages),
-           static_cast<unsigned long long>(scanner.stats().saved_read_pages));
     printf("  incremental backup: %s; %llu changed pages, %llu read from disk, "
            "%llu captured from memory\n",
            inc_done && inc.IncrementComplete() ? "complete and consistent"
@@ -59,7 +46,6 @@ int main() {
            static_cast<unsigned long long>(inc.stats().io_read_pages),
            static_cast<unsigned long long>(inc.stats().saved_read_pages));
     printf("\n");
-    scanner.Stop();
     inc.Stop();
   }
   return 0;

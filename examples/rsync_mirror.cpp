@@ -19,7 +19,8 @@ int main() {
   for (bool use_duet : {false, true}) {
     WorkloadConfig workload =
         MakeWorkloadConfig(stack, Personality::kWebserver, 1.0, false, 0, 11);
-    CowRig rig(stack, workload);
+    obs::ObsContext obs;  // this run's metrics and trace
+    CowRig rig(stack, workload, obs);
 
     BlockDevice dst_device(&rig.loop(), MakeDiskModel(stack), MakeScheduler(stack));
     CowFs dst_fs(&rig.loop(), &dst_device, stack.cache_pages);

@@ -20,7 +20,7 @@ BlockDevice::BlockDevice(EventLoop* loop, std::unique_ptr<DiskModel> model,
     : loop_(loop),
       model_(std::move(model)),
       scheduler_(std::move(scheduler)),
-      obs_(obs::CurrentObs()),
+      obs_(&loop->obs()),
       ctr_submit_(obs_->metrics.GetCounter("block.submits")),
       ctr_complete_(obs_->metrics.GetCounter("block.completions")),
       ctr_failed_requests_(obs_->metrics.GetCounter("block.failed.requests")),

@@ -29,10 +29,9 @@ constexpr obs::TraceKind kPageTraceKind[4] = {
 
 }  // namespace
 
-PageCache::PageCache(uint64_t capacity_pages, std::function<SimTime()> clock)
-    : capacity_(capacity_pages), clock_(std::move(clock)), obs_(obs::CurrentObs()) {
+PageCache::PageCache(uint64_t capacity_pages, EventLoop* loop)
+    : capacity_(capacity_pages), loop_(loop), obs_(&loop->obs()) {
   assert(capacity_ > 0);
-  assert(clock_ != nullptr);
   // Pre-size the entry arena for the configured capacity: the steady state
   // allocates nothing. The page index is not pre-sized: it follows the
   // cached set, not capacity or the data.
@@ -51,7 +50,7 @@ PageCache::PageCache(uint64_t capacity_pages, std::function<SimTime()> clock)
 void PageCache::Emit(PageEventType type, InodeNo ino, PageIdx idx,
                      bool exists, bool dirty) {
   ctr_events_[static_cast<int>(type)]->Add();
-  obs_->trace.Emit(clock_(), obs::TraceLayer::kCache,
+  obs_->trace.Emit(loop_->now(), obs::TraceLayer::kCache,
                    kPageTraceKind[static_cast<int>(type)], ino, idx);
   PageEvent event{type, ino, idx, exists, dirty};
   for (PageEventListener* l : listeners_) {
@@ -94,7 +93,7 @@ void PageCache::CreateEntry(InodeNo ino, PageIdx idx, uint64_t data,
   e.idx = idx;
   e.page.data = data;
   e.page.dirty = dirty;
-  e.page.dirtied_at = dirty ? clock_() : 0;
+  e.page.dirtied_at = dirty ? loop_->now() : 0;
   if (dirty) {
     ++dirty_count_;
   }
@@ -136,7 +135,7 @@ void PageCache::SetDirty(uint32_t slot) {
   Unlink<&Entry::sub>(clean_, slot);
   LinkFront<&Entry::sub>(dirty_, slot);
   e.page.dirty = true;
-  e.page.dirtied_at = clock_();
+  e.page.dirtied_at = loop_->now();
   ++dirty_count_;
 }
 
@@ -390,7 +389,7 @@ void PageCache::EvictIfNeeded() {
 
 void PageCache::Evict(InodeNo ino, PageIdx idx) {
   ctr_evictions_->Add();
-  obs_->trace.Emit(clock_(), obs::TraceLayer::kCache, obs::TraceKind::kPageEvicted,
+  obs_->trace.Emit(loop_->now(), obs::TraceLayer::kCache, obs::TraceKind::kPageEvicted,
                    ino, idx);
   Remove(ino, idx);
 }

@@ -39,6 +39,7 @@
 
 #include "src/cache/page_event.h"
 #include "src/obs/obs.h"
+#include "src/sim/event_loop.h"
 #include "src/sim/time.h"
 #include "src/util/page_index.h"
 #include "src/util/types.h"
@@ -53,8 +54,9 @@ struct CachedPage {
 
 class PageCache {
  public:
-  // `clock` provides the current virtual time for dirty timestamps.
-  PageCache(uint64_t capacity_pages, std::function<SimTime()> clock);
+  // `loop` supplies the virtual time for dirty timestamps and trace events,
+  // and the context the cache reports into.
+  PageCache(uint64_t capacity_pages, EventLoop* loop);
 
   PageCache(const PageCache&) = delete;
   PageCache& operator=(const PageCache&) = delete;
@@ -199,7 +201,7 @@ class PageCache {
   void Unlink(List& list, uint32_t slot);
 
   uint64_t capacity_;
-  std::function<SimTime()> clock_;
+  EventLoop* loop_;
   std::vector<Entry> arena_;
   std::vector<uint32_t> free_slots_;
   // (inode, page index) -> arena slot; an inode's data is its chain's ends.

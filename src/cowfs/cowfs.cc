@@ -358,19 +358,6 @@ const CowFs::Snapshot* CowFs::GetSnapshot(SnapshotId id) const {
   return it == snapshots_.end() ? nullptr : &it->second;
 }
 
-bool CowFs::SharedWithSnapshot(SnapshotId id, InodeNo ino, PageIdx idx) const {
-  const Snapshot* snap = GetSnapshot(id);
-  if (snap == nullptr) {
-    return false;
-  }
-  auto it = snap->files.find(ino);
-  if (it == snap->files.end() || idx >= it->second.blocks.size()) {
-    return false;
-  }
-  Result<BlockNo> live = Bmap(ino, idx);
-  return live.ok() && *live == it->second.blocks[idx];
-}
-
 uint64_t CowFs::ExtentCount(InodeNo ino) const {
   uint64_t extents = 0;
   BlockNo prev = kInvalidBlock;

@@ -7,7 +7,8 @@
 //    only where it differs from the primary);
 //  * copy-on-write: every write allocates a new block, breaking sharing with
 //    snapshots (the backup task's staleness signal);
-//  * refcounted snapshots with back references (SharedWithSnapshot);
+//  * refcounted snapshots: a page is shared with a snapshot while the live
+//    file still maps it to the snapshot's block;
 //  * extent fragmentation metrics and a defragmentation primitive.
 //
 // Its checkpoint is a superblock generation holding the snapshot tables;
@@ -96,11 +97,6 @@ class CowFs : public FileSystem {
   void CreateSnapshotAsync(std::function<void(Result<SnapshotId>)> cb);
   Status DeleteSnapshot(SnapshotId id);
   const Snapshot* GetSnapshot(SnapshotId id) const;
-
-  // True if page `idx` of `ino` still shares its block with the snapshot
-  // (i.e. has not been modified since) — the Btrfs back-reference check the
-  // opportunistic backup performs (§5.2).
-  bool SharedWithSnapshot(SnapshotId id, InodeNo ino, PageIdx idx) const;
 
   // ---- Fragmentation / defragmentation ----
   // Number of contiguous extents backing the file (1 = fully contiguous).

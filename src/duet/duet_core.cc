@@ -40,7 +40,7 @@ uint8_t AffectedStateBit(PageEventType type) {
 DuetCore::DuetCore(FileSystem* fs, DuetConfig config)
     : fs_(fs),
       config_(config),
-      obs_(obs::CurrentObs()),
+      obs_(&fs->loop().obs()),
       ctr_hooks_(obs_->metrics.GetCounter("duet.hooks")),
       ctr_delivered_(obs_->metrics.GetCounter("duet.events.delivered")),
       ctr_dropped_(obs_->metrics.GetCounter("duet.events.dropped")),

@@ -22,7 +22,7 @@ double MeanTimeToDetectSeconds(const obs::MetricsSnapshot& m) {
 FaultInjector::FaultInjector(EventLoop* loop, FaultPlan plan)
     : loop_(loop),
       plan_(std::move(plan)),
-      obs_(obs::CurrentObs()),
+      obs_(&loop->obs()),
       ctr_injected_(obs_->metrics.GetCounter("fault.injected")),
       ctr_detected_(obs_->metrics.GetCounter("fault.detected")),
       ctr_repaired_(obs_->metrics.GetCounter("fault.repaired")),

@@ -32,8 +32,8 @@
 
 namespace duet {
 
-// Fault accounting lives in the registry of the context the injector was
-// built under (fault.injected, .detected, .repaired, .masked, ...). These
+// Fault accounting lives in the registry of the injector's loop's context
+// (fault.injected, .detected, .repaired, .masked, ...). These
 // derive the two composite figures the reports print from a run's snapshot.
 
 // Faults injected but neither detected nor masked (still silent).

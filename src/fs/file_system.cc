@@ -23,8 +23,8 @@ FileSystem::FileSystem(EventLoop* loop, BlockDevice* device, uint64_t cache_page
       disk_csum_(device->capacity_blocks(), TokenChecksum(0)),
       loop_(loop),
       device_(device),
-      obs_(obs::CurrentObs()),
-      cache_(cache_pages, [loop] { return loop->now(); }),
+      obs_(&loop->obs()),
+      cache_(cache_pages, loop),
       writeback_(loop, &cache_, this, wb_params),
       in_use_(device->capacity_blocks()),
       pinned_(device->capacity_blocks()),

@@ -431,9 +431,8 @@ class FileSystem : public WritebackTarget {
 
   EventLoop* loop_;
   BlockDevice* device_;
-  // Captured at construction, like every other layer, so deferred emits
-  // (checkpoint commits, mount recovery, fsck) report into the context the
-  // file system was built under, not whichever scope is current later.
+  // The loop's context, like every other layer's: deferred emits
+  // (checkpoint commits, mount recovery, fsck) report there too.
   obs::ObsContext* obs_;
   PageCache cache_;
   Namespace ns_;

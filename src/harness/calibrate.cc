@@ -47,8 +47,7 @@ Probe RunProbe(const StackConfig& stack, const WorkloadConfig& workload,
                SimDuration profile_window, Settled settled,
                std::vector<double> watch = {}) {
   obs::ObsContext probe_obs;
-  obs::ObsScope scope(&probe_obs);
-  CowRig rig(stack, workload);
+  CowRig rig(stack, workload, probe_obs);
   auto busy = [&rig] {
     return rig.device().stats().busy[static_cast<int>(IoClass::kBestEffort)];
   };

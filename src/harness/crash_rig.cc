@@ -47,7 +47,11 @@ void RunUntilFlag(EventLoop* loop, const bool* flag) {
 
 }  // namespace
 
-CrashRunResult RunCrashRecovery(const CrashRunConfig& config) {
+CrashRunResult RunCrashRecovery(const CrashRunConfig& config, obs::ObsContext* obs) {
+  obs::ObsContext local_obs;
+  if (obs == nullptr) {
+    obs = &local_obs;
+  }
   CrashRunResult result;
   DurableImage image(config.capacity_blocks);
 
@@ -63,7 +67,7 @@ CrashRunResult RunCrashRecovery(const CrashRunConfig& config) {
   // ---- Phase A: populate, checkpoint, run the workload, crash ----
   {
     StackConfig sc = RigStackConfig(config);
-    EventLoop loop;
+    EventLoop loop(*obs);
     BlockDevice device(&loop, MakeDiskModel(sc), MakeScheduler(sc));
     std::unique_ptr<FileSystem> fs = MakeFs(config, &loop, &device);
     fs->AttachDurableImage(&image);
@@ -214,7 +218,7 @@ CrashRunResult RunCrashRecovery(const CrashRunConfig& config) {
   image.Thaw();
   {
     StackConfig sc = RigStackConfig(config);
-    EventLoop loop;
+    EventLoop loop(*obs);
     BlockDevice device(&loop, MakeDiskModel(sc), MakeScheduler(sc));
     std::unique_ptr<FileSystem> fs = MakeFs(config, &loop, &device);
     fs->AttachDurableImage(&image);

@@ -83,8 +83,11 @@ struct CrashRunResult {
   }
 };
 
-// Runs one crash/recover cycle. Deterministic given `config`.
-CrashRunResult RunCrashRecovery(const CrashRunConfig& config);
+// Runs one crash/recover cycle. Deterministic given `config`. Both stacks
+// report into `obs` (a local context when null): the workload, the crash, the
+// remount and the replay.
+CrashRunResult RunCrashRecovery(const CrashRunConfig& config,
+                                obs::ObsContext* obs = nullptr);
 
 }  // namespace duet
 

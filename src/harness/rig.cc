@@ -6,8 +6,10 @@
 namespace duet {
 
 template <typename Fs>
-Rig<Fs>::Rig(const StackConfig& stack, const WorkloadConfig& workload_config)
-    : device_(&loop_, MakeDiskModel(stack), MakeScheduler(stack)),
+Rig<Fs>::Rig(const StackConfig& stack, const WorkloadConfig& workload_config,
+             obs::ObsContext& obs)
+    : loop_(obs),
+      device_(&loop_, MakeDiskModel(stack), MakeScheduler(stack)),
       fs_(&loop_, &device_, stack.cache_pages),
       duet_(&fs_),
       workload_(&fs_, workload_config) {

@@ -73,9 +73,8 @@ MaintenanceRunResult RunMaintenance(const MaintenanceRunConfig& config) {
 
   obs::ObsContext local_obs;
   obs::ObsContext* obs = config.obs != nullptr ? config.obs : &local_obs;
-  obs::ObsScope obs_scope(obs);
 
-  CowRig rig(config.stack, workload);
+  CowRig rig(config.stack, workload, *obs);
   if (config.informed_eviction) {
     rig.fs().cache().SetEvictionAdvisor(
         [&rig](InodeNo ino, PageIdx idx) {
@@ -236,8 +235,7 @@ RsyncRunResult RunRsync(const StackConfig& stack, Personality personality,
   WorkloadConfig workload =
       MakeWorkloadConfig(stack, personality, coverage, skewed, /*ops_per_sec=*/0, seed);
   obs::ObsContext local_obs;
-  obs::ObsScope obs_scope(obs != nullptr ? obs : &local_obs);
-  CowRig rig(stack, workload);
+  CowRig rig(stack, workload, obs != nullptr ? *obs : local_obs);
 
   // Destination: a second device + file system in the same simulation.
   BlockDevice dst_device(&rig.loop(), MakeDiskModel(stack), MakeScheduler(stack));
@@ -282,8 +280,7 @@ GcRunResult RunGc(const StackConfig& stack, bool use_duet, uint64_t seed,
   workload.ops_per_sec = ops_per_sec;
 
   obs::ObsContext local_obs;
-  obs::ObsScope obs_scope(obs != nullptr ? obs : &local_obs);
-  LogRig rig(stack, workload);
+  LogRig rig(stack, workload, obs != nullptr ? *obs : local_obs);
   GcConfig config;
   config.use_duet = use_duet;
   config.wake_interval = Millis(100);

@@ -1,19 +1,20 @@
-// Ambient observability context: one MetricsRegistry plus one Tracer,
-// discoverable from anywhere in the stack without threading a pointer
-// through every constructor.
+// Observability context: one MetricsRegistry plus one Tracer per stack.
 //
-// The simulation is single-threaded, so "ambient" is a plain pointer with
-// scoped install semantics: a process-wide default context always exists,
-// and a harness/test installs its own with an RAII ObsScope *before*
-// constructing the stack. Components capture CurrentObs() (and register
-// their metric handles) at construction time, so a context must outlive
-// every component built under its scope.
+// A stack's context is handed to its EventLoop at construction, and every
+// component built on that loop (device, cache, file system, Duet, fault
+// injector, tasks, workload) reads it from EventLoop::obs() and registers its
+// metric handles then. The context must outlive the loop and every component
+// built on it; two stacks with two contexts never report into each other.
 //
 //   obs::ObsContext ctx;
-//   obs::ObsScope scope(&ctx);
-//   CowRig rig(...);            // all layers report into ctx
+//   CowRig rig(stack, workload, ctx);   // all layers report into ctx
 //   ...run...
 //   uint64_t fp = ctx.trace.Fingerprint();
+//
+// CurrentObs and ObsScope are what is left of an ambient context: a
+// process-wide pointer with scoped install semantics over a leaked default.
+// Their one reader is Rig's default argument, which the frozen end-to-end
+// benchmark still relies on; no component reads them.
 #ifndef SRC_OBS_OBS_H_
 #define SRC_OBS_OBS_H_
 

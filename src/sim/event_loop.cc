@@ -6,8 +6,8 @@
 
 namespace duet {
 
-EventLoop::EventLoop()
-    : obs_(obs::CurrentObs()),
+EventLoop::EventLoop(obs::ObsContext& obs)
+    : obs_(&obs),
       ctr_scheduled_(obs_->metrics.GetCounter("sim.events.scheduled")),
       ctr_fired_(obs_->metrics.GetCounter("sim.events.fired")),
       ctr_cancelled_(obs_->metrics.GetCounter("sim.events.cancelled")) {

@@ -22,11 +22,14 @@ inline constexpr EventId kInvalidEvent = 0;
 
 class EventLoop {
  public:
-  EventLoop();
+  // Every component that runs on this loop reports into `obs`, which must
+  // outlive the loop and everything built on it.
+  explicit EventLoop(obs::ObsContext& obs);
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
   SimTime now() const { return now_; }
+  obs::ObsContext& obs() const { return *obs_; }
 
   // Schedules `fn` to run at absolute time `when` (clamped to now()).
   EventId ScheduleAt(SimTime when, std::function<void()> fn);
@@ -80,8 +83,8 @@ class EventLoop {
   EventId next_id_ = 1;
   uint64_t executed_ = 0;
   bool halted_ = false;
-  // Captured at construction so a stack built under an ObsScope keeps
-  // reporting into that scope's context for its whole lifetime.
+  // The stack's one context: every component built on this loop reads it
+  // from obs() at construction.
   obs::ObsContext* obs_;
   obs::Counter* ctr_scheduled_;
   obs::Counter* ctr_fired_;

@@ -185,11 +185,16 @@ void Backup::ProcessFileChunk(InodeNo ino, PageIdx next_page) {
     return;
   }
 
-  // Build a run of unsent pages with the same sharing category.
-  bool shared = fs_->SharedWithSnapshot(snapshot_, ino, p);
+  // Build a run of unsent pages with the same sharing category. An unsent
+  // page is shared while the live file still maps it to its snapshot block
+  // (the Btrfs back-reference check of §5.2): not modified since.
+  auto shared_at = [this, ino, &file](PageIdx q) {
+    return fs_->BlockOf(ino, q) == file.blocks[q];
+  };
+  bool shared = shared_at(p);
   PageIdx end = p;
   while (end < file.blocks.size() && unsent(end) && end - p < config_.chunk_pages &&
-         fs_->SharedWithSnapshot(snapshot_, ino, end) == shared) {
+         shared_at(end) == shared) {
     ++end;
   }
   uint64_t count = end - p;

@@ -14,7 +14,7 @@ TaskRun::TaskRun(std::string_view name, TaskTag tag, EventLoop* loop,
     : name_(name),
       loop_(loop),
       duet_(duet),
-      obs_(obs::CurrentObs()),
+      obs_(&loop->obs()),
       tag_(static_cast<uint64_t>(tag)) {
   std::string prefix = "tasks." + name_ + ".";
   started_ = obs_->metrics.GetCounter(prefix + "started");

@@ -6,9 +6,8 @@
 // processing order and I/O.
 //
 // Each step is also reported: registry counters under tasks.<name>.* plus
-// trace events stamped with a stable numeric task tag. Construction captures
-// the ambient ObsContext, so a task built under an ObsScope keeps reporting
-// into that scope's context for its whole lifetime.
+// trace events stamped with a stable numeric task tag, into the context of
+// the loop the task runs on.
 #ifndef SRC_TASKS_TASK_RUN_H_
 #define SRC_TASKS_TASK_RUN_H_
 
@@ -39,7 +38,6 @@ enum class TaskTag : uint64_t {
   kDefrag = 4,
   kGc = 5,
   kRsync = 6,
-  kVirusScan = 7,
 };
 
 // One run's results, supporting the paper's metrics (Table 4): I/O saved,

@@ -22,7 +22,7 @@ const char* PersonalityName(Personality p) {
 FilebenchWorkload::FilebenchWorkload(FileSystem* fs, WorkloadConfig config)
     : fs_(fs),
       config_(config),
-      obs_(obs::CurrentObs()),
+      obs_(&fs->loop().obs()),
       ctr_issued_(obs_->metrics.GetCounter("workload.ops.issued")),
       ctr_completed_(obs_->metrics.GetCounter("workload.ops.completed")),
       ctr_reads_(obs_->metrics.GetCounter("workload.ops.read")),

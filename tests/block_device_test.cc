@@ -42,7 +42,8 @@ IoRequest MakeRequest(BlockNo block, IoClass io_class, std::function<void()> don
 }
 
 TEST(BlockDeviceTest, CompletesSingleRequest) {
-  EventLoop loop;
+  obs::ObsContext obs;
+  EventLoop loop(obs);
   BlockDevice dev(&loop, std::make_unique<FixedModel>(Millis(5)),
                   std::make_unique<NoopScheduler>());
   bool done = false;
@@ -55,7 +56,8 @@ TEST(BlockDeviceTest, CompletesSingleRequest) {
 }
 
 TEST(BlockDeviceTest, ServicesOneAtATime) {
-  EventLoop loop;
+  obs::ObsContext obs;
+  EventLoop loop(obs);
   BlockDevice dev(&loop, std::make_unique<FixedModel>(Millis(5)),
                   std::make_unique<NoopScheduler>());
   std::vector<SimTime> completions;
@@ -68,7 +70,8 @@ TEST(BlockDeviceTest, ServicesOneAtATime) {
 }
 
 TEST(BlockDeviceTest, AccountsPerClassBusyTime) {
-  EventLoop loop;
+  obs::ObsContext obs;
+  EventLoop loop(obs);
   BlockDevice dev(&loop, std::make_unique<FixedModel>(Millis(2)),
                   std::make_unique<NoopScheduler>());
   dev.Submit(MakeRequest(1, IoClass::kBestEffort, nullptr));
@@ -80,7 +83,8 @@ TEST(BlockDeviceTest, AccountsPerClassBusyTime) {
 }
 
 TEST(CfqDeviceTest, BestEffortAlwaysBeatsIdle) {
-  EventLoop loop;
+  obs::ObsContext obs;
+  EventLoop loop(obs);
   BlockDevice dev(&loop, std::make_unique<FixedModel>(Millis(1)),
                   std::make_unique<CfqScheduler>(Millis(2)));
   std::vector<int> order;
@@ -92,7 +96,8 @@ TEST(CfqDeviceTest, BestEffortAlwaysBeatsIdle) {
 }
 
 TEST(CfqDeviceTest, IdleRequestWaitsForGracePeriod) {
-  EventLoop loop;
+  obs::ObsContext obs;
+  EventLoop loop(obs);
   BlockDevice dev(&loop, std::make_unique<FixedModel>(Millis(1)),
                   std::make_unique<CfqScheduler>(Millis(10)));
   SimTime idle_done = 0;
@@ -105,7 +110,8 @@ TEST(CfqDeviceTest, IdleRequestWaitsForGracePeriod) {
 }
 
 TEST(CfqDeviceTest, ForegroundArrivalsKeepDeferringIdle) {
-  EventLoop loop;
+  obs::ObsContext obs;
+  EventLoop loop(obs);
   BlockDevice dev(&loop, std::make_unique<FixedModel>(Millis(1)),
                   std::make_unique<CfqScheduler>(Millis(5)));
   SimTime idle_done = 0;
@@ -123,7 +129,8 @@ TEST(CfqDeviceTest, ForegroundArrivalsKeepDeferringIdle) {
 }
 
 TEST(CfqDeviceTest, InFlightIdleIsNotPreempted) {
-  EventLoop loop;
+  obs::ObsContext obs;
+  EventLoop loop(obs);
   BlockDevice dev(&loop, std::make_unique<FixedModel>(Millis(4)),
                   std::make_unique<CfqScheduler>(Millis(1)));
   std::vector<int> order;
@@ -139,7 +146,8 @@ TEST(CfqDeviceTest, InFlightIdleIsNotPreempted) {
 }
 
 TEST(DeadlineDeviceTest, NoPrioritization) {
-  EventLoop loop;
+  obs::ObsContext obs;
+  EventLoop loop(obs);
   BlockDevice dev(&loop, std::make_unique<FixedModel>(Millis(1)),
                   std::make_unique<DeadlineScheduler>());
   std::vector<int> order;
@@ -150,7 +158,8 @@ TEST(DeadlineDeviceTest, NoPrioritization) {
 }
 
 TEST(BlockDeviceTest, UtilizationMeasurement) {
-  EventLoop loop;
+  obs::ObsContext obs;
+  EventLoop loop(obs);
   BlockDevice dev(&loop, std::make_unique<FixedModel>(Millis(10)),
                   std::make_unique<CfqScheduler>());
   dev.Submit(MakeRequest(1, IoClass::kBestEffort, nullptr));
@@ -160,7 +169,8 @@ TEST(BlockDeviceTest, UtilizationMeasurement) {
 }
 
 TEST(BlockDeviceTest, HeadPositionMakesBackToBackSequentialCheap) {
-  EventLoop loop;
+  obs::ObsContext obs;
+  EventLoop loop(obs);
   BlockDevice dev(&loop, std::make_unique<HddModel>(),
                   std::make_unique<NoopScheduler>());
   SimTime first_done = 0;

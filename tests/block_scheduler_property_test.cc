@@ -23,7 +23,8 @@ class SchedulerPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SchedulerPropertyTest, CfqInvariantsHold) {
   Rng rng(GetParam());
-  EventLoop loop;
+  obs::ObsContext obs;
+  EventLoop loop(obs);
   SimDuration grace = Millis(1 + rng.Uniform(8));
   BlockDevice dev(&loop, std::make_unique<FixedLatencyModel>(Micros(200), 1'000'000),
                   std::make_unique<CfqScheduler>(grace));
@@ -77,7 +78,8 @@ TEST_P(SchedulerPropertyTest, CfqInvariantsHold) {
 
 TEST_P(SchedulerPropertyTest, DeadlineIsPureFifo) {
   Rng rng(GetParam() + 1000);
-  EventLoop loop;
+  obs::ObsContext obs;
+  EventLoop loop(obs);
   BlockDevice dev(&loop, std::make_unique<FixedLatencyModel>(Micros(300), 1'000'000),
                   std::make_unique<DeadlineScheduler>());
   std::vector<uint64_t> completed;
@@ -107,7 +109,8 @@ TEST_P(SchedulerPropertyTest, IdleStarvationUnderConstantLoad) {
   // With best-effort inter-arrival gaps always below the grace period, no
   // idle request may ever be serviced.
   Rng rng(GetParam() + 2000);
-  EventLoop loop;
+  obs::ObsContext obs;
+  EventLoop loop(obs);
   SimDuration grace = Millis(5);
   BlockDevice dev(&loop, std::make_unique<FixedLatencyModel>(Micros(500), 1'000'000),
                   std::make_unique<CfqScheduler>(grace));

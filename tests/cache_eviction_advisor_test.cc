@@ -9,7 +9,9 @@ namespace duet {
 namespace {
 
 TEST(EvictionAdvisorTest, AdvisedPagesEvictBeforeColderOnes) {
-  PageCache cache(4, [] { return SimTime{0}; });
+  obs::ObsContext obs;
+  EventLoop loop(obs);
+  PageCache cache(4, &loop);
   // Inode 3's pages are marked processed (good victims).
   cache.SetEvictionAdvisor([](InodeNo ino, PageIdx) { return ino == 3; });
   cache.Insert(1, 0, 1, false);  // coldest, NOT advised
@@ -26,7 +28,9 @@ TEST(EvictionAdvisorTest, AdvisedPagesEvictBeforeColderOnes) {
 }
 
 TEST(EvictionAdvisorTest, FallsBackToLruWhenNothingAdvised) {
-  PageCache cache(2, [] { return SimTime{0}; });
+  obs::ObsContext obs;
+  EventLoop loop(obs);
+  PageCache cache(2, &loop);
   cache.SetEvictionAdvisor([](InodeNo, PageIdx) { return false; });
   cache.Insert(1, 0, 1, false);
   cache.Insert(2, 0, 2, false);
@@ -37,7 +41,9 @@ TEST(EvictionAdvisorTest, FallsBackToLruWhenNothingAdvised) {
 }
 
 TEST(EvictionAdvisorTest, ClearRestoresPlainLru) {
-  PageCache cache(2, [] { return SimTime{0}; });
+  obs::ObsContext obs;
+  EventLoop loop(obs);
+  PageCache cache(2, &loop);
   cache.SetEvictionAdvisor([](InodeNo ino, PageIdx) { return ino == 2; });
   cache.ClearEvictionAdvisor();
   cache.Insert(1, 0, 1, false);
@@ -48,7 +54,9 @@ TEST(EvictionAdvisorTest, ClearRestoresPlainLru) {
 }
 
 TEST(EvictionAdvisorTest, DirtyPagesNeverAdvisedAway) {
-  PageCache cache(2, [] { return SimTime{0}; });
+  obs::ObsContext obs;
+  EventLoop loop(obs);
+  PageCache cache(2, &loop);
   cache.SetEvictionAdvisor([](InodeNo, PageIdx) { return true; });
   cache.Insert(1, 0, 1, true);  // dirty
   cache.Insert(2, 0, 2, false);

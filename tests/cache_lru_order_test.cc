@@ -60,7 +60,7 @@ class Recorder : public PageEventListener {
 // Single-list reference: front = most recently used.
 class RefCache {
  public:
-  RefCache(uint64_t capacity, const SimTime* now) : capacity_(capacity), now_(now) {}
+  RefCache(uint64_t capacity, const EventLoop* loop) : capacity_(capacity), loop_(loop) {}
 
   std::optional<uint64_t> Lookup(InodeNo ino, PageIdx idx) {
     auto it = Find(ino, idx);
@@ -78,12 +78,12 @@ class RefCache {
       lru_.splice(lru_.begin(), lru_, it);
       if (dirty && !it->dirty) {
         it->dirty = true;
-        it->dirtied_at = *now_;
+        it->dirtied_at = loop_->now();
         events.push_back(Ev{PageEventType::kDirtied, ino, idx, true, true});
       }
       return;
     }
-    lru_.push_front(Page{ino, idx, data, dirty, dirty ? *now_ : 0, next_seq_++});
+    lru_.push_front(Page{ino, idx, data, dirty, dirty ? loop_->now() : 0, next_seq_++});
     events.push_back(Ev{PageEventType::kAdded, ino, idx, true, dirty});
     if (dirty) {
       events.push_back(Ev{PageEventType::kDirtied, ino, idx, true, true});
@@ -100,7 +100,7 @@ class RefCache {
     lru_.splice(lru_.begin(), lru_, it);
     if (!it->dirty) {
       it->dirty = true;
-      it->dirtied_at = *now_;
+      it->dirtied_at = loop_->now();
       events.push_back(Ev{PageEventType::kDirtied, ino, idx, true, true});
     }
     return true;
@@ -231,7 +231,7 @@ class RefCache {
   }
 
   uint64_t capacity_;
-  const SimTime* now_;
+  const EventLoop* loop_;
   std::list<Page> lru_;
   uint64_t next_seq_ = 0;
 };
@@ -240,12 +240,13 @@ class RefCache {
 class Differential {
  public:
   explicit Differential(uint64_t capacity)
-      : cache_(capacity, [this] { return now_; }), ref_(capacity, &now_) {
+      : cache_(capacity, &loop_), ref_(capacity, &loop_) {
+    loop_.RunUntil(1);
     cache_.AddListener(&recorder_);
   }
 
-  void Advance(SimTime dt) { now_ += dt; }
-  SimTime now() const { return now_; }
+  void Advance(SimTime dt) { loop_.RunUntil(loop_.now() + dt); }
+  SimTime now() const { return loop_.now(); }
 
   void Insert(InodeNo ino, PageIdx idx, uint64_t data, bool dirty) {
     keys_.emplace(ino, idx);
@@ -297,7 +298,7 @@ class Differential {
     ref_.events.clear();
     ASSERT_EQ(cache_.PageCount(), ref_.PageCount()) << op << " #" << ops_;
     ASSERT_EQ(cache_.DirtyCount(), ref_.DirtyCount()) << op << " #" << ops_;
-    for (SimTime not_after : {SimTime{0}, now_ / 2, now_}) {
+    for (SimTime not_after : {SimTime{0}, now() / 2, now()}) {
       for (uint64_t max : {uint64_t{1}, uint64_t{3}, ~uint64_t{0}}) {
         std::vector<std::pair<InodeNo, PageIdx>> got;
         for (const PageCache::DirtyPageRef& r : cache_.CollectDirty(not_after, max)) {
@@ -320,9 +321,8 @@ class Differential {
     ASSERT_EQ(pages, ref_.AllPages()) << op << " #" << ops_;
   }
 
-  SimTime now_ = 1;
   obs::ObsContext ctx_;
-  obs::ObsScope scope_{&ctx_};
+  EventLoop loop_{ctx_};
   PageCache cache_;
   RefCache ref_;
   Recorder recorder_;

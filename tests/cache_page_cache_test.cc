@@ -14,20 +14,15 @@ class EventRecorder : public PageEventListener {
   std::vector<PageEvent> events;
 };
 
-SimTime g_now = 0;
-
 class PageCacheTest : public ::testing::Test {
  protected:
-  PageCacheTest() : cache_(4, [] { return g_now; }) {
-    g_now = 0;
-    cache_.AddListener(&recorder_);
-  }
+  PageCacheTest() : cache_(4, &loop_) { cache_.AddListener(&recorder_); }
   uint64_t Count(const char* name) const { return ctx_.metrics.CounterValue(name); }
 
-  // The cache reports into this test's own context (declared first, so it
-  // is installed before the cache captures it).
+  // The cache reports into this test's own context through its loop, which
+  // also stamps dirty pages.
   obs::ObsContext ctx_;
-  obs::ObsScope scope_{&ctx_};
+  EventLoop loop_{ctx_};
   PageCache cache_;
   EventRecorder recorder_;
 };
@@ -157,11 +152,11 @@ TEST_F(PageCacheTest, PeekDoesNotTouchLruOrStats) {
 }
 
 TEST_F(PageCacheTest, CollectDirtyReturnsOldestFirst) {
-  g_now = 100;
+  loop_.RunUntil(100);
   cache_.Insert(1, 0, 1, true);
-  g_now = 200;
+  loop_.RunUntil(200);
   cache_.Insert(2, 0, 2, true);
-  g_now = 300;
+  loop_.RunUntil(300);
   auto all = cache_.CollectDirty(/*not_after=*/300, /*max=*/10);
   ASSERT_EQ(all.size(), 2u);
   EXPECT_EQ(all[0].ino, 1u);
@@ -296,8 +291,8 @@ TEST_F(PageCacheTest, PageAtLargeIndex) {
 
 TEST(PageCacheDeathTest, PageIndexPastLimitAborts) {
   obs::ObsContext ctx;
-  obs::ObsScope scope(&ctx);
-  PageCache cache(4, [] { return SimTime{0}; });
+  EventLoop loop(ctx);
+  PageCache cache(4, &loop);
   constexpr PageIdx kPastLimit = PageIdx{1} << 32;
   cache.Insert(1, kPastLimit - 1, 1, false);  // the last index that fits
   EXPECT_EQ(cache.Lookup(1, kPastLimit - 1), 1u);

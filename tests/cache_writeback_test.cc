@@ -40,13 +40,15 @@ class FakeTarget : public WritebackTarget {
 class WritebackTest : public ::testing::Test {
  protected:
   WritebackTest()
-      : cache_(100, [this] { return loop_.now(); }),
+      : loop_(obs_),
+        cache_(100, &loop_),
         target_(&loop_, &cache_, Millis(5)) {}
 
   void MakeWriteback(WritebackParams params) {
     wb_ = std::make_unique<Writeback>(&loop_, &cache_, &target_, params);
   }
 
+  obs::ObsContext obs_;
   EventLoop loop_;
   PageCache cache_;
   FakeTarget target_;

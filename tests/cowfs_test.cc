@@ -10,7 +10,6 @@
 
 #include "src/block/durable_image.h"
 #include "src/fs/meta_codec.h"
-#include "src/obs/obs.h"
 #include "src/util/crc32c.h"
 #include "src/util/rng.h"
 #include "tests/sim_fixture.h"
@@ -114,13 +113,15 @@ TEST_F(CowFsTest, SnapshotPreservesOldBlocks) {
   uint64_t old_token = fs_.DiskToken(old_block);
   Result<SnapshotId> snap = fs_.CreateSnapshot();
   ASSERT_TRUE(snap.ok());
-  EXPECT_TRUE(fs_.SharedWithSnapshot(*snap, ino, 1));
+  // Shared: the live file maps the page to the snapshot's block.
+  auto snapshot_block = [&] { return fs_.GetSnapshot(*snap)->files.at(ino).blocks[1]; };
+  EXPECT_EQ(*fs_.Bmap(ino, 1), snapshot_block());
 
   WriteSync(ino, kPageSize, kPageSize);  // overwrite page 1
   SyncAll();
 
   // Sharing broken; snapshot still references the preserved old block.
-  EXPECT_FALSE(fs_.SharedWithSnapshot(*snap, ino, 1));
+  EXPECT_NE(*fs_.Bmap(ino, 1), snapshot_block());
   EXPECT_TRUE(fs_.BlockInUse(old_block));
   EXPECT_EQ(fs_.DiskToken(old_block), old_token);
   EXPECT_NE(*fs_.Bmap(ino, 1), old_block);
@@ -758,34 +759,6 @@ TEST(CowFsDeathTest, ReverseMapRejectsInodePast32Bits) {
   fs.AttachDurableImage(&image);
   EXPECT_DEATH(fs.Mount([](const MountReport&) {}),
                "inode 4294967301 page 0 is past the reverse map's 2\\^32 limit");
-}
-
-// Late FS emits (fsck here; checkpoint commits and mount recovery likewise)
-// report into the context the file system was built under, like every other
-// layer, not into whichever scope happens to be current at emit time.
-TEST(CowFsObsTest, FsckReportsIntoConstructionContext) {
-  obs::ObsContext built_under;
-  obs::TraceRing ring(16);
-  built_under.trace.AddSink(&ring);
-  std::unique_ptr<SimRig> rig;
-  std::unique_ptr<CowFs> fs;
-  {
-    obs::ObsScope scope(&built_under);
-    rig = std::make_unique<SimRig>(10'000);
-    fs = std::make_unique<CowFs>(&rig->loop, &rig->device, /*cache_pages=*/16);
-    ASSERT_TRUE(fs->PopulateFile("/f", 4 * kPageSize).ok());
-  }
-  obs::ObsContext later;
-  obs::ObsScope later_scope(&later);
-  ring.Clear();
-  FsckReport report = fs->CheckConsistency();
-  EXPECT_TRUE(report.clean());
-  int fsck_events = 0;
-  ring.ForEach([&](const obs::TraceEvent& e) {
-    fsck_events += e.kind == obs::TraceKind::kFsckRan ? 1 : 0;
-  });
-  EXPECT_EQ(fsck_events, 1);
-  EXPECT_EQ(later.trace.events_emitted(), 0u);
 }
 
 }  // namespace

@@ -41,9 +41,6 @@ class DuetCoreTest : public ::testing::Test {
     }
   }
 
-  // Declared first: the whole stack reports into this test's own context.
-  obs::ObsContext ctx_;
-  obs::ObsScope scope_{&ctx_};
   SimRig rig_;
   CowFs fs_;
   DuetCore duet_;
@@ -121,10 +118,10 @@ TEST_F(DuetCoreTest, FileTaskIgnoresFilesOutsideRegisteredDir) {
     EXPECT_EQ(item.id, inside);
   }
   // Irrelevant files are marked done so the path walk happens only once.
-  uint64_t checks = ctx_.metrics.CounterValue("duet.relevance_checks");
+  uint64_t checks = rig_.obs.metrics.CounterValue("duet.relevance_checks");
   EXPECT_GT(checks, 0u);
   ReadSync(outside, 0, 2 * kPageSize);
-  EXPECT_EQ(ctx_.metrics.CounterValue("duet.relevance_checks"), checks);
+  EXPECT_EQ(rig_.obs.metrics.CounterValue("duet.relevance_checks"), checks);
 }
 
 TEST_F(DuetCoreTest, InitialScanReportsPreexistingPages) {
@@ -372,14 +369,15 @@ TEST_F(DuetCoreTest, DirectoryRenameResetsUnprocessedFiles) {
 TEST_F(DuetCoreTest, DescriptorLimitDropsEventOnlySessions) {
   DuetConfig config;
   config.max_pending_per_session = 4;
-  obs::ObsContext limited_obs;
-  obs::ObsScope limited_scope(&limited_obs);
+  // `limited` shares the stack's context with duet_, which has no session
+  // and so drops nothing: the counter's growth is limited's drops.
   DuetCore limited(&fs_, config);
+  uint64_t dropped_before = rig_.obs.metrics.CounterValue("duet.events.dropped");
   InodeNo ino = MakeFile("/big", 16);
   SessionId sid = *limited.RegisterBlockTask(kDuetPageAdded);
   ReadSync(ino, 0, 16 * kPageSize);
   EXPECT_LE(limited.PendingCount(sid), 4u);
-  EXPECT_GT(limited_obs.metrics.CounterValue("duet.events.dropped"), 0u);
+  EXPECT_GT(rig_.obs.metrics.CounterValue("duet.events.dropped"), dropped_before);
   std::vector<DuetItem> items;
   while (true) {
     auto batch = limited.Fetch(sid, 64);
@@ -395,9 +393,8 @@ TEST_F(DuetCoreTest, DescriptorLimitDropsEventOnlySessions) {
 TEST_F(DuetCoreTest, StateSessionsAreNotSubjectToDropLimit) {
   DuetConfig config;
   config.max_pending_per_session = 4;
-  obs::ObsContext limited_obs;
-  obs::ObsScope limited_scope(&limited_obs);
   DuetCore limited(&fs_, config);
+  uint64_t dropped_before = rig_.obs.metrics.CounterValue("duet.events.dropped");
   InodeNo ino = MakeFile("/big", 16);
   SessionId sid = *limited.RegisterBlockTask(kDuetPageExists);
   ReadSync(ino, 0, 16 * kPageSize);
@@ -411,7 +408,7 @@ TEST_F(DuetCoreTest, StateSessionsAreNotSubjectToDropLimit) {
     fetched += batch->size();
   }
   EXPECT_EQ(fetched, 16u);
-  EXPECT_EQ(limited_obs.metrics.CounterValue("duet.events.dropped"), 0u);
+  EXPECT_EQ(rig_.obs.metrics.CounterValue("duet.events.dropped"), dropped_before);
 }
 
 TEST_F(DuetCoreTest, DescriptorsFreeOnceUpToDateAndEvicted) {
@@ -456,8 +453,8 @@ TEST_F(DuetCoreTest, DoneItemDescriptorsLeaveWithTheirPages) {
   ASSERT_TRUE(fs_.DeleteFile(ino).ok());
   EXPECT_TRUE(FetchAll(sid).empty());
   EXPECT_EQ(duet_.descriptor_count(), 0u);
-  EXPECT_EQ(ctx_.metrics.FindGauge("duet.desc.live")->value(), 0);
-  EXPECT_EQ(ctx_.metrics.FindGauge("duet.desc.peak")->value(), 4);
+  EXPECT_EQ(rig_.obs.metrics.FindGauge("duet.desc.live")->value(), 0);
+  EXPECT_EQ(rig_.obs.metrics.FindGauge("duet.desc.peak")->value(), 4);
 }
 
 // A done page that is evicted and then overwritten moves to a fresh block

@@ -47,11 +47,8 @@ class FaultInjectionTest : public ::testing::Test {
     scrub_checksum_errors_ = scrub.checksum_errors();
   }
 
-  uint64_t Count(const char* name) const { return ctx_.metrics.CounterValue(name); }
+  uint64_t Count(const char* name) const { return rig_.obs.metrics.CounterValue(name); }
 
-  // Declared first: the stack and injector report into this test's context.
-  obs::ObsContext ctx_;
-  obs::ObsScope scope_{&ctx_};
   SimRig rig_;
   CowFs fs_;
   std::unique_ptr<FaultInjector> injector_;
@@ -74,9 +71,9 @@ TEST_F(FaultInjectionTest, LatentErrorDetectedAndRepairedByScrub) {
   EXPECT_EQ(Count("fault.detected"), 1u);
   EXPECT_EQ(Count("fault.repaired"), 1u);  // the injected fault became "repaired"
   EXPECT_EQ(Count("fault.unrecoverable"), 0u);
-  EXPECT_EQ(UndetectedFaults(ctx_.metrics.Snapshot()), 0u);
+  EXPECT_EQ(UndetectedFaults(rig_.obs.metrics.Snapshot()), 0u);
   EXPECT_GT(Count("fault.read_errors"), 0u);
-  EXPECT_GT(MeanTimeToDetectSeconds(ctx_.metrics.Snapshot()), 0.0);
+  EXPECT_GT(MeanTimeToDetectSeconds(rig_.obs.metrics.Snapshot()), 0.0);
   EXPECT_EQ(scrub_repaired_, 1u);
   EXPECT_EQ(scrub_read_errors_, 1u);
   EXPECT_FALSE(injector_->HasActiveFault(victim));

@@ -37,10 +37,15 @@ template <typename Fs>
 class BlockStoreTest : public ::testing::Test {
  protected:
   BlockStoreTest() {
-    ctx_.trace.AddSink(&ring_);
-    rig_ = std::make_unique<SimRig>(kCapacity, Micros(100));
-    fs_ = MakeFs<Fs>(rig_.get());
+    BuildStack();
     ino_ = *fs_->PopulateFile("/f", kPages * kPageSize);
+  }
+
+  // A fresh stack whose context traces into `ring_`.
+  void BuildStack() {
+    rig_ = std::make_unique<SimRig>(kCapacity, Micros(100));
+    rig_->obs.trace.AddSink(&ring_);
+    fs_ = MakeFs<Fs>(rig_.get());
   }
 
   // The last traced event of `kind`, if any.
@@ -71,8 +76,7 @@ class BlockStoreTest : public ::testing::Test {
     rig_.reset();
     image_.Thaw();
     ring_.Clear();
-    rig_ = std::make_unique<SimRig>(kCapacity, Micros(100));
-    fs_ = MakeFs<Fs>(rig_.get());
+    BuildStack();
     fs_->AttachDurableImage(&image_);
     MountReport report;
     bool mounted = false;
@@ -103,16 +107,14 @@ class BlockStoreTest : public ::testing::Test {
   // injector saw its fault detected, and fsck counts it.
   void ExpectDetected(BlockNo victim, uint64_t reads) {
     EXPECT_EQ(fs_->checksum_errors_detected(), reads);
-    EXPECT_EQ(ctx_.metrics.CounterValue("fault.detected"), 1u);
+    EXPECT_EQ(rig_->obs.metrics.CounterValue("fault.detected"), 1u);
     FsckReport fsck = fs_->CheckConsistency();
     EXPECT_EQ(fsck.structural_errors, 0u);
     EXPECT_EQ(fsck.checksum_errors, 1u);
     EXPECT_EQ(fsck.first_bad_block, victim);
   }
 
-  // Declared first: the stack reports into this test's context.
-  obs::ObsContext ctx_;
-  obs::ObsScope scope_{&ctx_};
+  // Declared before the stack, which traces into it.
   obs::TraceRing ring_{1 << 16};
   DurableImage image_{kCapacity};
   std::unique_ptr<SimRig> rig_;

@@ -255,8 +255,6 @@ TEST(IntegrationStackTest, LogFsSurvivesChurnAndCleaning) {
 // with its page, Duet saw every cache event, and every workload op is
 // accounted for.
 TEST(IntegrationStackTest, MetricsConservationLawsAtQuiescence) {
-  obs::ObsContext ctx;
-  obs::ObsScope scope(&ctx);
   Rng rng(303);
   SimRig rig(200'000, Micros(50));
   // Small cache so eviction paths run during the churn.
@@ -316,7 +314,7 @@ TEST(IntegrationStackTest, MetricsConservationLawsAtQuiescence) {
   rig.loop.Run();
   ASSERT_EQ(fs.cache().DirtyCount(), 0u);
 
-  obs::MetricsSnapshot snap = ctx.metrics.Snapshot();
+  obs::MetricsSnapshot snap = rig.obs.metrics.Snapshot();
   // Page conservation: every page ever added was removed or is resident.
   EXPECT_EQ(snap.Value("cache.added"),
             snap.Value("cache.removed") + fs.cache().PageCount());
@@ -533,8 +531,6 @@ TEST(IntegrationStackTest, LogFsInvariantsHoldAfterCrashRecovery) {
 TEST(IntegrationStackTest, DeterministicEndToEnd) {
   // The same seed must produce bit-identical stack state.
   auto run = [](uint64_t seed) {
-    obs::ObsContext ctx;
-    obs::ObsScope scope(&ctx);
     Rng rng(seed);
     SimRig rig(200'000, Micros(50));
     CowFs fs(&rig.loop, &rig.device, 128);
@@ -556,7 +552,7 @@ TEST(IntegrationStackTest, DeterministicEndToEnd) {
     auto items = duet.Fetch(sid, 1 << 20);
     uint64_t signature = rig.loop.now() ^ (items.ok() ? items->size() : 0) ^
                          fs.allocated_blocks() ^ fs.cache().PageCount() ^
-                         ctx.metrics.CounterValue("duet.hooks");
+                         rig.obs.metrics.CounterValue("duet.hooks");
     return signature;
   };
   EXPECT_EQ(run(7), run(7));

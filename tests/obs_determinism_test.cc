@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include "src/harness/crash_rig.h"
+#include "src/harness/rig.h"
 #include "src/harness/runner.h"
 #include "src/obs/obs.h"
+#include "src/tasks/scrubber.h"
 
 namespace duet {
 namespace {
@@ -96,15 +98,9 @@ TEST(GoldenTraceTest, CrashRecoveryReplaysByteIdentical) {
     config.crash_at_time = Millis(333);
 
     obs::ObsContext a;
-    {
-      obs::ObsScope scope(&a);
-      RunCrashRecovery(config);
-    }
+    RunCrashRecovery(config, &a);
     obs::ObsContext b;
-    {
-      obs::ObsScope scope(&b);
-      RunCrashRecovery(config);
-    }
+    RunCrashRecovery(config, &b);
     EXPECT_NE(a.trace.Fingerprint(), obs::Tracer::kFnvOffset);  // events flowed
     EXPECT_EQ(a.trace.Fingerprint(), b.trace.Fingerprint());
     obs::MetricsSnapshot sa = a.metrics.Snapshot();
@@ -116,10 +112,7 @@ TEST(GoldenTraceTest, CrashRecoveryReplaysByteIdentical) {
     // sensitive, not vacuously stable.
     config.seed = 78;
     obs::ObsContext c;
-    {
-      obs::ObsScope scope(&c);
-      RunCrashRecovery(config);
-    }
+    RunCrashRecovery(config, &c);
     EXPECT_NE(c.trace.Fingerprint(), a.trace.Fingerprint());
   }
 }
@@ -138,6 +131,91 @@ TEST(GoldenTraceTest, RsyncAndGcRunnersAreDeterministic) {
   RunGc(stack, /*use_duet=*/true, 42, /*ops_per_sec=*/40, /*skewed=*/false, &d);
   EXPECT_EQ(c.trace.Fingerprint(), d.trace.Fingerprint());
   EXPECT_NE(c.trace.Fingerprint(), obs::Tracer::kFnvOffset);  // events flowed
+}
+
+// One cowfs stack with a Duet scrubber under a fixed-rate workload, built on
+// `obs`; `seed` picks the workload.
+struct ScrubStack {
+  ScrubStack(obs::ObsContext& obs, uint64_t seed)
+      : rig(TinyStack(),
+            MakeWorkloadConfig(TinyStack(), Personality::kWebserver, /*coverage=*/0.5,
+                               /*skewed=*/false, /*ops_per_sec=*/40, seed),
+            obs),
+        scrub(&rig.fs(), &rig.duet(), ScrubberConfig{.use_duet = true}) {
+    scrub.Start();
+    rig.workload().Start();
+  }
+  // Stops the run and checks the file system: fsck emits after the run, so
+  // it shows where a stack's late events go.
+  void Finish() {
+    rig.workload().Stop();
+    scrub.Stop();
+    EXPECT_TRUE(rig.fs().CheckConsistency().clean());
+  }
+
+  CowRig rig;
+  Scrubber scrub;
+};
+
+constexpr SimDuration kSlice = Millis(250);
+constexpr SimDuration kRun = Seconds(2);
+
+struct Report {
+  uint64_t fingerprint;
+  obs::MetricsSnapshot metrics;
+};
+
+Report SoloRun(uint64_t seed) {
+  obs::ObsContext obs;
+  {
+    ScrubStack stack(obs, seed);
+    stack.rig.loop().RunUntil(kRun);
+    stack.Finish();
+  }
+  return Report{obs.trace.Fingerprint(), obs.metrics.Snapshot()};
+}
+
+// Two stacks with their own contexts, run in interleaved slices on one thread
+// while an unrelated ambient scope stays open the whole time: each reports
+// exactly what it reports alone, and the ambient context receives nothing.
+TEST(ObsIsolationTest, InterleavedStacksReportOnlyIntoTheirOwnContexts) {
+  Report solo_a = SoloRun(42);
+  Report solo_b = SoloRun(43);
+  ASSERT_NE(solo_a.fingerprint, solo_b.fingerprint);  // the stacks differ
+
+  obs::ObsContext ambient;
+  obs::ObsScope scope(&ambient);
+  obs::TraceRing ring(1 << 16);
+  obs::ObsContext a;
+  obs::ObsContext b;
+  a.trace.AddSink(&ring);
+  {
+    ScrubStack stack_a(a, 42);
+    ScrubStack stack_b(b, 43);
+    for (SimTime t = kSlice; t <= kRun; t += kSlice) {
+      stack_a.rig.loop().RunUntil(t);
+      stack_b.rig.loop().RunUntil(t);
+    }
+    ring.Clear();
+    stack_a.Finish();
+    stack_b.Finish();
+  }
+  int fsck_events = 0;
+  ring.ForEach([&](const obs::TraceEvent& e) {
+    fsck_events += e.kind == obs::TraceKind::kFsckRan ? 1 : 0;
+  });
+  EXPECT_EQ(fsck_events, 1);  // A's fsck only, into A's context
+
+  EXPECT_EQ(a.trace.Fingerprint(), solo_a.fingerprint);
+  EXPECT_EQ(b.trace.Fingerprint(), solo_b.fingerprint);
+  obs::MetricsSnapshot snap_a = a.metrics.Snapshot();
+  obs::MetricsSnapshot snap_b = b.metrics.Snapshot();
+  EXPECT_EQ(snap_a.counters, solo_a.metrics.counters);
+  EXPECT_EQ(snap_a.gauges, solo_a.metrics.gauges);
+  EXPECT_EQ(snap_b.counters, solo_b.metrics.counters);
+  EXPECT_EQ(snap_b.gauges, solo_b.metrics.gauges);
+  EXPECT_EQ(ambient.trace.events_emitted(), 0u);
+  EXPECT_EQ(ambient.metrics.metric_count(), 0u);
 }
 
 }  // namespace

@@ -8,7 +8,8 @@ namespace duet {
 namespace {
 
 TEST(EventLoopTest, RunsEventsInTimeOrder) {
-  EventLoop loop;
+  obs::ObsContext obs;
+  EventLoop loop(obs);
   std::vector<int> order;
   loop.ScheduleAt(Millis(30), [&] { order.push_back(3); });
   loop.ScheduleAt(Millis(10), [&] { order.push_back(1); });
@@ -19,7 +20,8 @@ TEST(EventLoopTest, RunsEventsInTimeOrder) {
 }
 
 TEST(EventLoopTest, SameTimeEventsRunFifo) {
-  EventLoop loop;
+  obs::ObsContext obs;
+  EventLoop loop(obs);
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
     loop.ScheduleAt(Millis(5), [&order, i] { order.push_back(i); });
@@ -29,7 +31,8 @@ TEST(EventLoopTest, SameTimeEventsRunFifo) {
 }
 
 TEST(EventLoopTest, ScheduleAfterUsesCurrentTime) {
-  EventLoop loop;
+  obs::ObsContext obs;
+  EventLoop loop(obs);
   SimTime fired_at = 0;
   loop.ScheduleAt(Millis(10), [&] {
     loop.ScheduleAfter(Millis(5), [&] { fired_at = loop.now(); });
@@ -39,7 +42,8 @@ TEST(EventLoopTest, ScheduleAfterUsesCurrentTime) {
 }
 
 TEST(EventLoopTest, PastTimesClampToNow) {
-  EventLoop loop;
+  obs::ObsContext obs;
+  EventLoop loop(obs);
   SimTime fired_at = 1;
   loop.ScheduleAt(Millis(10), [&] {
     loop.ScheduleAt(Millis(1), [&] { fired_at = loop.now(); });
@@ -49,7 +53,8 @@ TEST(EventLoopTest, PastTimesClampToNow) {
 }
 
 TEST(EventLoopTest, CancelPreventsExecution) {
-  EventLoop loop;
+  obs::ObsContext obs;
+  EventLoop loop(obs);
   bool ran = false;
   EventId id = loop.ScheduleAt(Millis(10), [&] { ran = true; });
   EXPECT_TRUE(loop.Cancel(id));
@@ -60,14 +65,16 @@ TEST(EventLoopTest, CancelPreventsExecution) {
 }
 
 TEST(EventLoopTest, CancelAfterRunFails) {
-  EventLoop loop;
+  obs::ObsContext obs;
+  EventLoop loop(obs);
   EventId id = loop.ScheduleAt(Millis(1), [] {});
   loop.Run();
   EXPECT_FALSE(loop.Cancel(id));
 }
 
 TEST(EventLoopTest, RunUntilStopsAtDeadline) {
-  EventLoop loop;
+  obs::ObsContext obs;
+  EventLoop loop(obs);
   std::vector<int> order;
   loop.ScheduleAt(Millis(10), [&] { order.push_back(1); });
   loop.ScheduleAt(Millis(30), [&] { order.push_back(2); });
@@ -79,7 +86,8 @@ TEST(EventLoopTest, RunUntilStopsAtDeadline) {
 }
 
 TEST(EventLoopTest, RunUntilAdvancesClockWhenIdle) {
-  EventLoop loop;
+  obs::ObsContext obs;
+  EventLoop loop(obs);
   loop.RunUntil(Seconds(5));
   EXPECT_EQ(loop.now(), Seconds(5));
 }
@@ -87,7 +95,8 @@ TEST(EventLoopTest, RunUntilAdvancesClockWhenIdle) {
 TEST(EventLoopTest, RunUntilSkipsCancelledHead) {
   // Regression: a cancelled event at the heap top must not let an event past
   // the deadline run.
-  EventLoop loop;
+  obs::ObsContext obs;
+  EventLoop loop(obs);
   bool late_ran = false;
   EventId head = loop.ScheduleAt(Millis(10), [] {});
   loop.ScheduleAt(Millis(100), [&] { late_ran = true; });
@@ -98,7 +107,8 @@ TEST(EventLoopTest, RunUntilSkipsCancelledHead) {
 }
 
 TEST(EventLoopTest, PendingCountTracksCancellation) {
-  EventLoop loop;
+  obs::ObsContext obs;
+  EventLoop loop(obs);
   EventId a = loop.ScheduleAt(Millis(1), [] {});
   loop.ScheduleAt(Millis(2), [] {});
   EXPECT_EQ(loop.pending_count(), 2u);
@@ -110,7 +120,8 @@ TEST(EventLoopTest, PendingCountTracksCancellation) {
 }
 
 TEST(EventLoopTest, EventsCanScheduleChains) {
-  EventLoop loop;
+  obs::ObsContext obs;
+  EventLoop loop(obs);
   int count = 0;
   std::function<void()> tick = [&] {
     if (++count < 10) {

@@ -31,9 +31,12 @@ class FixedLatencyModel : public DiskModel {
 struct SimRig {
   explicit SimRig(uint64_t capacity_blocks = 1'000'000,
                   SimDuration latency = Millis(1))
-      : device(&loop, std::make_unique<FixedLatencyModel>(latency, capacity_blocks),
+      : loop(obs),
+        device(&loop, std::make_unique<FixedLatencyModel>(latency, capacity_blocks),
                std::make_unique<CfqScheduler>(Millis(2))) {}
 
+  // Everything built on `loop` reports into `obs`.
+  obs::ObsContext obs;
   EventLoop loop;
   BlockDevice device;
 };

@@ -23,9 +23,6 @@ class BackupTest : public ::testing::Test {
     }
   }
 
-  // Duet's counters go to this test's own registry.
-  obs::ObsContext ctx_;
-  obs::ObsScope scope_{&ctx_};
   SimRig rig_;
   CowFs fs_;
   DuetCore duet_;
@@ -230,8 +227,8 @@ TEST_F(BackupTest, DuetMarksBlocksItWillNeverSendDone) {
   EXPECT_TRUE(backup.AllPagesSentOnce());
   EXPECT_EQ(backup.stats().work_done, 4 * 32u);
   EXPECT_EQ(backup.stats().opportunistic_units, 0u);
-  EXPECT_EQ(ctx_.metrics.CounterValue("duet.items.fetched"), 8u);
-  EXPECT_EQ(ctx_.metrics.CounterValue("duet.done.set"), 4 * 32 + 8u);
+  EXPECT_EQ(rig_.obs.metrics.CounterValue("duet.items.fetched"), 8u);
+  EXPECT_EQ(rig_.obs.metrics.CounterValue("duet.done.set"), 4 * 32 + 8u);
 }
 
 }  // namespace

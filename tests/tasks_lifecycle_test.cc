@@ -11,7 +11,6 @@
 #include "src/tasks/defrag_task.h"
 #include "src/tasks/rsync_task.h"
 #include "src/tasks/scrubber.h"
-#include "src/tasks/virus_scanner.h"
 #include "src/util/format.h"
 #include "src/util/rng.h"
 #include "tests/sim_fixture.h"
@@ -78,14 +77,6 @@ struct BackupTraits : EightFiles {
   static void CheckRestarted(Stack& s) { EXPECT_EQ(s.fs.GetSnapshot(1), nullptr); }
 };
 
-struct VirusScanTraits : EightFiles {
-  static std::unique_ptr<VirusScanner> Make(Stack& s, bool use_duet) {
-    VirusScannerConfig config;
-    config.use_duet = use_duet;
-    return std::make_unique<VirusScanner>(&s.fs, &s.duet, config);
-  }
-};
-
 struct RsyncTraits : EightFiles {
   static std::unique_ptr<RsyncTask> Make(Stack& s, bool use_duet) {
     RsyncConfig config;
@@ -116,8 +107,8 @@ void RunToFinish(Stack& s, Task& task) {
 template <typename Traits>
 class TaskRestartTest : public ::testing::Test {};
 
-using RestartableTasks = ::testing::Types<ScrubTraits, BackupTraits, VirusScanTraits,
-                                          RsyncTraits, DefragTraits>;
+using RestartableTasks =
+    ::testing::Types<ScrubTraits, BackupTraits, RsyncTraits, DefragTraits>;
 TYPED_TEST_SUITE(TaskRestartTest, RestartableTasks);
 
 TYPED_TEST(TaskRestartTest, SecondStartMatchesAFreshTask) {
@@ -161,12 +152,12 @@ TEST(TaskRunDeathTest, FullSessionTableAbortsWithMessage) {
         scrub_config.use_duet = true;
         Scrubber scrubber(&s.fs, &s.duet, scrub_config);
         scrubber.Start();
-        VirusScannerConfig scan_config;
-        scan_config.use_duet = true;
-        VirusScanner scanner(&s.fs, &s.duet, scan_config);
-        scanner.Start();
+        DefragConfig defrag_config;
+        defrag_config.use_duet = true;
+        DefragTask defrag(&s.fs, &s.duet, defrag_config);
+        defrag.Start();
       },
-      "task virus_scan: cannot register a Duet session");
+      "task defrag: cannot register a Duet session");
 }
 
 }  // namespace

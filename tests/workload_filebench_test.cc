@@ -24,11 +24,8 @@ class FilebenchTest : public ::testing::Test {
     return config;
   }
 
-  uint64_t Count(const char* name) const { return ctx_.metrics.CounterValue(name); }
+  uint64_t Count(const char* name) const { return rig_.obs.metrics.CounterValue(name); }
 
-  // Declared first: each test's workload reports into its own context.
-  obs::ObsContext ctx_;
-  obs::ObsScope scope_{&ctx_};
   SimRig rig_;
 };
 
@@ -137,8 +134,6 @@ TEST_F(FilebenchTest, ThrottledRunsUseLessDevice) {
 TEST_F(FilebenchTest, DeterministicForSameSeed) {
   uint64_t completed[2];
   for (int trial = 0; trial < 2; ++trial) {
-    obs::ObsContext ctx;
-    obs::ObsScope scope(&ctx);
     SimRig rig(2'000'000, Micros(200));
     CowFs fs(&rig.loop, &rig.device, 1024);
     FilebenchWorkload wl(&fs, BaseConfig(Personality::kFileserver));
@@ -146,7 +141,7 @@ TEST_F(FilebenchTest, DeterministicForSameSeed) {
     wl.Start();
     rig.loop.RunUntil(Seconds(30));
     wl.Stop();
-    completed[trial] = ctx.metrics.CounterValue("workload.ops.completed");
+    completed[trial] = rig.obs.metrics.CounterValue("workload.ops.completed");
   }
   EXPECT_EQ(completed[0], completed[1]);
 }
@@ -156,8 +151,6 @@ TEST_F(FilebenchTest, SkewedPickerConcentratesAccesses) {
   // budget and compare how many distinct files each touches.
   uint64_t touched[2] = {0, 0};
   for (int trial = 0; trial < 2; ++trial) {
-    obs::ObsContext ctx;
-    obs::ObsScope scope(&ctx);
     SimRig rig(2'000'000, Micros(200));
     CowFs fs(&rig.loop, &rig.device, 8192);
     WorkloadConfig config = BaseConfig(Personality::kWebserver);
@@ -174,7 +167,7 @@ TEST_F(FilebenchTest, SkewedPickerConcentratesAccesses) {
       }
       return true;
     });
-    EXPECT_GT(ctx.metrics.CounterValue("workload.ops.completed"), 200u);
+    EXPECT_GT(rig.obs.metrics.CounterValue("workload.ops.completed"), 200u);
   }
   // The skewed (MS-trace-like, Fig. 1) picker concentrates accesses on far
   // fewer files than the uniform default.
@@ -211,11 +204,9 @@ struct PacedRun {
 // then on for `tail` more, past where a held-back op issues.
 PacedRun RunPaced(double rate, std::vector<double> watch, SimDuration window,
                   SimDuration tail = 0) {
-  obs::ObsContext ctx;
-  obs::ObsScope scope(&ctx);
   HeldBackSink sink;
-  ctx.trace.AddSink(&sink);
   SimRig rig(200'000, Millis(5));
+  rig.obs.trace.AddSink(&sink);
   CowFs fs(&rig.loop, &rig.device, 64);
   WorkloadConfig config;
   config.personality = Personality::kWebserver;
@@ -231,13 +222,12 @@ PacedRun RunPaced(double rate, std::vector<double> watch, SimDuration window,
   wl.Start();
   rig.loop.RunUntil(window);
   PacedRun run;
-  run.fingerprint = ctx.trace.Fingerprint();
+  run.fingerprint = rig.obs.trace.Fingerprint();
   run.busy = rig.device.stats().busy[static_cast<int>(IoClass::kBestEffort)];
   run.unpaced = wl.unpaced_watched_rates();
   rig.loop.RunUntil(window + tail);
   wl.Stop();
   run.first_held_back_after = sink.first_held_back_after();
-  ctx.trace.RemoveSink(&sink);
   return run;
 }
 

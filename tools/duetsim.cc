@@ -278,9 +278,9 @@ int main(int argc, char** argv) {
   };
 
   if (run_crash) {
-    // Crash-recovery mode: the rig builds its own tiny stacks, so it only
-    // needs the observability context installed around it — the trace and
-    // metrics cover the workload, the crash, the remount, and the replay.
+    // Crash-recovery mode: the rig builds its own tiny stacks over the
+    // observability context — the trace and metrics cover the workload, the
+    // crash, the remount, and the replay.
     printf("duetsim: crash recovery on %s, seed %llu, crash at %s%llu%s\n\n",
            crash_config.fs == CrashFsKind::kCow ? "cowfs" : "logfs",
            static_cast<unsigned long long>(crash_config.seed),
@@ -290,8 +290,7 @@ int main(int argc, char** argv) {
                : static_cast<unsigned long long>(crash_config.crash_at_time /
                                                  kMillisecond),
            crash_config.crash_at_op != 0 ? "" : " ms");
-    obs::ObsScope scope(&obs_ctx);
-    CrashRunResult r = RunCrashRecovery(crash_config);
+    CrashRunResult r = RunCrashRecovery(crash_config, &obs_ctx);
     printf("workload: %llu writes issued, %llu syncs, %llu checkpoints; %s "
            "after %llu device ops\n",
            static_cast<unsigned long long>(r.writes_issued),
