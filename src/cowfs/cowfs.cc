@@ -51,22 +51,6 @@ uint64_t CowFs::MetadataMemoryBytes() const {
   return bytes;
 }
 
-Result<BlockNo> CowFs::AllocBlock(BlockNo hint) {
-  if (hint >= capacity_blocks()) {
-    hint = 0;
-  }
-  std::optional<BlockNo> found = NextAllocatable(hint);
-  if (!found.has_value()) {
-    found = NextAllocatable(0);
-  }
-  if (!found.has_value()) {
-    return Status(StatusCode::kNoSpace, "cowfs full");
-  }
-  MarkInUse(*found);
-  alloc_cursor_ = *found + 1;
-  return *found;
-}
-
 void CowFs::Incref(BlockNo block) {
   assert(BlockInUse(block));
   ++refcount_[block];
@@ -101,16 +85,17 @@ Result<BlockNo> CowFs::AllocateForWrite(InodeNo ino, PageIdx idx, BlockNo old_bl
       hint = *prev + 1;
     }
   }
-  Result<BlockNo> fresh = AllocBlock(hint);
-  if (!fresh.ok()) {
-    return fresh;
+  std::optional<BlockRun> fresh = TakeRun(hint, 1);
+  if (!fresh.has_value()) {
+    return Status(StatusCode::kNoSpace, "cowfs full");
   }
-  refcount_[*fresh] = 1;
+  alloc_cursor_ = fresh->start + 1;
+  refcount_[fresh->start] = 1;
   if (old_block != kInvalidBlock) {
     Decref(old_block);
   }
-  SetMapping(ino, idx, *fresh);
-  return fresh;
+  SetMapping(ino, idx, fresh->start);
+  return fresh->start;
 }
 
 void CowFs::FreeFileBlocks(InodeNo ino) {
@@ -374,46 +359,6 @@ uint64_t CowFs::ExtentCount(InodeNo ino) const {
   return extents;
 }
 
-Result<std::vector<std::pair<BlockNo, uint32_t>>> CowFs::AllocContiguous(uint64_t n) {
-  std::vector<std::pair<BlockNo, uint32_t>> runs;
-  uint64_t remaining = n;
-  BlockNo scan = alloc_cursor_;
-  bool wrapped = false;
-  while (remaining > 0) {
-    std::optional<BlockNo> next = NextAllocatable(scan);
-    if (!next.has_value()) {
-      if (wrapped) {
-        break;
-      }
-      wrapped = true;
-      scan = 0;
-      continue;
-    }
-    BlockNo run_start = *next;
-    BlockNo run_end = run_start;
-    while (run_end < capacity_blocks() && !BlockInUse(run_end) &&
-           !pinned().Test(run_end) && run_end - run_start < remaining) {
-      ++run_end;
-    }
-    uint32_t len = static_cast<uint32_t>(run_end - run_start);
-    runs.emplace_back(run_start, len);
-    remaining -= len;
-    scan = run_end;
-    if (scan >= capacity_blocks()) {
-      if (wrapped) {
-        break;
-      }
-      wrapped = true;
-      scan = 0;
-    }
-  }
-  if (remaining > 0) {
-    // Roll back: nothing was marked yet (marking happens in the caller).
-    return Status(StatusCode::kNoSpace, "not enough free blocks");
-  }
-  return runs;
-}
-
 void CowFs::DefragFile(InodeNo ino, IoClass io_class,
                        std::function<void(const DefragResult&)> cb) {
   const Inode* inode = ns_.Get(ino);
@@ -453,55 +398,59 @@ void CowFs::DefragFile(InodeNo ino, IoClass io_class,
       }
     }
 
-    // Phase 2: allocate a contiguous destination and move the mapping.
-    Result<std::vector<std::pair<BlockNo, uint32_t>>> runs = AllocContiguous(npages);
-    if (!runs.ok()) {
-      finish(runs.status());
-      return;
-    }
-    // Mark the new blocks in use and remap pages onto them.
-    std::vector<BlockNo> new_blocks;
-    new_blocks.reserve(npages);
-    for (const auto& [start, count] : *runs) {
-      for (BlockNo b = start; b < start + count; ++b) {
-        MarkInUse(b);
-        refcount_[b] = 1;
-        new_blocks.push_back(b);
+    // Phase 2: take the destination next-fit from the cursor, as few runs
+    // as free space allows (the cursor stays where it is), and move the
+    // mapping onto it. When the blocks run out, the runs taken go back.
+    std::vector<BlockRun> runs;
+    BlockNo hint = alloc_cursor_;
+    for (uint64_t taken = 0; taken < npages;) {
+      std::optional<BlockRun> run = TakeRun(hint, npages - taken);
+      if (!run.has_value()) {
+        for (const BlockRun& r : runs) {
+          for (BlockNo b = r.start; b < r.start + r.length; ++b) {
+            MarkFree(b);
+          }
+        }
+        finish(Status(StatusCode::kNoSpace, "not enough free blocks"));
+        return;
       }
+      runs.push_back(*run);
+      taken += run->length;
+      hint = run->start + run->length;
     }
     std::vector<uint64_t> tokens(npages, 0);
-    for (PageIdx p = 0; p < npages; ++p) {
-      BlockNo old_block = kInvalidBlock;
-      if (Result<BlockNo> mapped = Bmap(ino, p); mapped.ok()) {
-        old_block = *mapped;
-      }
-      const CachedPage* page = cache_.Peek(ino, p);
-      // The read above cached every page; a concurrent eviction could drop
-      // one, in which case we fall back to its on-disk content.
-      tokens[p] = (page != nullptr)           ? page->data
-                  : (old_block != kInvalidBlock) ? disk_data_[old_block]
-                                                 : 0;
-      SetMapping(ino, p, new_blocks[p]);
-      if (old_block != kInvalidBlock) {
-        Decref(old_block);
+    PageIdx idx = 0;
+    for (const BlockRun& run : runs) {
+      for (BlockNo b = run.start; b < run.start + run.length; ++b, ++idx) {
+        const BlockNo old_block = BlockOf(ino, idx);
+        const CachedPage* page = cache_.Peek(ino, idx);
+        // The read above cached every page; a concurrent eviction could drop
+        // one, in which case we fall back to its on-disk content.
+        tokens[idx] = (page != nullptr)              ? page->data
+                      : (old_block != kInvalidBlock) ? disk_data_[old_block]
+                                                     : 0;
+        refcount_[b] = 1;
+        SetMapping(ino, idx, b);
+        if (old_block != kInvalidBlock) {
+          Decref(old_block);
+        }
       }
     }
 
     // Phase 3: write the new extent(s) as one transaction.
-    auto outstanding = std::make_shared<uint64_t>(runs->size());
-    uint64_t base_page = 0;
-    for (const auto& [start, count] : *runs) {
+    auto outstanding = std::make_shared<uint64_t>(runs.size());
+    uint64_t first_page = 0;
+    for (const BlockRun& run : runs) {
       IoRequest req;
-      req.block = start;
-      req.count = count;
+      req.block = run.start;
+      req.count = static_cast<uint32_t>(run.length);
       req.dir = IoDir::kWrite;
       req.io_class = io_class;
-      uint64_t first_page = base_page;
-      req.done = [this, ino, start = start, count = count, first_page, tokens, result,
-                  outstanding, finish](const IoResult&) {
-        for (uint32_t k = 0; k < count; ++k) {
+      req.done = [this, ino, run, first_page, tokens, result, outstanding,
+                  finish](const IoResult&) {
+        for (uint64_t k = 0; k < run.length; ++k) {
           PageIdx p = first_page + k;
-          OnBlockFlushed(start + k, tokens[p]);
+          OnBlockFlushed(run.start + k, tokens[p]);
           ++result->pages_written;
           const CachedPage* page = cache_.Peek(ino, p);
           if (page != nullptr && page->dirty && page->data == tokens[p]) {
@@ -513,7 +462,7 @@ void CowFs::DefragFile(InodeNo ino, IoClass io_class,
           finish(Status::Ok());
         }
       };
-      base_page += count;
+      first_page += run.length;
       device_->Submit(std::move(req));
     }
   });
@@ -531,38 +480,22 @@ Status CowFs::PopulatePages(InodeNo ino, uint64_t npages, double break_prob, Rng
   // every file populated afterwards would inherit the fragmentation.
   BlockNo saved_cursor = alloc_cursor_;
   Status status;
-  // Pages go to runs of allocatable blocks, each placed the way AllocBlock
-  // places its first page: next-fit from the cursor, which sits just past
-  // the previous page's block (the hint AllocateForWrite gives a fresh
-  // page). Before each page an aged file draws whether the cursor jumps, so
-  // a jump ends the run and places the next page.
-  bool jumped = false;  // the next page's draw is made and it jumped
+  // Pages are taken next-fit from the cursor, which sits just past the
+  // previous page's block (the hint AllocateForWrite gives a fresh page):
+  // a plain file in runs as long as the free blocks allow. An aged file
+  // draws before each page whether the cursor jumps, so it takes its pages
+  // one at a time.
   for (PageIdx p = 0; p < npages;) {
-    if (!jumped && rng != nullptr && rng->Chance(break_prob)) {
+    if (rng != nullptr && rng->Chance(break_prob)) {
       alloc_cursor_ = rng->Uniform(capacity_blocks());
     }
-    jumped = false;
-    std::optional<BlockNo> start =
-        NextAllocatable(alloc_cursor_ < capacity_blocks() ? alloc_cursor_ : 0);
-    if (!start.has_value()) {
-      start = NextAllocatable(0);
-    }
-    if (!start.has_value()) {
+    std::optional<BlockRun> run = TakeRun(alloc_cursor_, rng != nullptr ? 1 : npages - p);
+    if (!run.has_value()) {
       status = Status(StatusCode::kNoSpace, "cowfs full");
       break;
     }
-    uint64_t length = AllocatableRunLength(*start, npages - p);
-    for (uint64_t k = 1; rng != nullptr && k < length; ++k) {
-      if (rng->Chance(break_prob)) {
-        alloc_cursor_ = rng->Uniform(capacity_blocks());
-        jumped = true;
-        length = k;
-        break;
-      }
-    }
-    MarkRunInUse(*start, length);
-    const RmapEntry last_owner = OwnerEntry(ino, p + length - 1);
-    for (BlockNo b = *start; b < *start + length; ++b, ++p) {
+    const RmapEntry last_owner = OwnerEntry(ino, p + run->length - 1);
+    for (BlockNo b = run->start; b < run->start + run->length; ++b, ++p) {
       refcount_[b] = 1;
       blocks.push_back(b);
       rmap_[b] = RmapEntry{last_owner.ino, static_cast<uint32_t>(p)};
@@ -574,9 +507,7 @@ Status CowFs::PopulatePages(InodeNo ino, uint64_t npages, double break_prob, Rng
         mirror_diverged_.erase(b);
       }
     }
-    if (!jumped) {
-      alloc_cursor_ = *start + length;
-    }
+    alloc_cursor_ = run->start + run->length;
   }
   if (rng != nullptr) {
     alloc_cursor_ = saved_cursor;

@@ -117,11 +117,12 @@ class CowFs : public FileSystem {
  protected:
   Result<BlockNo> AllocateForWrite(InodeNo ino, PageIdx idx, BlockNo old_block) override;
   void FreeFileBlocks(InodeNo ino) override;
-  // Fills runs of contiguous allocatable blocks: one search per run, and
-  // the file map is looked up and sized once. Placement, tokens and draws
-  // are the page-by-page AllocBlock loop's. Aged population breaks extents:
-  // before each page the allocation cursor jumps with probability
-  // `break_prob`, which ends the run, and the cursor is restored afterwards.
+  // Fills runs of contiguous allocatable blocks, one TakeRun per run, and
+  // looks up and sizes the file map once. Placement, tokens and draws are
+  // those of a loop that takes one block per page next-fit from the cursor.
+  // Aged population breaks extents: before each page the cursor jumps with
+  // probability `break_prob`, so such a file takes a page per TakeRun, and
+  // the cursor is restored afterwards.
   Status PopulatePages(InodeNo ino, uint64_t npages, double break_prob, Rng* rng) override;
   void OnBlockFlushed(BlockNo block, uint64_t token) override;
   void InjectCorruption(BlockNo block, bool both_copies) override;
@@ -143,21 +144,20 @@ class CowFs : public FileSystem {
   void RepairNext(std::shared_ptr<RepairJob> job);
   void WriteRepair(std::shared_ptr<RepairJob> job, BlockNo block, uint64_t token);
 
-  // Allocates one free block, next-fit from `hint`. Blocks referenced by the
-  // last committed superblock are skipped even when free (pinned until the
-  // next commit), so rollback never finds its tree overwritten.
-  Result<BlockNo> AllocBlock(BlockNo hint);
-  // Allocates `n` contiguous free blocks; falls back to the longest runs
-  // available. Returns the start blocks of the runs covering n blocks total.
-  Result<std::vector<std::pair<BlockNo, uint32_t>>> AllocContiguous(uint64_t n);
   void Incref(BlockNo block);
   void Decref(BlockNo block);
   // Each block's references from the live files' extent maps and the
   // snapshot tables: what its refcount must be.
   std::vector<uint32_t> CountReferences() const;
 
-  // Block -> reference count (live extent maps plus snapshots): 4 B per
-  // block, which makes cowfs's per-block store 24 B.
+  // Block -> reference count: 4 B per block, which makes cowfs's per-block
+  // store 24 B. The rule fsck checks: a block is in use exactly when a live
+  // file's extent map or a snapshot references it, and its refcount is the
+  // number of those references. Every allocation (AllocateForWrite,
+  // DefragFile, PopulatePages) takes its blocks through TakeRun, which marks
+  // them in use before it returns them, and the caller sets the refcount
+  // and maps them before control returns to the event loop. So no event
+  // ever sees a block handed out twice or a reference change half made.
   std::vector<uint32_t> refcount_;
   // DUP profile: a second physical copy of each block. Repair reads it (one
   // device read) when the primary is corrupt; reading it does not consult

@@ -100,31 +100,41 @@ std::optional<BlockNo> FileSystem::NextAllocatable(BlockNo from) const {
   return w * 64 + static_cast<uint64_t>(std::countr_zero(free));
 }
 
-uint64_t FileSystem::AllocatableRunLength(BlockNo start, uint64_t max) const {
+std::optional<FileSystem::BlockRun> FileSystem::TakeRun(BlockNo hint, uint64_t max_len) {
+  assert(max_len > 0);
+  if (hint >= capacity_blocks()) {
+    hint = 0;
+  }
+  std::optional<BlockNo> start = NextAllocatable(hint);
+  if (!start.has_value() && hint > 0) {
+    // Nothing is allocatable from `hint` on, so this finds one before it.
+    start = NextAllocatable(0);
+  }
+  if (!start.has_value()) {
+    return std::nullopt;
+  }
+  // The run ends at the first taken block; bits past the device's end are
+  // taken, so it stops there too.
   uint64_t length = 0;
-  for (BlockNo b = start; length < max && b < capacity_blocks();) {
-    // Bits past the device's end are taken, so a run stops there.
+  for (BlockNo b = *start; length < max_len && b < capacity_blocks();) {
     const uint64_t offset = b % 64;
-    const uint64_t run = std::min<uint64_t>(
+    const uint64_t free = std::min<uint64_t>(
         static_cast<uint64_t>(std::countr_zero(TakenWord(b / 64) >> offset)), 64 - offset);
-    length += run;
-    if (run < 64 - offset) {
+    length += free;
+    b += free;
+    if (free < 64 - offset) {
       break;
     }
-    b += run;
   }
-  return std::min(length, max);
-}
-
-void FileSystem::MarkRunInUse(BlockNo start, uint64_t count) {
-  assert(count > 0 && AllocatableRunLength(start, count) == count);
-  in_use_.SetRange(start, start + count);
-  allocated_blocks_ += count;
-  for (uint64_t w = start / 64; w <= (start + count - 1) / 64; ++w) {
+  length = std::min(length, max_len);
+  in_use_.SetRange(*start, *start + length);
+  allocated_blocks_ += length;
+  for (uint64_t w = *start / 64; w <= (*start + length - 1) / 64; ++w) {
     if (TakenWord(w) == ~uint64_t{0}) {
       allocatable_words_.Clear(w);
     }
   }
+  return BlockRun{*start, length};
 }
 
 void FileSystem::OnBlockFlushed(BlockNo block, uint64_t token) {

@@ -341,8 +341,6 @@ class FileSystem : public WritebackTarget {
     ++allocated_blocks_;
   }
   void MarkFree(BlockNo block);
-  // MarkInUse over [start, start + count), a run of allocatable blocks.
-  void MarkRunInUse(BlockNo start, uint64_t count);
 
   // Pins: blocks recovery depends on, which neither allocator hands out or
   // rewrites in place. Pin adds one; PinAllInUse pins exactly the blocks in
@@ -356,9 +354,19 @@ class FileSystem : public WritebackTarget {
   // First allocatable block (neither in use nor pinned) at or after `from`,
   // or nullopt. Reads the allocatable index, then one bitmap word.
   std::optional<BlockNo> NextAllocatable(BlockNo from) const;
-  // How many blocks from `start` on are allocatable in a row, at most `max`:
-  // 0 when `start` itself is taken or past the device's end.
-  uint64_t AllocatableRunLength(BlockNo start, uint64_t max) const;
+
+  // Blocks [start, start + length).
+  struct BlockRun {
+    BlockNo start = 0;
+    uint64_t length = 0;
+  };
+  // Takes the first allocatable block found from `hint` to the device's
+  // end, else from block 0 up to `hint` (a hint past the end starts at 0),
+  // with the allocatable blocks after it, at most `max_len` (> 0) in all
+  // and none past the end: marks the run in use and returns it. nullopt
+  // when no block is allocatable. A block it returns is in use, so no later
+  // call returns it again until it is freed.
+  std::optional<BlockRun> TakeRun(BlockNo hint, uint64_t max_len);
 
   const Bitmap& in_use() const { return in_use_; }
   const Bitmap& pinned() const { return pinned_; }

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <utility>
 
 namespace duet {
 
@@ -200,6 +201,23 @@ MaintenanceRunResult RunMaintenance(const MaintenanceRunConfig& config) {
   obs->metrics.GetCounter("tasks.total.done")->Add(total_done);
   result.metrics = obs->metrics.Snapshot();
   result.trace_fingerprint = obs->trace.Fingerprint();
+
+  // End-of-run fsck of the stopped stack. Its trace event is set aside, so
+  // the caller's trace ends where the result's fingerprint does. A fault
+  // run may leave blocks it could not repair, so checksum errors fail only
+  // runs without faults.
+  obs::Tracer reported = std::exchange(obs->trace, obs::Tracer());
+  const FsckReport fsck = rig.fs().CheckConsistency();
+  obs->trace = std::move(reported);
+  if (fsck.structural_errors > 0 || (injector == nullptr && fsck.checksum_errors > 0)) {
+    fprintf(stderr,
+            "RunMaintenance: fsck after the run: %llu structural, %llu checksum "
+            "errors, first bad block %llu\n",
+            static_cast<unsigned long long>(fsck.structural_errors),
+            static_cast<unsigned long long>(fsck.checksum_errors),
+            static_cast<unsigned long long>(fsck.first_bad_block));
+    std::abort();
+  }
   return result;
 }
 

@@ -85,7 +85,9 @@ struct MaintenanceRunResult {
 };
 
 // Runs maintenance task(s) concurrently with the workload for the stack's
-// window. Tasks run at idle I/O priority.
+// window. Tasks run at idle I/O priority. The stopped stack then gets an
+// fsck, which aborts the process with its report on a structural error, or
+// on a checksum error in a run without faults.
 MaintenanceRunResult RunMaintenance(const MaintenanceRunConfig& config);
 
 // The workload a maintenance run builds, at rate 0: what its rate is

@@ -1,8 +1,8 @@
 // Differential test for cowfs's extent-wise population: files populated by
 // CowFs::PopulatePages, one pass per run of allocatable blocks, must land
-// exactly where the page-by-page AllocBlock loop it replaced puts them, with
-// the same tokens, checksums, reverse map, refcounts, cursor and random
-// draws, and leave the allocatable index consistent. Devices vary in size
+// exactly where a page-by-page loop over a circular scan of the bitmaps puts
+// them, with the same tokens, checksums, reverse map, refcounts, cursor and
+// random draws, and leave the allocatable index consistent. Devices vary in size
 // (a partial last word included), files in size and break probability, and
 // blocks taken or pinned beforehand sit at 64-block word edges.
 #include <gtest/gtest.h>
@@ -18,7 +18,9 @@
 
 namespace duet {
 
-// The page-by-page population loop, as cowfs ran it before it filled runs.
+// Page-by-page population: each page takes the first block neither in use
+// nor pinned from the cursor on, wrapping at the device's end, and the
+// cursor moves just past it.
 class PopulateReference {
  public:
   static Status PerPage(CowFs* fs, InodeNo ino, uint64_t npages, double break_prob,
@@ -34,15 +36,23 @@ class PopulateReference {
       if (rng != nullptr && rng->Chance(break_prob)) {
         fs->alloc_cursor_ = rng->Uniform(fs->capacity_blocks());
       }
-      Result<BlockNo> block = fs->AllocBlock(fs->alloc_cursor_);
-      if (!block.ok()) {
-        status = block.status();
+      const uint64_t capacity = fs->capacity_blocks();
+      BlockNo block = fs->alloc_cursor_ < capacity ? fs->alloc_cursor_ : 0;
+      uint64_t looked = 0;
+      while (looked < capacity && (fs->BlockInUse(block) || fs->pinned().Test(block))) {
+        block = (block + 1) % capacity;
+        ++looked;
+      }
+      if (looked == capacity) {
+        status = Status(StatusCode::kNoSpace, "cowfs full");
         break;
       }
-      fs->refcount_[*block] = 1;
-      blocks.push_back(*block);
-      fs->SetOwner(*block, ino, p);
-      fs->OnBlockFlushed(*block, fs->NextToken());
+      fs->MarkInUse(block);
+      fs->alloc_cursor_ = block + 1;
+      fs->refcount_[block] = 1;
+      blocks.push_back(block);
+      fs->SetOwner(block, ino, p);
+      fs->OnBlockFlushed(block, fs->NextToken());
     }
     if (rng != nullptr) {
       fs->alloc_cursor_ = saved_cursor;

@@ -387,6 +387,66 @@ TEST_F(CowFsTest, DefragProducesContiguousFile) {
   }
 }
 
+// A defrag whose destination wraps past the device's end, on a device filled
+// past the allocation cursor: first with fewer free blocks than the file has
+// pages, then with room. Every page keeps a block of its own, the cursor
+// stays put, and fsck stays clean.
+TEST(CowFsDefragTest, DestinationWrapsWithoutSharingABlock) {
+  constexpr uint64_t kCapacity = 1024;
+  SimRig rig(kCapacity);
+  CowFs fs(&rig.loop, &rig.device, /*cache_pages=*/128);
+  Rng rng(5);
+  InodeNo low = *fs.PopulateFile("/low", 20 * kPageSize);  // blocks 0-19
+  InodeNo frag = *fs.PopulateFileAged("/frag", 64 * kPageSize, 1.0, rng);
+  // Leaves the last 30 free blocks after the cursor; deleting /low frees 20
+  // before it.
+  InodeNo fill = *fs.PopulateFile("/fill", (kCapacity - 20 - 64 - 30) * kPageSize);
+  ASSERT_TRUE(fs.DeleteFile(low).ok());
+  ASSERT_EQ(fs.allocated_blocks(), kCapacity - 50);
+  const BlockNo cursor = fs.alloc_cursor();
+  auto defrag = [&] {
+    DefragResult result;
+    bool done = false;
+    fs.DefragFile(frag, IoClass::kIdle, [&](const DefragResult& r) {
+      result = r;
+      done = true;
+    });
+    rig.loop.Run();
+    EXPECT_TRUE(done);
+    return result;
+  };
+  auto expect_own_blocks = [&](const char* step) {
+    std::vector<BlockNo> blocks;
+    for (PageIdx p = 0; p < 64; ++p) {
+      blocks.push_back(*fs.Bmap(frag, p));
+    }
+    std::sort(blocks.begin(), blocks.end());
+    EXPECT_EQ(std::adjacent_find(blocks.begin(), blocks.end()), blocks.end())
+        << step << ": two pages share a block";
+    FsckReport fsck = fs.CheckConsistency();
+    EXPECT_TRUE(fsck.clean()) << step << ": " << fsck.structural_errors
+                              << " structural errors, first bad block "
+                              << fsck.first_bad_block;
+    EXPECT_EQ(fs.alloc_cursor(), cursor) << step;
+  };
+
+  // 50 free blocks for 64 pages: no destination, and nothing moves.
+  DefragResult full = defrag();
+  EXPECT_EQ(full.status.code(), StatusCode::kNoSpace) << full.status.ToString();
+  EXPECT_EQ(fs.allocated_blocks(), kCapacity - 50);
+  expect_own_blocks("no room");
+
+  // With room, the destination runs from the cursor to the device's end,
+  // then on from block 0.
+  ASSERT_TRUE(fs.DeleteFile(fill).ok());
+  DefragResult moved = defrag();
+  ASSERT_TRUE(moved.status.ok()) << moved.status.ToString();
+  EXPECT_EQ(moved.pages_written, 64u);
+  EXPECT_GE(*fs.Bmap(frag, 0), cursor);
+  EXPECT_LT(*fs.Bmap(frag, 63), cursor);
+  expect_own_blocks("room");
+}
+
 TEST_F(CowFsTest, DefragSavesCachedReads) {
   Rng rng(9);
   InodeNo ino = *fs_.PopulateFileAged("/frag", 32 * kPageSize, 0.4, rng);

@@ -1,13 +1,15 @@
 // Differential tests for the block store's allocatable index: after every
 // step of a random sequence of MarkInUse / MarkFree / Pin / PinAllInUse /
 // checkpoint + crash + mount, NextAllocatable(from) must equal a linear scan
-// of a reference model, and fsck must find the index consistent. logfs's
+// of a reference model, and fsck must find the index consistent. TakeRun
+// must take the model's first fit from its hint, wrapping once. logfs's
 // scattered-write pick is compared with the bit-by-bit loop it replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/block/durable_image.h"
@@ -47,6 +49,7 @@ class IndexProbeFs : public FileSystem {
   using FileSystem::NextAllocatable;
   using FileSystem::Pin;
   using FileSystem::PinAllInUse;
+  using FileSystem::TakeRun;
   bool Pinned(BlockNo block) const { return pinned().Test(block); }
 
  protected:
@@ -96,6 +99,25 @@ struct Model {
       table[b] = Allocatable(b) ? std::optional<BlockNo>(b) : table[b + 1];
     }
     return table;
+  }
+  // TakeRun's answer as (start, length): the first allocatable block from
+  // `hint` to the end, else from 0 up to `hint` (0 for a hint past the end),
+  // with the allocatable blocks after it, at most `max_len` and none past
+  // the end.
+  std::optional<std::pair<BlockNo, uint64_t>> FirstFit(BlockNo hint, uint64_t max_len) const {
+    const uint64_t capacity = in_use.size();
+    hint = hint < capacity ? hint : 0;
+    for (uint64_t i = 0; i < capacity; ++i) {
+      const BlockNo b = (hint + i) % capacity;
+      if (Allocatable(b)) {
+        uint64_t length = 1;
+        while (length < max_len && b + length < capacity && Allocatable(b + length)) {
+          ++length;
+        }
+        return std::make_pair(b, length);
+      }
+    }
+    return std::nullopt;
   }
 };
 
@@ -281,6 +303,78 @@ TEST_P(AllocatableIndexTest, RandomSequencesMatchLinearScan) {
     if (HasFatalFailure()) {
       return;
     }
+  }
+}
+
+// TakeRun on a device kept nearly full, with both sides of word edges
+// pinned: most hints sit near the device's end, so most searches wrap, and
+// some lie past it. Room is made only by freeing blocks no run took. Every
+// run must be the model's first fit, allocatable when returned and
+// disjoint from every earlier run.
+TEST_P(AllocatableIndexTest, TakeRunIsFirstFitWithOneWrap) {
+  for (BlockNo edge = 64; edge < capacity_; edge += 64) {
+    if (rng_.Chance(0.5)) {
+      Pin(edge - 1);
+      Pin(edge);
+    }
+  }
+  std::vector<BlockNo> filler;  // blocks in use that no run took
+  for (BlockNo b = 0; b < capacity_; ++b) {
+    if (model_.Allocatable(b) && rng_.Chance(0.9)) {
+      Use(b);
+      filler.push_back(b);
+    }
+  }
+  auto free_filler = [&] {
+    const size_t i = rng_.Uniform(filler.size());
+    Free(filler[i]);
+    filler[i] = filler.back();
+    filler.pop_back();
+  };
+  std::vector<bool> taken(capacity_);
+  uint64_t runs = 0;
+  uint64_t wrapped = 0;
+  for (int step = 0; step < 400; ++step) {
+    const uint64_t where = rng_.Uniform(10);
+    const BlockNo near_end = capacity_ - 1 - rng_.Uniform(std::min<uint64_t>(capacity_, 100));
+    const BlockNo hint = where < 7   ? near_end
+                         : where < 9 ? rng_.Uniform(capacity_)
+                                     : capacity_ + rng_.Uniform(3);
+    const uint64_t max_len = 1 + rng_.Uniform(rng_.Chance(0.5) ? 4 : 150);
+    const auto want = model_.FirstFit(hint, max_len);
+    const auto got = fs_->TakeRun(hint, max_len);
+    ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step << " hint " << hint;
+    if (got.has_value()) {
+      ASSERT_EQ(got->start, want->first) << "step " << step << " hint " << hint;
+      ASSERT_EQ(got->length, want->second) << "step " << step << " hint " << hint;
+      for (BlockNo b = got->start; b < got->start + got->length; ++b) {
+        ASSERT_TRUE(model_.Allocatable(b)) << "step " << step << " block " << b;
+        ASSERT_FALSE(taken[b]) << "step " << step << " block " << b;
+        taken[b] = true;
+        model_.in_use[b] = true;
+      }
+      ++runs;
+      wrapped += hint < capacity_ && got->start < hint;
+    }
+    if (!got.has_value() && filler.empty()) {
+      break;  // full, and only runs hold blocks
+    }
+    if (!got.has_value() || rng_.Chance(0.2)) {
+      for (int i = 0; i < 3 && !filler.empty(); ++i) {
+        free_filler();
+      }
+    }
+    if (rng_.Chance(0.05)) {
+      PinAll();
+    }
+    ExpectMatches("take run");
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+  EXPECT_GT(runs, 0u);
+  if (capacity_ > 64) {
+    EXPECT_GT(wrapped, 0u);
   }
 }
 
