@@ -40,15 +40,8 @@ uint64_t CowFs::MirrorToken(BlockNo block) const {
 }
 
 uint64_t CowFs::MetadataMemoryBytes() const {
-  uint64_t bytes = FileSystem::MetadataMemoryBytes() +
-                   refcount_.capacity() * sizeof(uint32_t);
-  if (!mirror_diverged_.empty()) {
-    // One node (entry plus next pointer) per diverged block, and the buckets.
-    bytes += mirror_diverged_.size() *
-                 (sizeof(decltype(mirror_diverged_)::value_type) + sizeof(void*)) +
-             mirror_diverged_.bucket_count() * sizeof(void*);
-  }
-  return bytes;
+  return FileSystem::MetadataMemoryBytes() + refcount_.capacity() * sizeof(uint32_t) +
+         SparseMapBytes(mirror_diverged_);
 }
 
 void CowFs::Incref(BlockNo block) {
@@ -224,7 +217,7 @@ void CowFs::RepairNext(std::shared_ptr<RepairJob> job) {
       continue;
     }
     ++job->result.attempted;
-    const uint32_t want = disk_csum_[block];
+    const uint32_t want = StoredChecksum(block);
 
     // Source 1: a clean cached page whose content matches the stored
     // checksum — repair costs one write, no read.
@@ -253,7 +246,7 @@ void CowFs::RepairNext(std::shared_ptr<RepairJob> job) {
         // token can look intact (the failure is in readability), so the
         // rewrite proceeds whenever the mirror still matches the checksum.
         if (BlockInUse(block) &&
-            TokenChecksum(MirrorToken(block)) == disk_csum_[block]) {
+            TokenChecksum(MirrorToken(block)) == StoredChecksum(block)) {
           ++job->result.repaired_from_mirror;
           WriteRepair(std::move(job), block, MirrorToken(block));
         } else {
@@ -500,9 +493,7 @@ Status CowFs::PopulatePages(InodeNo ino, uint64_t npages, double break_prob, Rng
       blocks.push_back(b);
       rmap_[b] = RmapEntry{last_owner.ino, static_cast<uint32_t>(p)};
       // The content goes straight to disk, mirror and all (OnBlockFlushed).
-      const uint64_t token = NextToken();
-      disk_data_[b] = token;
-      disk_csum_[b] = TokenChecksum(token);
+      StoreToken(b, NextToken());
       if (!mirror_diverged_.empty()) {
         mirror_diverged_.erase(b);
       }
@@ -588,34 +579,36 @@ Status CowFs::RestoreFsState(ByteReader* r, MountReport* report,
 
 std::vector<uint32_t> CowFs::CountReferences() const {
   std::vector<uint32_t> refs(capacity_blocks(), 0);
-  auto count = [&refs](std::span<const BlockNo> blocks) {
-    for (BlockNo block : blocks) {
-      if (block != kInvalidBlock) {
-        ++refs[block];
-      }
-    }
-  };
-  ForEachFileMap([this, &count](InodeNo ino, std::span<const BlockNo> blocks) {
-    const Inode* inode = ns_.Get(ino);
-    if (inode != nullptr && !inode->is_dir()) {  // fsck reports any other map
-      count(blocks);
-    }
-  });
-  for (const auto& [id, snap] : snapshots_) {
-    for (const auto& [ino, file] : snap.files) {
-      count(file.blocks);
-    }
-  }
+  ForEachReference([&refs](BlockNo block) { ++refs[block]; });
   return refs;
 }
 
 void CowFs::CheckFsState(FsckReport* report) const {
-  std::vector<uint32_t> want = CountReferences();
-  for (BlockNo b = 0; b < capacity_blocks(); ++b) {
-    if (want[b] != refcount_[b] || BlockInUse(b) != (want[b] > 0)) {
-      ++report->structural_errors;
-      report->NoteBad(b);
+  auto compare = [this, report](const auto& want) {
+    for (BlockNo b = 0; b < capacity_blocks(); ++b) {
+      if (want[b] != refcount_[b] || BlockInUse(b) != (want[b] > 0)) {
+        ++report->structural_errors;
+        report->NoteBad(b);
+      }
     }
+  };
+  // A block's references are at most one plus the snapshot count, so a byte
+  // per block holds them unless 255 or more snapshots share a block (or the
+  // maps are broken); only then does a byte saturate and the 4 B count run.
+  std::vector<uint8_t> narrow(capacity_blocks(), 0);
+  bool saturated = false;
+  ForEachReference([&narrow, &saturated](BlockNo block) {
+    if (narrow[block] == UINT8_MAX) {
+      saturated = true;
+    } else {
+      ++narrow[block];
+    }
+  });
+  if (saturated) {
+    narrow = {};
+    compare(CountReferences());
+  } else {
+    compare(narrow);
   }
 }
 

@@ -134,6 +134,7 @@ class CowFs : public FileSystem {
                         std::vector<BlockNo>* read_back) override;
   // Every block's reference count must equal its references from the live
   // extent maps and the snapshot tables, and it is in use iff referenced.
+  // Counts in a byte per block, and again in 4 B only when a byte saturates.
   void CheckFsState(FsckReport* report) const override;
 
   // Content of `block`'s DUP mirror copy.
@@ -146,12 +147,37 @@ class CowFs : public FileSystem {
 
   void Incref(BlockNo block);
   void Decref(BlockNo block);
+  // Calls fn(block) once per reference to a block: from each live file's
+  // extent map, then from each snapshot table.
+  template <typename Fn>
+  void ForEachReference(Fn&& fn) const {
+    ForEachFileMap([this, &fn](InodeNo ino, std::span<const BlockNo> blocks) {
+      const Inode* inode = ns_.Get(ino);
+      if (inode == nullptr || inode->is_dir()) {
+        return;  // fsck reports any other map
+      }
+      for (BlockNo block : blocks) {
+        if (block != kInvalidBlock) {
+          fn(block);
+        }
+      }
+    });
+    for (const auto& [id, snap] : snapshots_) {
+      for (const auto& [ino, file] : snap.files) {
+        for (BlockNo block : file.blocks) {
+          if (block != kInvalidBlock) {
+            fn(block);
+          }
+        }
+      }
+    }
+  }
   // Each block's references from the live files' extent maps and the
   // snapshot tables: what its refcount must be.
   std::vector<uint32_t> CountReferences() const;
 
   // Block -> reference count: 4 B per block, which makes cowfs's per-block
-  // store 24 B. The rule fsck checks: a block is in use exactly when a live
+  // store 20 B. The rule fsck checks: a block is in use exactly when a live
   // file's extent map or a snapshot references it, and its refcount is the
   // number of those references. Every allocation (AllocateForWrite,
   // DefragFile, PopulatePages) takes its blocks through TakeRun, which marks
@@ -159,6 +185,9 @@ class CowFs : public FileSystem {
   // and maps them before control returns to the event loop. So no event
   // ever sees a block handed out twice or a reference change half made.
   std::vector<uint32_t> refcount_;
+  // Tests plant a wrong refcount through it to check that fsck reports it
+  // on both of its counts.
+  friend class RefcountTestPeer;
   // DUP profile: a second physical copy of each block. Repair reads it (one
   // device read) when the primary is corrupt; reading it does not consult
   // the fault injector since it lives at a different physical location.

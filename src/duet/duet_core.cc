@@ -517,17 +517,6 @@ Result<std::vector<DuetItem>> DuetCore::Fetch(SessionId sid, size_t max_items) {
   return items;
 }
 
-bool DuetCore::CheckDone(SessionId sid, uint64_t item_id) const {
-  if (sid >= config_.max_sessions || !sessions_[sid].active) {
-    return false;
-  }
-  const Session& s = sessions_[sid];
-  if (item_id >= s.done.size()) {
-    return false;
-  }
-  return s.done.Test(item_id);
-}
-
 Status DuetCore::SetDone(SessionId sid, uint64_t item_id) {
   if (sid >= config_.max_sessions || !sessions_[sid].active) {
     return Status(StatusCode::kNotFound, "no such session");

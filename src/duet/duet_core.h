@@ -104,8 +104,15 @@ class DuetCore : public PageEventListener, public VfsObserver {
   Result<std::vector<DuetItem>> Fetch(SessionId sid, size_t max_items);
 
   // Work tracking (done bitmap): item_id is a block number for block tasks
-  // and an inode number for file tasks.
-  bool CheckDone(SessionId sid, uint64_t item_id) const;
+  // and an inode number for file tasks. CheckDone is inline: the scrubber asks
+  // it for every item it fetches and every block its sweep passes.
+  bool CheckDone(SessionId sid, uint64_t item_id) const {
+    if (sid >= config_.max_sessions || !sessions_[sid].active) {
+      return false;
+    }
+    const Session& s = sessions_[sid];
+    return item_id < s.done.size() && s.done.Test(item_id);
+  }
   Status SetDone(SessionId sid, uint64_t item_id);
   Status UnsetDone(SessionId sid, uint64_t item_id);
 

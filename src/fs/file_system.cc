@@ -17,10 +17,9 @@ namespace duet {
 FileSystem::FileSystem(EventLoop* loop, BlockDevice* device, uint64_t cache_pages,
                        WritebackParams wb_params, std::string checkpoint_slot)
     : rmap_(device->capacity_blocks()),
+      // A fresh device holds token 0 everywhere, stored with its own
+      // checksum, so an allocated-but-never-flushed block reads clean.
       disk_data_(device->capacity_blocks(), 0),
-      // A fresh device holds token 0 everywhere; checksums must agree, or
-      // every allocated-but-never-flushed block would read as corrupt.
-      disk_csum_(device->capacity_blocks(), TokenChecksum(0)),
       loop_(loop),
       device_(device),
       obs_(&loop->obs()),
@@ -38,8 +37,13 @@ uint32_t FileSystem::TokenChecksum(uint64_t token) {
   return Crc32c(&token, sizeof(token));
 }
 
-bool FileSystem::BlockChecksumOk(BlockNo block) const {
-  return disk_csum_[block] == TokenChecksum(disk_data_[block]);
+uint32_t FileSystem::StoredChecksum(BlockNo block) const {
+  if (!csum_diverged_.empty()) {
+    if (auto it = csum_diverged_.find(block); it != csum_diverged_.end()) {
+      return it->second;
+    }
+  }
+  return TokenChecksum(disk_data_[block]);
 }
 
 Status FileSystem::VerifyBlock(BlockNo block) {
@@ -138,12 +142,17 @@ std::optional<FileSystem::BlockRun> FileSystem::TakeRun(BlockNo hint, uint64_t m
 }
 
 void FileSystem::OnBlockFlushed(BlockNo block, uint64_t token) {
-  disk_data_[block] = token;
-  disk_csum_[block] = TokenChecksum(token);
+  StoreToken(block, token);
 }
 
 void FileSystem::InjectCorruption(BlockNo block, bool /*both_copies*/) {
+  const uint32_t stored = StoredChecksum(block);
   disk_data_[block] ^= kCorruptionFlip;
+  if (TokenChecksum(disk_data_[block]) == stored) {
+    csum_diverged_.erase(block);
+  } else {
+    csum_diverged_[block] = stored;
+  }
   // The durable image models the same platter: rot that hits a committed
   // block must survive a crash and remount too.
   if (image_ != nullptr && image_->Present(block)) {
@@ -168,7 +177,7 @@ void FileSystem::AttachDurableImage(DurableImage* image) {
     device_->SetDurableContentProvider([this](BlockNo block) {
       DurableContent content;
       content.token = disk_data_[block];
-      content.csum = disk_csum_[block];
+      content.csum = StoredChecksum(block);
       content.ino = rmap_[block].ino;
       content.idx = rmap_[block].idx;
       content.in_use = BlockInUse(block);
@@ -190,7 +199,7 @@ void FileSystem::SnapshotToDurable() {
   }
   for (BlockNo b = 0; b < capacity_blocks(); ++b) {
     if (BlockInUse(b)) {
-      image_->Commit(b, disk_data_[b], disk_csum_[b], rmap_[b].ino, rmap_[b].idx);
+      image_->Commit(b, disk_data_[b], StoredChecksum(b), rmap_[b].ino, rmap_[b].idx);
     }
   }
 }
@@ -311,8 +320,10 @@ FsckReport FileSystem::CheckConsistency() const {
 void FileSystem::LoadBlock(BlockNo block, MountReport* report) {
   if (image_->Present(block)) {
     const DurableImage::Record& rec = image_->At(block);
-    disk_data_[block] = rec.token;
-    disk_csum_[block] = rec.csum;
+    StoreToken(block, rec.token);
+    if (TokenChecksum(rec.token) != rec.csum) {
+      csum_diverged_[block] = rec.csum;
+    }
     ++report->blocks_restored;
   } else {
     ++report->blocks_missing;
@@ -439,8 +450,7 @@ FileSystem::RmapEntry FileSystem::OwnerEntry(InodeNo ino, PageIdx idx) {
 
 uint64_t FileSystem::MetadataMemoryBytes() const {
   uint64_t bytes = rmap_.capacity() * sizeof(RmapEntry) +
-                   disk_data_.capacity() * sizeof(uint64_t) +
-                   disk_csum_.capacity() * sizeof(uint32_t);
+                   disk_data_.capacity() * sizeof(uint64_t) + SparseMapBytes(csum_diverged_);
   ForEachFileMap([&bytes](InodeNo, std::span<const BlockNo> blocks) {
     bytes += blocks.size() * sizeof(BlockNo);
   });
@@ -513,6 +523,7 @@ void FileSystem::Read(InodeNo ino, ByteOff off, uint64_t len, IoClass io_class,
     PageIdx idx;
   };
   std::vector<Miss> misses;
+  bool in_block_order = true;
   auto job = std::make_shared<ReadJob>();
   job->cb = std::move(cb);
   job->result.pages_requested = last - first;
@@ -527,6 +538,7 @@ void FileSystem::Read(InodeNo ino, ByteOff off, uint64_t len, IoClass io_class,
       FinishViaLoop(std::move(job->cb), std::move(job->result));
       return;
     }
+    in_block_order = in_block_order && (misses.empty() || misses.back().block < *block);
     misses.push_back(Miss{*block, ino, p});
   }
   if (misses.empty()) {
@@ -534,9 +546,12 @@ void FileSystem::Read(InodeNo ino, ByteOff off, uint64_t len, IoClass io_class,
     return;
   }
 
-  // Coalesce block-contiguous misses into device requests.
-  std::sort(misses.begin(), misses.end(),
-            [](const Miss& a, const Miss& b) { return a.block < b.block; });
+  // Coalesce block-contiguous misses into device requests. A file mostly
+  // maps its pages in block order, and then the misses need no sort.
+  if (!in_block_order) {
+    std::sort(misses.begin(), misses.end(),
+              [](const Miss& a, const Miss& b) { return a.block < b.block; });
+  }
   size_t i = 0;
   while (i < misses.size()) {
     size_t j = i + 1;

@@ -1,9 +1,9 @@
 // Shared file-system machinery for the two concrete file systems (cowfs,
 // logfs): namespace, page cache, async read/write paths over the simulated
 // block device, writeback, and the block store both keep the same way — the
-// in-use bitmap, a CRC32C per block verified on every read path, the blocks
-// pinned by the last checkpoint, the allocatable index over both bitmaps, and
-// one checkpoint / mount / fsck path.
+// in-use bitmap, a stored CRC32C per block verified on every read path, the
+// blocks pinned by the last checkpoint, the allocatable index over both
+// bitmaps, and one checkpoint / mount / fsck path.
 // Concrete file systems supply block placement (COW vs log-structured) and
 // their own checkpoint payload and fsck rules through a small set of virtual
 // hooks.
@@ -20,6 +20,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/block/block_device.h"
@@ -254,8 +255,11 @@ class FileSystem : public WritebackTarget {
   std::optional<BlockNo> NextBlockInUse(BlockNo from) const {
     return in_use_.FindNextSet(from);
   }
-  // Verifies the on-disk copy of `block` against its stored checksum.
-  bool BlockChecksumOk(BlockNo block) const;
+  // Verifies the on-disk copy of `block` against its stored checksum: an
+  // empty-map test unless some block's checksum has diverged.
+  bool BlockChecksumOk(BlockNo block) const {
+    return csum_diverged_.empty() || !csum_diverged_.contains(block);
+  }
   // Flips on-disk bits without updating the checksum (failure injection).
   // With `also_mirror`, cowfs's DUP mirror copy is corrupted too, making the
   // block unrecoverable by RepairBlocks.
@@ -266,11 +270,11 @@ class FileSystem : public WritebackTarget {
   uint64_t checksum_errors_detected() const { return checksum_errors_detected_; }
 
   // ---- Introspection ----
-  // Bytes of the block store's per-block arrays (reverse map, token, CRC32C
-  // and the file system's own, e.g. cowfs's refcounts and diverged mirror
-  // copies) plus 8 B per extent-map entry. The in-use and pinned bitmaps
-  // (2 bits per block), the allocatable index (1 bit per 64 blocks) and
-  // container headers are not counted.
+  // Bytes of the block store's per-block arrays (reverse map, token and the
+  // file system's own, e.g. cowfs's refcounts), its sparse maps (diverged
+  // checksums, cowfs's diverged mirror copies) plus 8 B per extent-map
+  // entry. The in-use and pinned bitmaps (2 bits per block), the allocatable
+  // index (1 bit per 64 blocks) and container headers are not counted.
   virtual uint64_t MetadataMemoryBytes() const;
   uint64_t allocated_blocks() const { return allocated_blocks_; }
   uint64_t capacity_blocks() const { return disk_data_.size(); }
@@ -303,13 +307,15 @@ class FileSystem : public WritebackTarget {
                                Rng* rng);
 
   // Called when `token` has been persisted into `block` (writeback, repair,
-  // population): stores it and its checksum. cowfs also updates its mirror.
+  // population): stores it and its checksum (StoreToken). cowfs also
+  // updates its mirror.
   virtual void OnBlockFlushed(BlockNo block, uint64_t token);
 
   // Corruption sink for the fault injector (and CorruptBlock): flips the
   // on-disk content of `block` (XOR with kCorruptionFlip) without touching
-  // its stored checksum. cowfs extends it to optionally corrupt the DUP
-  // mirror too.
+  // its stored checksum, which then diverges from the content's CRC32C
+  // (unless a second flip brings the two back together). cowfs extends it to
+  // optionally corrupt the DUP mirror too.
   virtual void InjectCorruption(BlockNo block, bool both_copies);
   static constexpr uint64_t kCorruptionFlip = 0xdeadbeefcafef00dULL;
 
@@ -327,6 +333,28 @@ class FileSystem : public WritebackTarget {
   virtual void CheckFsState(FsckReport* report) const = 0;
 
   static uint32_t TokenChecksum(uint64_t token);
+
+  // The checksum stored with `block`'s content: the CRC32C of its token
+  // unless the two have diverged (csum_diverged_).
+  uint32_t StoredChecksum(BlockNo block) const;
+  // Writes `token` as `block`'s content, stored with its own checksum.
+  void StoreToken(BlockNo block, uint64_t token) {
+    disk_data_[block] = token;
+    if (!csum_diverged_.empty()) {
+      csum_diverged_.erase(block);
+    }
+  }
+
+  // Approximate heap bytes of a sparse per-block map: one node (entry plus
+  // next pointer) per entry, and the buckets; 0 for an empty map.
+  template <typename Map>
+  static uint64_t SparseMapBytes(const Map& map) {
+    if (map.empty()) {
+      return 0;
+    }
+    return map.size() * (sizeof(typename Map::value_type) + sizeof(void*)) +
+           map.bucket_count() * sizeof(void*);
+  }
 
   // Checks the content just read from `block` against its stored checksum.
   // A mismatch on an in-use block is counted in checksum_errors_detected()
@@ -372,7 +400,9 @@ class FileSystem : public WritebackTarget {
   const Bitmap& pinned() const { return pinned_; }
 
   // Mount helper: reloads `block`'s content and stored checksum from the
-  // durable image, counting it restored, or missing if never committed.
+  // durable image (a checksum that differs from the token's CRC32C, as a
+  // torn or rotted record's does, goes to csum_diverged_), counting it
+  // restored, or missing if never committed.
   void LoadBlock(BlockNo block, MountReport* report);
 
   // Forward/reverse map storage shared by both file systems.
@@ -424,12 +454,22 @@ class FileSystem : public WritebackTarget {
   // Extent maps indexed by inode number: inode numbers are dense and never
   // reused (Namespace), so FIBMAP is an array load, as in PageIndex.
   std::vector<FileMap> fmap_;
-  // The per-block store: 20 B per block here (reverse map 8, token 8,
-  // CRC32C 4) plus the in-use and pinned bitmaps and the allocatable index
-  // (below); cowfs's refcount makes it 24 B.
+  // The per-block store: 16 B per block here (reverse map 8, token 8) plus
+  // the in-use and pinned bitmaps and the allocatable index (below); cowfs's
+  // refcount makes it 20 B. A block's stored checksum is not kept per block:
+  // it is the CRC32C of its token (StoredChecksum).
   std::vector<RmapEntry> rmap_;      // block -> owner page
   std::vector<uint64_t> disk_data_;  // block -> stored token
-  std::vector<uint32_t> disk_csum_;  // block -> CRC32C of the stored token
+  // The stored-checksum rule: only blocks whose stored checksum differs from
+  // their token's CRC32C are kept, with the stored value. A block's content
+  // changes in three places, each keeping that rule: a write (StoreToken:
+  // flush, repair, population, log replay) stores a token with its own
+  // checksum, so the entry goes; InjectCorruption flips the token and keeps
+  // the checksum from before the flip, making an entry, or dropping it when
+  // a second flip restores the content; LoadBlock keeps a durable record's
+  // checksum here only when it differs from its token's. A fault-free stack
+  // keeps the map empty.
+  std::unordered_map<BlockNo, uint32_t> csum_diverged_;
 
   // Fresh unique content token.
   uint64_t NextToken() { return token_counter_ += 0x9e3779b97f4a7c15ULL; }

@@ -417,8 +417,8 @@ void LogFs::ReplayImageRecords(uint64_t ckpt_seq, MountReport* report,
     sit_[seg].written = std::max(sit_[seg].written, offset + 1);
     sit_[seg].mtime = loop_->now();
     Pin(rec.block);
-    disk_data_[rec.block] = rec.token;
-    disk_csum_[rec.block] = rec.csum;
+    // The record's checksum matched its token above, so it is the token's own.
+    StoreToken(rec.block, rec.token);
     // Page granularity is all the log records carry; a replayed tail page
     // extends the file to at least its end.
     Inode* mut = ns_.GetMutable(rec.ino);

@@ -9,7 +9,8 @@ DefragTask::DefragTask(CowFs* fs, DuetCore* duet, DefragConfig config)
     : fs_(fs),
       duet_(duet),
       config_(config),
-      run_("defrag", TaskTag::kDefrag, &fs->loop(), duet) {
+      run_("defrag", TaskTag::kDefrag, &fs->loop(), duet),
+      failed_(fs->loop().obs().metrics.GetCounter("tasks.defrag.failed")) {
   assert(fs_ != nullptr);
   assert(!config_.use_duet || duet_ != nullptr);
 }
@@ -115,6 +116,9 @@ void DefragTask::DefragOne(InodeNo ino, bool opportunistic) {
       if (opportunistic) {
         stats.opportunistic_units += 2 * result.pages;
       }
+    } else {
+      // Not retried: the file stays fragmented and its work undone.
+      failed_->Add();
     }
     if (config_.use_duet) {
       (void)duet_->SetDone(run_.sid(), ino);

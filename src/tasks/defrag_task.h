@@ -51,6 +51,9 @@ class DefragTask {
   DuetCore* duet_;
   DefragConfig config_;
   TaskRun run_;
+  // tasks.defrag.failed: files whose DefragFile failed (e.g. no free run
+  // for the destination once the device is full).
+  obs::Counter* failed_;
   // Per-run state; Start() resets it so every run starts from scratch.
   struct Pass {
     std::vector<InodeNo> targets;  // inode order (the baseline order)

@@ -74,7 +74,7 @@ class PopulateProbeFs : public CowFs {
 
   using FileSystem::NextAllocatable;
   using FileSystem::Pin;
-  uint32_t StoredChecksum(BlockNo block) const { return disk_csum_[block]; }
+  using FileSystem::StoredChecksum;
 
  protected:
   Status PopulatePages(InodeNo ino, uint64_t npages, double break_prob, Rng* rng) override {

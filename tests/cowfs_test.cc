@@ -15,6 +15,17 @@
 #include "tests/sim_fixture.h"
 
 namespace duet {
+
+// Reaches cowfs's refcounts, which fsck checks against the references it
+// counts, and that count's 4 B form.
+class RefcountTestPeer {
+ public:
+  static void SetRefcount(CowFs* fs, BlockNo block, uint32_t refs) {
+    fs->refcount_[block] = refs;
+  }
+  static std::vector<uint32_t> WideCount(const CowFs& fs) { return fs.CountReferences(); }
+};
+
 namespace {
 
 class CowFsTest : public ::testing::Test {
@@ -560,10 +571,129 @@ TEST_F(CowFsTest, RepairBlocksUsesMirrorThenReportsUnrecoverable) {
   EXPECT_FALSE(fs_.BlockChecksumOk(doomed));
 }
 
-// Exposes the DUP mirror, to compare it block by block with a model.
+// Repair takes a candidate copy only when its CRC32C equals the block's
+// stored checksum. A snapshot keeps a page's old block after a COW write,
+// and the reverse map still names that page as the old block's owner, so
+// the page's clean cached copy (the new content) is a candidate for the old
+// block too, and must be turned down.
+TEST_F(CowFsTest, RepairChecksCandidatesAgainstTheStoredChecksum) {
+  InodeNo ino = MakeFile("/f", 1);
+  const BlockNo old_block = *fs_.Bmap(ino, 0);
+  const uint64_t old_token = fs_.DiskToken(old_block);
+  ASSERT_TRUE(fs_.CreateSnapshot().ok());
+  WriteSync(ino, 0, kPageSize);
+  SyncAll();
+  const BlockNo live = *fs_.Bmap(ino, 0);
+  ASSERT_NE(live, old_block);
+  ASSERT_EQ(fs_.Rmap(old_block)->ino, ino);
+  const CachedPage* page = fs_.cache().Peek(ino, 0);
+  ASSERT_TRUE(page != nullptr && !page->dirty);
+  const uint64_t new_token = page->data;
+
+  auto repair = [&](BlockNo block) {
+    CowFs::RepairResult result;
+    fs_.RepairBlocks({block}, IoClass::kBestEffort,
+                     [&](const CowFs::RepairResult& r) { result = r; });
+    rig_.loop.Run();
+    EXPECT_EQ(result.attempted, 1u);
+    return result;
+  };
+  // The live block: the cached copy matches, so repair costs no read.
+  fs_.CorruptBlock(live);
+  CowFs::RepairResult r = repair(live);
+  EXPECT_EQ(r.repaired_from_cache, 1u);
+  EXPECT_EQ(r.device_reads, 0u);
+  EXPECT_EQ(fs_.DiskToken(live), new_token);
+  EXPECT_TRUE(fs_.BlockChecksumOk(live));
+  // The snapshot's block: the cached copy does not match, the mirror does.
+  fs_.CorruptBlock(old_block);
+  r = repair(old_block);
+  EXPECT_EQ(r.repaired_from_cache, 0u);
+  EXPECT_EQ(r.repaired_from_mirror, 1u);
+  EXPECT_EQ(fs_.DiskToken(old_block), old_token);
+  EXPECT_TRUE(fs_.BlockChecksumOk(old_block));
+  // Both copies rotted: no candidate matches, cached page or not.
+  fs_.CorruptBlock(old_block, /*also_mirror=*/true);
+  r = repair(old_block);
+  EXPECT_EQ(r.repaired(), 0u);
+  EXPECT_EQ(r.unrecoverable, 1u);
+  EXPECT_FALSE(fs_.BlockChecksumOk(old_block));
+  EXPECT_EQ(fs_.CheckConsistency().checksum_errors, 1u);
+}
+
+// Population writes each block's token with its own checksum, so a block
+// freed while corrupt reads clean once a new file takes it.
+TEST(CowFsChecksumTest, PopulationOverAFreedCorruptBlockReadsClean) {
+  for (bool aged : {false, true}) {
+    SCOPED_TRACE(aged);
+    SimRig rig(64);
+    CowFs fs(&rig.loop, &rig.device, /*cache_pages=*/16);
+    Rng rng(3);
+    InodeNo first = *fs.PopulateFile("/a", 64 * kPageSize);
+    const BlockNo victim = *fs.Bmap(first, 10);
+    fs.CorruptBlock(victim);
+    ASSERT_FALSE(fs.BlockChecksumOk(victim));
+    ASSERT_TRUE(fs.DeleteFile(first).ok());
+    // The device is full again afterwards: the new file took every block.
+    Result<InodeNo> second = aged ? fs.PopulateFileAged("/b", 64 * kPageSize, 0.3, rng)
+                                  : fs.PopulateFile("/b", 64 * kPageSize);
+    ASSERT_TRUE(second.ok());
+    ASSERT_EQ(fs.allocated_blocks(), 64u);
+    EXPECT_TRUE(fs.BlockChecksumOk(victim));
+    EXPECT_TRUE(fs.CheckConsistency().clean());
+  }
+}
+
+// fsck counts a block's references in one byte, and counts again in 4 B
+// when a byte saturates: at 255 snapshots a block shared by all of them
+// has 256 references. Either way a clean tree is clean, the refcounts agree
+// with the 4 B count, and a wrong refcount is caught, on the shared block
+// and on one with a single reference.
+class CowFsFsckCountTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(CowFsFsckCountTest, ByteCountMatchesTheWideCount) {
+  const int snapshots = GetParam();
+  SimRig rig(1024);
+  CowFs fs(&rig.loop, &rig.device, /*cache_pages=*/16);
+  InodeNo shared = *fs.PopulateFile("/shared", 2 * kPageSize);
+  for (int i = 0; i < snapshots; ++i) {
+    ASSERT_TRUE(fs.CreateSnapshot().ok());
+  }
+  InodeNo late = *fs.PopulateFile("/late", kPageSize);
+  const BlockNo hot = *fs.Bmap(shared, 0);
+  const BlockNo single = *fs.Bmap(late, 0);
+  ASSERT_EQ(fs.BlockRefcount(hot), static_cast<uint32_t>(snapshots) + 1);
+  ASSERT_EQ(fs.BlockRefcount(single), 1u);
+
+  EXPECT_TRUE(fs.CheckConsistency().clean());
+  std::vector<uint32_t> wide = RefcountTestPeer::WideCount(fs);
+  for (BlockNo b = 0; b < fs.capacity_blocks(); ++b) {
+    ASSERT_EQ(wide[b], fs.BlockRefcount(b)) << "block " << b;
+  }
+  for (BlockNo bad : {hot, single}) {
+    SCOPED_TRACE(bad);
+    const uint32_t refs = fs.BlockRefcount(bad);
+    for (uint32_t wrong : {refs - 1, refs + 1}) {
+      RefcountTestPeer::SetRefcount(&fs, bad, wrong);
+      FsckReport report = fs.CheckConsistency();
+      EXPECT_EQ(report.structural_errors, 1u) << wrong;
+      EXPECT_EQ(report.first_bad_block, bad) << wrong;
+    }
+    RefcountTestPeer::SetRefcount(&fs, bad, refs);
+  }
+  EXPECT_TRUE(fs.CheckConsistency().clean());
+}
+
+// 254 and fewer snapshots fit the byte count (254 gives 255 references, its
+// largest value); 255 and more take the 4 B count.
+INSTANTIATE_TEST_SUITE_P(Snapshots, CowFsFsckCountTest, ::testing::Values(3, 254, 255, 300));
+
+// Exposes the DUP mirror and the stored checksums, to compare them block by
+// block with a model.
 class MirrorPeekCowFs : public CowFs {
  public:
   using CowFs::CowFs;
+  using FileSystem::StoredChecksum;
   uint64_t Mirror(BlockNo block) const { return MirrorToken(block); }
 };
 
@@ -634,8 +764,8 @@ struct DenseMirrorModel {
 // model go through the same random sequence of primary-only and both-copies
 // corruption, rewrites flushed to disk, cache drops, repairs, checkpoints
 // and remounts after a crash. Every repair must pick the source the model
-// picks (clean cached page, mirror, or none), and every block's primary and
-// mirror must match the model after every step.
+// picks (clean cached page, mirror, or none), and every block's primary,
+// mirror and stored checksum must match the model after every step.
 TEST(CowFsMirrorDifferentialTest, SparseMirrorMatchesDenseModel) {
   // A small device, so the allocator soon hands out blocks freed by COW
   // rewrites again, diverged mirrors included.
@@ -770,6 +900,9 @@ TEST(CowFsMirrorDifferentialTest, SparseMirrorMatchesDenseModel) {
       for (BlockNo b = 0; b < kCapacity; ++b) {
         ASSERT_EQ(fs->DiskToken(b), model.primary[b]) << "block " << b;
         ASSERT_EQ(fs->Mirror(b), model.mirror[b]) << "block " << b;
+        ASSERT_EQ(fs->StoredChecksum(b), model.csum[b]) << "block " << b;
+        ASSERT_EQ(fs->BlockChecksumOk(b), TokenCrc(model.primary[b]) == model.csum[b])
+            << "block " << b;
       }
     }
     // The sequence reached every repair outcome.

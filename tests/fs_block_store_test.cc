@@ -1,6 +1,8 @@
 // Tests for the block store FileSystem keeps for both file systems: the
-// checkpoint commit's timing, the mount's duration, and the one
-// verify-on-read check behind every read path, typed over CowFs and LogFs.
+// checkpoint commit's timing, the mount's duration, the one verify-on-read
+// check behind every read path, and the stored-checksum rule (a block's
+// stored checksum is its token's CRC32C unless the two have diverged),
+// typed over CowFs and LogFs.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,6 +16,7 @@
 #include "src/fs/meta_codec.h"
 #include "src/logfs/logfs.h"
 #include "src/obs/obs.h"
+#include "src/util/crc32c.h"
 #include "tests/sim_fixture.h"
 
 namespace duet {
@@ -23,13 +26,25 @@ constexpr uint64_t kCapacity = 8192;
 // Enough pages that the checkpoint payload's size shows in its latency.
 constexpr uint64_t kPages = 64;
 
+uint32_t TokenCrc(uint64_t token) { return Crc32c(&token, sizeof(token)); }
+
+// A file system with its stored checksums and the count of diverged ones
+// exposed.
 template <typename Fs>
-std::unique_ptr<Fs> MakeFs(SimRig* rig) {
+class ChecksumPeek : public Fs {
+ public:
+  using Fs::Fs;
+  using FileSystem::StoredChecksum;
+  size_t diverged_checksums() const { return this->csum_diverged_.size(); }
+};
+
+template <typename Fs>
+std::unique_ptr<ChecksumPeek<Fs>> MakeFs(SimRig* rig) {
   if constexpr (std::is_same_v<Fs, LogFs>) {
-    return std::make_unique<LogFs>(&rig->loop, &rig->device, /*cache_pages=*/64,
-                                   /*segment_blocks=*/64);
+    return std::make_unique<ChecksumPeek<LogFs>>(&rig->loop, &rig->device, /*cache_pages=*/64,
+                                                 /*segment_blocks=*/64);
   } else {
-    return std::make_unique<CowFs>(&rig->loop, &rig->device, /*cache_pages=*/64);
+    return std::make_unique<ChecksumPeek<CowFs>>(&rig->loop, &rig->device, /*cache_pages=*/64);
   }
 }
 
@@ -118,7 +133,7 @@ class BlockStoreTest : public ::testing::Test {
   obs::TraceRing ring_{1 << 16};
   DurableImage image_{kCapacity};
   std::unique_ptr<SimRig> rig_;
-  std::unique_ptr<Fs> fs_;
+  std::unique_ptr<ChecksumPeek<Fs>> fs_;
   std::unique_ptr<FaultInjector> injector_;
   InodeNo ino_ = kInvalidInode;
 };
@@ -223,6 +238,110 @@ TYPED_TEST(BlockStoreTest, CorruptBlockCaughtByFsReadPath) {
     EXPECT_EQ(checksum_errors, 1u);
   }
   this->ExpectDetected(victim, 2);
+}
+
+// A flip keeps the checksum from before it; a second flip restores the
+// content, which then matches that checksum again and reads clean.
+TYPED_TEST(BlockStoreTest, SecondFlipReadsClean) {
+  auto& fs = *this->fs_;
+  BlockNo victim = *fs.Bmap(this->ino_, 5);
+  const uint64_t token = fs.DiskToken(victim);
+  EXPECT_EQ(fs.diverged_checksums(), 0u);
+  EXPECT_EQ(fs.StoredChecksum(victim), TokenCrc(token));
+  fs.CorruptBlock(victim);
+  EXPECT_FALSE(fs.BlockChecksumOk(victim));
+  EXPECT_EQ(fs.diverged_checksums(), 1u);
+  EXPECT_EQ(fs.StoredChecksum(victim), TokenCrc(token));
+  EXPECT_NE(TokenCrc(fs.DiskToken(victim)), TokenCrc(token));
+  fs.CorruptBlock(victim);
+  EXPECT_EQ(fs.DiskToken(victim), token);
+  EXPECT_TRUE(fs.BlockChecksumOk(victim));
+  EXPECT_EQ(fs.diverged_checksums(), 0u);
+  FsIoResult result;
+  fs.Read(this->ino_, 0, kPages * kPageSize, IoClass::kBestEffort,
+          [&](const FsIoResult& r) { result = r; });
+  this->rig_->loop.Run();
+  EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(result.pages_from_disk, kPages);
+  EXPECT_EQ(fs.checksum_errors_detected(), 0u);
+  EXPECT_TRUE(fs.CheckConsistency().clean());
+}
+
+// A page written after its new block was corrupted: the writeback stores
+// the token with its own checksum, and the block's diverged entry goes.
+TYPED_TEST(BlockStoreTest, OverwriteAfterCorruptionClearsTheEntry) {
+  auto& fs = *this->fs_;
+  fs.Write(this->ino_, 5 * kPageSize, kPageSize, IoClass::kBestEffort, nullptr);
+  BlockNo fresh = *fs.Bmap(this->ino_, 5);
+  ASSERT_TRUE(fs.cache().Peek(this->ino_, 5)->dirty);
+  fs.CorruptBlock(fresh);
+  EXPECT_FALSE(fs.BlockChecksumOk(fresh));
+  EXPECT_EQ(fs.diverged_checksums(), 1u);
+  bool synced = false;
+  fs.Sync([&] { synced = true; });
+  this->rig_->loop.Run();
+  ASSERT_TRUE(synced);
+  ASSERT_EQ(*fs.Bmap(this->ino_, 5), fresh);
+  EXPECT_EQ(fs.DiskToken(fresh), fs.cache().Peek(this->ino_, 5)->data);
+  EXPECT_TRUE(fs.BlockChecksumOk(fresh));
+  EXPECT_EQ(fs.StoredChecksum(fresh), TokenCrc(fs.DiskToken(fresh)));
+  EXPECT_EQ(fs.diverged_checksums(), 0u);
+  EXPECT_TRUE(fs.CheckConsistency().clean());
+}
+
+// Rot on a block the checkpoint committed reaches the durable image with
+// the checksum it had: the remounted stack keeps that checksum, so the block
+// still fails verification on read and in fsck.
+TYPED_TEST(BlockStoreTest, CorruptedCommittedBlockStaysDetectedAcrossRemount) {
+  this->CheckpointToImage();
+  BlockNo victim = *this->fs_->Bmap(this->ino_, 5);
+  const uint64_t token = this->fs_->DiskToken(victim);
+  this->fs_->CorruptBlock(victim);
+  MountReport report = this->CrashAndMount();
+  EXPECT_EQ(report.blocks_restored, kPages);
+  auto& fs = *this->fs_;
+  ASSERT_EQ(*fs.Bmap(this->ino_, 5), victim);
+  EXPECT_NE(fs.DiskToken(victim), token);
+  EXPECT_EQ(fs.StoredChecksum(victim), TokenCrc(token));
+  EXPECT_FALSE(fs.BlockChecksumOk(victim));
+  EXPECT_EQ(fs.diverged_checksums(), 1u);
+  FsckReport fsck = fs.CheckConsistency();
+  EXPECT_EQ(fsck.structural_errors, 0u);
+  EXPECT_EQ(fsck.checksum_errors, 1u);
+  EXPECT_EQ(fsck.first_bad_block, victim);
+  FsIoResult result;
+  fs.Read(this->ino_, 0, kPages * kPageSize, IoClass::kBestEffort,
+          [&](const FsIoResult& r) { result = r; });
+  this->rig_->loop.Run();
+  EXPECT_EQ(result.status.code(), StatusCode::kCorruption);
+  EXPECT_EQ(result.pages_failed, 1u);
+  EXPECT_EQ(fs.checksum_errors_detected(), 1u);
+}
+
+// logfs rolls a synced tail forward, but a record torn by the crash (its
+// token does not match the checksum committed with it) is discarded: the
+// page keeps its checkpointed block, and every block reads clean.
+using LogFsBlockStoreTest = BlockStoreTest<LogFs>;
+TEST_F(LogFsBlockStoreTest, TornTailRecordIsDiscarded) {
+  CheckpointToImage();
+  const BlockNo checkpointed = *fs_->Bmap(ino_, 2);
+  fs_->Write(ino_, 0, 4 * kPageSize, IoClass::kBestEffort, nullptr);
+  bool synced = false;
+  fs_->Sync([&] { synced = true; });
+  rig_->loop.Run();
+  ASSERT_TRUE(synced);
+  image_.TearToken(*fs_->Bmap(ino_, 2));
+  MountReport report = CrashAndMount();
+  EXPECT_EQ(report.blocks_replayed, 3u);
+  EXPECT_EQ(report.blocks_discarded, 1u);
+  EXPECT_EQ(*fs_->Bmap(ino_, 2), checkpointed);
+  EXPECT_EQ(fs_->diverged_checksums(), 0u);
+  EXPECT_TRUE(fs_->CheckConsistency().clean());
+  FsIoResult result;
+  fs_->Read(ino_, 0, kPages * kPageSize, IoClass::kBestEffort,
+            [&](const FsIoResult& r) { result = r; });
+  rig_->loop.Run();
+  EXPECT_TRUE(result.status.ok()) << result.status.ToString();
 }
 
 }  // namespace

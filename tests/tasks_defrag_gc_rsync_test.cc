@@ -60,6 +60,32 @@ TEST_F(DefragTaskTest, BaselineDefragmentsAllFragmentedFiles) {
   EXPECT_EQ(task.stats().work_done, task.stats().work_total);
 }
 
+// DefragFile takes a file's whole destination before it frees the old
+// blocks, so on a nearly full device a large file's defrag fails with
+// NO_SPACE. The task counts each failure in tasks.defrag.failed, moves on,
+// and still finishes, with the failed files' work not done.
+TEST(DefragTaskFullDeviceTest, CountsDefragsThatFail) {
+  SimRig rig(256, Micros(100));
+  CowFs fs(&rig.loop, &rig.device, /*cache_pages=*/64);
+  Rng rng(3);
+  for (auto [name, pages] : {std::pair{"/big0", 100}, {"/big1", 100}, {"/small", 20}}) {
+    ASSERT_TRUE(fs.PopulateFileAged(name, pages * kPageSize, 0.5, rng).ok());
+    ASSERT_GT(fs.ExtentCount(*fs.ns().Resolve(name)), 3u) << name;
+  }
+  ASSERT_EQ(fs.capacity_blocks() - fs.allocated_blocks(), 36u);
+  DefragTask task(&fs, nullptr, DefragConfig{});
+  bool finished = false;
+  task.Start([&] { finished = true; });
+  rig.loop.Run();
+  ASSERT_TRUE(finished);
+  EXPECT_EQ(rig.obs.metrics.CounterValue("tasks.defrag.failed"), 2u);
+  EXPECT_EQ(task.files_defragmented(), 1u);
+  EXPECT_LE(fs.ExtentCount(*fs.ns().Resolve("/small")), 2u);
+  EXPECT_EQ(task.stats().work_done, 2u * 20);
+  EXPECT_EQ(task.stats().work_total, 2u * 220);
+  EXPECT_TRUE(fs.CheckConsistency().clean());
+}
+
 TEST_F(DefragTaskTest, SkipsAlreadyContiguousFiles) {
   ASSERT_TRUE(fs_.PopulateFile("/contig", 64 * kPageSize).ok());
   PopulateFragmented(2, 16, 0.5);

@@ -394,6 +394,10 @@ int main(int argc, char** argv) {
            s.finished ? "finished" : "UNFINISHED", 100 * s.CompletionFraction(),
            static_cast<unsigned long long>(s.TotalIoPages()),
            static_cast<unsigned long long>(s.saved_read_pages + s.saved_write_pages));
+    if (config.tasks[i] == MaintKind::kDefrag) {
+      printf("        %llu files failed to defragment\n",
+             static_cast<unsigned long long>(result.metrics.Value("tasks.defrag.failed")));
+    }
   }
   printf("\ncombined: %.0f%% of maintenance I/O saved, %.0f%% of work completed\n",
          100 * result.IoSavedFraction(), 100 * result.WorkCompletedFraction());
