@@ -25,8 +25,6 @@ int main() {
     LogRig rig(stack, workload, obs);
     GcConfig config;
     config.use_duet = use_duet;
-    config.wake_interval = Millis(100);
-    config.idle_threshold = Millis(10);
     GcTask gc(&rig.fs(), &rig.duet(), config);
     gc.Start();
     rig.workload().Start();

@@ -307,8 +307,6 @@ void PageCache::SetEvictionAdvisor(EvictionAdvisor advisor, size_t window) {
   advisor_window_ = window;
 }
 
-void PageCache::ClearEvictionAdvisor() { advisor_ = nullptr; }
-
 void PageCache::AddListener(PageEventListener* listener) {
   assert(listener != nullptr);
   listeners_.push_back(listener);

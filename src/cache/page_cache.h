@@ -132,7 +132,6 @@ class PageCache {
   // falling back to plain LRU order.
   using EvictionAdvisor = std::function<bool(InodeNo, PageIdx)>;
   void SetEvictionAdvisor(EvictionAdvisor advisor, size_t window = 64);
-  void ClearEvictionAdvisor();
 
  private:
   static constexpr uint32_t kNoSlot = PageIndex<>::kNoSlot;

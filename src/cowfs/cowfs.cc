@@ -109,7 +109,6 @@ void CowFs::OnBlockFlushed(BlockNo block, uint64_t token) {
 }
 
 void CowFs::ReadRawBlocks(BlockNo start, uint32_t count, IoClass io_class,
-                          bool populate_cache,
                           std::function<void(const RawReadResult&)> cb) {
   // Collect in-use blocks in the range and coalesce them into runs.
   std::vector<std::pair<BlockNo, uint32_t>> runs;
@@ -142,7 +141,7 @@ void CowFs::ReadRawBlocks(BlockNo start, uint32_t count, IoClass io_class,
     req.dir = IoDir::kRead;
     req.io_class = io_class;
     ++result->device_ops;
-    req.done = [this, run_start, run_count, populate_cache, result, outstanding,
+    req.done = [this, run_start, run_count, result, outstanding,
                 cb_shared](const IoResult& io) {
       if (io.status.code() == StatusCode::kBusy) {
         // Transient whole-request failure: nothing was transferred.
@@ -155,7 +154,6 @@ void CowFs::ReadRawBlocks(BlockNo start, uint32_t count, IoClass io_class,
       }
       for (BlockNo b = run_start; b < run_start + run_count; ++b) {
         ++result->blocks_read;
-        bool verified = false;
         if (io.BlockFailed(b)) {
           // Latent sector error: the medium returned EIO, no data came back.
           ++result->read_errors;
@@ -168,11 +166,8 @@ void CowFs::ReadRawBlocks(BlockNo start, uint32_t count, IoClass io_class,
             result->status = verify;
           }
         } else {
-          verified = true;
-        }
-        // Only verified content may enter the page cache; caching a corrupt
-        // or unread token would mask the fault from every later reader.
-        if (populate_cache && verified) {
+          // Only verified content may enter the page cache; caching a corrupt
+          // or unread token would mask the fault from every later reader.
           Result<BlockOwner> owner = Rmap(b);
           if (owner.ok() && !cache_.Contains(owner->ino, owner->idx)) {
             cache_.Insert(owner->ino, owner->idx, disk_data_[b], /*dirty=*/false);

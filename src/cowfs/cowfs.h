@@ -47,14 +47,13 @@ class CowFs : public FileSystem {
   CowFs(EventLoop* loop, BlockDevice* device, uint64_t cache_pages,
         WritebackParams wb_params = WritebackParams());
 
-  // ---- Raw block reads (scrubber; backup's unshared blocks) ----
+  // ---- Raw block reads (scrubber) ----
   // Reads `count` blocks at `start` from the device, verifying checksums of
-  // in-use blocks. Blocks not in use are skipped without I/O. With
-  // `populate_cache`, blocks owned by a live file page are inserted into the
-  // page cache (clean), surfacing the access to Duet — this is how one
-  // maintenance pass serves other tasks (§6.3).
+  // in-use blocks. Blocks not in use are skipped without I/O. Verified
+  // blocks owned by a live file page are inserted into the page cache
+  // (clean), surfacing the access to Duet — this is how one maintenance
+  // pass serves other tasks (§6.3).
   void ReadRawBlocks(BlockNo start, uint32_t count, IoClass io_class,
-                     bool populate_cache,
                      std::function<void(const RawReadResult&)> cb);
 
   // ---- Repair (scrubber error path) ----

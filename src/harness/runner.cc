@@ -8,6 +8,29 @@
 #include <utility>
 
 namespace duet {
+namespace {
+
+// End-of-run fsck of a stopped stack: aborts with the report on a structural
+// error, and on a checksum error unless faults were injected (a fault run may
+// leave blocks it could not repair). fsck's trace event is set aside, so the
+// caller's trace ends where the run's fingerprint does.
+void FsckAfterRun(const char* run, const FileSystem& fs, obs::ObsContext& obs,
+                  bool faults_injected) {
+  obs::Tracer reported = std::exchange(obs.trace, obs::Tracer());
+  const FsckReport fsck = fs.CheckConsistency();
+  obs.trace = std::move(reported);
+  if (fsck.structural_errors > 0 || (!faults_injected && fsck.checksum_errors > 0)) {
+    fprintf(stderr,
+            "%s: fsck after the run: %llu structural, %llu checksum errors, "
+            "first bad block %llu\n",
+            run, static_cast<unsigned long long>(fsck.structural_errors),
+            static_cast<unsigned long long>(fsck.checksum_errors),
+            static_cast<unsigned long long>(fsck.first_bad_block));
+    std::abort();
+  }
+}
+
+}  // namespace
 
 const char* MaintKindName(MaintKind kind) {
   switch (kind) {
@@ -201,23 +224,7 @@ MaintenanceRunResult RunMaintenance(const MaintenanceRunConfig& config) {
   obs->metrics.GetCounter("tasks.total.done")->Add(total_done);
   result.metrics = obs->metrics.Snapshot();
   result.trace_fingerprint = obs->trace.Fingerprint();
-
-  // End-of-run fsck of the stopped stack. Its trace event is set aside, so
-  // the caller's trace ends where the result's fingerprint does. A fault
-  // run may leave blocks it could not repair, so checksum errors fail only
-  // runs without faults.
-  obs::Tracer reported = std::exchange(obs->trace, obs::Tracer());
-  const FsckReport fsck = rig.fs().CheckConsistency();
-  obs->trace = std::move(reported);
-  if (fsck.structural_errors > 0 || (injector == nullptr && fsck.checksum_errors > 0)) {
-    fprintf(stderr,
-            "RunMaintenance: fsck after the run: %llu structural, %llu checksum "
-            "errors, first bad block %llu\n",
-            static_cast<unsigned long long>(fsck.structural_errors),
-            static_cast<unsigned long long>(fsck.checksum_errors),
-            static_cast<unsigned long long>(fsck.first_bad_block));
-    std::abort();
-  }
+  FsckAfterRun("RunMaintenance", rig.fs(), *obs, injector != nullptr);
   return result;
 }
 
@@ -253,7 +260,8 @@ RsyncRunResult RunRsync(const StackConfig& stack, Personality personality,
   WorkloadConfig workload =
       MakeWorkloadConfig(stack, personality, coverage, skewed, /*ops_per_sec=*/0, seed);
   obs::ObsContext local_obs;
-  CowRig rig(stack, workload, obs != nullptr ? *obs : local_obs);
+  obs::ObsContext& ctx = obs != nullptr ? *obs : local_obs;
+  CowRig rig(stack, workload, ctx);
 
   // Destination: a second device + file system in the same simulation.
   BlockDevice dst_device(&rig.loop(), MakeDiskModel(stack), MakeScheduler(stack));
@@ -284,6 +292,8 @@ RsyncRunResult RunRsync(const StackConfig& stack, Personality personality,
   out.runtime = (finished ? task.stats().finished_at : rig.loop().now()) - started;
   out.stats = task.stats();
   task.Stop();
+  FsckAfterRun("RunRsync (source)", rig.fs(), ctx, /*faults_injected=*/false);
+  FsckAfterRun("RunRsync (destination)", dst_fs, ctx, /*faults_injected=*/false);
   return out;
 }
 
@@ -298,11 +308,10 @@ GcRunResult RunGc(const StackConfig& stack, bool use_duet, uint64_t seed,
   workload.ops_per_sec = ops_per_sec;
 
   obs::ObsContext local_obs;
-  LogRig rig(stack, workload, obs != nullptr ? *obs : local_obs);
+  obs::ObsContext& ctx = obs != nullptr ? *obs : local_obs;
+  LogRig rig(stack, workload, ctx);
   GcConfig config;
   config.use_duet = use_duet;
-  config.wake_interval = Millis(100);
-  config.idle_threshold = Millis(10);
   GcTask gc(&rig.fs(), &rig.duet(), config);
   gc.Start();
   rig.workload().Start();
@@ -317,6 +326,7 @@ GcRunResult RunGc(const StackConfig& stack, bool use_duet, uint64_t seed,
   out.blocks_cached = gc.stats().saved_read_pages;
   out.measured_util = rig.device().BestEffortUtilizationSince(0, 0);
   gc.Stop();
+  FsckAfterRun("RunGc", rig.fs(), ctx, /*faults_injected=*/false);
   return out;
 }
 

@@ -108,7 +108,8 @@ double FindMaxUtilization(RateTable& rates, MaintenanceRunConfig config,
                           int step_pct = 10);
 
 // Rsync experiment (§6.2, Fig. 4): source workload runs unthrottled; rsync
-// runs at normal priority until completion. Returns the task runtime.
+// runs at normal priority until completion. Returns the task runtime. Both
+// file systems then get RunMaintenance's end-of-run fsck.
 struct RsyncRunResult {
   SimDuration runtime = 0;
   TaskStats stats;
@@ -119,7 +120,8 @@ RsyncRunResult RunRsync(const StackConfig& stack, Personality personality,
                         obs::ObsContext* obs = nullptr);
 
 // GC experiment (§6.2, Table 6): fileserver on logfs at a given rate (0 runs
-// the closed loop); measures per-segment cleaning time.
+// the closed loop); measures per-segment cleaning time. The logfs then gets
+// RunMaintenance's end-of-run fsck.
 struct GcRunResult {
   RunningStats cleaning_time_ms;
   uint64_t segments_cleaned = 0;

@@ -160,23 +160,21 @@ class Tracer {
   void Emit(SimTime at, TraceLayer layer, TraceKind kind, uint64_t a = 0,
             uint64_t b = 0, uint64_t c = 0) {
     ++events_emitted_;
-    if (fingerprint_enabled_) {
-      // Fold the event into the running fingerprint with ONE serial multiply
-      // per event: the six fields are first mixed into a single word with
-      // independent odd-constant multiplies (they have no data dependence,
-      // so they issue in parallel), then FNV-chained into the accumulator.
-      // The original byte-at-a-time FNV-1a put 48 dependent multiplies on
-      // the hook-dispatch critical path; this keeps the same determinism
-      // contract (identical streams <=> identical fingerprints, within one
-      // build) with a ~2-cycle dependent chain per event.
-      uint64_t x = at * 0x9e3779b97f4a7c15ull +
-                   a * 0xbf58476d1ce4e5b9ull +
-                   b * 0x94d049bb133111ebull +
-                   c * 0x2545f4914f6cdd1dull +
-                   ((static_cast<uint64_t>(layer) << 8) |
-                    static_cast<uint64_t>(kind)) * 0xff51afd7ed558ccdull;
-      fingerprint_ = (fingerprint_ ^ x) * kFnvPrime;
-    }
+    // Fold the event into the running fingerprint with ONE serial multiply
+    // per event: the six fields are first mixed into a single word with
+    // independent odd-constant multiplies (they have no data dependence, so
+    // they issue in parallel), then FNV-chained into the accumulator. The
+    // original byte-at-a-time FNV-1a put 48 dependent multiplies on the
+    // hook-dispatch critical path; this keeps the same determinism contract
+    // (identical streams <=> identical fingerprints, within one build) with
+    // a ~2-cycle dependent chain per event.
+    uint64_t x = at * 0x9e3779b97f4a7c15ull +
+                 a * 0xbf58476d1ce4e5b9ull +
+                 b * 0x94d049bb133111ebull +
+                 c * 0x2545f4914f6cdd1dull +
+                 ((static_cast<uint64_t>(layer) << 8) |
+                  static_cast<uint64_t>(kind)) * 0xff51afd7ed558ccdull;
+    fingerprint_ = (fingerprint_ ^ x) * kFnvPrime;
     if (!sinks_.empty()) {
       EmitToSinks(TraceEvent{at, layer, kind, a, b, c});
     }
@@ -190,16 +188,11 @@ class Tracer {
   uint64_t Fingerprint() const { return fingerprint_; }
   uint64_t events_emitted() const { return events_emitted_; }
 
-  // Fingerprinting is on by default; hot loops may turn it off for perf
-  // experiments where the trace itself would dominate.
-  void SetFingerprintEnabled(bool enabled) { fingerprint_enabled_ = enabled; }
-
  private:
   void EmitToSinks(const TraceEvent& event);
 
   uint64_t fingerprint_ = kFnvOffset;
   uint64_t events_emitted_ = 0;
-  bool fingerprint_enabled_ = true;
   std::vector<TraceSink*> sinks_;
 };
 

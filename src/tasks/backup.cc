@@ -67,7 +67,7 @@ void Backup::BeginStreaming(InodeNo resume_after) {
   pass_.file_it = s->files.upper_bound(resume_after);
   if (config_.use_duet) {
     run_.Register(duet_->RegisterBlockTask(kDuetPageExists));
-    run_.Poll(config_.fetch_interval, [this] {
+    run_.Poll([this] {
       DrainDuetEvents();
       if (pass_.pages_sent < run_.stats().work_total) {
         return true;
@@ -135,7 +135,7 @@ void Backup::DrainDuetEvents() {
     ++stats.work_done;
     ++stats.saved_read_pages;
     ++stats.opportunistic_units;
-  }, config_.fetch_batch);
+  });
 }
 
 void Backup::ProcessNextFile() {
@@ -193,7 +193,7 @@ void Backup::ProcessFileChunk(InodeNo ino, PageIdx next_page) {
   };
   bool shared = shared_at(p);
   PageIdx end = p;
-  while (end < file.blocks.size() && unsent(end) && end - p < config_.chunk_pages &&
+  while (end < file.blocks.size() && unsent(end) && end - p < kChunkPages &&
          shared_at(end) == shared) {
     ++end;
   }
@@ -227,7 +227,7 @@ void Backup::ProcessFileChunk(InodeNo ino, PageIdx next_page) {
     // Unmodified since the snapshot: read through the live file (this
     // populates the page cache — visible to other Duet tasks). Read reports
     // no per-page failures, so a failed read leaves the whole chunk unsent.
-    fs_->Read(ino, p * kPageSize, count * kPageSize, config_.io_class,
+    fs_->Read(ino, p * kPageSize, count * kPageSize, kIoClass,
               [complete](const FsIoResult& result) {
                 complete(result.pages_from_disk, result.pages_from_cache,
                          result.status.ok(), {});
@@ -236,7 +236,7 @@ void Backup::ProcessFileChunk(InodeNo ino, PageIdx next_page) {
     // Modified since the snapshot: stream the preserved old blocks.
     std::vector<BlockNo> blocks(file.blocks.begin() + static_cast<long>(p),
                                 file.blocks.begin() + static_cast<long>(end));
-    fs_->ReadBlocks(std::move(blocks), config_.io_class,
+    fs_->ReadBlocks(std::move(blocks), kIoClass,
                     [complete](const RawReadResult& result) {
                       complete(result.blocks_read, 0, true, result.bad_blocks);
                     });

@@ -25,16 +25,16 @@ namespace duet {
 
 struct BackupConfig {
   bool use_duet = false;
-  uint32_t chunk_pages = 16;          // 64 KiB reads, as the paper's tool issues
-  IoClass io_class = IoClass::kIdle;
-  size_t fetch_batch = 256;
-  // Independent event-poll period (§6.4): opportunistic copying continues
-  // even while the stream's idle-class I/O is starved.
-  SimDuration fetch_interval = Millis(20);
 };
 
 class Backup {
  public:
+  // Pages per stream read: 64 KiB, as the paper's tool issues.
+  static constexpr uint32_t kChunkPages = 16;
+  // Maintenance I/O runs at idle priority (§6.5), so the stream yields to
+  // the workload.
+  static constexpr IoClass kIoClass = IoClass::kIdle;
+
   Backup(CowFs* fs, DuetCore* duet, BackupConfig config);
   ~Backup();
 

@@ -27,7 +27,7 @@ void DefragTask::Start(std::function<void()> on_finish) {
   InodeNo root = run_.ResolveRoot(fs_->ns(), config_.root);
   std::vector<const Inode*> files;
   fs_->ns().WalkDepthFirst(root, [&](const Inode& inode) {
-    if (!inode.is_dir() && fs_->ExtentCount(inode.ino) > config_.extent_threshold) {
+    if (!inode.is_dir() && fs_->ExtentCount(inode.ino) > kExtentThreshold) {
       files.push_back(&inode);
     }
     return true;
@@ -63,7 +63,7 @@ bool DefragTask::ShouldProcess(InodeNo ino) const {
   const Inode* inode = fs_->ns().Get(ino);
   // A COW overwrite may have defragmented (or deleted) the file meanwhile —
   // the task can simply skip it (§3.1).
-  return inode != nullptr && fs_->ExtentCount(ino) > config_.extent_threshold;
+  return inode != nullptr && fs_->ExtentCount(ino) > kExtentThreshold;
 }
 
 void DefragTask::ProcessNext() {
@@ -72,7 +72,7 @@ void DefragTask::ProcessNext() {
   }
   // Opportunistic phase: drain events and process the hottest queued file.
   if (config_.use_duet) {
-    run_.Drain(*pass_.queue, config_.fetch_batch);
+    run_.Drain(*pass_.queue);
     while (std::optional<InodeNo> hot = pass_.queue->Dequeue()) {
       if (ShouldProcess(*hot)) {
         DefragOne(*hot, /*opportunistic=*/true);
@@ -100,8 +100,7 @@ void DefragTask::ProcessNext() {
 
 void DefragTask::DefragOne(InodeNo ino, bool opportunistic) {
   run_.ChunkStarted(ino, 0);
-  fs_->DefragFile(ino, config_.io_class, [this, ino,
-                                          opportunistic](const DefragResult& result) {
+  fs_->DefragFile(ino, kIoClass, [this, ino, opportunistic](const DefragResult& result) {
     run_.ChunkFinished(ino, result.pages);
     if (result.status.ok()) {
       TaskStats& stats = run_.stats();

@@ -23,15 +23,17 @@ namespace duet {
 
 struct DefragConfig {
   bool use_duet = false;
-  // Only files with more than this many extents are rewritten.
-  uint64_t extent_threshold = 3;
-  IoClass io_class = IoClass::kIdle;
-  size_t fetch_batch = 256;
   std::string root = "/";
 };
 
 class DefragTask {
  public:
+  // Only files with more than this many extents are rewritten.
+  static constexpr uint64_t kExtentThreshold = 3;
+  // Maintenance I/O runs at idle priority (§6.5), so the rewrites yield to
+  // the workload.
+  static constexpr IoClass kIoClass = IoClass::kIdle;
+
   DefragTask(CowFs* fs, DuetCore* duet, DefragConfig config);
   ~DefragTask();
 

@@ -21,7 +21,7 @@ void GcTask::Start() {
   if (config_.use_duet) {
     run_.Register(duet_->RegisterBlockTask(kDuetPageExists | kDuetPageFlushed));
   }
-  run_.Arm(config_.wake_interval, [this] { Tick(); });
+  run_.Arm(kWakeInterval, [this] { Tick(); });
 }
 
 void GcTask::Stop() {
@@ -74,7 +74,7 @@ void GcTask::DrainDuetEvents() {
       }
       ++cached_[seg];
     }
-  }, config_.fetch_batch);
+  });
 }
 
 double GcTask::VictimCost(SegmentNo seg, const SegmentInfo& info) const {
@@ -92,33 +92,30 @@ double GcTask::VictimCost(SegmentNo seg, const SegmentInfo& info) const {
 
 void GcTask::Tick() {
   auto reschedule = [this] {
-    run_.Arm(config_.wake_interval, [this] { Tick(); });
+    run_.Arm(kWakeInterval, [this] { Tick(); });
   };
   if (config_.use_duet) {
     DrainDuetEvents();
   }
-  // Run only when the device has been idle for a while (background GC) and
-  // cleaning is actually needed.
+  // Run only when the device has been idle for a while (background GC).
   SimTime now = fs_->loop().now();
   SimTime last_activity = fs_->device().last_best_effort_activity();
-  bool idle = !fs_->device().busy() && now - last_activity >= config_.idle_threshold;
-  bool needed = config_.free_watermark == 0 ||
-                fs_->free_segments() < config_.free_watermark;
-  if (!idle || !needed || cleaning_) {
+  bool idle = !fs_->device().busy() && now - last_activity >= kIdleThreshold;
+  if (!idle || cleaning_) {
     reschedule();
     return;
   }
   std::optional<SegmentNo> victim = fs_->SelectVictim(
-      window_cursor_, config_.window_segments,
+      window_cursor_, kWindowSegments,
       [this](SegmentNo seg, const SegmentInfo& info) { return VictimCost(seg, info); });
-  window_cursor_ = (window_cursor_ + config_.window_segments) % fs_->segment_count();
+  window_cursor_ = (window_cursor_ + kWindowSegments) % fs_->segment_count();
   if (!victim.has_value()) {
     reschedule();
     return;
   }
   cleaning_ = true;
   run_.ChunkStarted(*victim, 0);
-  fs_->CleanSegment(*victim, config_.io_class, [this, reschedule](const CleanResult& r) {
+  fs_->CleanSegment(*victim, kIoClass, [this, reschedule](const CleanResult& r) {
     cleaning_ = false;
     run_.ChunkFinished(r.segment, r.blocks_moved);
     if (r.status.ok() && r.blocks_moved > 0) {

@@ -24,19 +24,20 @@ namespace duet {
 
 struct GcConfig {
   bool use_duet = false;
-  SimDuration wake_interval = Millis(500);   // cleaner wake-up period
-  SimDuration idle_threshold = Millis(50);   // device idle time before running
-  uint64_t window_segments = 4096;           // victim-search window (§5.4)
-  // Clean only when free segments drop below this watermark (0 = always).
-  uint64_t free_watermark = 0;
-  // F2fs gates *when* the cleaner runs on idleness, but its reads are
-  // ordinary kernel I/O, not idle-class.
-  IoClass io_class = IoClass::kBestEffort;
-  size_t fetch_batch = 256;
 };
 
 class GcTask {
  public:
+  // Cleaner wake-up period.
+  static constexpr SimDuration kWakeInterval = Millis(100);
+  // Device idle time (no best-effort I/O) before a wake-up cleans.
+  static constexpr SimDuration kIdleThreshold = Millis(10);
+  // Victim-search window (§5.4).
+  static constexpr uint64_t kWindowSegments = 4096;
+  // F2fs gates *when* the cleaner runs on idleness, but its reads are
+  // ordinary kernel I/O, not idle-class.
+  static constexpr IoClass kIoClass = IoClass::kBestEffort;
+
   GcTask(LogFs* fs, DuetCore* duet, GcConfig config);
   ~GcTask();
 

@@ -63,7 +63,7 @@ void RsyncTask::Start(std::function<void()> on_finish) {
 }
 
 void RsyncTask::DrainDuetEvents() {
-  run_.Drain(*pass_.queue, config_.fetch_batch);
+  run_.Drain(*pass_.queue);
 }
 
 void RsyncTask::ProcessNext() {
@@ -87,7 +87,7 @@ void RsyncTask::ProcessNext() {
   } else if (config_.hints == RsyncHints::kInotify) {
     // File-level hints only: most-recently-touched first, with no idea how
     // much of the file is still cached (or whether it was evicted).
-    for (const InotifyEvent& event : pass_.inotify->ReadEvents(config_.fetch_batch)) {
+    for (const InotifyEvent& event : pass_.inotify->ReadEvents(TaskRun::kFetchBatch)) {
       pass_.recent.push_back(event.ino);
     }
     while (!pass_.recent.empty()) {
@@ -169,11 +169,11 @@ void RsyncTask::CopyChunk(InodeNo src_ino, InodeNo dst_ino, PageIdx next_page,
     src_->loop().ScheduleAfter(0, [this] { ProcessNext(); });
     return;
   }
-  uint64_t count = std::min<uint64_t>(config_.chunk_pages, total_pages - next_page);
+  uint64_t count = std::min<uint64_t>(kChunkPages, total_pages - next_page);
   ByteOff off = next_page * kPageSize;
   uint64_t len = std::min<uint64_t>(count * kPageSize, src_size - off);
   run_.ChunkStarted(src_ino, count);
-  src_->Read(src_ino, off, len, config_.io_class,
+  src_->Read(src_ino, off, len, kIoClass,
              [this, src_ino, dst_ino, next_page, count, src_size, off, len,
               opportunistic](const FsIoResult& read) {
                run_.stats().io_read_pages += read.pages_from_disk;
@@ -186,7 +186,7 @@ void RsyncTask::CopyChunk(InodeNo src_ino, InodeNo dst_ino, PageIdx next_page,
                  Result<uint64_t> content = src_->PageContent(src_ino, q);
                  tokens.push_back(content.ok() ? *content : 0);
                }
-               dst_->CopyIn(dst_ino, off, len, std::move(tokens), config_.io_class,
+               dst_->CopyIn(dst_ino, off, len, std::move(tokens), kIoClass,
                             [this, src_ino, dst_ino, next_page, count, src_size,
                              opportunistic](const FsIoResult& write) {
                               run_.stats().io_write_pages += write.pages_requested;

@@ -36,13 +36,15 @@ struct RsyncConfig {
   RsyncHints hints = RsyncHints::kNone;
   std::string source_dir = "/";
   std::string dest_dir = "/";
-  uint32_t chunk_pages = 8;  // rsync processes files in 32 KiB chunks (§5.6)
-  IoClass io_class = IoClass::kBestEffort;  // normal priority
-  size_t fetch_batch = 256;
 };
 
 class RsyncTask {
  public:
+  // rsync processes files in 32 KiB chunks (§5.6).
+  static constexpr uint32_t kChunkPages = 8;
+  // rsync is a user-space tool and runs at normal priority (§6.2).
+  static constexpr IoClass kIoClass = IoClass::kBestEffort;
+
   // Source and destination are distinct file systems on distinct devices.
   RsyncTask(FileSystem* src, FileSystem* dst, DuetCore* duet, RsyncConfig config);
   ~RsyncTask();

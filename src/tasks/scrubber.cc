@@ -31,7 +31,7 @@ void Scrubber::Start(std::function<void()> on_finish) {
   accounting_final_ = false;
   if (config_.use_duet) {
     run_.Register(duet_->RegisterBlockTask(kDuetPageAdded | kDuetPageDirtied));
-    run_.Poll(config_.fetch_interval, [this] {
+    run_.Poll([this] {
       DrainDuetEvents();
       // The whole device may have been verified by other parties' reads
       // even if the scan's own idle-priority I/O is starved.
@@ -89,7 +89,7 @@ void Scrubber::DrainDuetEvents() {
         (void)duet_->SetDone(run_.sid(), item.id);
       }
     }
-  }, config_.fetch_batch);
+  });
 }
 
 void Scrubber::ProcessNextChunk() {
@@ -117,15 +117,15 @@ void Scrubber::ProcessNextChunk() {
   BlockNo start = *next;
   uint32_t count = 0;
   BlockNo b = start;
-  while (count < config_.chunk_blocks && b < fs_->capacity_blocks()) {
+  while (count < kChunkBlocks && b < fs_->capacity_blocks()) {
     if (config_.use_duet && duet_->CheckDone(run_.sid(), b)) {
       BlockNo run_end = b;
       while (run_end < fs_->capacity_blocks() &&
-             run_end - b < config_.skip_run_blocks &&
+             run_end - b < kSkipRunBlocks &&
              duet_->CheckDone(run_.sid(), run_end)) {
         ++run_end;
       }
-      if (run_end - b >= config_.skip_run_blocks) {
+      if (run_end - b >= kSkipRunBlocks) {
         break;
       }
       count += static_cast<uint32_t>(run_end - b);
@@ -137,18 +137,20 @@ void Scrubber::ProcessNextChunk() {
   }
   const uint64_t epoch = run_.epoch();
   run_.ChunkStarted(start, count);
-  fs_->ReadRawBlocks(start, count, config_.io_class, config_.populate_cache,
+  // Scrub reads populate the page cache, so concurrent tasks can use the
+  // same pass (§6.3: scrub and backup accesses benefit each other).
+  fs_->ReadRawBlocks(start, count, kIoClass,
                      [this, start, count, epoch](const RawReadResult& result) {
                        if (!run_.live(epoch)) {
                          return;
                        }
                        run_.stats().io_read_pages += result.blocks_read;
                        if (IsTransient(result.status)) {
-                         if (chunk_retry_ < config_.max_retries) {
+                         if (chunk_retry_ < kMaxRetries) {
                            // Transient (busy window): retry the same chunk
                            // after an exponentially growing backoff.
                            SimDuration backoff =
-                               config_.retry_backoff * (SimDuration{1} << chunk_retry_);
+                               kRetryBackoff * (SimDuration{1} << chunk_retry_);
                            ++chunk_retry_;
                            ++transient_retries_;
                            run_.Retry(start, chunk_retry_);
@@ -187,11 +189,12 @@ void Scrubber::ProcessNextChunk() {
                          }
                          ProcessNextChunk();
                        };
-                       if (config_.repair && !result.bad_blocks.empty()) {
-                         // Rewrite each bad block from an intact copy; blocks
-                         // with no intact copy are reported unrecoverable.
+                       if (!result.bad_blocks.empty()) {
+                         // Rewrite each bad block from an intact copy (cached
+                         // page or the cowfs DUP mirror); blocks with no
+                         // intact copy are reported unrecoverable.
                          fs_->RepairBlocks(
-                             result.bad_blocks, config_.io_class,
+                             result.bad_blocks, kIoClass,
                              [this, resume](const CowFs::RepairResult& r) {
                                blocks_repaired_ += r.repaired();
                                blocks_unrecoverable_ += r.unrecoverable;

@@ -22,32 +22,28 @@ namespace duet {
 
 struct ScrubberConfig {
   bool use_duet = false;
-  uint32_t chunk_blocks = 256;            // blocks per scan request (1 MiB)
-  // Minimum run of already-verified blocks worth skipping. Breaking the scan
-  // at every done block shatters it into tiny requests, and on disk one
-  // repositioning (~1.7 ms) costs as much as reading ~64 blocks — short
-  // verified runs are cheaper to read through than to seek around. The
-  // default sits just under that crossover to bias toward more frequent
-  // re-coverage of unverified data.
-  uint32_t skip_run_blocks = 48;
-  IoClass io_class = IoClass::kIdle;      // maintenance runs at idle priority
-  size_t fetch_batch = 256;
-  // Independent event-poll period (§6.4: tasks fetch many times a second).
-  // Keeps hints flowing even when the scan's idle-class I/O is starved.
-  SimDuration fetch_interval = Millis(20);
-  // Surface scrub reads to the page cache so concurrent tasks can use the
-  // same pass (§6.3: scrub and backup accesses benefit each other).
-  bool populate_cache = true;
-  // Error handling: rewrite bad blocks from an intact copy (cached page or
-  // the cowfs DUP mirror), and retry chunks that fail transiently (device
-  // busy / latency spike) with exponential backoff before skipping them.
-  bool repair = true;
-  uint32_t max_retries = 3;
-  SimDuration retry_backoff = Millis(10);  // doubles per consecutive retry
 };
 
 class Scrubber {
  public:
+  // Blocks per scan request (1 MiB).
+  static constexpr uint32_t kChunkBlocks = 256;
+  // Minimum run of already-verified blocks worth skipping. Breaking the scan
+  // at every done block shatters it into tiny requests, and on disk one
+  // repositioning (~1.7 ms) costs as much as reading ~64 blocks — short
+  // verified runs are cheaper to read through than to seek around. The
+  // value sits just under that crossover to bias toward more frequent
+  // re-coverage of unverified data.
+  static constexpr uint32_t kSkipRunBlocks = 48;
+  // Maintenance I/O runs at idle priority (§6.5), so the scan yields to the
+  // workload.
+  static constexpr IoClass kIoClass = IoClass::kIdle;
+  // A chunk that fails transiently (device busy / latency spike) is retried
+  // this many times, with a backoff that starts here and doubles per
+  // consecutive retry, before the pass skips it.
+  static constexpr uint32_t kMaxRetries = 3;
+  static constexpr SimDuration kRetryBackoff = Millis(10);
+
   // `duet` may be null when use_duet is false.
   Scrubber(CowFs* fs, DuetCore* duet, ScrubberConfig config);
   ~Scrubber();

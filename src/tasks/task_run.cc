@@ -66,10 +66,10 @@ void TaskRun::Arm(SimDuration delay, std::function<void()> fn) {
   });
 }
 
-void TaskRun::Poll(SimDuration interval, std::function<bool()> tick) {
-  Arm(interval, [this, interval, tick = std::move(tick)] {
+void TaskRun::Poll(std::function<bool()> tick) {
+  Arm(kFetchInterval, [this, tick = std::move(tick)] {
     if (tick()) {
-      Poll(interval, tick);
+      Poll(tick);
     }
   });
 }
@@ -109,15 +109,14 @@ void TaskRun::Stop() {
   Deregister();
 }
 
-void TaskRun::Drain(InodePriorityQueue& queue, size_t batch) {
+void TaskRun::Drain(InodePriorityQueue& queue) {
   fetch_calls_->Add();
-  DrainEvents(*duet_, sid_, queue, batch);
+  DrainEvents(*duet_, sid_, queue, kFetchBatch);
 }
 
-void TaskRun::Drain(const std::function<void(const DuetItem&)>& fn,
-                    size_t batch) {
+void TaskRun::Drain(const std::function<void(const DuetItem&)>& fn) {
   fetch_calls_->Add();
-  DrainEvents(*duet_, sid_, fn, batch);
+  DrainEvents(*duet_, sid_, fn, kFetchBatch);
 }
 
 void TaskRun::PersistCursor(DurableImage* image, std::string key, size_t width) {

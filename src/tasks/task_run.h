@@ -30,11 +30,11 @@ namespace duet {
 class DurableImage;
 class InodePriorityQueue;
 
-// Trace payload tags (wire format; do not renumber existing entries).
+// Trace payload tags (wire format; do not renumber existing entries, and do
+// not reuse the retired 3).
 enum class TaskTag : uint64_t {
   kScrub = 1,
   kBackup = 2,
-  kIncBackup = 3,
   kDefrag = 4,
   kGc = 5,
   kRsync = 6,
@@ -69,6 +69,12 @@ struct TaskStats {
 
 class TaskRun {
  public:
+  // Items one fetch (Algorithm 1) takes at most.
+  static constexpr size_t kFetchBatch = 256;
+  // Poll period: tasks fetch many times a second (§6.4), on their own timer,
+  // so hints keep flowing even while the task's idle-class I/O is starved.
+  static constexpr SimDuration kFetchInterval = Millis(20);
+
   // `duet` may be null for a task that never registers a session.
   TaskRun(std::string_view name, TaskTag tag, EventLoop* loop, DuetCore* duet);
   // Pending timer callbacks hold `this`.
@@ -79,9 +85,6 @@ class TaskRun {
   // Starts a run from scratch: fresh stats, a new epoch, and `on_finish` to
   // fire when the run finishes.
   void Begin(std::function<void()> on_finish = nullptr);
-  void set_on_finish(std::function<void()> on_finish) {
-    on_finish_ = std::move(on_finish);
-  }
   // Takes the run's Duet session. A failed registration (e.g. the session
   // table is full) aborts with a message in every build type.
   void Register(Result<SessionId> sid);
@@ -92,9 +95,9 @@ class TaskRun {
   // Runs `fn` once after `delay` on the run's one timer, unless the run has
   // ended by then. Does nothing when the run has already ended.
   void Arm(SimDuration delay, std::function<void()> fn);
-  // Calls `tick` every `interval` (§6.4: tasks fetch many times a second)
-  // until it returns false or the run ends.
-  void Poll(SimDuration interval, std::function<bool()> tick);
+  // Calls `tick` every kFetchInterval until it returns false or the run
+  // ends.
+  void Poll(std::function<bool()> tick);
   void CancelTimer();
   void Deregister();
   // Records the finish, clears the crash-resume cursor, ends the run, then
@@ -103,9 +106,10 @@ class TaskRun {
   // Ends the run without finishing it: cancels the timer, deregisters.
   void Stop();
 
-  // Algorithm 1's fetch: drains the session's pending events.
-  void Drain(InodePriorityQueue& queue, size_t batch);
-  void Drain(const std::function<void(const DuetItem&)>& fn, size_t batch);
+  // Algorithm 1's fetch: drains the session's pending events, at most
+  // kFetchBatch items per fetch.
+  void Drain(InodePriorityQueue& queue);
+  void Drain(const std::function<void(const DuetItem&)>& fn);
 
   // ---- Crash-resume cursor ----
   // Persists a `width`-word cursor under `key` in the durable image.

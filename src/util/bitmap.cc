@@ -88,8 +88,6 @@ std::optional<uint64_t> Bitmap::FindNextSet(uint64_t from) const {
   }
 }
 
-bool Bitmap::AllSet() const { return Count() == num_bits_; }
-
 void Bitmap::Reset() { words_.assign(words_.size(), 0); }
 
 }  // namespace duet

@@ -50,8 +50,6 @@ class Bitmap {
   // First set bit at or after `from`, or nullopt.
   std::optional<uint64_t> FindNextSet(uint64_t from) const;
 
-  bool AllSet() const;
-
   void Reset();  // clears every bit
 
   // Approximate heap usage in bytes (for the memory-overhead experiments).

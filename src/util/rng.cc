@@ -49,11 +49,6 @@ uint64_t Rng::Uniform(uint64_t bound) {
   }
 }
 
-uint64_t Rng::UniformRange(uint64_t lo, uint64_t hi) {
-  assert(lo <= hi);
-  return lo + Uniform(hi - lo + 1);
-}
-
 double Rng::NextDouble() {
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }

@@ -20,9 +20,6 @@ class Rng {
   // Uniform integer in [0, bound). bound must be > 0.
   uint64_t Uniform(uint64_t bound);
 
-  // Uniform integer in [lo, hi] inclusive.
-  uint64_t UniformRange(uint64_t lo, uint64_t hi);
-
   // Uniform double in [0, 1).
   double NextDouble();
 

@@ -40,19 +40,6 @@ TEST(EvictionAdvisorTest, FallsBackToLruWhenNothingAdvised) {
   EXPECT_TRUE(cache.Contains(3, 0));
 }
 
-TEST(EvictionAdvisorTest, ClearRestoresPlainLru) {
-  obs::ObsContext obs;
-  EventLoop loop(obs);
-  PageCache cache(2, &loop);
-  cache.SetEvictionAdvisor([](InodeNo ino, PageIdx) { return ino == 2; });
-  cache.ClearEvictionAdvisor();
-  cache.Insert(1, 0, 1, false);
-  cache.Insert(2, 0, 2, false);
-  cache.Insert(3, 0, 3, false);
-  EXPECT_FALSE(cache.Contains(1, 0));
-  EXPECT_TRUE(cache.Contains(2, 0));
-}
-
 TEST(EvictionAdvisorTest, DirtyPagesNeverAdvisedAway) {
   obs::ObsContext obs;
   EventLoop loop(obs);

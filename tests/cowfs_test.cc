@@ -75,7 +75,7 @@ TEST_F(CowFsTest, CorruptionDetectedByRawRead) {
   fs_.CorruptBlock(*fs_.Bmap(ino, 5));
   RawReadResult result;
   bool done = false;
-  fs_.ReadRawBlocks(0, 1000, IoClass::kIdle, false, [&](const RawReadResult& r) {
+  fs_.ReadRawBlocks(0, 1000, IoClass::kIdle, [&](const RawReadResult& r) {
     result = r;
     done = true;
   });
@@ -91,7 +91,7 @@ TEST_F(CowFsTest, RawReadSkipsUnallocatedBlocks) {
   bool done = false;
   RawReadResult result;
   // Range far beyond any allocation.
-  fs_.ReadRawBlocks(50'000, 1000, IoClass::kIdle, false, [&](const RawReadResult& r) {
+  fs_.ReadRawBlocks(50'000, 1000, IoClass::kIdle, [&](const RawReadResult& r) {
     result = r;
     done = true;
   });

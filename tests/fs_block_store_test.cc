@@ -229,7 +229,7 @@ TYPED_TEST(BlockStoreTest, CorruptBlockCaughtByFsReadPath) {
       this->fs_->CleanSegment(this->fs_->SegmentOf(victim), IoClass::kIdle,
                               [&](const CleanResult& r) { checksum_errors = r.checksum_errors; });
     } else {
-      this->fs_->ReadRawBlocks(victim - 1, 3, IoClass::kIdle, /*populate_cache=*/false,
+      this->fs_->ReadRawBlocks(victim - 1, 3, IoClass::kIdle,
                                [&](const RawReadResult& r) {
                                  checksum_errors = r.checksum_errors;
                                });

@@ -52,14 +52,6 @@ TEST(TracerTest, EventOrderMatters) {
   EXPECT_NE(ab.Fingerprint(), ba.Fingerprint());
 }
 
-TEST(TracerTest, DisabledFingerprintStopsFolding) {
-  Tracer tracer;
-  tracer.SetFingerprintEnabled(false);
-  tracer.Emit(1, TraceLayer::kSim, TraceKind::kEventFired, 1);
-  EXPECT_EQ(tracer.Fingerprint(), Tracer::kFnvOffset);
-  EXPECT_EQ(tracer.events_emitted(), 1u);  // emission count still advances
-}
-
 TEST(TraceRingTest, RetainsMostRecentAndCountsDrops) {
   TraceRing ring(4);
   Tracer tracer;

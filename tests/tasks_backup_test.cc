@@ -44,18 +44,20 @@ TEST_F(BackupTest, SnapshotVersionIsBackedUpDespiteOverwrites) {
   Populate(2, 64);
   InodeNo f0 = *fs_.ns().Resolve("/f0");
   BackupConfig config;
-  config.chunk_pages = 8;
   Backup backup(&fs_, nullptr, config);
   bool finished = false;
   backup.Start([&] { finished = true; });
   // Overwrite f0 heavily while the backup streams.
+  int writes_during_stream = 0;
   for (int i = 1; i <= 10; ++i) {
-    rig_.loop.ScheduleAt(Millis(static_cast<uint64_t>(i)), [this, f0] {
+    rig_.loop.ScheduleAt(Micros(static_cast<uint64_t>(200 * i)), [&, f0] {
+      writes_during_stream += finished ? 0 : 1;
       fs_.Write(f0, 0, 32 * kPageSize, IoClass::kBestEffort, nullptr);
     });
   }
   rig_.loop.Run();
   ASSERT_TRUE(finished);
+  EXPECT_EQ(writes_during_stream, 10);
   EXPECT_TRUE(backup.AllPagesSentOnce());
 }
 
@@ -63,19 +65,22 @@ TEST_F(BackupTest, DuetOpportunisticallyCopiesCachedPages) {
   Populate(8, 32);
   BackupConfig config;
   config.use_duet = true;
-  config.chunk_pages = 4;  // slow the stream so the reads below overlap it
   Backup backup(&fs_, &duet_, config);
   bool finished = false;
   backup.Start([&] { finished = true; });
   // Foreground reads bring shared pages into the cache during the backup.
+  int reads_during_stream = 0;
   for (int i = 4; i < 8; ++i) {
     InodeNo ino = *fs_.ns().Resolve(StrFormat("/f%d", i));
-    rig_.loop.ScheduleAt(Micros(static_cast<uint64_t>(200 * i)), [this, ino] {
-      fs_.Read(ino, 0, 32 * kPageSize, IoClass::kBestEffort, nullptr);
+    rig_.loop.ScheduleAt(Micros(static_cast<uint64_t>(200 * i)), [&, ino] {
+      fs_.Read(ino, 0, 32 * kPageSize, IoClass::kBestEffort,
+               [&](const FsIoResult&) { reads_during_stream += finished ? 0 : 1; });
     });
   }
   rig_.loop.Run();
   ASSERT_TRUE(finished);
+  // The reads overlap the stream: each completed before the backup finished.
+  EXPECT_EQ(reads_during_stream, 4);
   EXPECT_TRUE(backup.AllPagesSentOnce());
   EXPECT_GT(backup.stats().opportunistic_units, 0u);
   EXPECT_GT(backup.stats().saved_read_pages, 0u);
@@ -88,16 +93,16 @@ TEST_F(BackupTest, DuetDoesNotCopyPagesModifiedSinceSnapshot) {
   InodeNo f0 = *fs_.ns().Resolve("/f0");
   BackupConfig config;
   config.use_duet = true;
-  config.chunk_pages = 4;
   Backup backup(&fs_, &duet_, config);
   bool finished = false;
   backup.Start([&] { finished = true; });
-  // Immediately dirty f0 (after the snapshot is cut at t≈0) and then read
-  // it back: the cached pages no longer share blocks with the snapshot, so
-  // the opportunistic path must not send them.
-  rig_.loop.ScheduleAt(Millis(1), [this, f0] {
-    fs_.Write(f0, 0, 32 * kPageSize, IoClass::kBestEffort, nullptr);
-  });
+  // Immediately dirty f0 (after the snapshot is cut at t≈0), before the
+  // stream sends any of it: the cached pages no longer share blocks with the
+  // snapshot, so the opportunistic path must not send them.
+  rig_.loop.RunUntil(Micros(1));
+  ASSERT_FALSE(finished);
+  ASSERT_EQ(backup.bytes_sent(), 0u);
+  fs_.Write(f0, 0, 32 * kPageSize, IoClass::kBestEffort, nullptr);
   rig_.loop.Run();
   ASSERT_TRUE(finished);
   // Still complete and consistent: the preserved blocks were read instead.
@@ -188,16 +193,18 @@ TEST_P(BackupHoleTest, HoledFileSendsEveryMappedPageOnce) {
 
   BackupConfig config;
   config.use_duet = GetParam();
-  config.chunk_pages = 4;
   Backup backup(&fs_, &duet_, config);
   bool finished = false;
   backup.Start([&] { finished = true; });
   // Reads of the sparse file's mapped pages give Duet something to report.
-  rig_.loop.ScheduleAt(Micros(300), [this, sparse] {
-    fs_.Read(sparse, 4 * kPageSize, 4 * kPageSize, IoClass::kBestEffort, nullptr);
+  bool read_during_stream = false;
+  rig_.loop.ScheduleAt(Micros(300), [&, sparse] {
+    fs_.Read(sparse, 4 * kPageSize, 4 * kPageSize, IoClass::kBestEffort,
+             [&](const FsIoResult&) { read_during_stream = !finished; });
   });
   rig_.loop.Run();
   ASSERT_TRUE(finished);
+  EXPECT_TRUE(read_during_stream);
   EXPECT_TRUE(backup.AllPagesSentOnce());
   EXPECT_EQ(backup.stats().work_total, 2 * 16 + 5u);
   EXPECT_EQ(backup.stats().work_done, backup.stats().work_total);
@@ -216,11 +223,11 @@ TEST_F(BackupTest, DuetMarksBlocksItWillNeverSendDone) {
   InodeNo f3 = *fs_.ns().Resolve("/f3");
   BackupConfig config;
   config.use_duet = true;
-  config.chunk_pages = 4;
   Backup backup(&fs_, &duet_, config);
   bool finished = false;
   backup.Start([&] { finished = true; });
   rig_.loop.RunUntil(Micros(1));  // the snapshot is cut
+  ASSERT_FALSE(finished);         // and f3 is not streamed yet
   fs_.Write(f3, 0, 8 * kPageSize, IoClass::kBestEffort, nullptr);
   rig_.loop.Run();
   ASSERT_TRUE(finished);

@@ -1,3 +1,5 @@
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "src/duet/duet_core.h"
@@ -136,6 +138,18 @@ class GcTaskTest : public ::testing::Test {
         fs_(&rig_.loop, &rig_.device, /*cache_pages=*/256, /*segment_blocks=*/64),
         duet_(&fs_) {}
 
+  // Issues a one-block best-effort read every half idle threshold until
+  // `until`, so the device never idles long enough for the GC to clean.
+  void KeepDeviceBusy(SimTime until) {
+    for (SimTime at = rig_.loop.now(); at < until; at += GcTask::kIdleThreshold / 2) {
+      rig_.loop.ScheduleAt(at, [this] {
+        IoRequest read;
+        read.block = 16'000;
+        rig_.device.Submit(std::move(read));
+      });
+    }
+  }
+
   SimRig rig_;
   LogFs fs_;
   DuetCore duet_;
@@ -147,11 +161,15 @@ TEST_F(GcTaskTest, CleansInvalidatedSegmentsWhenIdle) {
   ASSERT_TRUE(fs_.PopulateFile("/b", 128 * kPageSize).ok());
   fs_.Write(a, 0, 120 * kPageSize, IoClass::kBestEffort, nullptr);
   rig_.loop.RunUntil(Millis(500));
+  bool mostly_invalid = false;
+  for (SegmentNo seg = 0; seg < fs_.segment_count(); ++seg) {
+    const SegmentInfo& info = fs_.segment(seg);
+    mostly_invalid |= info.written == fs_.segment_blocks() && info.valid > 0 &&
+                      info.valid < fs_.segment_blocks() / 2;
+  }
+  ASSERT_TRUE(mostly_invalid);
 
-  GcConfig config;
-  config.wake_interval = Millis(100);
-  config.idle_threshold = Millis(10);
-  GcTask gc(&fs_, nullptr, config);
+  GcTask gc(&fs_, nullptr, GcConfig{});
   gc.Start();
   rig_.loop.RunUntil(Seconds(30));
   gc.Stop();
@@ -164,19 +182,21 @@ TEST_F(GcTaskTest, DoesNotRunWhileDeviceBusy) {
   InodeNo a = *fs_.PopulateFile("/a", 128 * kPageSize);
   fs_.Write(a, 0, 120 * kPageSize, IoClass::kBestEffort, nullptr);
   rig_.loop.RunUntil(Millis(500));
-  GcConfig config;
-  config.wake_interval = Millis(100);
-  config.idle_threshold = Seconds(10);  // effectively never idle enough
-  GcTask gc(&fs_, nullptr, config);
+  GcTask gc(&fs_, nullptr, GcConfig{});
   gc.Start();
-  // Steady foreground reads keep last-activity fresh.
-  for (int i = 0; i < 50; ++i) {
-    rig_.loop.ScheduleAt(Millis(static_cast<uint64_t>(500 + 100 * i)), [this, a] {
-      fs_.Read(a, 0, 4 * kPageSize, IoClass::kBestEffort, nullptr);
+  // Steady foreground reads keep last-activity fresh: sampled every
+  // millisecond, the device never idles for the GC's threshold.
+  KeepDeviceBusy(Seconds(6));
+  SimDuration longest_idle = 0;
+  for (SimTime at = Millis(501); at < Seconds(6); at += Millis(1)) {
+    rig_.loop.ScheduleAt(at, [this, &longest_idle] {
+      longest_idle = std::max(longest_idle,
+                              rig_.loop.now() - rig_.device.last_best_effort_activity());
     });
   }
   rig_.loop.RunUntil(Seconds(6));
   gc.Stop();
+  EXPECT_LT(longest_idle, GcTask::kIdleThreshold);
   EXPECT_EQ(gc.segments_cleaned(), 0u);
 }
 
@@ -184,12 +204,13 @@ TEST_F(GcTaskTest, DuetCountersTrackCachedBlocks) {
   InodeNo a = *fs_.PopulateFile("/a", 64 * kPageSize);  // exactly segment 0
   GcConfig config;
   config.use_duet = true;
-  config.wake_interval = Millis(100);
   GcTask gc(&fs_, &duet_, config);
   gc.Start();
   fs_.Read(a, 0, 32 * kPageSize, IoClass::kBestEffort, nullptr);
   rig_.loop.RunUntil(Seconds(1));
   gc.Stop();
+  // Segment 0 has no invalid block, so no cleaning reset its counter.
+  ASSERT_EQ(gc.segments_cleaned(), 0u);
   // 32 pages of segment 0 were cached; the counter should be close.
   EXPECT_GE(gc.CachedCounter(0), 24);
   EXPECT_LE(gc.CachedCounter(0), 32);
@@ -202,10 +223,9 @@ TEST_F(GcTaskTest, DuetDoesNotCountFlushedPagesThatLeftTheCache) {
   InodeNo a = *fs_.PopulateFile("/a", 64 * kPageSize);
   GcConfig config;
   config.use_duet = true;
-  config.wake_interval = Millis(100);
-  config.idle_threshold = Seconds(100);  // never cleans: counters stay put
   GcTask gc(&fs_, &duet_, config);
   gc.Start();
+  KeepDeviceBusy(Seconds(1));  // never cleans: counters stay put
   fs_.Write(a, 0, 8 * kPageSize, IoClass::kBestEffort, nullptr);
   bool synced = false;
   fs_.Sync([&synced] { synced = true; });
@@ -219,6 +239,7 @@ TEST_F(GcTaskTest, DuetDoesNotCountFlushedPagesThatLeftTheCache) {
   fs_.Read(a, 0, 2 * kPageSize, IoClass::kBestEffort, nullptr);
   rig_.loop.RunUntil(Seconds(1));
   gc.Stop();
+  ASSERT_EQ(gc.segments_cleaned(), 0u);
   EXPECT_EQ(gc.CachedCounter(seg), 2);
 }
 
@@ -233,14 +254,17 @@ TEST_F(GcTaskTest, DuetPrefersCachedVictims) {
 
   GcConfig config;
   config.use_duet = true;
-  config.wake_interval = Millis(200);
-  config.idle_threshold = Millis(10);
   GcTask gc(&fs_, &duet_, config);
   gc.Start();
-  // Warm the remaining valid pages of b (pages 32..63, still in segment 1).
-  fs_.Read(b, 32 * kPageSize, 32 * kPageSize, IoClass::kBestEffort, nullptr);
+  // Warm the remaining valid pages of b (pages 32..63, still in segment 1),
+  // before the GC first wakes.
+  SimTime warmed_at = 0;
+  fs_.Read(b, 32 * kPageSize, 32 * kPageSize, IoClass::kBestEffort,
+           [&](const FsIoResult&) { warmed_at = rig_.loop.now(); });
   rig_.loop.RunUntil(Seconds(2));
   gc.Stop();
+  ASSERT_GT(warmed_at, 0u);
+  ASSERT_LT(warmed_at, Millis(500) + GcTask::kWakeInterval);
   ASSERT_GT(gc.segments_cleaned(), 0u);
   // The first cleaned segment should have used cached blocks.
   EXPECT_GT(gc.stats().saved_read_pages, 0u);

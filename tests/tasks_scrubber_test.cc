@@ -89,20 +89,24 @@ TEST_F(ScrubberTest, DuetConcurrentReadsSaveWork) {
   Populate(20, 64);
   ScrubberConfig config;
   config.use_duet = true;
-  config.chunk_blocks = 8;  // slow scan so the reads below overlap it
   Scrubber scrub(&fs_, &duet_, config);
   bool finished = false;
   scrub.Start([&] { finished = true; });
   // While scrubbing runs (idle priority), the "workload" reads files at
   // best-effort priority, verifying them ahead of the scrubber's cursor.
+  // The scan takes only five chunks, so the reads start early.
+  int reads_during_scan = 0;
   for (int i = 10; i < 20; ++i) {
     InodeNo ino = *fs_.ns().Resolve(StrFormat("/f%d", i));
-    rig_.loop.ScheduleAt(Micros(static_cast<uint64_t>(100 * i)), [this, ino] {
-      fs_.Read(ino, 0, 64 * kPageSize, IoClass::kBestEffort, nullptr);
+    rig_.loop.ScheduleAt(Micros(static_cast<uint64_t>(10 * i)), [&, ino] {
+      fs_.Read(ino, 0, 64 * kPageSize, IoClass::kBestEffort,
+               [&](const FsIoResult&) { reads_during_scan += finished ? 0 : 1; });
     });
   }
   rig_.loop.Run();
   ASSERT_TRUE(finished);
+  // The reads overlap the scan: each completed before the scan finished.
+  EXPECT_EQ(reads_during_scan, 10);
   EXPECT_GT(scrub.stats().saved_read_pages, 0u);
   EXPECT_EQ(scrub.stats().work_done, scrub.stats().work_total);
   EXPECT_LT(scrub.stats().io_read_pages, scrub.stats().work_total);
@@ -131,12 +135,13 @@ TEST_F(ScrubberTest, DuetRescrubsDirtiedBlocksBeforeCursor) {
 }
 
 TEST_F(ScrubberTest, StopHaltsScan) {
-  Populate(10, 256);
-  ScrubberConfig config;
-  config.chunk_blocks = 16;  // 160 chunks: the 5 ms window cuts the scan short
-  Scrubber scrub(&fs_, nullptr, config);
+  Populate(10, 16 * Scrubber::kChunkBlocks);  // 160 chunks
+  Scrubber scrub(&fs_, nullptr, ScrubberConfig{});
   scrub.Start();
   rig_.loop.RunUntil(Millis(5));
+  // The 5 ms window cuts the scan short: it has read, but not finished.
+  ASSERT_GT(scrub.stats().work_done, 0u);
+  ASSERT_FALSE(scrub.stats().finished);
   scrub.Stop();
   rig_.loop.Run();
   EXPECT_FALSE(scrub.stats().finished);

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Lists functions declared under src/ that nothing calls.
+"""Lists functions declared under src/ that nothing calls, and task knobs
+that nothing sets.
 
 A unit is one header plus the .cc of the same name beside it. A public
 function declared in src/a/b.h is called when its name appears, outside
@@ -8,9 +9,18 @@ examples/ or perfbench/, or in its own unit on a line that neither declares
 nor defines it. Tests do not count as callers: code that only tests call is
 reported too, unless the allowlist keeps it with a reason.
 
+A field of a `*Config` struct declared in src/tasks/*.h is a knob: it is set
+when a program file outside tests/ that names the struct assigns it, by
+member assignment (`config.name = ...`) or designated initializer
+(`{.name = ...}`). A knob that only tests set, or nothing does, is reported
+as `Config::name`: a value every program leaves at its default belongs in the
+task as a named constant.
+
 The scan is plain text. It matches names, not overloads, so a dead function
 that shares its name with a live one elsewhere goes unreported; a function it
-does report has no caller outside its unit under any spelling.
+does report has no caller outside its unit under any spelling. Likewise a
+knob goes unreported when a file that names its struct assigns another
+struct's field of the same name.
 
 Usage:
   tools/unused_symbols.py             print every unused symbol
@@ -19,8 +29,8 @@ Usage:
                                       no longer names an unused symbol
 
 Allowlist (tools/unused_symbols.allow): one `Symbol  reason` per line, where
-Symbol is `Name` for a free function or `Class::Name` for a member; `#`
-starts a comment.
+Symbol is `Name` for a free function or `Class::Name` for a member or knob;
+`#` starts a comment.
 """
 
 import argparse
@@ -54,6 +64,10 @@ DECL = re.compile(r"^\s*([\w:<>,\s\*&]*[\w>\*&])[\s\*&]+([A-Za-z_]\w*)\s*\(")
 DEF = re.compile(r"^([\w:<>,\s\*&]*[\w>\*&])[\s\*&]+(?:\w+::)+([A-Za-z_]\w*)\s*\(")
 ACCESS = re.compile(r"^\s*(public|private|protected)\s*:")
 SCOPE = re.compile(r"\b(class|struct|namespace)\s+([A-Za-z_]\w*)[^;{()]*\{")
+CONFIG = re.compile(r"^struct\s+(\w+Config)\s*\{(.*?)^\};", re.S | re.M)
+# A data member: a type, the name, an optional default, then `;`.
+FIELD = re.compile(r"^\s*[\w:<>,\s\*&]*[\w>\*&]\s+([A-Za-z_]\w*)\s*(?:=[^;]*|\{[^;]*\})?;")
+TASK_HEADERS = os.path.join("src", "tasks")
 
 
 def strip(text):
@@ -148,7 +162,26 @@ def unused_symbols():
             if not any(name in idents[p] for p in files if p not in unit) \
                     and not called_in_unit(name, unit_texts):
                 unused.setdefault(qualified, header)
+    for qualified, header in unset_knobs(files, texts, idents):
+        unused.setdefault(qualified, header)
     return unused
+
+
+def unset_knobs(files, texts, idents):
+    """Yields (Config::name, header) for each task knob no program sets."""
+    for header in files:
+        if os.path.dirname(header) != TASK_HEADERS or not header.endswith(".h"):
+            continue
+        for config in CONFIG.finditer(texts[header]):
+            for line in config.group(2).split("\n"):
+                field = FIELD.match(line)
+                if not field:
+                    continue
+                name = field.group(1)
+                setter = re.compile(rf"\.{name}\s*=(?!=)")
+                if not any(config.group(1) in idents[p] and setter.search(texts[p])
+                           for p in files):
+                    yield f"{config.group(1)}::{name}", header
 
 
 def read_allowlist():
@@ -179,9 +212,11 @@ def main():
     new = sorted(s for s in unused if s not in allowed)
     stale = sorted(s for s in allowed if s not in unused)
     for symbol in new:
-        print(f"{unused[symbol]}: {symbol} has no caller outside its unit; "
-              f"delete it, or keep it in {os.path.relpath(ALLOWLIST, ROOT)} "
-              f"with a reason")
+        what = ("is set by no program outside tests/; make it a constant in "
+                "the task" if symbol.split("::")[0].endswith("Config")
+                else "has no caller outside its unit; delete it")
+        print(f"{unused[symbol]}: {symbol} {what}, or keep it in "
+              f"{os.path.relpath(ALLOWLIST, ROOT)} with a reason")
     for symbol in stale:
         print(f"{os.path.relpath(ALLOWLIST, ROOT)}: {symbol} is no longer "
               f"unused (or no longer declared); drop its line")
