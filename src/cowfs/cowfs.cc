@@ -167,9 +167,12 @@ void CowFs::ReadRawBlocks(BlockNo start, uint32_t count, IoClass io_class,
           }
         } else {
           // Only verified content may enter the page cache; caching a corrupt
-          // or unread token would mask the fault from every later reader.
+          // or unread token would mask the fault from every later reader. A
+          // snapshot block keeps its reverse-map entry after its page moves
+          // (COW): its content is the page's old version, not the page.
           Result<BlockOwner> owner = Rmap(b);
-          if (owner.ok() && !cache_.Contains(owner->ino, owner->idx)) {
+          if (owner.ok() && BlockOf(owner->ino, owner->idx) == b &&
+              !cache_.Contains(owner->ino, owner->idx)) {
             cache_.Insert(owner->ino, owner->idx, disk_data_[b], /*dirty=*/false);
           }
         }

@@ -22,6 +22,9 @@ class ScrubberTest : public ::testing::Test {
     }
   }
 
+  // A Duet scrubber holds the fixture's only session, the table's first.
+  static constexpr SessionId kScrubSid = 0;
+
   SimRig rig_;
   CowFs fs_;
   DuetCore duet_;
@@ -132,6 +135,43 @@ TEST_F(ScrubberTest, DuetRescrubsDirtiedBlocksBeforeCursor) {
   // registration scan marks them dirty, clearing their done state.)
   EXPECT_EQ(scrub.stats().saved_read_pages, 112u);
   EXPECT_EQ(scrub.stats().io_read_pages, 128u + 16u);
+}
+
+TEST_F(ScrubberTest, SnapshotBlockReadDoesNotCacheOldContentAsLivePage) {
+  Populate(1, 2 * Scrubber::kChunkBlocks);
+  InodeNo f0 = *fs_.ns().Resolve("/f0");
+  const BlockNo old_block = *fs_.Bmap(f0, 0);
+  const uint64_t old_token = fs_.DiskToken(old_block);
+  ASSERT_TRUE(fs_.CreateSnapshot().ok());
+  // Overwrite page 0: its COW copy moves to a new block, and the snapshot
+  // keeps the old one, whose reverse-map entry still names the page.
+  fs_.Write(f0, 0, kPageSize, IoClass::kBestEffort, nullptr);
+  fs_.writeback().Sync(nullptr);
+  rig_.loop.Run();
+  const BlockNo live_block = *fs_.Bmap(f0, 0);
+  ASSERT_GE(live_block, old_block + 2 * Scrubber::kChunkBlocks);
+  ASSERT_TRUE(fs_.cache().Remove(f0, 0));
+
+  ScrubberConfig config;
+  config.use_duet = true;
+  Scrubber scrub(&fs_, &duet_, config);
+  bool finished = false;
+  scrub.Start([&] { finished = true; });
+  // Run until the scan has read the file's old blocks (the first two
+  // chunks) but not yet the page's live block, which lies past them.
+  while (scrub.stats().io_read_pages < 2 * Scrubber::kChunkBlocks && rig_.loop.RunOne()) {
+  }
+  ASSERT_GE(scrub.stats().io_read_pages, 2 * Scrubber::kChunkBlocks);
+  const CachedPage* page = fs_.cache().Peek(f0, 0);
+  EXPECT_TRUE(page == nullptr || page->data != old_token);
+  EXPECT_FALSE(finished);
+  EXPECT_TRUE(duet_.CheckDone(kScrubSid, old_block));
+  EXPECT_FALSE(duet_.CheckDone(kScrubSid, live_block));
+  rig_.loop.Run();
+  ASSERT_TRUE(finished);
+  // Nothing but the scan verified a block, so it read the live block too.
+  EXPECT_EQ(scrub.stats().io_read_pages, scrub.stats().work_total);
+  EXPECT_EQ(scrub.stats().saved_read_pages, 0u);
 }
 
 TEST_F(ScrubberTest, StopHaltsScan) {
