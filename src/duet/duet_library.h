@@ -56,14 +56,14 @@ class InodePriorityQueue {
 };
 
 // Algorithm 1's prioqueue_update: drains all pending events from the
-// session into the queue. Returns the number of items fetched.
+// session into the queue, fetching `batch` items per call (tasks pass
+// TaskRun::kFetchBatch). Returns the number of items fetched.
 uint64_t DrainEvents(DuetCore& duet, SessionId sid, InodePriorityQueue& queue,
-                     size_t batch = 256);
+                     size_t batch);
 
 // Drains pending events and hands each raw item to `fn` (block tasks).
 uint64_t DrainEvents(DuetCore& duet, SessionId sid,
-                     const std::function<void(const DuetItem&)>& fn,
-                     size_t batch = 256);
+                     const std::function<void(const DuetItem&)>& fn, size_t batch);
 
 }  // namespace duet
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/cowfs/cowfs.h"
+#include "src/tasks/task_run.h"
 #include "tests/sim_fixture.h"
 
 namespace duet {
@@ -90,7 +91,7 @@ TEST(DrainEventsTest, DrainsEverythingThroughQueue) {
   uint64_t fetched = DrainEvents(duet, sid, q, /*batch=*/3);
   EXPECT_EQ(fetched, 10u);
   EXPECT_EQ(q.PagesInMemory(ino), 10u);
-  EXPECT_EQ(DrainEvents(duet, sid, q), 0u);
+  EXPECT_EQ(DrainEvents(duet, sid, q, TaskRun::kFetchBatch), 0u);
 }
 
 TEST(DrainEventsTest, RawCallbackVariant) {
@@ -102,10 +103,13 @@ TEST(DrainEventsTest, RawCallbackVariant) {
   fs.Read(ino, 0, 5 * kPageSize, IoClass::kBestEffort, nullptr);
   rig.loop.Run();
   uint64_t seen = 0;
-  uint64_t fetched = DrainEvents(duet, sid, [&](const DuetItem& item) {
-    EXPECT_TRUE(item.has(kDuetPageAdded));
-    ++seen;
-  });
+  uint64_t fetched = DrainEvents(
+      duet, sid,
+      [&](const DuetItem& item) {
+        EXPECT_TRUE(item.has(kDuetPageAdded));
+        ++seen;
+      },
+      TaskRun::kFetchBatch);
   EXPECT_EQ(fetched, 5u);
   EXPECT_EQ(seen, 5u);
 }
