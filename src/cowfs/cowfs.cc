@@ -109,6 +109,7 @@ void CowFs::OnBlockFlushed(BlockNo block, uint64_t token) {
 }
 
 void CowFs::ReadRawBlocks(BlockNo start, uint32_t count, IoClass io_class,
+                          VerifiedRunFn on_verified,
                           std::function<void(const RawReadResult&)> cb) {
   // Collect in-use blocks in the range and coalesce them into runs.
   std::vector<std::pair<BlockNo, uint32_t>> runs;
@@ -134,6 +135,7 @@ void CowFs::ReadRawBlocks(BlockNo start, uint32_t count, IoClass io_class,
   }
   auto outstanding = std::make_shared<uint64_t>(runs.size());
   auto cb_shared = std::make_shared<std::function<void(const RawReadResult&)>>(std::move(cb));
+  auto on_verified_shared = std::make_shared<VerifiedRunFn>(std::move(on_verified));
   for (const auto& [run_start, run_count] : runs) {
     IoRequest req;
     req.block = run_start;
@@ -141,8 +143,8 @@ void CowFs::ReadRawBlocks(BlockNo start, uint32_t count, IoClass io_class,
     req.dir = IoDir::kRead;
     req.io_class = io_class;
     ++result->device_ops;
-    req.done = [this, run_start, run_count, result, outstanding,
-                cb_shared](const IoResult& io) {
+    req.done = [this, run_start, run_count, result, outstanding, cb_shared,
+                on_verified_shared](const IoResult& io) {
       if (io.status.code() == StatusCode::kBusy) {
         // Transient whole-request failure: nothing was transferred.
         result->status = io.status;
@@ -152,6 +154,9 @@ void CowFs::ReadRawBlocks(BlockNo start, uint32_t count, IoClass io_class,
         }
         return;
       }
+      // Maximal runs of verified blocks. A block freed since the request
+      // was issued was read but holds nothing to verify.
+      std::vector<std::pair<BlockNo, uint32_t>> verified;
       for (BlockNo b = run_start; b < run_start + run_count; ++b) {
         ++result->blocks_read;
         if (io.BlockFailed(b)) {
@@ -159,17 +164,31 @@ void CowFs::ReadRawBlocks(BlockNo start, uint32_t count, IoClass io_class,
           ++result->read_errors;
           result->bad_blocks.push_back(b);
           result->status = io.status;
+        } else if (!BlockInUse(b)) {
+          continue;
         } else if (Status verify = VerifyBlock(b); !verify.ok()) {
           ++result->checksum_errors;
           result->bad_blocks.push_back(b);
           if (result->status.ok()) {
             result->status = verify;
           }
+        } else if (!verified.empty() && verified.back().first + verified.back().second == b) {
+          ++verified.back().second;
         } else {
-          // Only verified content may enter the page cache; caching a corrupt
-          // or unread token would mask the fault from every later reader. A
-          // snapshot block keeps its reverse-map entry after its page moves
-          // (COW): its content is the page's old version, not the page.
+          verified.emplace_back(b, 1);
+        }
+      }
+      if (*on_verified_shared) {
+        for (const auto& [first, n] : verified) {
+          (*on_verified_shared)(first, n);
+        }
+      }
+      // Only verified content may enter the page cache; caching a corrupt
+      // or unread token would mask the fault from every later reader. A
+      // snapshot block keeps its reverse-map entry after its page moves
+      // (COW): its content is the page's old version, not the page.
+      for (const auto& [first, n] : verified) {
+        for (BlockNo b = first; b < first + n; ++b) {
           Result<BlockOwner> owner = Rmap(b);
           if (owner.ok() && BlockOf(owner->ino, owner->idx) == b &&
               !cache_.Contains(owner->ino, owner->idx)) {

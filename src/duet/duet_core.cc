@@ -517,21 +517,25 @@ Result<std::vector<DuetItem>> DuetCore::Fetch(SessionId sid, size_t max_items) {
   return items;
 }
 
-Status DuetCore::SetDone(SessionId sid, uint64_t item_id) {
+Status DuetCore::SetDone(SessionId sid, uint64_t first, uint64_t count) {
   if (sid >= config_.max_sessions || !sessions_[sid].active) {
     return Status(StatusCode::kNotFound, "no such session");
   }
   Session& s = sessions_[sid];
-  if (item_id >= s.done.size()) {
+  if (count == 0) {
+    return Status::Ok();
+  }
+  const uint64_t end = first + count;
+  if (end > s.done.size()) {
     if (s.is_block) {
       return Status(StatusCode::kInvalidArgument, "block out of range");
     }
-    EnsureInodeCapacity(item_id);
+    EnsureInodeCapacity(end - 1);
   }
-  s.done.Set(item_id);
-  ctr_done_set_->Add();
+  s.done.SetRange(first, end);
+  ctr_done_set_->Add(count);
   obs_->trace.Emit(Now(), obs::TraceLayer::kDuet, obs::TraceKind::kDoneSet, sid,
-                   item_id);
+                   first, count);
 
   // Mark existing descriptors up-to-date so completed items generate no
   // further notifications (§4.1).
@@ -552,20 +556,23 @@ Status DuetCore::SetDone(SessionId sid, uint64_t item_id) {
   if (s.is_block) {
     // A block keeps its reverse-map entry after its page moves (a COW under
     // a snapshot): clear the page only while it still lives in the block.
-    Result<FileSystem::BlockOwner> owner = fs_->Rmap(item_id);
-    if (owner.ok() && fs_->BlockOf(owner->ino, owner->idx) == item_id) {
-      clear_page(PageKey{owner->ino, owner->idx});
+    for (BlockNo block = first; block < end; ++block) {
+      Result<FileSystem::BlockOwner> owner = fs_->Rmap(block);
+      if (owner.ok() && fs_->BlockOf(owner->ino, owner->idx) == block) {
+        clear_page(PageKey{owner->ino, owner->idx});
+      }
     }
-  } else {
-    // Collect first: clear_page can free descriptors, which unindexes them.
-    std::vector<PageKey> pages;
-    pages.reserve(page_index_.Count(item_id));
-    page_index_.ForEachOfInode(item_id, [&](PageIdx idx, uint32_t) {
-      pages.push_back(PageKey{item_id, idx});
+    return Status::Ok();
+  }
+  // Collect first: clear_page can free descriptors, which unindexes them.
+  std::vector<PageKey> pages;
+  for (InodeNo ino = first; ino < end; ++ino) {
+    page_index_.ForEachOfInode(ino, [&](PageIdx idx, uint32_t) {
+      pages.push_back(PageKey{ino, idx});
     });
-    for (const PageKey& key : pages) {
-      clear_page(key);
-    }
+  }
+  for (const PageKey& key : pages) {
+    clear_page(key);
   }
   return Status::Ok();
 }

@@ -113,7 +113,11 @@ class DuetCore : public PageEventListener, public VfsObserver {
     const Session& s = sessions_[sid];
     return item_id < s.done.size() && s.done.Test(item_id);
   }
-  Status SetDone(SessionId sid, uint64_t item_id);
+  // Marks `count` items from `first` done: for a block task a run of
+  // blocks, with one bitmap range, one kDoneSet event and one pass that
+  // clears each block's page (a single item is the count-1 case; an empty
+  // run does nothing).
+  Status SetDone(SessionId sid, uint64_t first, uint64_t count = 1);
   Status UnsetDone(SessionId sid, uint64_t item_id);
 
   // Translates an inode to a path relative to the session's registered

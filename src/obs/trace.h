@@ -58,7 +58,7 @@ enum class TraceKind : uint8_t {
   kEventDelivered = 12,       // a=session id, b=ino, c=page idx
   kEventDropped = 13,         // a=session id, b=ino, c=page idx
   kItemFetched = 14,          // a=session id, b=item id, c=flags
-  kDoneSet = 15,              // a=session id, b=item id
+  kDoneSet = 15,              // a=session id, b=first item, c=count
   kDoneUnset = 16,            // a=session id, b=item id
   // tasks
   kTaskStarted = 17,     // a=task tag

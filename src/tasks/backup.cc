@@ -97,11 +97,13 @@ bool Backup::MarkSent(BlockNo block) {
   }
   pass_.sent.Set(block);
   ++pass_.pages_sent;
-  if (config_.use_duet) {
-    // Sent is final: the block's page events are of no further use.
-    (void)duet_->SetDone(run_.sid(), block);
-  }
   return true;
+}
+
+void Backup::MarkDone(BlockNo first, uint64_t count) {
+  if (config_.use_duet) {
+    (void)duet_->SetDone(run_.sid(), first, count);
+  }
 }
 
 void Backup::DrainDuetEvents() {
@@ -131,6 +133,7 @@ void Backup::DrainDuetEvents() {
       return;  // hint went stale or content is in flux — back out
     }
     MarkSent(block);
+    MarkDone(block, 1);
     TaskStats& stats = run_.stats();
     ++stats.work_done;
     ++stats.saved_read_pages;
@@ -210,12 +213,23 @@ void Backup::ProcessFileChunk(InodeNo ino, PageIdx next_page) {
     }
     TaskStats& stats = run_.stats();
     if (read_ok) {
+      // Each run of consecutive blocks sent is marked done with one call.
       const std::vector<BlockNo>& blocks = fs_->GetSnapshot(snapshot_)->files.at(ino).blocks;
+      BlockNo run_first = 0;
+      uint64_t run_count = 0;
       for (PageIdx q = p; q < end; ++q) {
-        if (!std::binary_search(bad.begin(), bad.end(), blocks[q]) && MarkSent(blocks[q])) {
-          ++stats.work_done;
+        if (std::binary_search(bad.begin(), bad.end(), blocks[q]) || !MarkSent(blocks[q])) {
+          continue;
         }
+        ++stats.work_done;
+        if (blocks[q] != run_first + run_count) {
+          MarkDone(run_first, run_count);
+          run_first = blocks[q];
+          run_count = 0;
+        }
+        ++run_count;
       }
+      MarkDone(run_first, run_count);
     }
     stats.io_read_pages += read_pages;
     stats.saved_read_pages += cached_pages;

@@ -74,9 +74,11 @@ class Backup {
   void ProcessFileChunk(InodeNo ino, PageIdx next_page);
   void DrainDuetEvents();
   void DeleteSnapshot();
-  // Records the snapshot page stored in `block` as sent and marks the block
-  // done in Duet; returns false if it was sent before.
+  // Records the snapshot page stored in `block` as sent; returns false if it
+  // was sent before. The caller marks the block done in Duet.
   bool MarkSent(BlockNo block);
+  // Sent is final: the run's page events are of no further use.
+  void MarkDone(BlockNo first, uint64_t count);
 
   CowFs* fs_;
   DuetCore* duet_;

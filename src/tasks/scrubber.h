@@ -1,7 +1,9 @@
 // File-system scrubber (paper §5.1), modeled on the Btrfs scrubber: reads
 // every allocated block sequentially and verifies it against its checksum.
 //
-// Opportunistic mode registers a Duet block task for Added ∨ Dirtied:
+// Opportunistic mode registers a Duet block task. The scan marks each run of
+// blocks its read verifies done, before their pages enter the cache, so its
+// own reads report nothing to it. Its session takes Added ∨ Dirtied:
 //  * Added  — the page was just read through the file system, and cowfs
 //    verifies checksums on every read, so the block is marked scrubbed;
 //  * Dirtied — the block's content changed; its (new) block must be
@@ -92,6 +94,7 @@ class Scrubber {
   uint64_t blocks_unrecoverable_ = 0;
   uint64_t transient_retries_ = 0;
   uint32_t chunk_retry_ = 0;  // consecutive transient retries of this chunk
+  uint64_t chunk_verified_ = 0;  // blocks of the chunk in flight verified so far
 };
 
 }  // namespace duet

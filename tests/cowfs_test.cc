@@ -72,18 +72,34 @@ TEST_F(CowFsTest, CorruptionDetectedOnRead) {
 
 TEST_F(CowFsTest, CorruptionDetectedByRawRead) {
   InodeNo ino = MakeFile("/f", 8);
+  const BlockNo first = *fs_.Bmap(ino, 0);
   fs_.CorruptBlock(*fs_.Bmap(ino, 5));
   RawReadResult result;
   bool done = false;
-  fs_.ReadRawBlocks(0, 1000, IoClass::kIdle, [&](const RawReadResult& r) {
-    result = r;
-    done = true;
-  });
+  // Each maximal run of verified blocks is reported once, before any of its
+  // pages is cached; the corrupt block splits the file's run in two.
+  std::vector<std::pair<BlockNo, uint32_t>> verified;
+  bool cached_before_report = false;
+  fs_.ReadRawBlocks(
+      0, 1000, IoClass::kIdle,
+      [&](BlockNo b, uint32_t n) {
+        verified.emplace_back(b, n);
+        for (PageIdx p = 0; p < 8; ++p) {
+          cached_before_report |= fs_.cache().Contains(ino, p);
+        }
+      },
+      [&](const RawReadResult& r) {
+        result = r;
+        done = true;
+      });
   rig_.loop.Run();
   ASSERT_TRUE(done);
   EXPECT_EQ(result.blocks_read, 8u);
   EXPECT_EQ(result.checksum_errors, 1u);
   EXPECT_EQ(result.status.code(), StatusCode::kCorruption);
+  EXPECT_EQ(verified, (std::vector<std::pair<BlockNo, uint32_t>>{{first, 5}, {first + 6, 2}}));
+  EXPECT_FALSE(cached_before_report);
+  EXPECT_EQ(fs_.cache().PageCount(), 7u);
 }
 
 TEST_F(CowFsTest, RawReadSkipsUnallocatedBlocks) {
@@ -91,7 +107,7 @@ TEST_F(CowFsTest, RawReadSkipsUnallocatedBlocks) {
   bool done = false;
   RawReadResult result;
   // Range far beyond any allocation.
-  fs_.ReadRawBlocks(50'000, 1000, IoClass::kIdle, [&](const RawReadResult& r) {
+  fs_.ReadRawBlocks(50'000, 1000, IoClass::kIdle, nullptr, [&](const RawReadResult& r) {
     result = r;
     done = true;
   });

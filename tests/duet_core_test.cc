@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "src/cowfs/cowfs.h"
+#include "src/util/rng.h"
 #include "tests/sim_fixture.h"
 
 namespace duet {
@@ -534,6 +538,137 @@ TEST_F(DuetCoreTest, DoneIsPerSession) {
   EXPECT_TRUE(FetchAll(a).empty());
   EXPECT_EQ(FetchAll(b).size(), 1u);
 }
+
+// SetDone(sid, first, count) against `count` one-block calls. Two identical
+// stacks take the same random cache operations and fetches; one marks each
+// run with a range call, the other block by block. The event session (Added
+// and Dirtied) queues reports that partial fetches leave queued or not; the
+// state session (Exists) keeps a descriptor per cached page; a snapshot
+// keeps the old blocks of overwritten pages, whose reverse-map entries still
+// name the moved pages. After every step both stacks must agree on done
+// bits, pending counts, descriptor counts and fetched items.
+class SetDoneRangeDifferentialTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  struct Stack {
+    Stack() : fs(&rig.loop, &rig.device, /*cache_pages=*/64), duet(&fs) {}
+    SimRig rig{100'000};
+    CowFs fs;
+    DuetCore duet;
+    std::vector<InodeNo> files;
+    std::vector<SessionId> sids;
+
+    void Settle() { rig.loop.RunUntil(rig.loop.now() + Millis(500)); }
+  };
+};
+
+TEST_P(SetDoneRangeDifferentialTest, RangeCallMatchesSingleCalls) {
+  constexpr uint64_t kFiles = 3;
+  constexpr uint64_t kPages = 48;
+  constexpr BlockNo kBlocks = 256;  // past every block the test allocates
+  std::unique_ptr<Stack> ranged = std::make_unique<Stack>();
+  std::unique_ptr<Stack> single = std::make_unique<Stack>();
+  for (Stack* st : {ranged.get(), single.get()}) {
+    for (uint64_t f = 0; f < kFiles; ++f) {
+      std::string path = "/f" + std::to_string(f);
+      st->files.push_back(*st->fs.PopulateFile(path, kPages * kPageSize));
+    }
+    st->sids.push_back(*st->duet.RegisterBlockTask(kDuetPageAdded | kDuetPageDirtied));
+    st->sids.push_back(*st->duet.RegisterBlockTask(kDuetPageExists));
+    ASSERT_TRUE(st->fs.CreateSnapshot().ok());
+  }
+  Rng rng(GetParam());
+  uint64_t range_calls = 0;
+  uint64_t ranges_clearing_reports = 0;
+  uint64_t ranges_over_moved_pages = 0;
+  for (int step = 0; step < 200; ++step) {
+    const uint64_t op = rng.Uniform(100);
+    const uint64_t file = rng.Uniform(kFiles);
+    const PageIdx page = rng.Uniform(kPages);
+    const size_t session = rng.Uniform(2);
+    if (op < 35) {
+      const uint64_t len = std::min<uint64_t>(1 + rng.Uniform(8), kPages - page);
+      for (Stack* st : {ranged.get(), single.get()}) {
+        st->fs.Read(st->files[file], page * kPageSize, len * kPageSize, IoClass::kBestEffort,
+                    nullptr);
+        st->Settle();
+      }
+    } else if (op < 50) {
+      // A COW overwrite: the page moves, and its old block stays in use for
+      // the snapshot while it holds the old version.
+      for (Stack* st : {ranged.get(), single.get()}) {
+        st->fs.Write(st->files[file], page * kPageSize, kPageSize, IoClass::kBestEffort,
+                     nullptr);
+        st->Settle();
+      }
+    } else if (op < 62) {
+      const size_t max_items = 1 + rng.Uniform(6);
+      Result<std::vector<DuetItem>> a = ranged->duet.Fetch(ranged->sids[session], max_items);
+      Result<std::vector<DuetItem>> b = single->duet.Fetch(single->sids[session], max_items);
+      ASSERT_TRUE(a.ok() && b.ok());
+      ASSERT_EQ(a->size(), b->size()) << "step " << step;
+      for (size_t i = 0; i < a->size(); ++i) {
+        EXPECT_EQ((*a)[i].id, (*b)[i].id) << "step " << step;
+        EXPECT_EQ((*a)[i].flags, (*b)[i].flags) << "step " << step;
+      }
+    } else if (op < 95) {
+      const BlockNo first = rng.Uniform(kBlocks - 32);
+      const uint64_t count = 1 + rng.Uniform(32);
+      for (BlockNo b = first; b < first + count; ++b) {
+        Result<FileSystem::BlockOwner> owner = ranged->fs.Rmap(b);
+        if (owner.ok() && ranged->fs.BlockOf(owner->ino, owner->idx) != b) {
+          ++ranges_over_moved_pages;
+          break;
+        }
+      }
+      const uint64_t pending = ranged->duet.PendingCount(ranged->sids[session]);
+      ASSERT_TRUE(ranged->duet.SetDone(ranged->sids[session], first, count).ok());
+      ranges_clearing_reports +=
+          ranged->duet.PendingCount(ranged->sids[session]) < pending ? 1 : 0;
+      for (BlockNo b = first; b < first + count; ++b) {
+        ASSERT_TRUE(single->duet.SetDone(single->sids[session], b).ok());
+      }
+      ++range_calls;
+    } else {
+      const BlockNo block = rng.Uniform(kBlocks);
+      ASSERT_TRUE(ranged->duet.UnsetDone(ranged->sids[session], block).ok());
+      ASSERT_TRUE(single->duet.UnsetDone(single->sids[session], block).ok());
+    }
+    for (size_t i = 0; i < 2; ++i) {
+      ASSERT_EQ(ranged->duet.DoneCount(ranged->sids[i]), single->duet.DoneCount(single->sids[i]))
+          << "step " << step;
+      for (BlockNo b = 0; b < kBlocks; ++b) {
+        ASSERT_EQ(ranged->duet.CheckDone(ranged->sids[i], b),
+                  single->duet.CheckDone(single->sids[i], b))
+            << "step " << step << " block " << b;
+      }
+      ASSERT_EQ(ranged->duet.PendingCount(ranged->sids[i]),
+                single->duet.PendingCount(single->sids[i]))
+          << "step " << step;
+    }
+    ASSERT_EQ(ranged->duet.descriptor_count(), single->duet.descriptor_count()) << "step " << step;
+  }
+  // The runs did clear queued reports, and covered snapshot blocks whose
+  // pages had moved.
+  ASSERT_GT(range_calls, 0u);
+  EXPECT_GT(ranges_clearing_reports, 0u);
+  EXPECT_GT(ranges_over_moved_pages, 0u);
+  for (size_t i = 0; i < 2; ++i) {
+    Result<std::vector<DuetItem>> a = ranged->duet.Fetch(ranged->sids[i], 1'000);
+    Result<std::vector<DuetItem>> b = single->duet.Fetch(single->sids[i], 1'000);
+    ASSERT_TRUE(a.ok() && b.ok());
+    ASSERT_EQ(a->size(), b->size());
+    for (size_t j = 0; j < a->size(); ++j) {
+      EXPECT_EQ((*a)[j].id, (*b)[j].id);
+      EXPECT_EQ((*a)[j].flags, (*b)[j].flags);
+    }
+  }
+  // The one difference: a range is one call, counted once in the trace and
+  // by its blocks in duet.done.set.
+  EXPECT_EQ(ranged->rig.obs.metrics.CounterValue("duet.done.set"),
+            single->rig.obs.metrics.CounterValue("duet.done.set"));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SetDoneRangeDifferentialTest, ::testing::Values(1, 2, 3, 4));
 
 }  // namespace
 }  // namespace duet

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "src/duet/duet_core.h"
+#include "src/obs/trace.h"
+#include "src/util/bitmap.h"
 #include "src/util/format.h"
 #include "tests/sim_fixture.h"
 
@@ -172,6 +174,73 @@ TEST_F(ScrubberTest, SnapshotBlockReadDoesNotCacheOldContentAsLivePage) {
   // Nothing but the scan verified a block, so it read the live block too.
   EXPECT_EQ(scrub.stats().io_read_pages, scrub.stats().work_total);
   EXPECT_EQ(scrub.stats().saved_read_pages, 0u);
+}
+
+// The scan marks each run of blocks its read verified done before the run's
+// pages enter the cache, so its own reads report nothing to its session, and
+// before the chunk that holds the run finishes. Deleting /f1 leaves a hole,
+// so the first chunk is read as two runs.
+TEST_F(ScrubberTest, DuetMarksEachVerifiedRunBeforeItsChunkFinishes) {
+  Populate(4, 100);
+  ASSERT_TRUE(fs_.DeleteFile(*fs_.ns().Resolve("/f1")).ok());
+  obs::TraceRing ring(1 << 16);
+  rig_.obs.trace.AddSink(&ring);
+  ScrubberConfig config;
+  config.use_duet = true;
+  Scrubber scrub(&fs_, &duet_, config);
+  bool finished = false;
+  scrub.Start([&] { finished = true; });
+  rig_.loop.Run();
+  rig_.obs.trace.RemoveSink(&ring);
+  ASSERT_TRUE(finished);
+  ASSERT_EQ(ring.dropped(), 0u);
+  EXPECT_EQ(scrub.stats().io_read_pages, 300u);
+  EXPECT_EQ(fs_.cache().PageCount(), 300u);  // every page the scan read
+  EXPECT_EQ(rig_.obs.metrics.CounterValue("duet.events.delivered"), 0u);
+  EXPECT_EQ(rig_.obs.metrics.CounterValue("duet.items.fetched"), 0u);
+  EXPECT_EQ(rig_.obs.metrics.CounterValue("duet.done.set"), 300u);
+
+  Bitmap done(fs_.capacity_blocks());
+  uint64_t done_calls = 0;
+  uint64_t chunks = 0;
+  ring.ForEach([&](const obs::TraceEvent& e) {
+    if (e.kind == obs::TraceKind::kDoneSet && e.a == kScrubSid) {
+      ++done_calls;
+      for (BlockNo b = e.b; b < e.b + e.c; ++b) {
+        done.Set(b);
+      }
+    } else if (e.kind == obs::TraceKind::kChunkFinished &&
+               e.a == static_cast<uint64_t>(TaskTag::kScrub)) {
+      ++chunks;
+      for (BlockNo b = e.b; b < e.b + e.c; ++b) {
+        EXPECT_EQ(done.Test(b), fs_.BlockInUse(b)) << "block " << b;
+      }
+    }
+  });
+  EXPECT_EQ(chunks, 2u);
+  EXPECT_EQ(done_calls, 3u);  // one per run: two in the first chunk, one in the second
+}
+
+// A block allocated while a chunk's read is in flight was not read, so the
+// chunk does not mark it done. Population allocates without touching the
+// cache, so no Dirtied report re-opens the blocks for the scan either.
+TEST_F(ScrubberTest, DuetDoesNotMarkBlocksAllocatedDuringTheRead) {
+  Populate(1, 100);
+  ScrubberConfig config;
+  config.use_duet = true;
+  Scrubber scrub(&fs_, &duet_, config);
+  bool finished = false;
+  scrub.Start([&] { finished = true; });
+  // The first chunk spans the blocks past /f0; its read is in flight.
+  InodeNo late = *fs_.PopulateFile("/late", 50 * kPageSize);
+  ASSERT_LT(*fs_.Bmap(late, 49), Scrubber::kChunkBlocks);
+  rig_.loop.Run();
+  ASSERT_TRUE(finished);
+  // The scan read /f0 and nobody else verified anything: done holds only
+  // what the scan read, and nothing counts as saved.
+  EXPECT_EQ(scrub.stats().io_read_pages, 100u);
+  EXPECT_EQ(scrub.stats().saved_read_pages, 0u);
+  EXPECT_EQ(rig_.obs.metrics.CounterValue("duet.done.set"), 100u);
 }
 
 TEST_F(ScrubberTest, StopHaltsScan) {
