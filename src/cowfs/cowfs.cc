@@ -178,10 +178,8 @@ void CowFs::ReadRawBlocks(BlockNo start, uint32_t count, IoClass io_class,
           verified.emplace_back(b, 1);
         }
       }
-      if (*on_verified_shared) {
-        for (const auto& [first, n] : verified) {
-          (*on_verified_shared)(first, n);
-        }
+      for (const auto& [first, n] : verified) {
+        (*on_verified_shared)(first, n);
       }
       // Only verified content may enter the page cache; caching a corrupt
       // or unread token would mask the fault from every later reader. A

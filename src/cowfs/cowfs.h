@@ -50,12 +50,12 @@ class CowFs : public FileSystem {
   // ---- Raw block reads (scrubber) ----
   // Reads `count` blocks at `start` from the device, verifying checksums of
   // in-use blocks. Blocks not in use are skipped without I/O. At each device
-  // request's completion, `on_verified` (may be null) is told each maximal
-  // run of blocks that are still in use and verified, before any of their
-  // pages enters the cache. Then each verified block whose page still lives
-  // in it is inserted into the page cache (clean), surfacing the access to
-  // Duet — this is how one maintenance pass serves other tasks (§6.3). `cb`
-  // fires once every request has completed.
+  // request's completion, `on_verified` is told each maximal run of blocks
+  // that are still in use and verified, before any of their pages enters
+  // the cache. Then each verified block whose page still lives in it is
+  // inserted into the page cache (clean), surfacing the access to Duet —
+  // this is how one maintenance pass serves other tasks (§6.3). `cb` fires
+  // once every request has completed.
   using VerifiedRunFn = std::function<void(BlockNo first, uint32_t count)>;
   void ReadRawBlocks(BlockNo start, uint32_t count, IoClass io_class,
                      VerifiedRunFn on_verified,

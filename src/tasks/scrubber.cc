@@ -138,87 +138,88 @@ void Scrubber::ProcessNextChunk() {
   const uint64_t epoch = run_.epoch();
   run_.ChunkStarted(start, count);
   chunk_verified_ = 0;
+  // Scrubbed: the read verified the run. Marked done before its pages enter
+  // the cache, the scan's own reads report nothing to its session; counted
+  // as read when marked, FinalizeAccounting never counts a block the scan
+  // read as saved.
+  auto on_verified = [this, epoch](BlockNo first, uint32_t n) {
+    if (!run_.live(epoch)) {
+      return;
+    }
+    run_.stats().io_read_pages += n;
+    chunk_verified_ += n;
+    if (config_.use_duet) {
+      (void)duet_->SetDone(run_.sid(), first, n);
+    }
+  };
   // Scrub reads populate the page cache, so concurrent tasks can use the
   // same pass (§6.3: scrub and backup accesses benefit each other).
-  fs_->ReadRawBlocks(
-      start, count, kIoClass,
-      [this, epoch](BlockNo first, uint32_t n) {
-        if (!run_.live(epoch)) {
-          return;
-        }
-        // Scrubbed: the read verified the run. Marked done before its pages
-        // enter the cache, the scan's own reads report nothing to its
-        // session, and counted as read when marked, FinalizeAccounting never
-        // counts a block the scan read as saved.
-        run_.stats().io_read_pages += n;
-        chunk_verified_ += n;
-        if (config_.use_duet) {
-          (void)duet_->SetDone(run_.sid(), first, n);
-        }
-      },
-      [this, start, count, epoch](const RawReadResult& result) {
-        if (!run_.live(epoch)) {
-          return;
-        }
-        // Blocks read but not verified: bad, or freed while in flight.
-        run_.stats().io_read_pages += result.blocks_read - chunk_verified_;
-        if (IsTransient(result.status)) {
-          if (chunk_retry_ < kMaxRetries) {
-            // Transient (busy window): retry the same chunk after an
-            // exponentially growing backoff.
-            SimDuration backoff = kRetryBackoff * (SimDuration{1} << chunk_retry_);
-            ++chunk_retry_;
-            ++transient_retries_;
-            run_.Retry(start, chunk_retry_);
-            fs_->loop().ScheduleAfter(backoff, [this, epoch] {
-              if (run_.live(epoch)) {
-                ProcessNextChunk();
-              }
-            });
-            return;
-          }
-          // Retry budget exhausted: skip the chunk this pass.
-          chunk_retry_ = 0;
-          cursor_ = start + count;
-          run_.SaveCursor({cursor_});
-          ProcessNextChunk();
-          return;
-        }
-        chunk_retry_ = 0;
-        checksum_errors_ += result.checksum_errors;
-        read_errors_ += result.read_errors;
-        run_.stats().work_done += result.blocks_read;
-        cursor_ = start + count;
-        run_.SaveCursor({cursor_});
-        run_.ChunkFinished(start, count);
-        if (result.bad_blocks.empty()) {
-          ProcessNextChunk();
-          return;
-        }
-        // Rewrite each bad block from an intact copy (cached page or the
-        // cowfs DUP mirror); blocks with no intact copy are reported
-        // unrecoverable. Either way the scan has dealt with them.
-        fs_->RepairBlocks(
-            result.bad_blocks, kIoClass,
-            [this, epoch, bad = result.bad_blocks](const CowFs::RepairResult& r) {
-              blocks_repaired_ += r.repaired();
-              blocks_unrecoverable_ += r.unrecoverable;
-              run_.Repairs(r.repaired(), r.unrecoverable);
-              run_.stats().io_read_pages += r.device_reads;
-              run_.stats().io_write_pages += r.device_writes;
-              if (!run_.live(epoch)) {
-                return;
-              }
-              if (config_.use_duet) {
-                for (BlockNo block : bad) {
-                  if (fs_->BlockInUse(block)) {
-                    (void)duet_->SetDone(run_.sid(), block);
-                  }
-                }
-              }
-              ProcessNextChunk();
-            });
-      });
+  fs_->ReadRawBlocks(start, count, kIoClass, std::move(on_verified),
+                     [this, start, count, epoch](const RawReadResult& result) {
+                       if (!run_.live(epoch)) {
+                         return;
+                       }
+                       // Read but not verified: bad, or freed in flight.
+                       run_.stats().io_read_pages += result.blocks_read - chunk_verified_;
+                       if (IsTransient(result.status)) {
+                         if (chunk_retry_ < kMaxRetries) {
+                           // Transient (busy window): retry the same chunk
+                           // after an exponentially growing backoff.
+                           SimDuration backoff =
+                               kRetryBackoff * (SimDuration{1} << chunk_retry_);
+                           ++chunk_retry_;
+                           ++transient_retries_;
+                           run_.Retry(start, chunk_retry_);
+                           fs_->loop().ScheduleAfter(backoff, [this, epoch] {
+                             if (run_.live(epoch)) {
+                               ProcessNextChunk();
+                             }
+                           });
+                           return;
+                         }
+                         // Retry budget exhausted: skip the chunk this pass.
+                         chunk_retry_ = 0;
+                         cursor_ = start + count;
+                         run_.SaveCursor({cursor_});
+                         ProcessNextChunk();
+                         return;
+                       }
+                       chunk_retry_ = 0;
+                       checksum_errors_ += result.checksum_errors;
+                       read_errors_ += result.read_errors;
+                       run_.stats().work_done += result.blocks_read;
+                       cursor_ = start + count;
+                       run_.SaveCursor({cursor_});
+                       run_.ChunkFinished(start, count);
+                       if (!result.bad_blocks.empty()) {
+                         // Rewrite each bad block from an intact copy (cached
+                         // page or the cowfs DUP mirror); blocks with no
+                         // intact copy are reported unrecoverable. Either
+                         // way the scan is done with them.
+                         fs_->RepairBlocks(
+                             result.bad_blocks, kIoClass,
+                             [this, epoch, bad = result.bad_blocks](const CowFs::RepairResult& r) {
+                               blocks_repaired_ += r.repaired();
+                               blocks_unrecoverable_ += r.unrecoverable;
+                               run_.Repairs(r.repaired(), r.unrecoverable);
+                               run_.stats().io_read_pages += r.device_reads;
+                               run_.stats().io_write_pages += r.device_writes;
+                               if (!run_.live(epoch)) {
+                                 return;
+                               }
+                               if (config_.use_duet) {
+                                 for (BlockNo block : bad) {
+                                   if (fs_->BlockInUse(block)) {
+                                     (void)duet_->SetDone(run_.sid(), block);
+                                   }
+                                 }
+                               }
+                               ProcessNextChunk();
+                             });
+                         return;
+                       }
+                       ProcessNextChunk();
+                     });
 }
 
 }  // namespace duet

@@ -37,8 +37,8 @@ class RangeBitmap {
   uint64_t size() const { return num_bits_; }
   void Resize(uint64_t num_bits);
 
-  // Inline where the bit's chunk exists: Duet sets a done bit per block a
-  // scrubber verifies, and tests one on every page event it routes.
+  // Inline where the bit's chunk exists: Duet tests a done bit on every page
+  // event it routes, and sets relevance bits on the way.
   void Set(uint64_t bit) {
     assert(bit < num_bits_);
     const uint64_t ci = bit / kChunkBits;

@@ -102,15 +102,36 @@ TEST_F(CowFsTest, CorruptionDetectedByRawRead) {
   EXPECT_EQ(fs_.cache().PageCount(), 7u);
 }
 
+// A block freed while its read is in flight holds nothing to verify: it is
+// read, but not reported verified, and its page is not cached.
+TEST_F(CowFsTest, RawReadReportsOnlyBlocksStillInUse) {
+  InodeNo keep = MakeFile("/keep", 4);
+  InodeNo gone = MakeFile("/gone", 4);
+  const BlockNo first = *fs_.Bmap(keep, 0);
+  ASSERT_EQ(*fs_.Bmap(gone, 0), first + 4);
+  std::vector<std::pair<BlockNo, uint32_t>> verified;
+  RawReadResult result;
+  fs_.ReadRawBlocks(
+      first, 8, IoClass::kIdle, [&](BlockNo b, uint32_t n) { verified.emplace_back(b, n); },
+      [&](const RawReadResult& r) { result = r; });
+  ASSERT_TRUE(fs_.DeleteFile(gone).ok());
+  rig_.loop.Run();
+  EXPECT_EQ(result.blocks_read, 8u);
+  EXPECT_TRUE(result.status.ok());
+  EXPECT_EQ(verified, (std::vector<std::pair<BlockNo, uint32_t>>{{first, 4}}));
+  EXPECT_EQ(fs_.cache().PageCount(), 4u);
+}
+
 TEST_F(CowFsTest, RawReadSkipsUnallocatedBlocks) {
   MakeFile("/f", 4);
   bool done = false;
   RawReadResult result;
   // Range far beyond any allocation.
-  fs_.ReadRawBlocks(50'000, 1000, IoClass::kIdle, nullptr, [&](const RawReadResult& r) {
-    result = r;
-    done = true;
-  });
+  fs_.ReadRawBlocks(50'000, 1000, IoClass::kIdle, [](BlockNo, uint32_t) {},
+                    [&](const RawReadResult& r) {
+                      result = r;
+                      done = true;
+                    });
   rig_.loop.Run();
   ASSERT_TRUE(done);
   EXPECT_EQ(result.blocks_read, 0u);

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "src/duet/duet_core.h"
 #include "src/obs/obs.h"
+#include "src/obs/trace.h"
 #include "src/util/format.h"
 #include "tests/sim_fixture.h"
 
@@ -221,6 +225,15 @@ INSTANTIATE_TEST_SUITE_P(WithAndWithoutDuet, BackupHoleTest, ::testing::Bool());
 TEST_F(BackupTest, DuetMarksBlocksItWillNeverSendDone) {
   Populate(4, 32);
   InodeNo f3 = *fs_.ns().Resolve("/f3");
+  std::vector<BlockNo> snapshot_blocks;
+  for (int i = 0; i < 4; ++i) {
+    InodeNo ino = *fs_.ns().Resolve(StrFormat("/f%d", i));
+    for (PageIdx p = 0; p < 32; ++p) {
+      snapshot_blocks.push_back(*fs_.Bmap(ino, p));
+    }
+  }
+  obs::TraceRing ring(1 << 16);
+  rig_.obs.trace.AddSink(&ring);
   BackupConfig config;
   config.use_duet = true;
   Backup backup(&fs_, &duet_, config);
@@ -230,12 +243,38 @@ TEST_F(BackupTest, DuetMarksBlocksItWillNeverSendDone) {
   ASSERT_FALSE(finished);         // and f3 is not streamed yet
   fs_.Write(f3, 0, 8 * kPageSize, IoClass::kBestEffort, nullptr);
   rig_.loop.Run();
+  rig_.obs.trace.RemoveSink(&ring);
   ASSERT_TRUE(finished);
   EXPECT_TRUE(backup.AllPagesSentOnce());
   EXPECT_EQ(backup.stats().work_done, 4 * 32u);
   EXPECT_EQ(backup.stats().opportunistic_units, 0u);
   EXPECT_EQ(rig_.obs.metrics.CounterValue("duet.items.fetched"), 8u);
   EXPECT_EQ(rig_.obs.metrics.CounterValue("duet.done.set"), 4 * 32 + 8u);
+
+  // Exactly the snapshot's blocks and f3's new ones are marked, each once.
+  // A chunk sent from consecutive blocks is one call: 9 calls cover the 128
+  // snapshot blocks (f3's rewritten pages stream as a chunk of their own),
+  // and each of the 8 new blocks is one call when its report is drained.
+  ASSERT_EQ(ring.dropped(), 0u);
+  std::map<BlockNo, int> marks;
+  uint64_t done_calls = 0;
+  ring.ForEach([&](const obs::TraceEvent& e) {
+    if (e.kind == obs::TraceKind::kDoneSet) {
+      ++done_calls;
+      for (BlockNo b = e.b; b < e.b + e.c; ++b) {
+        ++marks[b];
+      }
+    }
+  });
+  std::map<BlockNo, int> expected;
+  for (BlockNo b : snapshot_blocks) {
+    expected[b] = 1;
+  }
+  for (PageIdx p = 0; p < 8; ++p) {
+    expected[*fs_.Bmap(f3, p)] = 1;
+  }
+  EXPECT_EQ(marks, expected);
+  EXPECT_EQ(done_calls, 9u + 8u);
 }
 
 }  // namespace

@@ -243,6 +243,48 @@ TEST_F(ScrubberTest, DuetDoesNotMarkBlocksAllocatedDuringTheRead) {
   EXPECT_EQ(rig_.obs.metrics.CounterValue("duet.done.set"), 100u);
 }
 
+// A run is counted as read when it is marked done, so a scan stopped between
+// two runs of one chunk counts none of the blocks it read as saved.
+TEST_F(ScrubberTest, DuetStopBetweenRunsCountsNoReadBlockAsSaved) {
+  Populate(3, 100);
+  ASSERT_TRUE(fs_.DeleteFile(*fs_.ns().Resolve("/f1")).ok());
+  ScrubberConfig config;
+  config.use_duet = true;
+  Scrubber scrub(&fs_, &duet_, config);
+  scrub.Start();
+  // The first chunk is read as two runs; stop once the first has verified.
+  while (scrub.stats().io_read_pages == 0 && rig_.loop.RunOne()) {
+  }
+  ASSERT_EQ(scrub.stats().io_read_pages, 100u);
+  ASSERT_EQ(duet_.DoneCount(kScrubSid), 100u);
+  scrub.Stop();
+  EXPECT_EQ(scrub.stats().saved_read_pages, 0u);
+  EXPECT_EQ(scrub.stats().work_done, 100u);
+}
+
+// A bad block is not verified by the read, so the scan marks it done once
+// RepairBlocks has rewritten it.
+TEST_F(ScrubberTest, DuetMarksRepairedBlockDone) {
+  Populate(1, 2 * Scrubber::kChunkBlocks);
+  InodeNo f0 = *fs_.ns().Resolve("/f0");
+  const BlockNo bad = *fs_.Bmap(f0, 5);
+  fs_.CorruptBlock(bad);
+  ScrubberConfig config;
+  config.use_duet = true;
+  Scrubber scrub(&fs_, &duet_, config);
+  bool finished = false;
+  scrub.Start([&] { finished = true; });
+  // The repair's callback marks the block, then starts the second chunk.
+  while (scrub.blocks_repaired() == 0 && rig_.loop.RunOne()) {
+  }
+  ASSERT_EQ(scrub.blocks_repaired(), 1u);
+  ASSERT_FALSE(finished);
+  EXPECT_TRUE(duet_.CheckDone(kScrubSid, bad));
+  EXPECT_EQ(duet_.DoneCount(kScrubSid), Scrubber::kChunkBlocks);
+  rig_.loop.Run();
+  EXPECT_TRUE(finished);
+}
+
 TEST_F(ScrubberTest, StopHaltsScan) {
   Populate(10, 16 * Scrubber::kChunkBlocks);  // 160 chunks
   Scrubber scrub(&fs_, nullptr, ScrubberConfig{});
