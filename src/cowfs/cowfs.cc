@@ -111,96 +111,75 @@ void CowFs::OnBlockFlushed(BlockNo block, uint64_t token) {
 void CowFs::ReadRawBlocks(BlockNo start, uint32_t count, IoClass io_class,
                           VerifiedRunFn on_verified,
                           std::function<void(const RawReadResult&)> cb) {
-  // Collect in-use blocks in the range and coalesce them into runs.
-  std::vector<std::pair<BlockNo, uint32_t>> runs;
-  BlockNo cursor = start;
-  BlockNo end = std::min<BlockNo>(start + count, capacity_blocks());
-  while (cursor < end) {
-    std::optional<BlockNo> next = NextBlockInUse(cursor);
+  // The in-use blocks of the range, one in-use run at a time.
+  const BlockNo end = std::min<BlockNo>(start + count, capacity_blocks());
+  std::vector<BlockNo> blocks;
+  blocks.reserve(end > start ? end - start : 0);
+  for (BlockNo b = start; b < end;) {
+    std::optional<BlockNo> next = NextBlockInUse(b);
     if (!next.has_value() || *next >= end) {
       break;
     }
-    BlockNo run_start = *next;
-    BlockNo run_end = run_start;
-    while (run_end < end && BlockInUse(run_end)) {
-      ++run_end;
+    for (b = *next; b < end && BlockInUse(b); ++b) {
+      blocks.push_back(b);
     }
-    runs.emplace_back(run_start, static_cast<uint32_t>(run_end - run_start));
-    cursor = run_end;
   }
   auto result = std::make_shared<RawReadResult>();
-  if (runs.empty()) {
-    loop_->ScheduleAfter(0, [cb = std::move(cb), result] { cb(*result); });
-    return;
-  }
-  auto outstanding = std::make_shared<uint64_t>(runs.size());
-  auto cb_shared = std::make_shared<std::function<void(const RawReadResult&)>>(std::move(cb));
-  auto on_verified_shared = std::make_shared<VerifiedRunFn>(std::move(on_verified));
-  for (const auto& [run_start, run_count] : runs) {
-    IoRequest req;
-    req.block = run_start;
-    req.count = run_count;
-    req.dir = IoDir::kRead;
-    req.io_class = io_class;
-    ++result->device_ops;
-    req.done = [this, run_start, run_count, result, outstanding, cb_shared,
-                on_verified_shared](const IoResult& io) {
-      if (io.status.code() == StatusCode::kBusy) {
-        // Transient whole-request failure: nothing was transferred.
-        result->status = io.status;
-        if (--*outstanding == 0) {
-          std::sort(result->bad_blocks.begin(), result->bad_blocks.end());
-          (*cb_shared)(*result);
-        }
-        return;
-      }
-      // Maximal runs of verified blocks. A block freed since the request
-      // was issued was read but holds nothing to verify.
-      std::vector<std::pair<BlockNo, uint32_t>> verified;
-      for (BlockNo b = run_start; b < run_start + run_count; ++b) {
-        ++result->blocks_read;
-        if (io.BlockFailed(b)) {
-          // Latent sector error: the medium returned EIO, no data came back.
-          ++result->read_errors;
-          result->bad_blocks.push_back(b);
+  result->device_ops = SubmitRuns(
+      std::move(blocks), IoDir::kRead, io_class, [](BlockNo b) { return b; },
+      [this, result, on_verified = std::move(on_verified)](const IoResult& io,
+                                                           std::span<const BlockNo> run) {
+        if (io.status.code() == StatusCode::kBusy) {
+          // Transient whole-request failure: nothing was transferred.
           result->status = io.status;
-        } else if (!BlockInUse(b)) {
-          continue;
-        } else if (Status verify = VerifyBlock(b); !verify.ok()) {
-          ++result->checksum_errors;
-          result->bad_blocks.push_back(b);
-          if (result->status.ok()) {
-            result->status = verify;
-          }
-        } else if (!verified.empty() && verified.back().first + verified.back().second == b) {
-          ++verified.back().second;
-        } else {
-          verified.emplace_back(b, 1);
+          return;
         }
-      }
-      for (const auto& [first, n] : verified) {
-        (*on_verified_shared)(first, n);
-      }
-      // Only verified content may enter the page cache; caching a corrupt
-      // or unread token would mask the fault from every later reader. A
-      // snapshot block keeps its reverse-map entry after its page moves
-      // (COW): its content is the page's old version, not the page.
-      for (const auto& [first, n] : verified) {
-        for (BlockNo b = first; b < first + n; ++b) {
-          Result<BlockOwner> owner = Rmap(b);
-          if (owner.ok() && BlockOf(owner->ino, owner->idx) == b &&
-              !cache_.Contains(owner->ino, owner->idx)) {
-            cache_.Insert(owner->ino, owner->idx, disk_data_[b], /*dirty=*/false);
+        // Maximal runs of verified blocks. A block freed since the request
+        // was issued was read but holds nothing to verify.
+        std::vector<std::pair<BlockNo, uint32_t>> verified;
+        for (BlockNo b : run) {
+          ++result->blocks_read;
+          Status status = ReadOutcome(io, b);
+          if (status.code() == StatusCode::kCorruption) {
+            ++result->checksum_errors;
+            result->bad_blocks.push_back(b);
+            if (result->status.ok()) {
+              result->status = std::move(status);
+            }
+          } else if (!status.ok()) {
+            // Latent sector error: the medium returned EIO, no data came back.
+            ++result->read_errors;
+            result->bad_blocks.push_back(b);
+            result->status = std::move(status);
+          } else if (!BlockInUse(b)) {
+            continue;
+          } else if (!verified.empty() && verified.back().first + verified.back().second == b) {
+            ++verified.back().second;
+          } else {
+            verified.emplace_back(b, 1);
           }
         }
-      }
-      if (--*outstanding == 0) {
+        for (const auto& [first, n] : verified) {
+          on_verified(first, n);
+        }
+        // Only verified content may enter the page cache; caching a corrupt
+        // or unread token would mask the fault from every later reader. A
+        // snapshot block keeps its reverse-map entry after its page moves
+        // (COW): its content is the page's old version, not the page.
+        for (const auto& [first, n] : verified) {
+          for (BlockNo b = first; b < first + n; ++b) {
+            Result<BlockOwner> owner = Rmap(b);
+            if (owner.ok() && BlockOf(owner->ino, owner->idx) == b &&
+                !cache_.Contains(owner->ino, owner->idx)) {
+              cache_.Insert(owner->ino, owner->idx, disk_data_[b], /*dirty=*/false);
+            }
+          }
+        }
+      },
+      [result, cb = std::move(cb)] {
         std::sort(result->bad_blocks.begin(), result->bad_blocks.end());
-        (*cb_shared)(*result);
-      }
-    };
-    device_->Submit(std::move(req));
-  }
+        cb(*result);
+      });
 }
 
 // Sequential repair state machine. Faults are rare, so one block at a time
@@ -426,7 +405,13 @@ void CowFs::DefragFile(InodeNo ino, IoClass io_class,
       taken += run->length;
       hint = run->start + run->length;
     }
-    std::vector<uint64_t> tokens(npages, 0);
+    struct Move {
+      BlockNo block;
+      PageIdx idx;
+      uint64_t token;
+    };
+    std::vector<Move> moves;
+    moves.reserve(npages);
     PageIdx idx = 0;
     for (const BlockRun& run : runs) {
       for (BlockNo b = run.start; b < run.start + run.length; ++b, ++idx) {
@@ -434,9 +419,10 @@ void CowFs::DefragFile(InodeNo ino, IoClass io_class,
         const CachedPage* page = cache_.Peek(ino, idx);
         // The read above cached every page; a concurrent eviction could drop
         // one, in which case we fall back to its on-disk content.
-        tokens[idx] = (page != nullptr)              ? page->data
-                      : (old_block != kInvalidBlock) ? disk_data_[old_block]
-                                                     : 0;
+        const uint64_t token = (page != nullptr)              ? page->data
+                               : (old_block != kInvalidBlock) ? disk_data_[old_block]
+                                                              : 0;
+        moves.push_back(Move{b, idx, token});
         refcount_[b] = 1;
         SetMapping(ino, idx, b);
         if (old_block != kInvalidBlock) {
@@ -445,34 +431,20 @@ void CowFs::DefragFile(InodeNo ino, IoClass io_class,
       }
     }
 
-    // Phase 3: write the new extent(s) as one transaction.
-    auto outstanding = std::make_shared<uint64_t>(runs.size());
-    uint64_t first_page = 0;
-    for (const BlockRun& run : runs) {
-      IoRequest req;
-      req.block = run.start;
-      req.count = static_cast<uint32_t>(run.length);
-      req.dir = IoDir::kWrite;
-      req.io_class = io_class;
-      req.done = [this, ino, run, first_page, tokens, result, outstanding,
-                  finish](const IoResult&) {
-        for (uint64_t k = 0; k < run.length; ++k) {
-          PageIdx p = first_page + k;
-          OnBlockFlushed(run.start + k, tokens[p]);
-          ++result->pages_written;
-          const CachedPage* page = cache_.Peek(ino, p);
-          if (page != nullptr && page->dirty && page->data == tokens[p]) {
-            cache_.MarkClean(ino, p);
+    // Phase 3: write the new extent(s) as one transaction. No two runs
+    // TakeRun returns are adjacent, so each is one request.
+    SubmitRuns(
+        std::move(moves), IoDir::kWrite, io_class, [](const Move& m) { return m.block; },
+        [this, ino, result](const IoResult&, std::span<const Move> run) {
+          for (const Move& m : run) {
+            WriteCompleted(m.block, ino, m.idx, m.token);
+            ++result->pages_written;
           }
-        }
-        if (--*outstanding == 0) {
+        },
+        [this, ino, result, finish] {
           result->extents_after = ExtentCount(ino);
           finish(Status::Ok());
-        }
-      };
-      first_page += run.length;
-      device_->Submit(std::move(req));
-    }
+        });
   });
 }
 

@@ -223,7 +223,7 @@ void LogFs::CleanSegment(SegmentNo seg, IoClass io_class,
 
   // Phase 2 (after reads): re-append every still-valid block to the log and
   // leave its page dirty for asynchronous writeback.
-  auto move_phase = [this, seg, victims = std::move(victims), bad, result, finish] {
+  auto move_phase = [this, victims = std::move(victims), bad, result, finish] {
     for (const Victim& v : victims) {
       if (!BlockInUse(v.block)) {
         continue;  // invalidated while we were reading (foreground write)
@@ -249,7 +249,6 @@ void LogFs::CleanSegment(SegmentNo seg, IoClass io_class,
       }
       ++result->blocks_moved;
     }
-    (void)seg;
     writeback_.MaybeKick();
     finish(Status::Ok());
   };
@@ -259,65 +258,40 @@ void LogFs::CleanSegment(SegmentNo seg, IoClass io_class,
     return;
   }
 
-  // Phase 1: synchronous reads of uncached victim blocks (coalesced; blocks
-  // within one segment are nearly contiguous). Pages enter the cache clean,
-  // emitting Added events for any interested Duet session.
-  std::sort(to_read.begin(), to_read.end(),
-            [](const Victim& a, const Victim& b) { return a.block < b.block; });
-  auto outstanding = std::make_shared<uint64_t>(0);
-  auto move_shared = std::make_shared<std::function<void()>>(std::move(move_phase));
-  size_t i = 0;
-  while (i < to_read.size()) {
-    size_t j = i + 1;
-    while (j < to_read.size() && to_read[j].block == to_read[j - 1].block + 1) {
-      ++j;
-    }
-    std::vector<Victim> run(to_read.begin() + static_cast<long>(i),
-                            to_read.begin() + static_cast<long>(j));
-    IoRequest req;
-    req.block = run.front().block;
-    req.count = static_cast<uint32_t>(run.size());
-    req.dir = IoDir::kRead;
-    req.io_class = io_class;
-    ++result->device_ops;
-    ++*outstanding;
-    req.done = [this, run = std::move(run), bad, result, outstanding,
-                move_shared](const IoResult& io) {
-      if (io.status.code() == StatusCode::kBusy) {
-        // Transient whole-request failure: nothing transferred; leave the
-        // run's blocks unmoved and surface the retryable status.
-        result->status = io.status;
+  // Phase 1: reads of uncached victim blocks, coalesced (ValidBlocksOf is
+  // ascending, and blocks within one segment are nearly contiguous). Pages
+  // enter the cache clean, emitting Added events for any interested Duet
+  // session.
+  result->device_ops = SubmitRuns(
+      std::move(to_read), IoDir::kRead, io_class, [](const Victim& v) { return v.block; },
+      [this, bad, result](const IoResult& io, std::span<const Victim> run) {
+        if (io.status.code() == StatusCode::kBusy) {
+          // Transient whole-request failure: nothing transferred; leave the
+          // run's blocks unmoved and surface the retryable status.
+          result->status = io.status;
+          for (const Victim& v : run) {
+            bad->insert(v.block);
+          }
+          return;
+        }
         for (const Victim& v : run) {
-          bad->insert(v.block);
+          ++result->blocks_read_disk;
+          Status status = ReadOutcome(io, v.block);
+          if (!status.ok()) {
+            if (status.code() == StatusCode::kCorruption) {
+              ++result->checksum_errors;
+            } else {
+              ++result->read_errors;
+            }
+            bad->insert(v.block);
+            continue;
+          }
+          if (!cache_.Contains(v.ino, v.idx)) {
+            cache_.Insert(v.ino, v.idx, disk_data_[v.block], /*dirty=*/false);
+          }
         }
-        if (--*outstanding == 0) {
-          (*move_shared)();
-        }
-        return;
-      }
-      for (const Victim& v : run) {
-        ++result->blocks_read_disk;
-        if (io.BlockFailed(v.block)) {
-          ++result->read_errors;
-          bad->insert(v.block);
-          continue;
-        }
-        if (!VerifyBlock(v.block).ok()) {
-          ++result->checksum_errors;
-          bad->insert(v.block);
-          continue;
-        }
-        if (!cache_.Contains(v.ino, v.idx)) {
-          cache_.Insert(v.ino, v.idx, disk_data_[v.block], /*dirty=*/false);
-        }
-      }
-      if (--*outstanding == 0) {
-        (*move_shared)();
-      }
-    };
-    device_->Submit(std::move(req));
-    i = j;
-  }
+      },
+      std::move(move_phase));
 }
 
 void LogFs::SerializeFsState(ByteWriter* w) const {
