@@ -138,6 +138,24 @@ TEST_F(CowFsTest, RawReadSkipsUnallocatedBlocks) {
   EXPECT_EQ(result.device_ops, 0u);
 }
 
+TEST_F(CowFsTest, RawReadSubmitsOneRequestPerInUseRun) {
+  InodeNo a = MakeFile("/a", 4);
+  InodeNo b = MakeFile("/b", 3);
+  MakeFile("/c", 5);
+  const BlockNo first = *fs_.Bmap(a, 0);
+  ASSERT_EQ(*fs_.Bmap(b, 0), first + 4);
+  ASSERT_TRUE(fs_.DeleteFile(b).ok());  // a hole of 3 blocks
+  SubmitLog log(rig_.obs.trace);
+  RawReadResult result;
+  fs_.ReadRawBlocks(first, 16, IoClass::kIdle, [](BlockNo, uint32_t) {},
+                    [&](const RawReadResult& r) { result = r; });
+  rig_.loop.Run();
+  EXPECT_EQ(log.Of(IoDir::kRead),
+            (std::vector<Submitted>{{first, 4, IoDir::kRead}, {first + 7, 5, IoDir::kRead}}));
+  EXPECT_EQ(result.device_ops, 2u);
+  EXPECT_EQ(result.blocks_read, 9u);
+}
+
 TEST_F(CowFsTest, CowWriteRelocatesBlock) {
   InodeNo ino = MakeFile("/f", 2);
   BlockNo before = *fs_.Bmap(ino, 0);
@@ -493,6 +511,39 @@ TEST(CowFsDefragTest, DestinationWrapsWithoutSharingABlock) {
   EXPECT_GE(*fs.Bmap(frag, 0), cursor);
   EXPECT_LT(*fs.Bmap(frag, 63), cursor);
   expect_own_blocks("room");
+}
+
+// The destination's runs are written one request each, in page order: the
+// runs from the cursor to the device's end, then those from block 0.
+TEST(CowFsDefragTest, WrappedDestinationIsOneWritePerRun) {
+  constexpr uint64_t kCapacity = 1024;
+  SimRig rig(kCapacity);
+  CowFs fs(&rig.loop, &rig.device, /*cache_pages=*/128);
+  Rng rng(5);
+  InodeNo low = *fs.PopulateFile("/low", 40 * kPageSize);  // blocks 0-39
+  InodeNo frag = *fs.PopulateFileAged("/frag", 64 * kPageSize, 1.0, rng);
+  // Leaves 30 free blocks after the cursor, some of them between /frag's.
+  fs.PopulateFile("/fill", (kCapacity - 40 - 64 - 30) * kPageSize);
+  ASSERT_TRUE(fs.DeleteFile(low).ok());
+  const BlockNo cursor = fs.alloc_cursor();
+
+  SubmitLog log(rig.obs.trace);
+  DefragResult result;
+  fs.DefragFile(frag, IoClass::kIdle, [&](const DefragResult& r) { result = r; });
+  rig.loop.Run();
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  std::vector<BlockNo> destination;
+  for (PageIdx p = 0; p < 64; ++p) {
+    destination.push_back(*fs.Bmap(frag, p));
+  }
+  const std::vector<Submitted> runs = RunsOf(destination, IoDir::kWrite);
+  ASSERT_GE(runs.size(), 2u);
+  EXPECT_EQ(runs.front().block, cursor);
+  EXPECT_EQ(runs.back().block + runs.back().count, 34u) << "the destination wraps to block 0";
+  EXPECT_EQ(log.Of(IoDir::kWrite), runs);
+  EXPECT_EQ(result.pages_written, 64u);
+  EXPECT_EQ(result.extents_after, runs.size());
+  EXPECT_TRUE(fs.CheckConsistency().clean());
 }
 
 TEST_F(CowFsTest, DefragSavesCachedReads) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/util/format.h"
 #include "tests/sim_fixture.h"
 
@@ -149,6 +151,30 @@ TEST_F(LogFsTest, CleanSegmentUsesCachedBlocks) {
   EXPECT_EQ(result.blocks_moved, 4u);
   EXPECT_EQ(result.blocks_from_cache, 2u);
   EXPECT_EQ(result.blocks_read_disk, 2u);
+}
+
+TEST_F(LogFsTest, CleanerReadsEachUncachedRunWithOneRequest) {
+  InodeNo ino = MakeFile("/f", 16);  // segment 0
+  for (PageIdx p : {2, 3, 7, 11, 12}) {
+    WriteSync(ino, p * kPageSize, kPageSize);
+  }
+  fs_.cache().RemoveInode(ino);
+  fs_.Read(ino, 5 * kPageSize, kPageSize, IoClass::kBestEffort, nullptr);
+  rig_.loop.Run();
+  ASSERT_EQ(fs_.ValidBlocksOf(0),
+            (std::vector<BlockNo>{0, 1, 4, 5, 6, 8, 9, 10, 13, 14, 15}));
+  // Block 5's page is cached, so the uncached valid blocks form 5 runs.
+  const std::vector<Submitted> runs =
+      RunsOf({0, 1, 4, 6, 8, 9, 10, 13, 14, 15}, IoDir::kRead);
+  ASSERT_EQ(runs.size(), 5u);
+  SubmitLog log(rig_.obs.trace);
+  CleanResult result = CleanSync(0);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(log.Of(IoDir::kRead), runs);
+  EXPECT_EQ(result.device_ops, runs.size());
+  EXPECT_EQ(result.blocks_read_disk, 10u);
+  EXPECT_EQ(result.blocks_from_cache, 1u);
+  EXPECT_EQ(result.blocks_moved, 11u);
 }
 
 TEST_F(LogFsTest, CleanEmptySegmentIsNoop) {
