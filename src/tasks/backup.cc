@@ -203,22 +203,32 @@ void Backup::ProcessFileChunk(InodeNo ino, PageIdx next_page) {
   uint64_t count = end - p;
 
   run_.ChunkStarted(ino, count);
-  // A page whose read failed or did not verify was not sent: with `read_ok`
-  // false none of the chunk was, otherwise every page whose snapshot block
-  // is in `bad` (ascending) is left unsent.
+  // `status` is the chunk read's. A transient failure sends nothing: the
+  // chunk is read again after the retry backoff, or left unsent once the
+  // retry budget is spent. Otherwise a page whose read failed or did not
+  // verify is not sent: with `bad` null (the read reports no per-page
+  // failures) a failed read sends none of the chunk, else every page whose
+  // snapshot block is in `bad` (ascending) is left unsent.
   auto complete = [this, ino, p, end](uint64_t read_pages, uint64_t cached_pages,
-                                      bool read_ok, const std::vector<BlockNo>& bad) {
+                                      const Status& status, const std::vector<BlockNo>* bad) {
     if (!run_.running()) {
       return;  // the run finished (opportunistically) or was stopped
     }
     TaskStats& stats = run_.stats();
-    if (read_ok) {
+    stats.io_read_pages += read_pages;
+    stats.saved_read_pages += cached_pages;
+    if (IsTransient(status)) {
+      if (run_.RetryTransient(ino, [this, ino, p] { ProcessFileChunk(ino, p); })) {
+        return;
+      }
+    } else if (bad != nullptr || status.ok()) {
       // Each run of consecutive blocks sent is marked done with one call.
       const std::vector<BlockNo>& blocks = fs_->GetSnapshot(snapshot_)->files.at(ino).blocks;
       BlockNo run_first = 0;
       uint64_t run_count = 0;
       for (PageIdx q = p; q < end; ++q) {
-        if (std::binary_search(bad.begin(), bad.end(), blocks[q]) || !MarkSent(blocks[q])) {
+        if ((bad != nullptr && std::binary_search(bad->begin(), bad->end(), blocks[q])) ||
+            !MarkSent(blocks[q])) {
           continue;
         }
         ++stats.work_done;
@@ -231,20 +241,17 @@ void Backup::ProcessFileChunk(InodeNo ino, PageIdx next_page) {
       }
       MarkDone(run_first, run_count);
     }
-    stats.io_read_pages += read_pages;
-    stats.saved_read_pages += cached_pages;
     run_.ChunkFinished(ino, end - p);
     ProcessFileChunk(ino, end);
   };
 
   if (shared) {
     // Unmodified since the snapshot: read through the live file (this
-    // populates the page cache — visible to other Duet tasks). Read reports
-    // no per-page failures, so a failed read leaves the whole chunk unsent.
+    // populates the page cache — visible to other Duet tasks).
     fs_->Read(ino, p * kPageSize, count * kPageSize, kIoClass,
               [complete](const FsIoResult& result) {
-                complete(result.pages_from_disk, result.pages_from_cache,
-                         result.status.ok(), {});
+                complete(result.pages_from_disk, result.pages_from_cache, result.status,
+                         nullptr);
               });
   } else {
     // Modified since the snapshot: stream the preserved old blocks.
@@ -252,7 +259,7 @@ void Backup::ProcessFileChunk(InodeNo ino, PageIdx next_page) {
                                 file.blocks.begin() + static_cast<long>(end));
     fs_->ReadBlocks(std::move(blocks), kIoClass,
                     [complete](const RawReadResult& result) {
-                      complete(result.blocks_read, 0, true, result.bad_blocks);
+                      complete(result.blocks_read, 0, result.status, &result.bad_blocks);
                     });
   }
 }

@@ -1,6 +1,8 @@
 // Snapshot-based backup (paper §5.2), modeled on the Btrfs backup tool: a
 // read-only snapshot is taken at start, and files are streamed to backup
-// storage in inode order, each file read fully before the next.
+// storage in inode order, each file read fully before the next. A chunk
+// whose read fails transiently is read again with TaskRun's retry budget and
+// backoff; a page is sent only once it was read intact.
 //
 // Opportunistic mode registers a Duet block task for Exists state
 // notifications. A reported block is a cached page's live block; if the

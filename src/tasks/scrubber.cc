@@ -162,29 +162,18 @@ void Scrubber::ProcessNextChunk() {
                        // Read but not verified: bad, or freed in flight.
                        run_.stats().io_read_pages += result.blocks_read - chunk_verified_;
                        if (IsTransient(result.status)) {
-                         if (chunk_retry_ < kMaxRetries) {
-                           // Transient (busy window): retry the same chunk
-                           // after an exponentially growing backoff.
-                           SimDuration backoff =
-                               kRetryBackoff * (SimDuration{1} << chunk_retry_);
-                           ++chunk_retry_;
+                         // Transient (busy window): retry the same chunk
+                         // after the backoff, or skip it this pass once the
+                         // retry budget is spent.
+                         if (run_.RetryTransient(start, [this] { ProcessNextChunk(); })) {
                            ++transient_retries_;
-                           run_.Retry(start, chunk_retry_);
-                           fs_->loop().ScheduleAfter(backoff, [this, epoch] {
-                             if (run_.live(epoch)) {
-                               ProcessNextChunk();
-                             }
-                           });
                            return;
                          }
-                         // Retry budget exhausted: skip the chunk this pass.
-                         chunk_retry_ = 0;
                          cursor_ = start + count;
                          run_.SaveCursor({cursor_});
                          ProcessNextChunk();
                          return;
                        }
-                       chunk_retry_ = 0;
                        checksum_errors_ += result.checksum_errors;
                        read_errors_ += result.read_errors;
                        run_.stats().work_done += result.blocks_read;

@@ -40,11 +40,6 @@ class Scrubber {
   // Maintenance I/O runs at idle priority (§6.5), so the scan yields to the
   // workload.
   static constexpr IoClass kIoClass = IoClass::kIdle;
-  // A chunk that fails transiently (device busy / latency spike) is retried
-  // this many times, with a backoff that starts here and doubles per
-  // consecutive retry, before the pass skips it.
-  static constexpr uint32_t kMaxRetries = 3;
-  static constexpr SimDuration kRetryBackoff = Millis(10);
 
   // `duet` may be null when use_duet is false.
   Scrubber(CowFs* fs, DuetCore* duet, ScrubberConfig config);
@@ -93,7 +88,6 @@ class Scrubber {
   uint64_t blocks_repaired_ = 0;
   uint64_t blocks_unrecoverable_ = 0;
   uint64_t transient_retries_ = 0;
-  uint32_t chunk_retry_ = 0;  // consecutive transient retries of this chunk
   uint64_t chunk_verified_ = 0;  // blocks of the chunk in flight verified so far
 };
 

@@ -29,6 +29,7 @@ void TaskRun::Begin(std::function<void()> on_finish) {
   assert(!running_);
   running_ = true;
   ++epoch_;
+  chunk_retries_ = 0;
   on_finish_ = std::move(on_finish);
   stats_ = TaskStats{};
   stats_.started_at = loop_->now();
@@ -107,6 +108,23 @@ void TaskRun::Stop() {
   running_ = false;
   CancelTimer();
   Deregister();
+}
+
+bool TaskRun::RetryTransient(uint64_t start, std::function<void()> again) {
+  if (chunk_retries_ >= kMaxRetries) {
+    chunk_retries_ = 0;
+    return false;
+  }
+  const SimDuration backoff = kRetryBackoff * (SimDuration{1} << chunk_retries_);
+  ++chunk_retries_;
+  retries_->Add();
+  Emit(obs::TraceKind::kRetry, start, chunk_retries_);
+  loop_->ScheduleAfter(backoff, [this, epoch = epoch_, again = std::move(again)] {
+    if (live(epoch)) {
+      again();
+    }
+  });
+  return true;
 }
 
 void TaskRun::Drain(InodePriorityQueue& queue) {
