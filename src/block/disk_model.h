@@ -27,7 +27,6 @@ class DiskModel {
                                   BlockNo head) const = 0;
 
   virtual uint64_t capacity_blocks() const = 0;
-  virtual const char* name() const = 0;
 };
 
 // 10K RPM SAS drive, calibrated to the paper's setup (§6.1.3): ~150 MB/s
@@ -52,7 +51,6 @@ class HddModel : public DiskModel {
   SimDuration ServiceTime(BlockNo start, uint32_t count, IoDir dir,
                           BlockNo head) const override;
   uint64_t capacity_blocks() const override { return params_.capacity_blocks; }
-  const char* name() const override { return "hdd"; }
 
   const HddParams& params() const { return params_; }
 
@@ -79,7 +77,6 @@ class SsdModel : public DiskModel {
   SimDuration ServiceTime(BlockNo start, uint32_t count, IoDir dir,
                           BlockNo head) const override;
   uint64_t capacity_blocks() const override { return params_.capacity_blocks; }
-  const char* name() const override { return "ssd"; }
 
   const SsdParams& params() const { return params_; }
 

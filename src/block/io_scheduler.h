@@ -32,8 +32,6 @@ class IoScheduler {
   // `last_best_effort_activity` the last time a best-effort request was
   // submitted or completed.
   virtual DispatchDecision Dispatch(SimTime now, SimTime last_best_effort_activity) = 0;
-
-  virtual const char* name() const = 0;
 };
 
 // CFQ-like scheduler with two classes. Best-effort requests dispatch FIFO
@@ -46,7 +44,6 @@ class CfqScheduler : public IoScheduler {
 
   void Enqueue(IoRequest request) override;
   DispatchDecision Dispatch(SimTime now, SimTime last_best_effort_activity) override;
-  const char* name() const override { return "cfq"; }
 
   SimDuration idle_grace() const { return idle_grace_; }
 
@@ -62,16 +59,9 @@ class DeadlineScheduler : public IoScheduler {
  public:
   void Enqueue(IoRequest request) override;
   DispatchDecision Dispatch(SimTime now, SimTime last_best_effort_activity) override;
-  const char* name() const override { return "deadline"; }
 
  private:
   std::deque<IoRequest> queue_;
-};
-
-// Trivial FIFO, used by unit tests.
-class NoopScheduler : public DeadlineScheduler {
- public:
-  const char* name() const override { return "noop"; }
 };
 
 }  // namespace duet

@@ -20,7 +20,6 @@ class FixedModel : public DiskModel {
     return latency_;
   }
   uint64_t capacity_blocks() const override { return 1'000'000; }
-  const char* name() const override { return "fixed"; }
 
  private:
   SimDuration latency_;
@@ -45,7 +44,7 @@ TEST(BlockDeviceTest, CompletesSingleRequest) {
   obs::ObsContext obs;
   EventLoop loop(obs);
   BlockDevice dev(&loop, std::make_unique<FixedModel>(Millis(5)),
-                  std::make_unique<NoopScheduler>());
+                  std::make_unique<DeadlineScheduler>());
   bool done = false;
   dev.Submit(MakeRequest(10, IoClass::kBestEffort, [&] { done = true; }));
   loop.Run();
@@ -59,7 +58,7 @@ TEST(BlockDeviceTest, ServicesOneAtATime) {
   obs::ObsContext obs;
   EventLoop loop(obs);
   BlockDevice dev(&loop, std::make_unique<FixedModel>(Millis(5)),
-                  std::make_unique<NoopScheduler>());
+                  std::make_unique<DeadlineScheduler>());
   std::vector<SimTime> completions;
   for (int i = 0; i < 3; ++i) {
     dev.Submit(MakeRequest(static_cast<BlockNo>(i), IoClass::kBestEffort,
@@ -73,7 +72,7 @@ TEST(BlockDeviceTest, AccountsPerClassBusyTime) {
   obs::ObsContext obs;
   EventLoop loop(obs);
   BlockDevice dev(&loop, std::make_unique<FixedModel>(Millis(2)),
-                  std::make_unique<NoopScheduler>());
+                  std::make_unique<DeadlineScheduler>());
   dev.Submit(MakeRequest(1, IoClass::kBestEffort, nullptr));
   dev.Submit(MakeRequest(2, IoClass::kIdle, nullptr, IoDir::kWrite));
   loop.Run();
@@ -172,7 +171,7 @@ TEST(BlockDeviceTest, HeadPositionMakesBackToBackSequentialCheap) {
   obs::ObsContext obs;
   EventLoop loop(obs);
   BlockDevice dev(&loop, std::make_unique<HddModel>(),
-                  std::make_unique<NoopScheduler>());
+                  std::make_unique<DeadlineScheduler>());
   SimTime first_done = 0;
   SimTime second_done = 0;
   dev.Submit(MakeRequest(1000, IoClass::kBestEffort, [&] { first_done = loop.now(); },
